@@ -218,7 +218,13 @@ def cmd_enumerate(ctx, a, b, e, max_cusps, cap, as_json, as_csv) -> None:
     """List all genus-compatible configurations with per-filter verdicts."""
     curve = _curve(a, b, e)
     if cap is None:
-        cap = int(os.environ.get(CAP_ENV_VAR, DEFAULT_CANDIDATE_CAP))
+        text = os.environ.get(CAP_ENV_VAR)
+        try:
+            cap = DEFAULT_CANDIDATE_CAP if text is None else int(text)
+        except ValueError as exc:
+            raise click.ClickException(
+                f"{CAP_ENV_VAR} must be an integer, got {text!r}"
+            ) from exc
     try:
         configs = enumerate_configurations(curve, max_cusps, cap=cap)
     except (CandidateCapExceededError, ValueError) as exc:

@@ -7,8 +7,8 @@ from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from .core import CurveType, CuspConfiguration, PuiseuxCusp
-from .hf import HfReport, hf_check, multiplicity_bound_check
-from .spectra import SemicontinuityReport, semicontinuity_check
+from .hf import HfContext, HfReport, hf_check, multiplicity_bound_check
+from .spectra import SemicontinuityReport, SpectrumContext, semicontinuity_check
 
 DEFAULT_CANDIDATE_CAP = 10**6
 
@@ -56,6 +56,8 @@ def enumerate_configurations(
     """
     if max_cusps < 1:
         raise ValueError(f"max_cusps must be >= 1, got {max_cusps}")
+    if cap < 0:
+        raise ValueError(f"candidate cap must be >= 0, got {cap}")
     results: List[CuspConfiguration] = []
     partial: List[PuiseuxCusp] = []
 
@@ -106,13 +108,27 @@ class CandidateVerdict:
         )
 
 
+class CurveContext:
+    """Curve-level data of both filters, built once per curve and shared by
+    the configurations of one call."""
+
+    def __init__(self, curve: CurveType):
+        self.curve = curve
+        self.hf = HfContext(curve)
+        self.spectrum = SpectrumContext(curve)
+
+
 def evaluate_candidate(
-    curve: CurveType, config: CuspConfiguration, fast: bool = False
+    curve: CurveType,
+    config: CuspConfiguration,
+    fast: bool = False,
+    context: Optional[CurveContext] = None,
 ) -> CandidateVerdict:
     """Run the filters genus -> multiplicity -> semigroup counting -> spectrum.
 
     In fast mode later filters are skipped once one fails; otherwise all are
-    evaluated so the verdict carries complete witnesses.
+    evaluated so the verdict carries complete witnesses.  `context`, when
+    given, must belong to `curve`; without one a one-off context is built.
     """
     genus_ok = config.is_genus_compatible(curve)
     if not genus_ok:
@@ -122,10 +138,12 @@ def evaluate_candidate(
     )
     if fast and not multiplicity_ok:
         return CandidateVerdict(config, True, False, None, None)
-    hf_report = hf_check(curve, config)
+    if context is None:
+        context = CurveContext(curve)
+    hf_report = hf_check(curve, config, context=context.hf)
     if fast and hf_report.obstructed:
         return CandidateVerdict(config, True, multiplicity_ok, hf_report, None)
-    spectrum_report = semicontinuity_check(curve, config)
+    spectrum_report = semicontinuity_check(curve, config, context=context.spectrum)
     return CandidateVerdict(
         config, True, multiplicity_ok, hf_report, spectrum_report
     )
@@ -136,4 +154,9 @@ def run_pipeline(
     configs: List[CuspConfiguration],
     fast: bool = False,
 ) -> List[CandidateVerdict]:
-    return [evaluate_candidate(curve, config, fast=fast) for config in configs]
+    """Evaluate every configuration, sharing one CurveContext among them."""
+    context = CurveContext(curve)
+    return [
+        evaluate_candidate(curve, config, fast=fast, context=context)
+        for config in configs
+    ]

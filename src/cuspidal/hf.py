@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from .core import CurveType, CuspConfiguration, PuiseuxCusp
 from .semigroups import CountingFunction, curve_r_function
@@ -103,21 +103,46 @@ def max_p_over_presentations(
     return best
 
 
+class HfContext:
+    """Curve-level data of the counting obstruction, shared across configurations.
+
+    Holds the maximal presentation of every m in [-g, g] (computed once) and
+    a memo of per-cusp counting functions.  Build one per curve for a batch
+    of configurations; it lives as long as the caller keeps it.
+    """
+
+    def __init__(self, curve: CurveType):
+        self.curve = curve
+        g = curve.g
+        self.p_max_line: Tuple[Tuple[int, int, int, int], ...] = tuple(
+            (m, *best)
+            for m in range(-g, g + 1)
+            if (best := max_p_over_presentations(curve, m + g - 1)) is not None
+        )
+        self.counting_memo: Dict[PuiseuxCusp, CountingFunction] = {}
+
+
 def hf_check(
     curve: CurveType,
     config: CuspConfiguration,
     r_function: Optional[CountingFunction] = None,
+    *,
+    context: Optional[HfContext] = None,
 ) -> HfReport:
-    """Scan all m in [-g, g] and collect every violated presentation."""
+    """Scan all m in [-g, g] and collect every violated presentation.
+
+    `context`, when given, must belong to `curve`; without one the check
+    builds its own.
+    """
+    if context is None:
+        context = HfContext(curve)
+    elif context.curve != curve:
+        raise ValueError(f"context belongs to {context.curve}, not {curve}")
     if r_function is None:
-        r_function = curve_r_function(curve, config)
+        r_function = curve_r_function(curve, config, context.counting_memo)
     g = curve.g
     witnesses = []
-    for m in range(-g, g + 1):
-        best = max_p_over_presentations(curve, m + g - 1)
-        if best is None:
-            continue
-        s1, s2, p = best
+    for m, s1, s2, p in context.p_max_line:
         r_value = r_function(m + g)
         if r_value < p:
             witnesses.append(HfWitness(m, s1, s2, r_value, p))

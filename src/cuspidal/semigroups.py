@@ -4,13 +4,22 @@ The counting function of a semigroup S is R_S(t) = #(S intersect [0, t)),
 extended by R_S(t) = 0 for t <= 0.  Counting functions are stored on a
 finite window together with the linear tail R(t) = t - tail_offset that is
 valid at and beyond the end of the window.
+
+Infimum convolution only scans splits that lie inside both windows.  Past
+the end W of its window a counting function grows by exactly 1 per step, so
+moving a split that lies beyond one window back to its end lowers that term
+by 1 per step and raises the other term by at most 1.  Hence for
+min_k R1(k) + R2(t - k) the splits k in [max(0, t - W2), min(t, W1)]
+suffice, and from t = W1 + W2 on the result is the sum of the two tails.
+The scan reads the window tuples directly.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Tuple
+from operator import add
+from typing import Dict, Iterable, Optional, Tuple
 
 from .core import CurveType, CuspConfiguration, GenusMismatchError, PuiseuxCusp
 
@@ -146,31 +155,55 @@ def infimum_convolution(
 ) -> CountingFunction:
     """Pointwise min over splits: t -> min_k r1(k) + r2(t - k).
 
-    Because both inputs vanish for t <= 0 and have unit steps, the scan over
-    k in [0, t] realises the minimum over all integers k.  The tail offset of
-    the result is the sum of the inputs' tail offsets; the window is extended
-    far enough for that tail to be valid.
+    Because both inputs vanish for t <= 0 and have unit steps, the splits
+    k in [max(0, t - W2), min(t, W1)] realise the minimum over all integers
+    k, where W1 and W2 are the window ends of r1 and r2 (see the module
+    docstring).  The tail offset of the result is the sum of the inputs'
+    tail offsets; the window is extended far enough for that tail to be
+    valid.
     """
-    end = max(window_end, r1.window_end + r2.window_end, 1)
-    values = [
-        min(r1(k) + r2(t - k) for k in range(t + 1)) for t in range(end + 1)
-    ]
-    return CountingFunction(tuple(values), r1.tail_offset + r2.tail_offset)
+    w1, w2 = r1.window, r2.window
+    end1, end2 = r1.window_end, r2.window_end
+    end = max(window_end, end1 + end2, 1)
+    values = []
+    for t in range(end1 + end2 + 1):
+        lo, hi = max(0, t - end2), min(t, end1)
+        # w1[k] + w2[t - k] for k = lo .. hi
+        splits = map(add, w1[lo : hi + 1], reversed(w2[t - hi : t - lo + 1]))
+        values.append(min(splits))
+    tail_offset = r1.tail_offset + r2.tail_offset
+    values.extend(t - tail_offset for t in range(end1 + end2 + 1, end + 1))
+    return CountingFunction(tuple(values), tail_offset)
 
 
-def curve_r_function(curve: CurveType, config: CuspConfiguration) -> CountingFunction:
+def curve_r_function(
+    curve: CurveType,
+    config: CuspConfiguration,
+    memo: Optional[Dict[PuiseuxCusp, CountingFunction]] = None,
+) -> CountingFunction:
     """The combined counting function of a genus-compatible cusp configuration.
 
-    Fold of the per-cusp counting functions under infimum convolution, on the
-    window [0, 2g + 1]; beyond the window R(2g + m) = g + m.
+    Fold of the per-cusp counting functions under infimum convolution,
+    starting from the first cusp's function, on a window reaching at least
+    2g + 1; beyond the window R(2g + m) = g + m.  With no cusps (g = 0) it is
+    the identity R(t) = max(t, 0).  `memo`, when given, maps each cusp to its
+    counting function and is filled on the way, so callers can share it
+    across the configurations of one curve.
     """
     config.require_genus_compatible(curve)
     window_end = 2 * curve.g + 1
-    result = identity_counting_function(window_end)
+    if memo is None:
+        memo = {}
+    functions = []
     for cusp in config:
-        result = infimum_convolution(
-            result, counting_function(cusp_semigroup(cusp)), window_end
-        )
+        if cusp not in memo:
+            memo[cusp] = counting_function(cusp_semigroup(cusp))
+        functions.append(memo[cusp])
+    if not functions:
+        return identity_counting_function(window_end)
+    result = functions[0]
+    for function in functions[1:]:
+        result = infimum_convolution(result, function, window_end)
     if result.tail_offset != curve.g:
         raise AssertionError(
             f"combined tail offset {result.tail_offset} != genus {curve.g}"

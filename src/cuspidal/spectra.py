@@ -4,14 +4,22 @@ Two independent constructions of the spectrum at infinity are provided: the
 closed-form table and the route through equivariant signatures and the
 Alexander polynomial.  The semicontinuity check compares cusp spectra against
 the spectrum at infinity on every relevant open unit interval.
+
+The check runs on integers.  Every value of the spectrum at infinity is a
+multiple of 1/lcm(w, b) and every value of a cusp (r, s) is (i*s + j*r)/(r*s),
+so with L = 2 * lcm(w, b, r_1*s_1, ...) all values, the scan points and the
+midpoints between them are integer multiples of 1/L.  Interval counts are
+bisections of sorted int lists; cusp counts add up, so all cusps share one
+list.  A witness point becomes a Fraction only when it is reported.
 """
 
 from __future__ import annotations
 
 import bisect
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, Mapping, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 from .core import CurveType, CuspConfiguration, PuiseuxCusp
 
@@ -275,63 +283,106 @@ class SemicontinuityReport:
         return "obstructed" if self.obstructed else "passes"
 
 
-def _interval_counts(
-    infinity: SpectrumMultiset,
-    cusp_spectra: Tuple[SpectrumMultiset, ...],
-    x: Fraction,
-) -> SemicontinuityWitness:
-    cusp_inside = sum(sp.count_open(x, x + 1) for sp in cusp_spectra)
-    cusp_outside = sum(sp.count_outside_open(x, x + 1) for sp in cusp_spectra)
-    return SemicontinuityWitness(
-        x=x,
-        cusp_inside=cusp_inside,
-        infinity_inside=infinity.count_open(x, x + 1),
-        cusp_outside=cusp_outside,
-        infinity_outside=infinity.count_outside_open(x, x + 1),
-    )
+class SpectrumContext:
+    """Curve-level data of the semicontinuity check, shared across configurations.
 
-
-def semicontinuity_scan_points(
-    infinity: SpectrumMultiset,
-    cusp_spectra: Tuple[SpectrumMultiset, ...],
-) -> Tuple[Fraction, ...]:
-    """Evaluation points in (0, 1): critical points off the spectrum at
-    infinity, plus midpoints of consecutive critical points.
-
-    Both interval counts are step functions of x, changing only where x
-    reaches v or v - 1 for v a value of one of the multisets; the midpoints
-    represent every open interval between changes.
+    Holds the spectrum at infinity as sorted integer numerators over
+    lcm(w, b), one entry per unit of multiplicity (computed once), and a
+    memo of per-cusp spectra as sorted numerators over r*s.  Build one per curve for a batch of configurations;
+    it lives as long as the caller keeps it.
     """
-    critical = set()
-    for multiset in (infinity, *cusp_spectra):
-        for v in multiset.values():
-            for candidate in (v, v - 1):
-                if 0 < candidate < 1:
-                    critical.add(candidate)
-    ordered = sorted(critical)
-    points = set()
-    boundary = [Fraction(0), *ordered, Fraction(1)]
-    for left, right in zip(boundary, boundary[1:]):
-        if left < right:
-            points.add((left + right) / 2)
-    infinity_values = set(infinity.values())
-    points.update(x for x in ordered if x not in infinity_values)
-    return tuple(sorted(points))
+
+    def __init__(self, curve: CurveType):
+        self.curve = curve
+        self.denominator = math.lcm(curve.w, curve.b)
+        numerators: List[int] = []
+        for value, mult in spectrum_at_infinity_table(curve).entries():
+            if self.denominator % value.denominator:
+                raise InternalConsistencyError(
+                    f"spectrum value {value} is not a multiple of 1/{self.denominator}"
+                )
+            numerator = value.numerator * (self.denominator // value.denominator)
+            numerators += [numerator] * mult
+        self.infinity: Tuple[int, ...] = tuple(numerators)
+        self.cusp_memo: Dict[PuiseuxCusp, Tuple[int, ...]] = {}
+
+    def cusp_numerators(self, cusp: PuiseuxCusp) -> Tuple[int, ...]:
+        """The spectrum of `cusp` as sorted numerators i*s + j*r over r*s."""
+        numerators = self.cusp_memo.get(cusp)
+        if numerators is None:
+            r, s = cusp.r, cusp.s
+            numerators = tuple(
+                sorted(i * s + j * r for i in range(1, r) for j in range(1, s))
+            )
+            self.cusp_memo[cusp] = numerators
+        return numerators
+
+
+def _count_open(values: List[int], lo: int, hi: int) -> int:
+    """How many entries of the sorted list `values` lie strictly inside (lo, hi)."""
+    return bisect.bisect_left(values, hi) - bisect.bisect_right(values, lo)
 
 
 def semicontinuity_check(
-    curve: CurveType, config: CuspConfiguration
+    curve: CurveType,
+    config: CuspConfiguration,
+    *,
+    context: Optional[SpectrumContext] = None,
 ) -> SemicontinuityReport:
-    """Evaluate both interval inequalities at every scan point in (0, 1)."""
+    """Evaluate both interval inequalities at every scan point in (0, 1).
+
+    The scan points are the critical points off the spectrum at infinity and
+    the midpoints of consecutive critical points, where the critical points
+    are the v and v - 1 in (0, 1) for v a value of any spectrum involved.
+    Both interval counts are step functions of x changing only at critical
+    points, so the midpoints represent every open interval between changes.
+    `context`, when given, must belong to `curve`; without one the check
+    builds its own.
+    """
     config.require_genus_compatible(curve)
-    infinity = spectrum_at_infinity_table(curve)
-    cusp_spectra = tuple(cusp_spectrum(cusp) for cusp in config)
-    points = semicontinuity_scan_points(infinity, cusp_spectra)
+    if context is None:
+        context = SpectrumContext(curve)
+    elif context.curve != curve:
+        raise ValueError(f"context belongs to {context.curve}, not {curve}")
+    # Every value below is a numerator over `scale` (L in the module
+    # docstring).  All of them are even, so midpoints are integers too.
+    scale = 2 * math.lcm(context.denominator, *(cusp.r * cusp.s for cusp in config))
+    cusp_values: List[int] = []
+    for cusp in config:
+        factor = scale // (cusp.r * cusp.s)
+        cusp_values += [n * factor for n in context.cusp_numerators(cusp)]
+    cusp_values.sort()
+    factor = scale // context.denominator
+    infinity = [n * factor for n in context.infinity]
+    infinity_values = set(infinity)
+
+    critical = sorted({v % scale for v in (*cusp_values, *infinity_values)} - {0})
+    points = []
+    left = 0
+    for right in critical:
+        points.append((left + right) // 2)
+        if right not in infinity_values:
+            points.append(right)
+        left = right
+    points.append((left + scale) // 2)
+
+    cusp_total, infinity_total = len(cusp_values), len(infinity)
     witnesses = []
     for x in points:
-        counts = _interval_counts(infinity, cusp_spectra, x)
-        if counts.violates_inside or counts.violates_outside:
-            witnesses.append(counts)
+        cusp_inside = _count_open(cusp_values, x, x + scale)
+        infinity_inside = _count_open(infinity, x, x + scale)
+        cusp_outside = cusp_total - cusp_inside
+        infinity_outside = infinity_total - infinity_inside
+        if cusp_inside > infinity_inside or cusp_outside > infinity_outside:
+            witnesses.append(
+                SemicontinuityWitness(
+                    Fraction(x, scale),
+                    cusp_inside,
+                    infinity_inside,
+                    cusp_outside,
+                    infinity_outside,
+                )
+            )
     return SemicontinuityReport(tuple(witnesses), len(points))
 
 

@@ -35,7 +35,7 @@ from cuspidal import (
     verify_limits,
 )
 from cuspidal.dedekind import dedekind_reciprocity_rhs, rademacher_reciprocity_rhs
-from cuspidal.spectra import AlexanderData, semicontinuity_scan_points
+from cuspidal.spectra import AlexanderData
 
 F = Fraction
 

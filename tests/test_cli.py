@@ -112,6 +112,34 @@ def test_enumerate_cap_from_environment(runner, monkeypatch):
     assert result.exit_code == 0
 
 
+@pytest.mark.parametrize("value", ["abc", "", "1.5"])
+def test_enumerate_non_integer_cap_from_environment(value, capsys, monkeypatch):
+    monkeypatch.setenv("CUSPIDAL_CANDIDATE_CAP", value)
+    with pytest.raises(SystemExit) as excinfo:
+        main(["enumerate", "--a", "3", "--b", "3"])
+    assert excinfo.value.code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: CUSPIDAL_CANDIDATE_CAP must be an integer")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv, env",
+    [(["--cap", "-1"], None), ([], "-1"), (["--cap", "-5"], "10")],
+)
+def test_enumerate_negative_cap_rejected(argv, env, capsys, monkeypatch):
+    if env is None:
+        monkeypatch.delenv("CUSPIDAL_CANDIDATE_CAP", raising=False)
+    else:
+        monkeypatch.setenv("CUSPIDAL_CANDIDATE_CAP", env)
+    with pytest.raises(SystemExit) as excinfo:
+        main(["enumerate", "--a", "3", "--b", "3", *argv])
+    assert excinfo.value.code == 1
+    assert capsys.readouterr().err == "error: candidate cap must be >= 0, got " + (
+        argv[1] if argv else env
+    ) + "\n"
+
+
 def test_enumerate_genus_zero_empty_table(runner):
     result = runner.invoke(cli, ["enumerate", "--a", "1", "--b", "1"])
     assert result.exit_code == 0

@@ -8,9 +8,11 @@ from cuspidal import (
     enumerate_configurations,
     enumerate_unicuspidal,
     evaluate_candidate,
+    hf_check,
     run_pipeline,
+    semicontinuity_check,
 )
-from cuspidal.enumeration import cusps_with_delta
+from cuspidal.enumeration import CurveContext, cusps_with_delta
 
 
 def test_cusps_with_delta_known_values():
@@ -61,6 +63,8 @@ def test_enumerate_configurations_cap():
         enumerate_configurations(CurveType(6, 6, 0), 2, cap=10)
     with pytest.raises(ValueError):
         enumerate_configurations(CurveType(6, 6, 0), 0)
+    with pytest.raises(ValueError):
+        enumerate_configurations(CurveType(1, 1, 0), 1, cap=-1)
 
 
 def test_evaluate_candidate_survivor():
@@ -109,3 +113,23 @@ def test_run_pipeline_degree_six():
         tuple((c.r, c.s) for c in v.configuration) for v in verdicts if v.survives
     ]
     assert survivors == [((3, 26),), ((6, 11),)]
+
+
+def test_shared_context_matches_one_off_contexts():
+    curve = CurveType(6, 4, 0)
+    configs = enumerate_configurations(curve, 3)
+    one_off = [evaluate_candidate(curve, config) for config in configs]
+    assert run_pipeline(curve, configs) == one_off
+    assert run_pipeline(curve, configs, fast=True) == [
+        evaluate_candidate(curve, config, fast=True) for config in configs
+    ]
+
+
+def test_context_must_belong_to_the_curve():
+    context = CurveContext(CurveType(6, 6, 0))
+    curve = CurveType(4, 4, 2)
+    config = CuspConfiguration((PuiseuxCusp(3, 22),))
+    with pytest.raises(ValueError):
+        hf_check(curve, config, context=context.hf)
+    with pytest.raises(ValueError):
+        semicontinuity_check(curve, config, context=context.spectrum)

@@ -1,0 +1,158 @@
+"""The integer filter kernels against the direct kernels they replaced.
+
+The oracles below are the earlier implementations, kept verbatim in spirit:
+the unclipped infimum convolution that scans every split k in [0, t]
+through `CountingFunction.__call__`, and the
+semicontinuity scan over `Fraction` values with `bisect` queries on each
+`SpectrumMultiset`.  The fast kernels must agree with them exactly: R
+pointwise, and whole `SemicontinuityReport`s, witnesses and checked points.
+"""
+
+import math
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from cuspidal import (
+    CountingFunction,
+    CurveType,
+    CuspConfiguration,
+    SemicontinuityReport,
+    SemicontinuityWitness,
+    counting_function,
+    curve_r_function,
+    cusp_semigroup,
+    cusp_spectrum,
+    enumerate_configurations,
+    infimum_convolution,
+    semicontinuity_check,
+    semigroup_from_generators,
+    spectrum_at_infinity_table,
+)
+from cuspidal.semigroups import identity_counting_function
+from cuspidal.spectra import SpectrumContext
+
+
+def _brute_convolution(r1, r2, window_end):
+    end = max(window_end, r1.window_end + r2.window_end, 1)
+    values = [min(r1(k) + r2(t - k) for k in range(t + 1)) for t in range(end + 1)]
+    return CountingFunction(tuple(values), r1.tail_offset + r2.tail_offset)
+
+
+def _brute_r_function(curve, config):
+    # The fold starts from the first cusp: the identity is neutral (id * R = R).
+    functions = [counting_function(cusp_semigroup(cusp)) for cusp in config]
+    if not functions:
+        return identity_counting_function(2 * curve.g + 1)
+    result = functions[0]
+    for function in functions[1:]:
+        result = _brute_convolution(result, function, 2 * curve.g + 1)
+    return result
+
+
+def _brute_scan_points(infinity, cusp_spectra):
+    critical = set()
+    for multiset in (infinity, *cusp_spectra):
+        for v in multiset.values():
+            for candidate in (v, v - 1):
+                if 0 < candidate < 1:
+                    critical.add(candidate)
+    ordered = sorted(critical)
+    points = set()
+    boundary = [Fraction(0), *ordered, Fraction(1)]
+    for left, right in zip(boundary, boundary[1:]):
+        if left < right:
+            points.add((left + right) / 2)
+    infinity_values = set(infinity.values())
+    points.update(x for x in ordered if x not in infinity_values)
+    return tuple(sorted(points))
+
+
+def _brute_interval_counts(infinity, cusp_spectra, x):
+    return SemicontinuityWitness(
+        x=x,
+        cusp_inside=sum(sp.count_open(x, x + 1) for sp in cusp_spectra),
+        infinity_inside=infinity.count_open(x, x + 1),
+        cusp_outside=sum(sp.count_outside_open(x, x + 1) for sp in cusp_spectra),
+        infinity_outside=infinity.count_outside_open(x, x + 1),
+    )
+
+
+def _brute_semicontinuity(curve, config):
+    infinity = spectrum_at_infinity_table(curve)
+    cusp_spectra = tuple(cusp_spectrum(cusp) for cusp in config)
+    points = _brute_scan_points(infinity, cusp_spectra)
+    witnesses = []
+    for x in points:
+        counts = _brute_interval_counts(infinity, cusp_spectra, x)
+        if counts.violates_inside or counts.violates_outside:
+            witnesses.append(counts)
+    return SemicontinuityReport(tuple(witnesses), len(points))
+
+
+def _assert_kernels_match(curve, config, memo=None, context=None):
+    g = curve.g
+    fast = curve_r_function(curve, config, memo)
+    brute = _brute_r_function(curve, config)
+    assert fast.tail_offset == brute.tail_offset == g
+    assert [fast(t) for t in range(-3, 2 * g + 11)] == [
+        brute(t) for t in range(-3, 2 * g + 11)
+    ]
+    assert semicontinuity_check(curve, config, context=context) == (
+        _brute_semicontinuity(curve, config)
+    )
+
+
+@pytest.mark.parametrize(
+    "curve", [CurveType(6, 4, 0), CurveType(4, 4, 2), CurveType(5, 4, 1)]
+)
+def test_kernels_match_oracles_on_every_configuration(curve):
+    memo, context = {}, SpectrumContext(curve)
+    configs = enumerate_configurations(curve, 3)
+    assert configs
+    for config in configs:
+        _assert_kernels_match(curve, config, memo, context)
+
+
+def _curve_or_none(a, b, e):
+    try:
+        return CurveType(a, b, e)
+    except ValueError:
+        return None
+
+
+small_curves = st.builds(
+    _curve_or_none,
+    st.integers(min_value=0, max_value=8),
+    st.integers(min_value=1, max_value=6),
+    st.integers(min_value=0, max_value=3),
+).filter(lambda c: c is not None and c.g <= 12)
+
+
+@given(curve=small_curves, data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_kernels_match_oracles_on_small_curves(curve, data):
+    # g = 0 has no cusps: the empty configuration is its only candidate.
+    configs = enumerate_configurations(curve, 3) or [CuspConfiguration()]
+    config = data.draw(st.sampled_from(configs))
+    _assert_kernels_match(curve, config)
+
+
+coprime_pairs = st.tuples(
+    st.integers(min_value=2, max_value=9), st.integers(min_value=3, max_value=30)
+).filter(lambda rs: rs[0] < rs[1] and math.gcd(*rs) == 1)
+
+
+@given(first=coprime_pairs, second=coprime_pairs, extra=st.integers(-60, 10))
+@settings(max_examples=40, deadline=None)
+def test_clipped_convolution_matches_full_scan(first, second, extra):
+    f = counting_function(semigroup_from_generators(first))
+    g = counting_function(semigroup_from_generators(second))
+    window_end = f.window_end + g.window_end + extra
+    fast = infimum_convolution(f, g, window_end)
+    brute = _brute_convolution(f, g, window_end)
+    assert fast == brute
+    assert [fast(t) for t in range(-2, window_end + 5)] == [
+        brute(t) for t in range(-2, window_end + 5)
+    ]
