@@ -7,8 +7,6 @@ from .core import (
     GenusMismatchError,
     PuiseuxCusp,
     Rational,
-    make_curve_type,
-    make_cusp,
 )
 from .semigroups import (
     CountingFunction,
@@ -17,7 +15,6 @@ from .semigroups import (
     curve_r_function,
     cusp_semigroup,
     infimum_convolution,
-    semigroup_from_generators,
 )
 from .hf import (
     HfReport,
@@ -88,8 +85,6 @@ __all__ = [
     "half_window_counts",
     "hf_check",
     "infimum_convolution",
-    "make_curve_type",
-    "make_cusp",
     "max_p_over_presentations",
     "multiplicity_bound_check",
     "p_bound",
@@ -98,7 +93,6 @@ __all__ = [
     "sawtooth",
     "section_sums",
     "semicontinuity_check",
-    "semigroup_from_generators",
     "signature_profile",
     "spectrum_at_infinity_derived",
     "spectrum_at_infinity_table",

@@ -13,6 +13,7 @@ import io
 import json
 import os
 import sys
+from dataclasses import asdict
 from fractions import Fraction
 from importlib import resources
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -103,6 +104,43 @@ def _config_for(curve: CurveType, cusps: Tuple[PuiseuxCusp, ...]) -> CuspConfigu
     return config
 
 
+def _check_rows(
+    curve: CurveType, config: CuspConfiguration, only: Optional[str]
+) -> Tuple[Dict, List[Dict]]:
+    """The per-filter verdicts and the witness rows of `check`."""
+    verdicts: Dict = {}
+    witnesses: List[Dict] = []
+    if only in (None, "hf"):
+        hf_report = hf_check(curve, config)
+        verdicts["hf"] = hf_report.verdict
+        witnesses += [{"check": "hf", **asdict(w)} for w in hf_report.witnesses]
+    if only in (None, "spectrum"):
+        sp_report = semicontinuity_check(curve, config)
+        verdicts["spectrum"] = sp_report.verdict
+        witnesses += [
+            {"check": "spectrum", **asdict(w), "x": _fr(w.x)}
+            for w in sp_report.witnesses
+        ]
+    return verdicts, witnesses
+
+
+def _spectrum_rows(spectrum) -> List[Dict]:
+    return [
+        {"value": _fr(value), "multiplicity": mult}
+        for value, mult in spectrum.entries()
+    ]
+
+
+def _dinv_rows(
+    curve: CurveType, config: CuspConfiguration, ms: Sequence[int]
+) -> List[Dict]:
+    r_function = curve_r_function(curve, config)
+    return [
+        {"m": m, "d_invariant": _fr(d_invariant(curve, config, m, r_function))}
+        for m in ms
+    ]
+
+
 @click.group()
 def cli() -> None:
     """Obstruction checks for rational cuspidal curves in ruled surfaces."""
@@ -122,36 +160,8 @@ def cmd_check(ctx, a, b, e, cusps, only, as_json, as_csv) -> None:
     curve = _curve(a, b, e)
     config = _config_for(curve, _parse_cusps(cusps))
 
-    witnesses: List[Dict] = []
-    results: Dict = {"g": curve.g, "total_delta": config.total_delta}
-    if only in (None, "hf"):
-        hf_report = hf_check(curve, config)
-        results["hf"] = hf_report.verdict
-        for wit in hf_report.witnesses:
-            witnesses.append(
-                {
-                    "check": "hf",
-                    "m": wit.m,
-                    "s1": wit.s1,
-                    "s2": wit.s2,
-                    "r_value": wit.r_value,
-                    "p_value": wit.p_value,
-                }
-            )
-    if only in (None, "spectrum"):
-        sp_report = semicontinuity_check(curve, config)
-        results["spectrum"] = sp_report.verdict
-        for wit in sp_report.witnesses:
-            witnesses.append(
-                {
-                    "check": "spectrum",
-                    "x": _fr(wit.x),
-                    "cusp_inside": wit.cusp_inside,
-                    "infinity_inside": wit.infinity_inside,
-                    "cusp_outside": wit.cusp_outside,
-                    "infinity_outside": wit.infinity_outside,
-                }
-            )
+    verdicts, witnesses = _check_rows(curve, config, only)
+    results: Dict = {"g": curve.g, "total_delta": config.total_delta, **verdicts}
     obstructed = bool(witnesses)
     results["verdict"] = "obstructed" if obstructed else "survives"
 
@@ -189,7 +199,7 @@ def cmd_check(ctx, a, b, e, cusps, only, as_json, as_csv) -> None:
     ctx.exit(EXIT_OBSTRUCTED if obstructed else EXIT_OK)
 
 
-def _candidate_rows(curve: CurveType, verdicts) -> List[Dict]:
+def _candidate_rows(verdicts) -> List[Dict]:
     rows = []
     for verdict in verdicts:
         rows.append(
@@ -230,7 +240,7 @@ def cmd_enumerate(ctx, a, b, e, max_cusps, cap, as_json, as_csv) -> None:
     except (CandidateCapExceededError, ValueError) as exc:
         raise click.ClickException(str(exc)) from exc
     verdicts = run_pipeline(curve, configs)
-    rows = _candidate_rows(curve, verdicts)
+    rows = _candidate_rows(verdicts)
     report = _report(
         "enumerate",
         {"a": a, "b": b, "e": e, "max_cusps": max_cusps, "cap": cap},
@@ -274,10 +284,7 @@ def cmd_spectrum(ctx, a, b, e, method, as_json, as_csv) -> None:
     )
     mismatch = method == "both" and table != derived
     spectrum = table if table is not None else derived
-    rows = [
-        {"value": _fr(value), "multiplicity": mult}
-        for value, mult in spectrum.entries()
-    ]
+    rows = _spectrum_rows(spectrum)
     results: Dict = {"method": method, "total": spectrum.total, "entries": rows}
     if method == "both":
         results["methods_agree"] = not mismatch
@@ -388,14 +395,10 @@ def cmd_dinv(ctx, a, b, e, cusps, m, all_m, as_json) -> None:
         raise click.ClickException("provide exactly one of --m or --all-m")
     curve = _curve(a, b, e)
     config = _config_for(curve, _parse_cusps(cusps))
-    r_function = curve_r_function(curve, config)
     d = curve.d
     ms = range(-(d // 2), (d + 1) // 2) if all_m else [m]
     try:
-        values = [
-            {"m": mm, "d_invariant": _fr(d_invariant(curve, config, mm, r_function))}
-            for mm in ms
-        ]
+        values = _dinv_rows(curve, config, ms)
     except ValueError as exc:
         raise click.ClickException(str(exc)) from exc
     report = _report(
@@ -413,98 +416,65 @@ def cmd_dinv(ctx, a, b, e, cusps, m, all_m, as_json) -> None:
 
 
 def _repro_scenarios() -> List[Tuple[str, Dict]]:
-    """The bundled reference scenarios, as (name, report) pairs."""
+    """The bundled reference scenarios, as (name, payload) pairs.
+
+    Each payload holds the rows the matching command reports, every row as
+    the list of its values.
+    """
     scenarios: List[Tuple[str, Dict]] = []
-
-    def check_scenario(name, a, b, e, cusps):
-        curve = CurveType(a, b, e)
-        config = CuspConfiguration(tuple(PuiseuxCusp(r, s) for r, s in cusps))
-        hf_report = hf_check(curve, config)
-        sp_report = semicontinuity_check(curve, config)
-        scenarios.append(
-            (
-                name,
-                {
-                    "hf": hf_report.verdict,
-                    "hf_witnesses": [
-                        [w.m, w.s1, w.s2, w.r_value, w.p_value]
-                        for w in hf_report.witnesses
-                    ],
-                    "spectrum": sp_report.verdict,
-                    "spectrum_witnesses": [
-                        [
-                            _fr(w.x),
-                            w.cusp_inside,
-                            w.infinity_inside,
-                            w.cusp_outside,
-                            w.infinity_outside,
-                        ]
-                        for w in sp_report.witnesses
-                    ],
-                },
-            )
-        )
-
-    check_scenario("check_6_6_0_cusp_2_51", 6, 6, 0, [(2, 51)])
-    check_scenario("check_6_6_0_cusp_3_26", 6, 6, 0, [(3, 26)])
-    check_scenario("check_6_6_0_cusp_6_11", 6, 6, 0, [(6, 11)])
-    check_scenario("check_4_4_2_cusp_3_22", 4, 4, 2, [(3, 22)])
+    checks = ((6, 6, 0, 2, 51), (6, 6, 0, 3, 26), (6, 6, 0, 6, 11), (4, 4, 2, 3, 22))
+    for a, b, e, r, s in checks:
+        config = CuspConfiguration((PuiseuxCusp(r, s),))
+        verdicts, witnesses = _check_rows(CurveType(a, b, e), config, None)
+        for check in ("hf", "spectrum"):
+            # The payload key names the check, so rows drop their first column.
+            verdicts[f"{check}_witnesses"] = [
+                list(row.values())[1:] for row in witnesses if row["check"] == check
+            ]
+        scenarios.append((f"check_{a}_{b}_{e}_cusp_{r}_{s}", verdicts))
 
     for a, b, e in ((6, 4, 0), (6, 6, 0)):
         spectrum = spectrum_at_infinity_table(CurveType(a, b, e))
+        entries = [list(row.values()) for row in _spectrum_rows(spectrum)]
         scenarios.append(
-            (
-                f"spectrum_{a}_{b}_{e}",
-                {
-                    "total": spectrum.total,
-                    "entries": [[_fr(v), m] for v, m in spectrum.entries()],
-                },
-            )
+            (f"spectrum_{a}_{b}_{e}", {"total": spectrum.total, "entries": entries})
         )
 
-    curve = CurveType(6, 6, 0)
     config = CuspConfiguration((PuiseuxCusp(6, 11),))
-    r_function = curve_r_function(curve, config)
-    scenarios.append(
-        (
-            "dinv_6_6_0_cusp_6_11_all_m",
-            {
-                "values": [
-                    [mm, _fr(d_invariant(curve, config, mm, r_function))]
-                    for mm in range(-36, 36)
-                ]
-            },
-        )
-    )
+    rows = _dinv_rows(CurveType(6, 6, 0), config, range(-36, 36))
+    values = [list(row.values()) for row in rows]
+    scenarios.append(("dinv_6_6_0_cusp_6_11_all_m", {"values": values}))
     return scenarios
-
-
-def _golden_path():
-    return resources.files("cuspidal") / "golden"
 
 
 @cli.command("repro")
 @click.option(
-    "--update", is_flag=True, help="Rewrite the golden files from current output."
+    "--update",
+    "update_dir",
+    type=click.Path(file_okay=False),
+    default=None,
+    metavar="DIR",
+    help="Write the golden files into DIR instead of diffing against them.",
 )
 @click.pass_context
-def cmd_repro(ctx, update) -> None:
+def cmd_repro(ctx, update_dir) -> None:
     """Re-run the bundled reference scenarios and diff against golden files."""
     scenarios = _repro_scenarios()
-    golden_dir = _golden_path()
-    if update:
-        base = os.path.dirname(os.path.abspath(__file__))
-        os.makedirs(os.path.join(base, "golden"), exist_ok=True)
-        for name, payload in scenarios:
-            path = os.path.join(base, "golden", f"{name}.json")
-            with open(path, "w") as handle:
-                json.dump(payload, handle, sort_keys=True, indent=2)
-                handle.write("\n")
+    if update_dir is not None:
+        try:
+            os.makedirs(update_dir, exist_ok=True)
+            for name, payload in scenarios:
+                path = os.path.join(update_dir, f"{name}.json")
+                with open(path, "w") as handle:
+                    json.dump(payload, handle, sort_keys=True, indent=2)
+                    handle.write("\n")
+        except OSError as exc:
+            raise click.ClickException(str(exc)) from exc
         click.echo(f"wrote {len(scenarios)} golden files")
         ctx.exit(EXIT_OK)
     failures = 0
     for name, payload in scenarios:
-        resource = golden_dir / f"{name}.json"
+        resource = resources.files("cuspidal") / "golden" / f"{name}.json"
         try:
             expected = json.loads(resource.read_text())
         except FileNotFoundError:

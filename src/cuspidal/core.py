@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Tuple
+from typing import Tuple
 
 # The single exact scalar type used throughout the package.
 Rational = Fraction
@@ -109,10 +109,6 @@ class CuspConfiguration:
 
     cusps: Tuple[PuiseuxCusp, ...] = ()
 
-    @classmethod
-    def of(cls, cusps: Iterable[PuiseuxCusp]) -> "CuspConfiguration":
-        return cls(tuple(cusps))
-
     @property
     def total_delta(self) -> int:
         return sum(cusp.delta for cusp in self.cusps)
@@ -137,13 +133,3 @@ class CuspConfiguration:
         if not self.cusps:
             return "[]"
         return "[" + ", ".join(str(c) for c in self.cusps) + "]"
-
-
-def make_curve_type(a: int, b: int, e: int) -> CurveType:
-    """Validated constructor for :class:`CurveType`."""
-    return CurveType(a, b, e)
-
-
-def make_cusp(r: int, s: int) -> PuiseuxCusp:
-    """Validated constructor for :class:`PuiseuxCusp`."""
-    return PuiseuxCusp(r, s)

@@ -125,7 +125,6 @@ class HfContext:
 def hf_check(
     curve: CurveType,
     config: CuspConfiguration,
-    r_function: Optional[CountingFunction] = None,
     *,
     context: Optional[HfContext] = None,
 ) -> HfReport:
@@ -138,8 +137,7 @@ def hf_check(
         context = HfContext(curve)
     elif context.curve != curve:
         raise ValueError(f"context belongs to {context.curve}, not {curve}")
-    if r_function is None:
-        r_function = curve_r_function(curve, config, context.counting_memo)
+    r_function = curve_r_function(curve, config, context.counting_memo)
     g = curve.g
     witnesses = []
     for m, s1, s2, p in context.p_max_line:

@@ -1,4 +1,9 @@
-"""Numerical semigroups, their counting functions, and infimum convolution.
+"""Cusp semigroups, their counting functions, and infimum convolution.
+
+Every cusp here has one Puiseux pair (r, s), so its semigroup is <r, s> and
+is built in closed form: t is a member iff t - j*s is a nonnegative multiple
+of r for some j < r, the Frobenius number is rs - r - s, and the
+(r - 1)(s - 1)/2 gaps are the delta invariant of the cusp.
 
 The counting function of a semigroup S is R_S(t) = #(S intersect [0, t)),
 extended by R_S(t) = 0 for t <= 0.  Counting functions are stored on a
@@ -16,20 +21,19 @@ The scan reads the window tuples directly.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from operator import add
-from typing import Dict, Iterable, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
-from .core import CurveType, CuspConfiguration, GenusMismatchError, PuiseuxCusp
+from .core import CurveType, CuspConfiguration, PuiseuxCusp
 
 
 @dataclass(frozen=True)
 class Semigroup:
-    """A numerical semigroup with gcd-1 generators.
+    """The numerical semigroup <r, s> of a one-Puiseux-pair cusp.
 
     `membership[t]` records whether t belongs to the semigroup, for
-    t in [0, frobenius + 1].  frobenius is -1 for the full semigroup.
+    t in [0, frobenius + 1].
     """
 
     generators: Tuple[int, ...]
@@ -45,57 +49,17 @@ class Semigroup:
         return self.membership[t]
 
 
-def semigroup_from_generators(gens: Iterable[int]) -> Semigroup:
-    """Build a semigroup by additive sieve from a gcd-1 generating set."""
-    generators = tuple(sorted(set(gens)))
-    if not generators:
-        raise ValueError("generator set must be nonempty")
-    if generators[0] <= 0:
-        raise ValueError(f"generators must be positive, got {generators[0]}")
-    if math.gcd(*generators) != 1 and len(generators) > 1:
-        raise ValueError(f"generators must have gcd 1, got {generators}")
-    if len(generators) == 1 and generators[0] != 1:
-        raise ValueError(f"generators must have gcd 1, got {generators}")
-
-    smallest = generators[0]
-    if smallest == 1:
-        return Semigroup(generators, (True, True), -1, 0)
-
-    # Sieve until the membership table ends with `smallest` consecutive
-    # members; from there on every integer is a member.
-    bound = max(2 * generators[-1], generators[0] * generators[1]) + 1
-    while True:
-        member = [False] * (bound + 1)
-        member[0] = True
-        for t in range(1, bound + 1):
-            for gen in generators:
-                if t >= gen and member[t - gen]:
-                    member[t] = True
-                    break
-        run = 0
-        stable_from = None
-        for t in range(bound + 1):
-            run = run + 1 if member[t] else 0
-            if run == smallest:
-                stable_from = t - smallest + 1
-                break
-        if stable_from is not None:
-            break
-        bound *= 2
-
-    frobenius = -1
-    for t in range(stable_from - 1, -1, -1):
-        if not member[t]:
-            frobenius = t
-            break
-    membership = tuple(member[: frobenius + 2])
-    gap_count = sum(1 for t in range(frobenius + 1) if not member[t])
-    return Semigroup(generators, membership, frobenius, gap_count)
-
-
 def cusp_semigroup(cusp: PuiseuxCusp) -> Semigroup:
-    """The semigroup of a one-Puiseux-pair cusp, generated by r and s."""
-    return semigroup_from_generators((cusp.r, cusp.s))
+    """The semigroup <r, s> of a one-Puiseux-pair cusp, in closed form.
+
+    The only j < r with t - j*s divisible by r is j = t * s^-1 mod r, so t
+    is a member iff that j has j*s <= t.
+    """
+    r, s = cusp.r, cusp.s
+    frobenius = r * s - r - s
+    inverse = pow(s, -1, r)
+    membership = tuple(t * inverse % r * s <= t for t in range(frobenius + 2))
+    return Semigroup((r, s), membership, frobenius, cusp.delta)
 
 
 @dataclass(frozen=True)
@@ -133,17 +97,14 @@ class CountingFunction:
         return self.window[t]
 
 
-def identity_counting_function(window_end: int = 1) -> CountingFunction:
+def identity_counting_function(window_end: int) -> CountingFunction:
     """The counting function of the full semigroup: R(t) = max(t, 0)."""
-    window_end = max(window_end, 1)
     return CountingFunction(tuple(range(window_end + 1)), 0)
 
 
 def counting_function(semigroup: Semigroup) -> CountingFunction:
     """The function t -> #(S intersect [0, t)) with its linear tail."""
     window_end = semigroup.frobenius + 2
-    if window_end < 1:
-        return identity_counting_function()
     values = [0]
     for t in range(window_end):
         values.append(values[-1] + (1 if t in semigroup else 0))

@@ -1,9 +1,14 @@
+import contextlib
 import csv
 import io
 import json
+import os
+from pathlib import Path
+from unittest import mock
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings, strategies as st
 
 from cuspidal.cli import cli, main
 
@@ -71,6 +76,37 @@ def test_check_csv_projection(runner):
     assert len(rows) == 6
     assert rows[0]["check"] == "spectrum"
     assert {"x", "cusp_inside", "infinity_inside"} <= set(rows[0])
+
+
+@pytest.mark.parametrize(
+    "curve, header, first_row, witness_keys",
+    [
+        (
+            ["--a", "4", "--b", "4", "--e", "2", "--cusp", "3:22"],
+            "check,m,s1,s2,r_value,p_value",
+            "hf,0,2,1,7,8",
+            ["check", "m", "p_value", "r_value", "s1", "s2"],
+        ),
+        (
+            ["--a", "6", "--b", "6", "--cusp", "2:51"],
+            "check,x,cusp_inside,infinity_inside,cusp_outside,infinity_outside",
+            "spectrum,8/17,49,48,1,13",
+            [
+                "check",
+                "cusp_inside",
+                "cusp_outside",
+                "infinity_inside",
+                "infinity_outside",
+                "x",
+            ],
+        ),
+    ],
+)
+def test_check_row_order_is_pinned(runner, curve, header, first_row, witness_keys):
+    result = runner.invoke(cli, ["check", *curve, "--csv"])
+    assert result.output.splitlines()[:2] == [header, first_row]
+    result = runner.invoke(cli, ["check", *curve, "--json"])
+    assert list(json.loads(result.output)["witnesses"][0]) == witness_keys
 
 
 def test_check_only_filters(runner):
@@ -219,6 +255,28 @@ def test_repro_matches_golden_files(runner):
     assert result.output.count(": ok") == 7
 
 
+def test_repro_update_writes_golden_files(runner, tmp_path):
+    target = tmp_path / "golden"
+    result = runner.invoke(cli, ["repro", "--update", str(target)])
+    assert result.exit_code == 0
+    assert result.output == "wrote 7 golden files\n"
+    golden = Path(__file__).resolve().parents[1] / "src" / "cuspidal" / "golden"
+    names = sorted(path.name for path in target.iterdir())
+    assert len(names) == 7
+    assert names == sorted(path.name for path in golden.iterdir())
+    for name in names:
+        assert (target / name).read_bytes() == (golden / name).read_bytes()
+
+
+def test_repro_update_unwritable_directory_exits_one(tmp_path, capsys):
+    (tmp_path / "file").write_text("")
+    with pytest.raises(SystemExit) as excinfo:
+        main(["repro", "--update", str(tmp_path / "file" / "golden")])
+    assert excinfo.value.code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_main_propagates_exit_codes(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["check", "--a", "6", "--b", "6", "--cusp", "2:51"])
@@ -230,3 +288,87 @@ def test_main_propagates_exit_codes(capsys):
         main(["check", "--a", "6", "--b", "6", "--cusp", "2:3"])
     assert excinfo.value.code == 1
     assert "genus mismatch" in capsys.readouterr().err
+
+
+
+
+def _ints(lo, hi):
+    return st.integers(lo, hi).map(str)
+
+
+def _option(name, values):
+    return st.tuples(st.just(name), values)
+
+
+def _command(name, *options):
+    """`name` on a small curve, followed by some of its own options."""
+    curve = st.tuples(st.just("--a"), _ints(-1, 6), st.just("--b"), _ints(0, 4))
+    rest = st.lists(st.one_of(_option("--e", _ints(-1, 1)), *options), max_size=5)
+    return st.tuples(curve, rest).map(
+        lambda parts: [*name, *parts[0], *(t for pair in parts[1] for t in pair)]
+    )
+
+
+_FORMAT = st.tuples(st.sampled_from(["--json", "--csv"]))
+_CUSP = _option(
+    "--cusp",
+    st.one_of(
+        st.tuples(st.integers(1, 4), st.integers(2, 9)).map("{0[0]}:{0[1]}".format),
+        st.sampled_from(["2x3", "2:3:4", "-2:3", "a:b", ""]),
+    ),
+)
+_LIMITS = st.tuples(
+    _option("--b", _ints(-1, 4)),
+    _option("--max-w", st.sampled_from(["-1", "99", "100", "150"])),
+    _option("--tol", st.sampled_from(["1/200", "0", "1/0", "x", "-1"])),
+    st.sampled_from([(), ("--json",)]),
+).map(lambda parts: ["dedekind", "limits", *(t for part in parts for t in part)])
+_JUNK = st.sampled_from(
+    ["check", "enumerate", "repro", "dedekind", "--a", "--cusp", "--help", "--x", "7"]
+)
+
+_ARGV = st.one_of(
+    _command(
+        ["check"],
+        _CUSP,
+        _FORMAT,
+        _option("--only", st.sampled_from(["hf", "spectrum"])),
+    ),
+    _command(
+        ["enumerate"],
+        _FORMAT,
+        _option("--max-cusps", _ints(-1, 3)),
+        _option("--cap", st.sampled_from(["-1", "0", "2", "1000"])),
+    ),
+    _command(
+        ["spectrum"],
+        _FORMAT,
+        _option("--method", st.sampled_from(["table", "derived", "both"])),
+    ),
+    _command(["dinv", "--all-m"], _CUSP, st.tuples(st.just("--json"))),
+    _command(["dinv", "--m", "0"], _CUSP, _option("--m", _ints(-20, 20))),
+    st.lists(_ints(-1, 6), min_size=2, max_size=2).map(lambda a: ["dedekind", "s", *a]),
+    st.lists(_ints(-1, 6), min_size=3, max_size=3).map(lambda a: ["dedekind", "d", *a]),
+    _LIMITS,
+    st.lists(_JUNK, max_size=4),
+)
+
+
+@given(
+    argv=_ARGV,
+    cap=st.sampled_from([None, "", "abc", "1.5", "-1", "0", "3", "500"]),
+)
+@settings(max_examples=300, deadline=None)
+def test_cli_fuzz_exit_codes_and_no_traceback(argv, cap):
+    # In-process on small curves and moduli: every outcome is an exit code.
+    stderr = io.StringIO()
+    with mock.patch.dict(os.environ), contextlib.redirect_stdout(
+        io.StringIO()
+    ), contextlib.redirect_stderr(stderr):
+        os.environ.pop("CUSPIDAL_CANDIDATE_CAP", None)
+        if cap is not None:
+            os.environ["CUSPIDAL_CANDIDATE_CAP"] = cap
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+    assert excinfo.value.code in (0, 1, 2, 3), (argv, cap, stderr.getvalue())
+    assert "Traceback" not in stderr.getvalue()

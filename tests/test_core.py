@@ -8,8 +8,6 @@ from cuspidal import (
     CuspConfiguration,
     GenusMismatchError,
     PuiseuxCusp,
-    make_curve_type,
-    make_cusp,
 )
 
 
@@ -112,8 +110,6 @@ def test_empty_configuration_matches_rational_curve():
 
 
 def test_constructors_and_str():
-    assert make_curve_type(6, 6, 0) == CurveType(6, 6, 0)
-    assert make_cusp(2, 3) == PuiseuxCusp(2, 3)
     assert str(PuiseuxCusp(2, 3)) == "(2,3)"
     assert str(CurveType(6, 4, 0)) == "(6,4) in X_0"
     assert str(CuspConfiguration((PuiseuxCusp(2, 3),))) == "[(2,3)]"

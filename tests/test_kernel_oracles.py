@@ -18,6 +18,7 @@ from cuspidal import (
     CountingFunction,
     CurveType,
     CuspConfiguration,
+    PuiseuxCusp,
     SemicontinuityReport,
     SemicontinuityWitness,
     counting_function,
@@ -27,7 +28,6 @@ from cuspidal import (
     enumerate_configurations,
     infimum_convolution,
     semicontinuity_check,
-    semigroup_from_generators,
     spectrum_at_infinity_table,
 )
 from cuspidal.semigroups import identity_counting_function
@@ -147,8 +147,8 @@ coprime_pairs = st.tuples(
 @given(first=coprime_pairs, second=coprime_pairs, extra=st.integers(-60, 10))
 @settings(max_examples=40, deadline=None)
 def test_clipped_convolution_matches_full_scan(first, second, extra):
-    f = counting_function(semigroup_from_generators(first))
-    g = counting_function(semigroup_from_generators(second))
+    f = counting_function(cusp_semigroup(PuiseuxCusp(*first)))
+    g = counting_function(cusp_semigroup(PuiseuxCusp(*second)))
     window_end = f.window_end + g.window_end + extra
     fast = infimum_convolution(f, g, window_end)
     brute = _brute_convolution(f, g, window_end)
