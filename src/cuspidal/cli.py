@@ -13,7 +13,7 @@ import io
 import json
 import os
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from fractions import Fraction
 from importlib import resources
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -28,9 +28,10 @@ from .enumeration import (
     enumerate_configurations,
     run_pipeline,
 )
-from .hf import d_invariant, hf_check
+from .hf import HfWitness, d_invariant, hf_check
 from .semigroups import curve_r_function
 from .spectra import (
+    SemicontinuityWitness,
     semicontinuity_check,
     spectrum_at_infinity_derived,
     spectrum_at_infinity_table,
@@ -63,14 +64,16 @@ def _emit_json(report: Dict) -> None:
     click.echo(json.dumps(report, sort_keys=True, indent=2))
 
 
-def _emit_csv(rows: Sequence[Dict]) -> None:
-    fields: List[str] = []
+def _emit_csv(rows: Sequence[Dict], empty_header: Sequence[str]) -> None:
+    """The rows as CSV under the union of their keys, in order of first
+    appearance; with no rows, just the header `empty_header`."""
+    header: List[str] = [] if rows else list(empty_header)
     for row in rows:
         for key in row:
-            if key not in fields:
-                fields.append(key)
+            if key not in header:
+                header.append(key)
     buffer = io.StringIO()
-    writer = csv.DictWriter(buffer, fieldnames=fields)
+    writer = csv.DictWriter(buffer, fieldnames=header)
     writer.writeheader()
     writer.writerows(rows)
     click.echo(buffer.getvalue(), nl=False)
@@ -180,7 +183,11 @@ def cmd_check(ctx, a, b, e, cusps, only, as_json, as_csv) -> None:
     if as_json:
         _emit_json(report)
     elif as_csv:
-        _emit_csv(witnesses)
+        witness_types = {"hf": HfWitness, "spectrum": SemicontinuityWitness}
+        header = ["check"]
+        for check in verdicts:
+            header += [field.name for field in fields(witness_types[check])]
+        _emit_csv(witnesses, header)
     else:
         click.echo(f"curve {curve}, cusps {config}: {results['verdict']}")
         for wit in witnesses:
@@ -199,19 +206,21 @@ def cmd_check(ctx, a, b, e, cusps, only, as_json, as_csv) -> None:
     ctx.exit(EXIT_OBSTRUCTED if obstructed else EXIT_OK)
 
 
+_CANDIDATE_FIELDS = ("cusps", "genus_ok", "multiplicity_ok", "hf", "spectrum", "survives")
+
+
 def _candidate_rows(verdicts) -> List[Dict]:
     rows = []
     for verdict in verdicts:
-        rows.append(
-            {
-                "cusps": " ".join(f"{c.r}:{c.s}" for c in verdict.configuration),
-                "genus_ok": verdict.genus_ok,
-                "multiplicity_ok": verdict.multiplicity_ok,
-                "hf": verdict.hf.verdict if verdict.hf else "skipped",
-                "spectrum": verdict.spectrum.verdict if verdict.spectrum else "skipped",
-                "survives": verdict.survives,
-            }
+        values = (
+            " ".join(f"{c.r}:{c.s}" for c in verdict.configuration),
+            verdict.genus_ok,
+            verdict.multiplicity_ok,
+            verdict.hf.verdict if verdict.hf else "skipped",
+            verdict.spectrum.verdict if verdict.spectrum else "skipped",
+            verdict.survives,
         )
+        rows.append(dict(zip(_CANDIDATE_FIELDS, values)))
     return rows
 
 
@@ -250,7 +259,7 @@ def cmd_enumerate(ctx, a, b, e, max_cusps, cap, as_json, as_csv) -> None:
     if as_json:
         _emit_json(report)
     elif as_csv:
-        _emit_csv(rows)
+        _emit_csv(rows, _CANDIDATE_FIELDS)
     else:
         click.echo(f"curve {curve}: {len(rows)} genus-compatible configuration(s)")
         for row in rows:
@@ -292,7 +301,7 @@ def cmd_spectrum(ctx, a, b, e, method, as_json, as_csv) -> None:
     if as_json:
         _emit_json(report)
     elif as_csv:
-        _emit_csv(rows)
+        _emit_csv(rows, ("value", "multiplicity"))
     else:
         for row in rows:
             click.echo(f"{row['value']} {row['multiplicity']}")

@@ -1,8 +1,23 @@
 """Sawtooth sums: Dedekind and Dedekind-Rademacher sums, reciprocity, and
 the half-range sawtooth sums with their limit verification harness.
 
-All sums are exact rationals; internally they are accumulated as integer
-numerators over a fixed denominator.
+All sums are exact rationals, and each takes O(log modulus) integer steps:
+
+- ``dedekind_sum(p, q)`` reduces to coprime 0 <= h < k by s(p, q) =
+  s(p mod q, q) and s(ch, ck) = s(h, k), then runs Euclid on (h, k) with the
+  two-term law s(h, k) = (h^2 + k^2 + 1 - 3hk)/(12hk) - s(k mod h, h),
+  until h = 0 (where k = 1 and s(0, 1) = 0).
+- ``rademacher_sum(p, q, r)`` reduces p and q mod r.  With g = gcd(q, r)
+  and h = gcd(p, g), the distribution relation
+  sum_{t < n} <x + t/n> = <nx> folds the sum over i mod r onto i mod r/g:
+  D(p, q, r) = h * s((p/h) * (q/g)^-1 mod r/g, r/g), and D = 0 when
+  r/g = 1.
+- ``section_sums(b, w)`` writes the sawtooth numerator
+  2w<pb/w> = 2pb - 2w*floor(pb/w) - w + w*[w | pb].  <2p/w> is linear on
+  [0, ceil(w/2)) and on [ceil(w/2), w), apart from its zeros at p = 0 and
+  p = w/2, where <pb/w> = 0 as well.  So all four sums reduce to prefix
+  sums of floor(bx/w) and x*floor(bx/w), which the Euclid-like floor-sum
+  recursion computes (carrying the sum of floor(.)^2 as well).
 """
 
 from __future__ import annotations
@@ -33,20 +48,31 @@ def dedekind_sum(p: int, q: int) -> Fraction:
     """s(p, q) = sum over i in [0, q) of <i/q><p*i/q>."""
     if q < 1:
         raise ValueError(f"modulus q must be >= 1, got {q}")
-    total = 0
-    for i in range(q):
-        total += _sawtooth_numerator(i, q) * _sawtooth_numerator(p * i, q)
-    return Fraction(total, 4 * q * q)
+    h = p % q
+    g = math.gcd(h, q)
+    h, k = h // g, q // g
+    # The running total is num/den; den is the product of the 12hk so far.
+    num, den, sign = 0, 1, 1
+    while h:
+        hk = h * k
+        num = num * hk + sign * (h * h + k * k + 1 - 3 * hk) * den
+        den *= hk
+        h, k = k % h, h
+        sign = -sign
+    return Fraction(num, 12 * den)
 
 
 def rademacher_sum(p: int, q: int, r: int) -> Fraction:
     """D(p, q, r) = sum over i in [0, r) of <p*i/r><q*i/r>."""
     if r < 1:
         raise ValueError(f"modulus r must be >= 1, got {r}")
-    total = 0
-    for i in range(r):
-        total += _sawtooth_numerator(p * i, r) * _sawtooth_numerator(q * i, r)
-    return Fraction(total, 4 * r * r)
+    p, q = p % r, q % r
+    g = math.gcd(q, r)
+    if g == r:
+        return Fraction(0)
+    h = math.gcd(p, g)
+    modulus = r // g
+    return h * dedekind_sum(p // h * pow(q // g, -1, modulus), modulus)
 
 
 def dedekind_reciprocity_rhs(p: int, q: int) -> Fraction:
@@ -61,6 +87,49 @@ def rademacher_reciprocity_rhs(p: int, q: int, r: int) -> Fraction:
     return Fraction(p * p + q * q + r * r - 3 * p * q * r, 12 * p * q * r)
 
 
+def _floor_sums(a: int, b: int, c: int, n: int) -> Tuple[int, int, int]:
+    """Sums over x in [0, n] of f(x), x*f(x) and f(x)^2, f(x) = floor((ax+b)/c).
+
+    Needs a, b, n >= 0 and c >= 1.  Each level either reduces a and b mod c
+    or swaps the roles of a and c, so the depth is that of Euclid on (a, c).
+    """
+    if a >= c or b >= c:
+        qa, a = divmod(a, c)
+        qb, b = divmod(b, c)
+        f, g, h = _floor_sums(a, b, c, n)
+        s1 = n * (n + 1) // 2
+        s2 = s1 * (2 * n + 1) // 3
+        return (
+            f + qa * s1 + qb * (n + 1),
+            g + qa * s2 + qb * s1,
+            h + qa * qa * s2 + qb * qb * (n + 1) + 2 * qa * qb * s1
+            + 2 * qb * f + 2 * qa * g,
+        )
+    m = (a * n + b) // c
+    if m == 0:
+        return 0, 0, 0
+    # Count lattice points by rows instead of columns: floor((ax+b)/c) >= j
+    # exactly when x > floor((cj - b - 1)/a), for j in [1, m].
+    f, g, h = _floor_sums(c, c - b - 1, a, m - 1)
+    total = n * m - f
+    return total, (m * n * (n + 1) - h - f) // 2, n * m * (m + 1) - 2 * g - 2 * f - total
+
+
+def _sawtooth_prefix(b: int, w: int, n: int) -> Tuple[int, int]:
+    """Sums over p in [0, n) of 2w<pb/w> and of p * 2w<pb/w>."""
+    if n == 0:
+        return 0, 0
+    floor_sum, floor_moment, _ = _floor_sums(b, 0, w, n - 1)
+    step = w // math.gcd(b, w)  # w | pb exactly when step | p
+    hits = (n + step - 1) // step
+    s1 = n * (n - 1) // 2
+    s2 = s1 * (2 * n - 1) // 3
+    return (
+        2 * b * s1 - 2 * w * floor_sum - w * n + w * hits,
+        2 * b * s2 - 2 * w * floor_moment - w * s1 + w * step * hits * (hits - 1) // 2,
+    )
+
+
 def section_sums(b: int, w: int) -> Tuple[Fraction, Fraction, Fraction, Fraction]:
     """The four sawtooth sums (a_w, b_w, c_w, d_w) for given b and w.
 
@@ -71,23 +140,19 @@ def section_sums(b: int, w: int) -> Tuple[Fraction, Fraction, Fraction, Fraction
     """
     if b < 2 or w < 2:
         raise ValueError(f"need b >= 2 and w >= 2, got b={b}, w={w}")
-    a_num = 0  # over 2w
-    b_num = 0  # over 2w^2
-    c_num = 0  # over 4w^2
-    d_num = 0  # over 4w
     half_start = (w + 1) // 2
-    for p in range(w):
-        saw_b = _sawtooth_numerator(p * b, w)
-        if p >= half_start:
-            a_num += saw_b
-        b_num += saw_b * 2 * p
-        c_num += saw_b * _sawtooth_numerator(2 * p, w)
-        d_num += saw_b
+    low_sum, _ = _sawtooth_prefix(b, w, half_start)
+    full_sum, full_moment = _sawtooth_prefix(b, w, w)
+    high_sum = full_sum - low_sum
+    # 2w<2p/w> is 4p - w below half_start and 4p - 3w from it on, except
+    # that it is 0 at p = 0 and p = w/2.  There pb/w is a multiple of 1/2,
+    # so <pb/w> = 0 and the two terms need no correction.
+    c_num = 4 * full_moment - w * low_sum - 3 * w * high_sum
     return (
-        Fraction(a_num, 2 * w),
-        Fraction(b_num, 2 * w * w),
+        Fraction(high_sum, 2 * w),
+        Fraction(2 * full_moment, 2 * w * w),
         Fraction(c_num, 4 * w * w),
-        Fraction(d_num, 4 * w),
+        Fraction(full_sum, 4 * w),
     )
 
 
@@ -149,6 +214,8 @@ def verify_limits(
         raise ValueError(f"b must be >= 2, got {b}")
     if w_max < 100:
         raise ValueError(f"w_max must be >= 100, got {w_max}")
+    if tol < 0:
+        raise ValueError(f"tol must be >= 0, got {tol}")
     targets = sorted({max(100, w_max // 2**i) for i in range(4)})
     samples = []
     for target in targets:

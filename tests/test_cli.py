@@ -8,7 +8,7 @@ from unittest import mock
 
 import pytest
 from click.testing import CliRunner
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cuspidal.cli import cli, main
 
@@ -107,6 +107,40 @@ def test_check_row_order_is_pinned(runner, curve, header, first_row, witness_key
     assert result.output.splitlines()[:2] == [header, first_row]
     result = runner.invoke(cli, ["check", *curve, "--json"])
     assert list(json.loads(result.output)["witnesses"][0]) == witness_keys
+
+
+@pytest.mark.parametrize(
+    "argv, header",
+    [
+        (
+            ["check", "--a", "6", "--b", "6", "--cusp", "6:11"],
+            "check,m,s1,s2,r_value,p_value,"
+            "x,cusp_inside,infinity_inside,cusp_outside,infinity_outside",
+        ),
+        (
+            ["check", "--a", "6", "--b", "6", "--cusp", "6:11", "--only", "hf"],
+            "check,m,s1,s2,r_value,p_value",
+        ),
+        (
+            ["check", "--a", "6", "--b", "6", "--cusp", "2:51", "--only", "hf"],
+            "check,m,s1,s2,r_value,p_value",
+        ),
+        (
+            ["check", "--a", "6", "--b", "6", "--cusp", "6:11", "--only", "spectrum"],
+            "check,x,cusp_inside,infinity_inside,cusp_outside,infinity_outside",
+        ),
+        (
+            ["enumerate", "--a", "1", "--b", "1"],
+            "cusps,genus_ok,multiplicity_ok,hf,spectrum,survives",
+        ),
+        (["spectrum", "--a", "0", "--b", "1", "--e", "1"], "value,multiplicity"),
+    ],
+)
+def test_empty_csv_prints_header(argv, header, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main([*argv, "--csv"])
+    assert excinfo.value.code == 0
+    assert capsys.readouterr().out == header + "\r\n"
 
 
 def test_check_only_filters(runner):
@@ -224,6 +258,56 @@ def test_dedekind_limits(runner):
     )
     report = json.loads(result.output)
     assert report["results"]["all_within_tol"] is True
+
+
+@pytest.mark.parametrize("tol", ["-1", "-1/1000"])
+def test_dedekind_limits_negative_tolerance_rejected(tol, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["dedekind", "limits", "--b", "3", "--max-w", "100", "--tol", tol])
+    assert excinfo.value.code == 1
+    assert capsys.readouterr().err == f"error: tol must be >= 0, got {tol}\n"
+
+
+def _run(argv):
+    """main(argv) in-process: the exit code and stdout."""
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout), pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    return excinfo.value.code, stdout.getvalue()
+
+
+# Genus-0 curves on the edges of the domain: b = 1 (any a, large e included),
+# a = 0 (which needs e >= 1 for d > 0), and a = 1 on X_0.
+_GENUS_ZERO_EDGES = st.one_of(
+    st.tuples(st.integers(0, 40), st.just(1), st.integers(0, 60)),
+    st.tuples(st.just(0), st.integers(1, 2), st.just(1)),
+    st.tuples(st.just(1), st.integers(1, 12), st.just(0)),
+).filter(lambda curve: curve != (0, 1, 0))
+
+
+@given(curve=_GENUS_ZERO_EDGES)
+@example(curve=(0, 1, 1))
+@example(curve=(0, 1, 40))
+@example(curve=(0, 2, 1))
+@example(curve=(5, 1, 40))
+@example(curve=(1, 1, 0))
+@settings(max_examples=25, deadline=None)
+def test_domain_edges_of_genus_zero(curve):
+    # g = 0 leaves no room for a cusp: the empty configuration is the only
+    # one that fits, it survives both filters, and enumerate finds nothing.
+    base = [f"--{name}={value}" for name, value in zip("abe", curve)]
+    code, out = _run(["check", *base, "--json"])
+    report = json.loads(out)
+    assert code == 0
+    assert report["results"]["g"] == 0
+    assert report["results"]["verdict"] == "survives"
+    assert report["witnesses"] == []
+    code, out = _run(["enumerate", *base, "--max-cusps", "3", "--json"])
+    assert code == 0
+    assert json.loads(out)["results"]["count"] == 0
+    code, out = _run(["spectrum", *base, "--method", "both", "--json"])
+    assert code == 0
+    assert json.loads(out)["results"]["methods_agree"] is True
 
 
 def test_dinv_single_and_all(runner):

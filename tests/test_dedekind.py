@@ -131,3 +131,6 @@ def test_verify_limits_input_validation():
         verify_limits(1, 1000)
     with pytest.raises(ValueError):
         verify_limits(3, 50)
+    with pytest.raises(ValueError, match="tol must be >= 0"):
+        verify_limits(3, 1000, F(-1, 1000))
+    assert verify_limits(3, 1000, F(0)).tol == 0  # a zero tolerance is allowed

@@ -1,13 +1,14 @@
-"""The integer filter kernels against the direct kernels they replaced.
+"""The fast kernels against the direct kernels they replaced.
 
 The oracles below are the earlier implementations, kept verbatim in spirit:
 the unclipped infimum convolution that scans every split k in [0, t]
-through `CountingFunction.__call__`, and the
+through `CountingFunction.__call__`, the
 semicontinuity scan over `Fraction` values with `bisect` queries on each
-`SpectrumMultiset`.  The fast kernels must agree with them exactly: R
-pointwise, and whole `SemicontinuityReport`s, witnesses and checked points.
+`SpectrumMultiset`, and the defining loops of the sawtooth sums (O(q) for
+s(p, q), O(r) for D(p, q, r), O(w) for the section sums).  The fast kernels
+must agree with them exactly: R pointwise, whole `SemicontinuityReport`s,
+witnesses and checked points, and every sawtooth sum as a `Fraction`.
 """
-
 import math
 from fractions import Fraction
 
@@ -25,10 +26,19 @@ from cuspidal import (
     curve_r_function,
     cusp_semigroup,
     cusp_spectrum,
+    dedekind_sum,
     enumerate_configurations,
     infimum_convolution,
+    rademacher_sum,
+    section_sums,
     semicontinuity_check,
     spectrum_at_infinity_table,
+    verify_limits,
+)
+from cuspidal.dedekind import (
+    _sawtooth_numerator,
+    dedekind_reciprocity_rhs,
+    rademacher_reciprocity_rhs,
 )
 from cuspidal.semigroups import identity_counting_function
 from cuspidal.spectra import SpectrumContext
@@ -156,3 +166,112 @@ def test_clipped_convolution_matches_full_scan(first, second, extra):
     assert [fast(t) for t in range(-2, window_end + 5)] == [
         brute(t) for t in range(-2, window_end + 5)
     ]
+
+
+def _brute_dedekind_sum(p, q):
+    total = 0
+    for i in range(q):
+        total += _sawtooth_numerator(i, q) * _sawtooth_numerator(p * i, q)
+    return Fraction(total, 4 * q * q)
+
+
+def _brute_rademacher_sum(p, q, r):
+    total = 0
+    for i in range(r):
+        total += _sawtooth_numerator(p * i, r) * _sawtooth_numerator(q * i, r)
+    return Fraction(total, 4 * r * r)
+
+
+def _brute_section_sums(b, w):
+    a_num = b_num = c_num = d_num = 0
+    half_start = (w + 1) // 2
+    for p in range(w):
+        saw_b = _sawtooth_numerator(p * b, w)
+        if p >= half_start:
+            a_num += saw_b
+        b_num += saw_b * 2 * p
+        c_num += saw_b * _sawtooth_numerator(2 * p, w)
+        d_num += saw_b
+    return (
+        Fraction(a_num, 2 * w),
+        Fraction(b_num, 2 * w * w),
+        Fraction(c_num, 4 * w * w),
+        Fraction(d_num, 4 * w),
+    )
+
+
+moduli = st.one_of(st.just(1), st.integers(min_value=1, max_value=300))
+residues = st.integers(min_value=-2000, max_value=2000)  # any sign, 0 included
+
+
+@given(p=residues, q=moduli, factor=st.integers(min_value=1, max_value=6))
+@settings(max_examples=300, deadline=None)
+def test_dedekind_sum_matches_loop(p, q, factor):
+    assert dedekind_sum(p, q) == _brute_dedekind_sum(p, q)
+    # Non-coprime arguments: s(cp, cq) = s(p, q).
+    assert dedekind_sum(factor * p, factor * q) == _brute_dedekind_sum(
+        factor * p, factor * q
+    )
+
+
+@given(
+    p=residues,
+    q=residues,
+    r=moduli,
+    factor=st.integers(min_value=1, max_value=12),
+    scaled=st.tuples(st.booleans(), st.booleans(), st.booleans()),
+)
+@settings(max_examples=300, deadline=None)
+def test_rademacher_sum_matches_loop(p, q, r, factor, scaled):
+    # Scaling a chosen subset of (p, q, r) by one factor makes non-coprime
+    # triples common, including q or p sharing the whole modulus.
+    p, q, r = (x * factor if flag else x for x, flag in zip((p, q, r), scaled))
+    assert rademacher_sum(p, q, r) == _brute_rademacher_sum(p, q, r)
+
+
+@given(w=st.integers(min_value=2, max_value=400), data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_section_sums_match_loop(w, data):
+    b = data.draw(
+        st.one_of(
+            st.integers(min_value=2, max_value=60),
+            st.integers(min_value=w, max_value=4 * w),  # b >= w
+            st.integers(min_value=1, max_value=4).map(lambda k: k * w),  # w | b
+        ).filter(lambda b: b >= 2)
+    )
+    assert section_sums(b, w) == _brute_section_sums(b, w)
+
+
+def test_section_sums_match_loop_on_small_grid():
+    for b in range(2, 25):
+        for w in range(2, 50):
+            assert section_sums(b, w) == _brute_section_sums(b, w), (b, w)
+
+
+# Complexity guards: each runs in milliseconds with the logarithmic kernels,
+# and would not finish if a loop over the modulus came back.
+LARGE_PRIMES = (999999999989, 1000000000039, 1000000000061)
+
+
+def test_two_term_law_at_large_moduli():
+    p, q = LARGE_PRIMES[:2]
+    assert dedekind_sum(p, q) + dedekind_sum(q, p) == dedekind_reciprocity_rhs(p, q)
+
+
+def test_three_term_law_at_large_moduli():
+    p, q, r = LARGE_PRIMES
+    total = rademacher_sum(p, q, r) + rademacher_sum(r, p, q) + rademacher_sum(q, r, p)
+    assert total == rademacher_reciprocity_rhs(p, q, r)
+
+
+def test_section_sums_at_large_width():
+    a_w, b_w, c_w, d_w = section_sums(7, 10**12 + 1)
+    assert d_w == 0
+    assert a_w == b_w - c_w + d_w
+
+
+@pytest.mark.parametrize("b", [3, 4, 7])
+def test_verify_limits_at_large_width(b):
+    report = verify_limits(b, 10**9)
+    assert report.all_within_tol
+    assert 10**9 - 10 <= report.entries[0].w <= 10**9
