@@ -6,7 +6,6 @@ from .core import (
     CuspConfiguration,
     GenusMismatchError,
     PuiseuxCusp,
-    Rational,
 )
 from .semigroups import (
     CountingFunction,
@@ -67,7 +66,6 @@ __all__ = [
     "HfWitness",
     "LimitReport",
     "PuiseuxCusp",
-    "Rational",
     "SemicontinuityReport",
     "SemicontinuityWitness",
     "Semigroup",

@@ -9,11 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Tuple
-
-# The single exact scalar type used throughout the package.
-Rational = Fraction
 
 
 class GenusMismatchError(ValueError):

@@ -1,14 +1,20 @@
-"""Generation of genus-compatible cusp configurations and the filter pipeline."""
+"""Generation of genus-compatible cusp configurations and the filter pipeline.
+
+The filters take only (curve, config): the data they share across the
+configurations of one curve is memoised by value inside `hf`, `spectra` and
+`semigroups` (the curve-level data of the most recent curve, and the data of
+up to 1024 cusps), so `run_pipeline` and single calls share it alike.
+"""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 from .core import CurveType, CuspConfiguration, PuiseuxCusp
-from .hf import HfContext, HfReport, hf_check, multiplicity_bound_check
-from .spectra import SemicontinuityReport, SpectrumContext, semicontinuity_check
+from .hf import HfReport, hf_check, multiplicity_bound_check
+from .spectra import SemicontinuityReport, semicontinuity_check
 
 DEFAULT_CANDIDATE_CAP = 10**6
 
@@ -30,7 +36,7 @@ def cusps_with_delta(delta: int) -> List[PuiseuxCusp]:
         if d1 >= d2:
             continue
         r, s = d1 + 1, d2 + 1
-        if r >= 2 and math.gcd(r, s) == 1:
+        if math.gcd(r, s) == 1:
             cusps.append(PuiseuxCusp(r, s))
     return cusps
 
@@ -58,31 +64,38 @@ def enumerate_configurations(
         raise ValueError(f"max_cusps must be >= 1, got {max_cusps}")
     if cap < 0:
         raise ValueError(f"candidate cap must be >= 0, got {cap}")
+    # Every cusp of delta at most g, in (delta, r, s) order.
+    choices = [
+        (delta, cusp)
+        for delta in range(1, curve.g + 1)
+        for cusp in cusps_with_delta(delta)
+    ]
     results: List[CuspConfiguration] = []
     partial: List[PuiseuxCusp] = []
-
-    def extend(remaining: int, slots: int, floor_key) -> None:
-        if remaining == 0:
+    # Depth-first search without recursion, so a configuration may have more
+    # cusps than Python has stack frames.  stack[k] holds, for the prefix
+    # partial[:k], the next index into `choices` and the delta still missing.
+    stack = [[0, curve.g]]
+    while stack:
+        frame = stack[-1]
+        j, remaining = frame
+        if len(partial) == max_cusps or j == len(choices) or choices[j][0] > remaining:
+            stack.pop()
             if partial:
-                if len(results) >= cap:
-                    raise CandidateCapExceededError(
-                        f"more than {cap} genus-compatible configurations"
-                    )
-                results.append(CuspConfiguration(tuple(partial)))
-            return
-        if slots == 0:
-            return
-        min_delta = floor_key[0] if floor_key else 1
-        for delta in range(min_delta, remaining + 1):
-            for cusp in cusps_with_delta(delta):
-                key = (delta, cusp.r, cusp.s)
-                if floor_key and key < floor_key:
-                    continue
-                partial.append(cusp)
-                extend(remaining - delta, slots - 1, key)
                 partial.pop()
-
-    extend(curve.g, max_cusps, None)
+            continue
+        frame[0] = j + 1
+        delta, cusp = choices[j]
+        partial.append(cusp)
+        if delta < remaining:
+            stack.append([j, remaining - delta])
+            continue
+        if len(results) >= cap:
+            raise CandidateCapExceededError(
+                f"more than {cap} genus-compatible configurations"
+            )
+        results.append(CuspConfiguration(tuple(partial)))
+        partial.pop()
     return results
 
 
@@ -108,55 +121,30 @@ class CandidateVerdict:
         )
 
 
-class CurveContext:
-    """Curve-level data of both filters, built once per curve and shared by
-    the configurations of one call."""
-
-    def __init__(self, curve: CurveType):
-        self.curve = curve
-        self.hf = HfContext(curve)
-        self.spectrum = SpectrumContext(curve)
-
-
 def evaluate_candidate(
-    curve: CurveType,
-    config: CuspConfiguration,
-    fast: bool = False,
-    context: Optional[CurveContext] = None,
+    curve: CurveType, config: CuspConfiguration
 ) -> CandidateVerdict:
     """Run the filters genus -> multiplicity -> semigroup counting -> spectrum.
 
-    In fast mode later filters are skipped once one fails; otherwise all are
-    evaluated so the verdict carries complete witnesses.  `context`, when
-    given, must belong to `curve`; without one a one-off context is built.
+    Every filter runs on a genus-compatible configuration, so the verdict
+    carries complete witnesses.
     """
-    genus_ok = config.is_genus_compatible(curve)
-    if not genus_ok:
+    if not config.is_genus_compatible(curve):
         return CandidateVerdict(config, False, False, None, None)
     multiplicity_ok = all(
         multiplicity_bound_check(curve, cusp) for cusp in config
     )
-    if fast and not multiplicity_ok:
-        return CandidateVerdict(config, True, False, None, None)
-    if context is None:
-        context = CurveContext(curve)
-    hf_report = hf_check(curve, config, context=context.hf)
-    if fast and hf_report.obstructed:
-        return CandidateVerdict(config, True, multiplicity_ok, hf_report, None)
-    spectrum_report = semicontinuity_check(curve, config, context=context.spectrum)
     return CandidateVerdict(
-        config, True, multiplicity_ok, hf_report, spectrum_report
+        config,
+        True,
+        multiplicity_ok,
+        hf_check(curve, config),
+        semicontinuity_check(curve, config),
     )
 
 
 def run_pipeline(
-    curve: CurveType,
-    configs: List[CuspConfiguration],
-    fast: bool = False,
+    curve: CurveType, configs: List[CuspConfiguration]
 ) -> List[CandidateVerdict]:
-    """Evaluate every configuration, sharing one CurveContext among them."""
-    context = CurveContext(curve)
-    return [
-        evaluate_candidate(curve, config, fast=fast, context=context)
-        for config in configs
-    ]
+    """Evaluate every configuration of one curve."""
+    return [evaluate_candidate(curve, config) for config in configs]

@@ -5,6 +5,11 @@ shifted value n = m + g - 1 is divisible by c = gcd(a, b) admits integer
 presentations n = s1*b + s2*w with w = a + b*e.  The obstruction requires
 R(m + g) >= P(s1, s2) with P(s1, s2) = (s1+1)(s2+1) + s2(s2+1)e/2 for every
 such presentation; it is enough to compare against the maximal P.
+
+The maximal presentation of every m in [-g, g] depends only on the curve, so
+it is memoised by curve value for the most recent curve (`_p_max_line`,
+`lru_cache(maxsize=1)`): the configurations of one curve share it and a new
+curve replaces it.
 """
 
 from __future__ import annotations
@@ -12,7 +17,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Optional, Tuple
+from functools import lru_cache
+from typing import Optional, Tuple
 
 from .core import CurveType, CuspConfiguration, PuiseuxCusp
 from .semigroups import CountingFunction, curve_r_function
@@ -103,44 +109,23 @@ def max_p_over_presentations(
     return best
 
 
-class HfContext:
-    """Curve-level data of the counting obstruction, shared across configurations.
-
-    Holds the maximal presentation of every m in [-g, g] (computed once) and
-    a memo of per-cusp counting functions.  Build one per curve for a batch
-    of configurations; it lives as long as the caller keeps it.
-    """
-
-    def __init__(self, curve: CurveType):
-        self.curve = curve
-        g = curve.g
-        self.p_max_line: Tuple[Tuple[int, int, int, int], ...] = tuple(
-            (m, *best)
-            for m in range(-g, g + 1)
-            if (best := max_p_over_presentations(curve, m + g - 1)) is not None
-        )
-        self.counting_memo: Dict[PuiseuxCusp, CountingFunction] = {}
+@lru_cache(maxsize=1)
+def _p_max_line(curve: CurveType) -> Tuple[Tuple[int, int, int, int], ...]:
+    """(m, s1, s2, P) of the maximal presentation of every m in [-g, g] that has one."""
+    g = curve.g
+    return tuple(
+        (m, *best)
+        for m in range(-g, g + 1)
+        if (best := max_p_over_presentations(curve, m + g - 1)) is not None
+    )
 
 
-def hf_check(
-    curve: CurveType,
-    config: CuspConfiguration,
-    *,
-    context: Optional[HfContext] = None,
-) -> HfReport:
-    """Scan all m in [-g, g] and collect every violated presentation.
-
-    `context`, when given, must belong to `curve`; without one the check
-    builds its own.
-    """
-    if context is None:
-        context = HfContext(curve)
-    elif context.curve != curve:
-        raise ValueError(f"context belongs to {context.curve}, not {curve}")
-    r_function = curve_r_function(curve, config, context.counting_memo)
+def hf_check(curve: CurveType, config: CuspConfiguration) -> HfReport:
+    """Scan all m in [-g, g] and collect every violated presentation."""
+    r_function = curve_r_function(curve, config)
     g = curve.g
     witnesses = []
-    for m, s1, s2, p in context.p_max_line:
+    for m, s1, s2, p in _p_max_line(curve):
         r_value = r_function(m + g)
         if r_value < p:
             witnesses.append(HfWitness(m, s1, s2, r_value, p))

@@ -17,13 +17,18 @@ by 1 per step and raises the other term by at most 1.  Hence for
 min_k R1(k) + R2(t - k) the splits k in [max(0, t - W2), min(t, W1)]
 suffice, and from t = W1 + W2 on the result is the sum of the two tails.
 The scan reads the window tuples directly.
+
+The counting function of each cusp is memoised by cusp value
+(`_cusp_counting_function`, `lru_cache(maxsize=1024)`), so configurations
+that share a cusp, on one curve or across curves, build it once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from operator import add
-from typing import Dict, Optional, Tuple
+from typing import Tuple
 
 from .core import CurveType, CuspConfiguration, PuiseuxCusp
 
@@ -137,29 +142,22 @@ def infimum_convolution(
     return CountingFunction(tuple(values), tail_offset)
 
 
-def curve_r_function(
-    curve: CurveType,
-    config: CuspConfiguration,
-    memo: Optional[Dict[PuiseuxCusp, CountingFunction]] = None,
-) -> CountingFunction:
+@lru_cache(maxsize=1024)
+def _cusp_counting_function(cusp: PuiseuxCusp) -> CountingFunction:
+    return counting_function(cusp_semigroup(cusp))
+
+
+def curve_r_function(curve: CurveType, config: CuspConfiguration) -> CountingFunction:
     """The combined counting function of a genus-compatible cusp configuration.
 
     Fold of the per-cusp counting functions under infimum convolution,
     starting from the first cusp's function, on a window reaching at least
     2g + 1; beyond the window R(2g + m) = g + m.  With no cusps (g = 0) it is
-    the identity R(t) = max(t, 0).  `memo`, when given, maps each cusp to its
-    counting function and is filled on the way, so callers can share it
-    across the configurations of one curve.
+    the identity R(t) = max(t, 0).
     """
     config.require_genus_compatible(curve)
     window_end = 2 * curve.g + 1
-    if memo is None:
-        memo = {}
-    functions = []
-    for cusp in config:
-        if cusp not in memo:
-            memo[cusp] = counting_function(cusp_semigroup(cusp))
-        functions.append(memo[cusp])
+    functions = [_cusp_counting_function(cusp) for cusp in config]
     if not functions:
         return identity_counting_function(window_end)
     result = functions[0]

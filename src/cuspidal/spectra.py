@@ -11,6 +11,12 @@ so with L = 2 * lcm(w, b, r_1*s_1, ...) all values, the scan points and the
 midpoints between them are integer multiples of 1/L.  Interval counts are
 bisections of sorted int lists; cusp counts add up, so all cusps share one
 list.  A witness point becomes a Fraction only when it is reported.
+
+The check memoises its integer inputs by value: the spectrum at infinity as
+numerators over lcm(w, b) for the most recent curve (`_infinity_numerators`,
+`lru_cache(maxsize=1)`), and the sorted numerators over r*s of each cusp
+(`_cusp_numerators`, `lru_cache(maxsize=1024)`).  `cusp_spectrum` and both
+constructions of the spectrum at infinity are not memoised.
 """
 
 from __future__ import annotations
@@ -19,7 +25,8 @@ import bisect
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple
+from functools import lru_cache
+from typing import Dict, Iterable, List, Mapping, Tuple
 
 from .core import CurveType, CuspConfiguration, PuiseuxCusp
 
@@ -283,39 +290,26 @@ class SemicontinuityReport:
         return "obstructed" if self.obstructed else "passes"
 
 
-class SpectrumContext:
-    """Curve-level data of the semicontinuity check, shared across configurations.
-
-    Holds the spectrum at infinity as sorted integer numerators over
-    lcm(w, b), one entry per unit of multiplicity (computed once), and a
-    memo of per-cusp spectra as sorted numerators over r*s.  Build one per curve for a batch of configurations;
-    it lives as long as the caller keeps it.
-    """
-
-    def __init__(self, curve: CurveType):
-        self.curve = curve
-        self.denominator = math.lcm(curve.w, curve.b)
-        numerators: List[int] = []
-        for value, mult in spectrum_at_infinity_table(curve).entries():
-            if self.denominator % value.denominator:
-                raise InternalConsistencyError(
-                    f"spectrum value {value} is not a multiple of 1/{self.denominator}"
-                )
-            numerator = value.numerator * (self.denominator // value.denominator)
-            numerators += [numerator] * mult
-        self.infinity: Tuple[int, ...] = tuple(numerators)
-        self.cusp_memo: Dict[PuiseuxCusp, Tuple[int, ...]] = {}
-
-    def cusp_numerators(self, cusp: PuiseuxCusp) -> Tuple[int, ...]:
-        """The spectrum of `cusp` as sorted numerators i*s + j*r over r*s."""
-        numerators = self.cusp_memo.get(cusp)
-        if numerators is None:
-            r, s = cusp.r, cusp.s
-            numerators = tuple(
-                sorted(i * s + j * r for i in range(1, r) for j in range(1, s))
+@lru_cache(maxsize=1)
+def _infinity_numerators(curve: CurveType) -> Tuple[int, Tuple[int, ...]]:
+    """(lcm(w, b), the spectrum at infinity as sorted numerators over it),
+    one entry per unit of multiplicity."""
+    denominator = math.lcm(curve.w, curve.b)
+    numerators: List[int] = []
+    for value, mult in spectrum_at_infinity_table(curve).entries():
+        if denominator % value.denominator:
+            raise InternalConsistencyError(
+                f"spectrum value {value} is not a multiple of 1/{denominator}"
             )
-            self.cusp_memo[cusp] = numerators
-        return numerators
+        numerators += [value.numerator * (denominator // value.denominator)] * mult
+    return denominator, tuple(numerators)
+
+
+@lru_cache(maxsize=1024)
+def _cusp_numerators(cusp: PuiseuxCusp) -> Tuple[int, ...]:
+    """The spectrum of `cusp` as sorted numerators i*s + j*r over r*s."""
+    r, s = cusp.r, cusp.s
+    return tuple(sorted(i * s + j * r for i in range(1, r) for j in range(1, s)))
 
 
 def _count_open(values: List[int], lo: int, hi: int) -> int:
@@ -324,10 +318,7 @@ def _count_open(values: List[int], lo: int, hi: int) -> int:
 
 
 def semicontinuity_check(
-    curve: CurveType,
-    config: CuspConfiguration,
-    *,
-    context: Optional[SpectrumContext] = None,
+    curve: CurveType, config: CuspConfiguration
 ) -> SemicontinuityReport:
     """Evaluate both interval inequalities at every scan point in (0, 1).
 
@@ -336,24 +327,19 @@ def semicontinuity_check(
     are the v and v - 1 in (0, 1) for v a value of any spectrum involved.
     Both interval counts are step functions of x changing only at critical
     points, so the midpoints represent every open interval between changes.
-    `context`, when given, must belong to `curve`; without one the check
-    builds its own.
     """
     config.require_genus_compatible(curve)
-    if context is None:
-        context = SpectrumContext(curve)
-    elif context.curve != curve:
-        raise ValueError(f"context belongs to {context.curve}, not {curve}")
+    denominator, infinity_numerators = _infinity_numerators(curve)
     # Every value below is a numerator over `scale` (L in the module
     # docstring).  All of them are even, so midpoints are integers too.
-    scale = 2 * math.lcm(context.denominator, *(cusp.r * cusp.s for cusp in config))
+    scale = 2 * math.lcm(denominator, *(cusp.r * cusp.s for cusp in config))
     cusp_values: List[int] = []
     for cusp in config:
         factor = scale // (cusp.r * cusp.s)
-        cusp_values += [n * factor for n in context.cusp_numerators(cusp)]
+        cusp_values += [n * factor for n in _cusp_numerators(cusp)]
     cusp_values.sort()
-    factor = scale // context.denominator
-    infinity = [n * factor for n in context.infinity]
+    factor = scale // denominator
+    infinity = [n * factor for n in infinity_numerators]
     infinity_values = set(infinity)
 
     critical = sorted({v % scale for v in (*cusp_values, *infinity_values)} - {0})

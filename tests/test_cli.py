@@ -210,6 +210,17 @@ def test_enumerate_negative_cap_rejected(argv, env, capsys, monkeypatch):
     ) + "\n"
 
 
+def test_enumerate_deep_configurations_hit_the_cap(capsys):
+    # g = 1199: the first configuration is 1199 cusps (2,3), deeper than
+    # Python's recursion limit.
+    with pytest.raises(SystemExit) as excinfo:
+        main(["enumerate", "--a", "2", "--b", "1200", "--max-cusps", "1200", "--cap", "5"])
+    assert excinfo.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: more than 5 genus-compatible configurations\n"
+    assert "Traceback" not in captured.out + captured.err
+
+
 def test_enumerate_genus_zero_empty_table(runner):
     result = runner.invoke(cli, ["enumerate", "--a", "1", "--b", "1"])
     assert result.exit_code == 0

@@ -8,11 +8,9 @@ from cuspidal import (
     enumerate_configurations,
     enumerate_unicuspidal,
     evaluate_candidate,
-    hf_check,
     run_pipeline,
-    semicontinuity_check,
 )
-from cuspidal.enumeration import CurveContext, cusps_with_delta
+from cuspidal.enumeration import cusps_with_delta
 
 
 def test_cusps_with_delta_known_values():
@@ -67,6 +65,42 @@ def test_enumerate_configurations_cap():
         enumerate_configurations(CurveType(1, 1, 0), 1, cap=-1)
 
 
+def _recursive_configurations(curve, max_cusps):
+    results = []
+
+    def extend(prefix, remaining, floor_key):
+        if remaining == 0:
+            results.append(CuspConfiguration(tuple(prefix)))
+            return
+        if len(prefix) == max_cusps:
+            return
+        for delta in range(floor_key[0] if floor_key else 1, remaining + 1):
+            for cusp in cusps_with_delta(delta):
+                key = (delta, cusp.r, cusp.s)
+                if not floor_key or key >= floor_key:
+                    extend([*prefix, cusp], remaining - delta, key)
+
+    if curve.g:
+        extend([], curve.g, None)
+    return results
+
+
+@pytest.mark.parametrize(
+    "curve", [CurveType(6, 6, 0), CurveType(6, 4, 0), CurveType(4, 4, 2), CurveType(3, 3, 1)]
+)
+def test_enumerate_configurations_matches_recursive_order(curve):
+    for max_cusps in (1, 2, 3, curve.g):
+        assert enumerate_configurations(curve, max_cusps) == _recursive_configurations(
+            curve, max_cusps
+        )
+
+
+def test_enumerate_configurations_deeper_than_recursion_limit():
+    # g = 1199, so the first configuration is 1199 cusps (2,3).
+    with pytest.raises(CandidateCapExceededError):
+        enumerate_configurations(CurveType(2, 1200), 1200, cap=5)
+
+
 def test_evaluate_candidate_survivor():
     curve = CurveType(6, 6, 0)
     verdict = evaluate_candidate(curve, CuspConfiguration((PuiseuxCusp(6, 11),)))
@@ -95,17 +129,6 @@ def test_evaluate_candidate_genus_mismatch():
     assert not verdict.survives
 
 
-def test_fast_mode_short_circuits():
-    curve = CurveType(4, 4, 2)
-    config = CuspConfiguration((PuiseuxCusp(3, 22),))
-    fast = evaluate_candidate(curve, config, fast=True)
-    assert fast.hf.obstructed
-    assert fast.spectrum is None
-    full = evaluate_candidate(curve, config)
-    assert full.hf.obstructed
-    assert full.spectrum is not None
-
-
 def test_run_pipeline_degree_six():
     curve = CurveType(6, 6, 0)
     verdicts = run_pipeline(curve, enumerate_configurations(curve, 1))
@@ -120,16 +143,3 @@ def test_shared_context_matches_one_off_contexts():
     configs = enumerate_configurations(curve, 3)
     one_off = [evaluate_candidate(curve, config) for config in configs]
     assert run_pipeline(curve, configs) == one_off
-    assert run_pipeline(curve, configs, fast=True) == [
-        evaluate_candidate(curve, config, fast=True) for config in configs
-    ]
-
-
-def test_context_must_belong_to_the_curve():
-    context = CurveContext(CurveType(6, 6, 0))
-    curve = CurveType(4, 4, 2)
-    config = CuspConfiguration((PuiseuxCusp(3, 22),))
-    with pytest.raises(ValueError):
-        hf_check(curve, config, context=context.hf)
-    with pytest.raises(ValueError):
-        semicontinuity_check(curve, config, context=context.spectrum)

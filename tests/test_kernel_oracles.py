@@ -4,7 +4,8 @@ The oracles below are the earlier implementations, kept verbatim in spirit:
 the unclipped infimum convolution that scans every split k in [0, t]
 through `CountingFunction.__call__`, the
 semicontinuity scan over `Fraction` values with `bisect` queries on each
-`SpectrumMultiset`, and the defining loops of the sawtooth sums (O(q) for
+`SpectrumMultiset`, the HF scan over that oracle R with a fresh maximal
+presentation for every m, and the defining loops of the sawtooth sums (O(q) for
 s(p, q), O(r) for D(p, q, r), O(w) for the section sums).  The fast kernels
 must agree with them exactly: R pointwise, whole `SemicontinuityReport`s,
 witnesses and checked points, and every sawtooth sum as a `Fraction`.
@@ -19,6 +20,8 @@ from cuspidal import (
     CountingFunction,
     CurveType,
     CuspConfiguration,
+    HfReport,
+    HfWitness,
     PuiseuxCusp,
     SemicontinuityReport,
     SemicontinuityWitness,
@@ -28,20 +31,23 @@ from cuspidal import (
     cusp_spectrum,
     dedekind_sum,
     enumerate_configurations,
+    hf_check,
     infimum_convolution,
+    max_p_over_presentations,
     rademacher_sum,
+    run_pipeline,
     section_sums,
     semicontinuity_check,
     spectrum_at_infinity_table,
     verify_limits,
 )
+from cuspidal import hf, semigroups, spectra
 from cuspidal.dedekind import (
     _sawtooth_numerator,
     dedekind_reciprocity_rhs,
     rademacher_reciprocity_rhs,
 )
 from cuspidal.semigroups import identity_counting_function
-from cuspidal.spectra import SpectrumContext
 
 
 def _brute_convolution(r1, r2, window_end):
@@ -101,15 +107,26 @@ def _brute_semicontinuity(curve, config):
     return SemicontinuityReport(tuple(witnesses), len(points))
 
 
-def _assert_kernels_match(curve, config, memo=None, context=None):
+def _brute_hf(curve, config):
     g = curve.g
-    fast = curve_r_function(curve, config, memo)
+    r_function = _brute_r_function(curve, config)
+    witnesses = []
+    for m in range(-g, g + 1):
+        best = max_p_over_presentations(curve, m + g - 1)
+        if best is not None and r_function(m + g) < best[2]:
+            witnesses.append(HfWitness(m, *best[:2], r_function(m + g), best[2]))
+    return HfReport(tuple(witnesses))
+
+
+def _assert_kernels_match(curve, config):
+    g = curve.g
+    fast = curve_r_function(curve, config)
     brute = _brute_r_function(curve, config)
     assert fast.tail_offset == brute.tail_offset == g
     assert [fast(t) for t in range(-3, 2 * g + 11)] == [
         brute(t) for t in range(-3, 2 * g + 11)
     ]
-    assert semicontinuity_check(curve, config, context=context) == (
+    assert semicontinuity_check(curve, config) == (
         _brute_semicontinuity(curve, config)
     )
 
@@ -118,11 +135,48 @@ def _assert_kernels_match(curve, config, memo=None, context=None):
     "curve", [CurveType(6, 4, 0), CurveType(4, 4, 2), CurveType(5, 4, 1)]
 )
 def test_kernels_match_oracles_on_every_configuration(curve):
-    memo, context = {}, SpectrumContext(curve)
     configs = enumerate_configurations(curve, 3)
     assert configs
     for config in configs:
-        _assert_kernels_match(curve, config, memo, context)
+        _assert_kernels_match(curve, config)
+
+
+MEMOS = (
+    hf._p_max_line,
+    semigroups._cusp_counting_function,
+    spectra._cusp_numerators,
+    spectra._infinity_numerators,
+)
+
+
+def test_memos_follow_the_curve_when_curves_interleave():
+    curves = (CurveType(6, 4, 0), CurveType(4, 4, 2))
+    configs = {curve: enumerate_configurations(curve, 3) for curve in curves}
+    alone = {}
+    for curve in curves:
+        for memo in MEMOS:
+            memo.cache_clear()
+        alone[curve] = run_pipeline(curve, configs[curve])
+        for verdict in alone[curve]:
+            assert verdict.hf == _brute_hf(curve, verdict.configuration)
+            assert verdict.spectrum == _brute_semicontinuity(
+                curve, verdict.configuration
+            )
+
+    # The curve-level memos hold one curve, so every switch evicts.
+    for memo in MEMOS:
+        memo.cache_clear()
+    for curve in (curves[0], curves[1], curves[0]):
+        assert run_pipeline(curve, configs[curve]) == alone[curve]
+    assert hf._p_max_line.cache_info().misses == 3
+    assert spectra._infinity_numerators.cache_info().misses == 3
+
+    # Alternate the two checks between the curves call by call.
+    for first, second in zip(alone[curves[0]], alone[curves[1]]):
+        for curve, verdict in ((curves[0], first), (curves[1], second)):
+            assert hf_check(curve, verdict.configuration) == verdict.hf
+        for curve, verdict in ((curves[1], second), (curves[0], first)):
+            assert semicontinuity_check(curve, verdict.configuration) == verdict.spectrum
 
 
 def _curve_or_none(a, b, e):
