@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import os
 import sys
 from dataclasses import asdict, fields
@@ -128,9 +129,10 @@ def _check_rows(
 
 
 def _spectrum_rows(spectrum) -> List[Dict]:
+    d = spectrum.denominator
     return [
-        {"value": _fr(value), "multiplicity": mult}
-        for value, mult in spectrum.entries()
+        {"value": f"{n // math.gcd(n, d)}/{d // math.gcd(n, d)}", "multiplicity": mult}
+        for n, mult in spectrum.numerator_entries()
     ]
 
 

@@ -1,8 +1,9 @@
 """Exact domain types: curve types on ruled surfaces, cusps, configurations.
 
-All fractional quantities in this package are `fractions.Fraction`; nothing
-is ever represented in floating point.  Every type here is an immutable
-value with its derived invariants checked eagerly at construction.
+All fractional quantities in this package are exact: a `fractions.Fraction`,
+or int numerators over a stated denominator.  Nothing is ever represented in
+floating point.  Every type here is an immutable value with its derived
+invariants checked eagerly at construction.
 """
 
 from __future__ import annotations

@@ -14,7 +14,6 @@ curve replaces it.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -91,16 +90,15 @@ def max_p_over_presentations(
         s2 = s2_0 - k * step2
         return s1, s2, p_bound(s1, s2, e)
 
-    # Fit the quadratic P(k) = A k^2 + B k + C from three samples; A < 0
-    # because a + b*e/2 > 0.
+    # Fit P(k) = A k^2 + B k + C through three samples: 2A < 0 because
+    # a + b*e/2 > 0, and the vertex -B/(2A) is (p_m1 - p_1) / (2 * 2A).
     p_m1, p_0, p_1 = at(-1)[2], at(0)[2], at(1)[2]
-    quad_a = Fraction(p_1 + p_m1 - 2 * p_0, 2)
-    quad_b = Fraction(p_1 - p_m1, 2)
-    if quad_a >= 0:
+    twice_a = p_1 + p_m1 - 2 * p_0
+    if twice_a >= 0:
         raise AssertionError("P must be concave along the presentation line")
-    vertex = -quad_b / (2 * quad_a)
-    lo = math.floor(vertex) - 2
-    hi = math.ceil(vertex) + 2
+    numerator, denominator = p_m1 - p_1, 2 * twice_a
+    lo = numerator // denominator - 2
+    hi = -(-numerator // denominator) + 2
     best = None
     for k in range(lo, hi + 1):
         s1, s2, p = at(k)

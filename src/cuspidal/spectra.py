@@ -1,16 +1,20 @@
-"""Spectra as exact rational multisets.
+"""Spectra as exact multisets of rationals, held as int numerators.
 
-Two independent constructions of the spectrum at infinity are provided: the
-closed-form table and the route through equivariant signatures and the
-Alexander polynomial.  The semicontinuity check compares cusp spectra against
-the spectrum at infinity on every relevant open unit interval.
+A `SpectrumMultiset` holds a denominator D, the sorted distinct numerators n
+of its values n/D, their multiplicities and prefix sums.  Both constructions
+of the spectrum at infinity (the closed-form table, and the route through
+equivariant signatures and the Alexander polynomial) use D = lcm(w, b): its
+values are p/w, q/b, 1 and 1 plus those.  A cusp (r, s) has the values
+(i*s + j*r)/(r*s), so D = r*s.  No construction makes a `Fraction`; the
+views `entries`, `values`, `mult`, `count_open` and `is_symmetric_about_one`
+do, as do error messages and reported witness points.
 
-The check runs on integers.  Every value of the spectrum at infinity is a
-multiple of 1/lcm(w, b) and every value of a cusp (r, s) is (i*s + j*r)/(r*s),
-so with L = 2 * lcm(w, b, r_1*s_1, ...) all values, the scan points and the
+The semicontinuity check compares cusp spectra against the spectrum at
+infinity on every relevant open unit interval, on integers: with
+L = 2 * lcm(w, b, r_1*s_1, ...) all values, the scan points and the
 midpoints between them are integer multiples of 1/L.  Interval counts are
 bisections of sorted int lists; cusp counts add up, so all cusps share one
-list.  A witness point becomes a Fraction only when it is reported.
+list.
 
 The check memoises its integer inputs by value: the spectrum at infinity as
 numerators over lcm(w, b) for the most recent curve (`_infinity_numerators`,
@@ -22,11 +26,13 @@ constructions of the spectrum at infinity are not memoised.
 from __future__ import annotations
 
 import bisect
+import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Dict, Iterable, List, Mapping, Tuple
+from typing import Dict, List, Mapping, Set, Tuple
 
 from .core import CurveType, CuspConfiguration, PuiseuxCusp
 
@@ -36,69 +42,79 @@ class InternalConsistencyError(RuntimeError):
 
 
 class SpectrumMultiset:
-    """A finite multiset of rationals in [0, 2] with positive multiplicities."""
+    """A finite multiset of rationals in [0, 2], as int numerators over one
+    denominator, with positive multiplicities."""
 
-    def __init__(self, entries: Mapping[Fraction, int]):
-        cleaned: Dict[Fraction, int] = {}
-        for value, mult in entries.items():
+    def __init__(self, entries: Mapping[Fraction, int], denominator: int = 1):
+        """`entries` maps numerators over `denominator`, ints or `Fraction`s,
+        to multiplicities; zero multiplicities are dropped."""
+        scale = math.lcm(*(n.denominator for n in entries))
+        denominator *= scale
+        counts: Dict[int, int] = {}
+        for n, mult in entries.items():
             if mult == 0:
                 continue
+            n = n.numerator * (scale // n.denominator)
             if mult < 0:
-                raise ValueError(f"multiplicity of {value} is negative: {mult}")
-            value = Fraction(value)
-            if not (0 <= value <= 2):
-                raise ValueError(f"spectrum value {value} outside [0, 2]")
-            cleaned[value] = cleaned.get(value, 0) + mult
-        self._values: Tuple[Fraction, ...] = tuple(sorted(cleaned))
-        self._mults: Tuple[int, ...] = tuple(cleaned[v] for v in self._values)
+                raise ValueError(f"negative multiplicity {mult} of {n}/{denominator}")
+            if not 0 <= n <= 2 * denominator:
+                raise ValueError(f"spectrum value {n}/{denominator} outside [0, 2]")
+            counts[n] = mult
+        self._denominator = denominator
+        self._numerators: Tuple[int, ...] = tuple(sorted(counts))
+        self._mults: Tuple[int, ...] = tuple(counts[n] for n in self._numerators)
         # prefix[i] = total multiplicity of the first i distinct values
-        prefix = [0]
-        for mult in self._mults:
-            prefix.append(prefix[-1] + mult)
-        self._prefix: Tuple[int, ...] = tuple(prefix)
+        self._prefix: Tuple[int, ...] = (0, *itertools.accumulate(self._mults))
 
-    @classmethod
-    def from_values(cls, values: Iterable[Fraction]) -> "SpectrumMultiset":
-        counts: Dict[Fraction, int] = {}
-        for value in values:
-            counts[value] = counts.get(value, 0) + 1
-        return cls(counts)
+    @property
+    def denominator(self) -> int:
+        return self._denominator
 
     @property
     def total(self) -> int:
         return self._prefix[-1]
 
+    def numerator_entries(self) -> Tuple[Tuple[int, int], ...]:
+        """(numerator over `denominator`, multiplicity), in increasing order."""
+        return tuple(zip(self._numerators, self._mults))
+
     def entries(self) -> Tuple[Tuple[Fraction, int], ...]:
-        return tuple(zip(self._values, self._mults))
+        return tuple(zip(self.values(), self._mults))
 
     def values(self) -> Tuple[Fraction, ...]:
-        return self._values
+        return tuple(Fraction(n, self._denominator) for n in self._numerators)
 
     def mult(self, x: Fraction) -> int:
-        i = bisect.bisect_left(self._values, x)
-        if i < len(self._values) and self._values[i] == x:
+        n, remainder = divmod(x.numerator * self._denominator, x.denominator)
+        i = bisect.bisect_left(self._numerators, n)
+        if not remainder and i < len(self._numerators) and self._numerators[i] == n:
             return self._mults[i]
         return 0
 
     def count_open(self, lo: Fraction, hi: Fraction) -> int:
         """Total multiplicity strictly inside (lo, hi)."""
-        i = bisect.bisect_right(self._values, lo)
-        j = bisect.bisect_left(self._values, hi)
+        # n/D > lo iff n > floor(lo*D), and n/D < hi iff n < ceil(hi*D)
+        floor_lo = lo.numerator * self._denominator // lo.denominator
+        ceil_hi = -(-hi.numerator * self._denominator // hi.denominator)
+        i = bisect.bisect_right(self._numerators, floor_lo)
+        j = bisect.bisect_left(self._numerators, ceil_hi)
         return self._prefix[j] - self._prefix[i]
 
     def count_outside_open(self, lo: Fraction, hi: Fraction) -> int:
         return self.total - self.count_open(lo, hi)
 
     def is_symmetric_about_one(self) -> bool:
-        """mult(x) = mult(2 - x) for all x in (0, 1) union (1, 2)."""
-        return all(
-            self.mult(x) == self.mult(2 - x) for x in self._values if x != 1
-        )
+        """mult(x) = mult(2 - x) for all x."""
+        two, pairs = 2 * self._denominator, self.numerator_entries()
+        return pairs == tuple((two - n, mult) for n, mult in reversed(pairs))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SpectrumMultiset):
             return NotImplemented
-        return self.entries() == other.entries()
+        # n/D = m/E iff n*E = m*D
+        return self._mults == other._mults and [
+            n * other._denominator for n in self._numerators
+        ] == [m * self._denominator for m in other._numerators]
 
     def __hash__(self) -> int:
         return hash(self.entries())
@@ -110,12 +126,7 @@ class SpectrumMultiset:
 
 def cusp_spectrum(cusp: PuiseuxCusp) -> SpectrumMultiset:
     """The spectrum {i/r + j/s : 1 <= i < r, 1 <= j < s} of a one-pair cusp."""
-    r, s = cusp.r, cusp.s
-    return SpectrumMultiset.from_values(
-        Fraction(i, r) + Fraction(j, s)
-        for i in range(1, r)
-        for j in range(1, s)
-    )
+    return SpectrumMultiset(Counter(_cusp_numerators(cusp)), cusp.r * cusp.s)
 
 
 @dataclass(frozen=True)
@@ -163,61 +174,52 @@ class AlexanderData:
         curve = self.curve
         return 1 + curve.w * (curve.b - 1) + curve.b * (curve.a - 1)
 
-    @property
-    def second_characteristic_exponent(self) -> int:
-        # The size-two Jordan blocks are governed by (t^c - 1)/(t - 1).
-        return self.curve.c
-
     def order_at(self, x: Fraction) -> int:
         """Order of the root at exp(2*pi*i*x) for reduced x in [0, 1)."""
         if not (0 <= x < 1):
             raise ValueError(f"x must lie in [0, 1), got {x}")
+        return self._order_at_primitive(x.denominator)
+
+    def _order_at_primitive(self, v: int) -> int:
+        """Order of the root at a primitive v-th root of unity (t^n - 1 has
+        simple roots, and vanishes there iff v divides n)."""
         curve = self.curve
-        if x == 0:
-            return (curve.b - 1) + (curve.a - 1) + 1
-        v = x.denominator
-        order = 0
-        if curve.w % v == 0:
-            order += curve.b - 1
-        if curve.b % v == 0:
-            order += curve.a - 1
-        return order
+        return (
+            (v == 1)
+            + (curve.b - 1) * (curve.w % v == 0)
+            + (curve.a - 1) * (curve.b % v == 0)
+        )
 
 
-def _fractional_support(curve: CurveType) -> Tuple[Fraction, ...]:
-    """All reduced x in (0, 1) of the form p/w or q/b."""
-    support = {Fraction(p, curve.w) for p in range(1, curve.w)}
-    support |= {Fraction(q, curve.b) for q in range(1, curve.b)}
-    return tuple(sorted(support))
+def _support(curve: CurveType) -> Tuple[int, int, int, Set[int]]:
+    """D = lcm(w, b), D/w, D/b and the numerators over D of all x in (0, 1)
+    of the form p/w or q/b."""
+    denominator = math.lcm(curve.w, curve.b)
+    step_w, step_b = denominator // curve.w, denominator // curve.b
+    support = {*range(step_w, denominator, step_w), *range(step_b, denominator, step_b)}
+    return denominator, step_w, step_b, support
 
 
 def spectrum_at_infinity_table(curve: CurveType) -> SpectrumMultiset:
     """The spectrum at infinity by the closed-form multiplicity table."""
     a, b, w = curve.a, curve.b, curve.w
-    entries: Dict[Fraction, int] = {}
-    if a + b - 1 > 0:
-        entries[Fraction(1)] = a + b - 1
-    for x in _fractional_support(curve):
-        p_form = (x * w).denominator == 1
-        q_form = (x * b).denominator == 1
-        if p_form and q_form:
-            p = int(x * w)
-            q = int(x * b)
+    denominator, step_w, step_b, support = _support(curve)
+    entries: Dict[int, int] = {denominator: a + b - 1}
+    for n in support:
+        p, p_rest = divmod(n, step_w)
+        q, q_rest = divmod(n, step_b)
+        if not p_rest and not q_rest:
             low = p * b // w + q * a // b - 1
             high = a + b - 1 - p * b // w - q * a // b
-        elif p_form:
-            p = int(x * w)
+        elif not p_rest:
             low = p * b // w
             high = b - 1 - p * b // w
         else:
-            q = int(x * b)
             low = q * a // b
             high = a - 1 - q * a // b
-        if low:
-            entries[x] = entries.get(x, 0) + low
-        if high:
-            entries[1 + x] = entries.get(1 + x, 0) + high
-    return SpectrumMultiset(entries)
+        entries[n] = low
+        entries[n + denominator] = high
+    return SpectrumMultiset(entries, denominator)
 
 
 def spectrum_at_infinity_derived(curve: CurveType) -> SpectrumMultiset:
@@ -227,34 +229,34 @@ def spectrum_at_infinity_derived(curve: CurveType) -> SpectrumMultiset:
     (order + sigma)/2 and that of 1 + x is (order - sigma)/2, where sigma is
     the total equivariant signature at x.  1 itself has multiplicity a+b-1.
     """
-    a, b, w = curve.a, curve.b, curve.w
+    a, b = curve.a, curve.b
     profile = signature_profile(curve)
     alexander = AlexanderData(curve)
-    entries: Dict[Fraction, int] = {}
-    if a + b - 1 > 0:
-        entries[Fraction(1)] = a + b - 1
-    for x in _fractional_support(curve):
+    denominator, step_w, step_b, support = _support(curve)
+    entries: Dict[int, int] = {denominator: a + b - 1}
+    for n in support:
         sigma = 0
-        if (x * w).denominator == 1:
-            sigma += profile.sigma1_at(int(x * w))
-        if (x * b).denominator == 1:
-            sigma += profile.sigma2_at(int(x * b))
-        order = alexander.order_at(x)
+        if n % step_w == 0:
+            sigma += profile.sigma1_at(n // step_w)
+        if n % step_b == 0:
+            sigma += profile.sigma2_at(n // step_b)
+        # x = n/D reduces to a fraction with denominator D / gcd(n, D).
+        order = alexander._order_at_primitive(denominator // math.gcd(n, denominator))
         if (order + sigma) % 2 != 0:
             raise InternalConsistencyError(
-                f"order {order} and signature {sigma} at x = {x} have different parity"
+                f"order {order} and signature {sigma} at "
+                f"x = {Fraction(n, denominator)} have different parity"
             )
         low = (order + sigma) // 2
         high = (order - sigma) // 2
         if low < 0 or high < 0:
             raise InternalConsistencyError(
-                f"negative multiplicity at x = {x}: low={low}, high={high}"
+                f"negative multiplicity at x = {Fraction(n, denominator)}: "
+                f"low={low}, high={high}"
             )
-        if low:
-            entries[x] = entries.get(x, 0) + low
-        if high:
-            entries[1 + x] = entries.get(1 + x, 0) + high
-    return SpectrumMultiset(entries)
+        entries[n] = low
+        entries[n + denominator] = high
+    return SpectrumMultiset(entries, denominator)
 
 
 @dataclass(frozen=True)
@@ -294,15 +296,11 @@ class SemicontinuityReport:
 def _infinity_numerators(curve: CurveType) -> Tuple[int, Tuple[int, ...]]:
     """(lcm(w, b), the spectrum at infinity as sorted numerators over it),
     one entry per unit of multiplicity."""
-    denominator = math.lcm(curve.w, curve.b)
+    spectrum = spectrum_at_infinity_table(curve)
     numerators: List[int] = []
-    for value, mult in spectrum_at_infinity_table(curve).entries():
-        if denominator % value.denominator:
-            raise InternalConsistencyError(
-                f"spectrum value {value} is not a multiple of 1/{denominator}"
-            )
-        numerators += [value.numerator * (denominator // value.denominator)] * mult
-    return denominator, tuple(numerators)
+    for n, mult in spectrum.numerator_entries():
+        numerators += [n] * mult
+    return spectrum.denominator, tuple(numerators)
 
 
 @lru_cache(maxsize=1024)

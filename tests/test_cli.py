@@ -3,6 +3,7 @@ import csv
 import io
 import json
 import os
+from fractions import Fraction
 from pathlib import Path
 from unittest import mock
 
@@ -10,6 +11,8 @@ import pytest
 from click.testing import CliRunner
 from hypothesis import example, given, settings, strategies as st
 
+from cuspidal import SpectrumMultiset
+from cuspidal import cli as cli_module
 from cuspidal.cli import cli, main
 
 
@@ -239,6 +242,29 @@ def test_spectrum_both_methods_agree(runner):
     result = runner.invoke(cli, ["spectrum", "--a", "6", "--b", "4", "--method", "both"])
     assert result.exit_code == 0
     assert "methods agree: True" in result.output
+
+
+@pytest.mark.parametrize("shift, derived_mult", [(1, 2), (-1, 0)])
+def test_spectrum_mismatch_exits_three(shift, derived_mult, capsys, monkeypatch):
+    # Shift the derived multiplicity of 1/4 (1 in both constructions of
+    # (6, 4, 0)); a shift to 0 leaves 1/4 in the table only.
+    derived = cli_module.spectrum_at_infinity_derived
+
+    def shifted(curve):
+        entries = dict(derived(curve).entries())
+        entries[Fraction(1, 4)] += shift
+        return SpectrumMultiset(entries)
+
+    monkeypatch.setattr(cli_module, "spectrum_at_infinity_derived", shifted)
+    with pytest.raises(SystemExit) as excinfo:
+        main(["spectrum", "--a", "6", "--b", "4", "--method", "both", "--json"])
+    assert excinfo.value.code == 3
+    out, err = capsys.readouterr()
+    assert json.loads(out)["results"]["methods_agree"] is False
+    assert err == (
+        "mismatch between table and derived constructions:\n"
+        f"  1/4: table 1 != derived {derived_mult}\n"
+    )
 
 
 def test_spectrum_csv(runner):

@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cuspidal import (
     CurveType,
@@ -73,6 +73,42 @@ def test_max_p_returns_none_off_the_lattice():
 def test_max_p_matches_wide_brute_force(curve):
     for n in range(-5, 2 * curve.g + 2):
         assert max_p_over_presentations(curve, n) == brute_max_p(curve, n)
+
+
+def _curves_up_to_genus(max_genus, bound):
+    """Every curve with g <= max_genus and a, b, e <= bound (the bound makes
+    the set finite: b = 1, and a = 1 on X_0, give g = 0 for any a, e or b)."""
+    curves = []
+    for b in range(1, bound + 1):
+        for e in range(bound + 1):
+            for a in range(bound + 1):
+                try:
+                    curve = CurveType(a, b, e)
+                except ValueError:
+                    continue
+                if curve.g > max_genus:
+                    break  # g does not decrease as a grows
+                curves.append(curve)
+    return curves
+
+
+GENUS_60_CURVES = _curves_up_to_genus(60, 61)
+
+
+@given(curve=st.sampled_from(GENUS_60_CURVES))
+@example(curve=CurveType(61, 2, 0))
+@example(curve=CurveType(0, 2, 61))
+@example(curve=CurveType(2, 61, 0))
+@example(curve=CurveType(7, 11, 0))
+@example(curve=CurveType(0, 1, 1))
+@settings(max_examples=40, deadline=None)
+def test_max_p_matches_brute_force_up_to_genus_60(curve):
+    # [-g - 1, 2g - 1] holds every n = m + g - 1 with m in [-g, g] that the
+    # HF scan asks for.  P is concave along the line, and its vertex lies
+    # well inside the k window of the brute force for g <= 60.
+    g = curve.g
+    for n in range(-g - 1, 2 * g):
+        assert max_p_over_presentations(curve, n) == brute_max_p(curve, n, 300)
 
 
 @pytest.mark.parametrize("e", [2, 4, 6, 8, 10])

@@ -5,12 +5,15 @@ the unclipped infimum convolution that scans every split k in [0, t]
 through `CountingFunction.__call__`, the
 semicontinuity scan over `Fraction` values with `bisect` queries on each
 `SpectrumMultiset`, the HF scan over that oracle R with a fresh maximal
-presentation for every m, and the defining loops of the sawtooth sums (O(q) for
-s(p, q), O(r) for D(p, q, r), O(w) for the section sums).  The fast kernels
-must agree with them exactly: R pointwise, whole `SemicontinuityReport`s,
-witnesses and checked points, and every sawtooth sum as a `Fraction`.
+presentation for every m, the defining loops of the sawtooth sums (O(q) for
+s(p, q), O(r) for D(p, q, r), O(w) for the section sums), and both
+constructions of the spectrum at infinity and the cusp spectrum over
+`Fraction` values.  The fast kernels must agree with them exactly: R
+pointwise, whole `SemicontinuityReport`s, witnesses and checked points, every
+sawtooth sum as a `Fraction`, and every spectrum entry.
 """
 import math
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -38,6 +41,8 @@ from cuspidal import (
     run_pipeline,
     section_sums,
     semicontinuity_check,
+    signature_profile,
+    spectrum_at_infinity_derived,
     spectrum_at_infinity_table,
     verify_limits,
 )
@@ -220,6 +225,136 @@ def test_clipped_convolution_matches_full_scan(first, second, extra):
     assert [fast(t) for t in range(-2, window_end + 5)] == [
         brute(t) for t in range(-2, window_end + 5)
     ]
+
+
+def _brute_support(curve):
+    support = {Fraction(p, curve.w) for p in range(1, curve.w)}
+    return support | {Fraction(q, curve.b) for q in range(1, curve.b)}
+
+
+def _entries(counts):
+    """The value -> multiplicity map without zero multiplicities."""
+    return {x: mult for x, mult in counts.items() if mult}
+
+
+def _brute_table(curve):
+    a, b, w = curve.a, curve.b, curve.w
+    entries = {Fraction(1): a + b - 1}
+    for x in _brute_support(curve):
+        xw, xb = x * w, x * b
+        p_form, q_form = xw.denominator == 1, xb.denominator == 1
+        if p_form and q_form:
+            p, q = int(xw), int(xb)
+            low = p * b // w + q * a // b - 1
+            high = a + b - 1 - p * b // w - q * a // b
+        elif p_form:
+            p = int(xw)
+            low, high = p * b // w, b - 1 - p * b // w
+        else:
+            q = int(xb)
+            low, high = q * a // b, a - 1 - q * a // b
+        entries[x] = low
+        entries[1 + x] = high
+    return _entries(entries)
+
+
+def _brute_root_order(curve, x):
+    """Order of (t-1)(t^w-1)^(b-1)(t^b-1)^(a-1) at exp(2*pi*i*x), x in [0, 1)."""
+    if x == 0:
+        return (curve.b - 1) + (curve.a - 1) + 1
+    v = x.denominator
+    return (curve.b - 1) * (curve.w % v == 0) + (curve.a - 1) * (curve.b % v == 0)
+
+
+def _brute_derived(curve):
+    profile = signature_profile(curve)
+    entries = {Fraction(1): curve.a + curve.b - 1}
+    for x in _brute_support(curve):
+        xw, xb = x * curve.w, x * curve.b
+        sigma = 0
+        if xw.denominator == 1:
+            sigma += profile.sigma1_at(int(xw))
+        if xb.denominator == 1:
+            sigma += profile.sigma2_at(int(xb))
+        order = _brute_root_order(curve, x)
+        assert (order + sigma) % 2 == 0
+        low, high = (order + sigma) // 2, (order - sigma) // 2
+        assert low >= 0 and high >= 0
+        entries[x] = low
+        entries[1 + x] = high
+    return _entries(entries)
+
+
+def _brute_cusp_spectrum(cusp):
+    return _entries(
+        Counter(
+            Fraction(i, cusp.r) + Fraction(j, cusp.s)
+            for i in range(1, cusp.r)
+            for j in range(1, cusp.s)
+        )
+    )
+
+
+def _assert_spectra_match(curve):
+    # Compared as numerators over lcm(w, b): the same entries, without
+    # building and hashing a Fraction view of every value.
+    denominator = math.lcm(curve.w, curve.b)
+    for construction, oracle in (
+        (spectrum_at_infinity_table, _brute_table),
+        (spectrum_at_infinity_derived, _brute_derived),
+    ):
+        spectrum = construction(curve)
+        assert spectrum.denominator == denominator
+        assert list(spectrum.numerator_entries()) == sorted(
+            (x.numerator * (denominator // x.denominator), mult)
+            for x, mult in oracle(curve).items()
+        )
+
+
+def test_spectra_match_oracles_on_grid():
+    for a in range(41):
+        for b in range(1, 41):
+            for e in range(4):
+                curve = _curve_or_none(a, b, e)
+                if curve is not None:
+                    _assert_spectra_match(curve)
+
+
+@pytest.mark.parametrize(
+    "a, b, e",
+    [
+        (0, 1, 1), (0, 1, 300), (0, 2, 1), (0, 97, 3), (0, 300, 1),  # a = 0
+        (300, 1, 0), (299, 1, 3), (1, 1, 0),  # b = 1
+        (1, 2, 0), (1, 300, 0),  # w = 1
+        (240, 60, 0), (120, 40, 3), (300, 100, 1), (7, 7, 2),  # b | w, b != 1
+    ],
+)
+def test_spectra_match_oracles_on_edges(a, b, e):
+    curve = CurveType(a, b, e)
+    _assert_spectra_match(curve)
+    assert dict(spectrum_at_infinity_table(curve).entries()) == _brute_table(curve)
+    assert dict(spectrum_at_infinity_derived(curve).entries()) == _brute_derived(curve)
+
+
+@given(
+    a=st.integers(min_value=0, max_value=300),
+    b=st.integers(min_value=1, max_value=300),
+    e=st.integers(min_value=0, max_value=3),
+)
+@settings(max_examples=30, deadline=None)
+def test_spectra_match_oracles_on_large_curves(a, b, e):
+    curve = _curve_or_none(a, b, e)
+    if curve is not None:
+        _assert_spectra_match(curve)
+
+
+def test_cusp_spectrum_matches_oracle():
+    cusps = [
+        PuiseuxCusp(r, s) for r in range(2, 13) for s in range(r + 1, 40)
+        if math.gcd(r, s) == 1
+    ]
+    for cusp in (*cusps, PuiseuxCusp(2, 301), PuiseuxCusp(17, 60)):
+        assert dict(cusp_spectrum(cusp).entries()) == _brute_cusp_spectrum(cusp)
 
 
 def _brute_dedekind_sum(p, q):

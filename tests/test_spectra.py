@@ -1,3 +1,5 @@
+import fractions
+import sys
 from fractions import Fraction
 
 import pytest
@@ -29,9 +31,7 @@ def test_multiset_basic_queries():
     assert ms.count_open(F(1, 2), F(3, 2)) == 3  # endpoints excluded
     assert ms.count_outside_open(F(1, 2), F(3, 2)) == 4
     assert ms.is_symmetric_about_one()
-    assert ms == SpectrumMultiset.from_values(
-        [F(1, 2), F(1, 2), F(1), F(1), F(1), F(3, 2), F(3, 2)]
-    )
+    assert ms == SpectrumMultiset({1: 2, 2: 3, 3: 2}, 2)  # halves
 
 
 def test_multiset_validation():
@@ -81,7 +81,6 @@ def test_alexander_orders_worked_example():
     points = [F(1, 6), F(1, 4), F(1, 3), F(1, 2), F(2, 3), F(3, 4), F(5, 6)]
     assert [data.order_at(x) for x in points] == [3, 5, 3, 8, 3, 5, 3]
     assert data.order_at(F(0)) == 9
-    assert data.second_characteristic_exponent == 2
     with pytest.raises(ValueError):
         data.order_at(F(3, 2))
 
@@ -162,3 +161,31 @@ def test_half_window_counts():
     assert cusp_count == spectrum.count_open(F(1, 2), F(3, 2))
     infinity = spectrum_at_infinity_table(curve)
     assert infinity_count == infinity.count_open(F(1, 2), F(3, 2))
+
+
+def test_constructions_make_no_fraction():
+    # Every Fraction operation runs Python code in the fractions module;
+    # none may run while a spectrum is constructed.
+    calls = []
+
+    def watch(frame, event, arg):
+        if event == "call" and frame.f_code.co_filename == fractions.__file__:
+            calls.append(frame.f_code.co_name)
+
+    curves = [CurveType(6, 4, 0), CurveType(0, 5, 3), CurveType(40, 30, 2)]
+    sys.setprofile(watch)
+    try:
+        for curve in curves:
+            spectrum_at_infinity_table(curve)
+            spectrum_at_infinity_derived(curve)
+        cusp_spectrum(PuiseuxCusp(6, 11))
+    finally:
+        sys.setprofile(None)
+    assert calls == []
+    # The watch sees Fraction code when it runs.
+    sys.setprofile(watch)
+    try:
+        cusp_spectrum(PuiseuxCusp(2, 3)).values()
+    finally:
+        sys.setprofile(None)
+    assert "__new__" in calls
