@@ -7,14 +7,7 @@ from .core import (
     GenusMismatchError,
     PuiseuxCusp,
 )
-from .semigroups import (
-    CountingFunction,
-    Semigroup,
-    counting_function,
-    curve_r_function,
-    cusp_semigroup,
-    infimum_convolution,
-)
+from .semigroups import curve_elements
 from .hf import (
     HfReport,
     HfWitness,
@@ -58,7 +51,6 @@ __all__ = [
     "AlexanderData",
     "CandidateCapExceededError",
     "CandidateVerdict",
-    "CountingFunction",
     "CurveType",
     "CuspConfiguration",
     "GenusMismatchError",
@@ -68,12 +60,9 @@ __all__ = [
     "PuiseuxCusp",
     "SemicontinuityReport",
     "SemicontinuityWitness",
-    "Semigroup",
     "SignatureProfile",
     "SpectrumMultiset",
-    "counting_function",
-    "curve_r_function",
-    "cusp_semigroup",
+    "curve_elements",
     "cusp_spectrum",
     "d_invariant",
     "dedekind_sum",
@@ -82,7 +71,6 @@ __all__ = [
     "evaluate_candidate",
     "half_window_counts",
     "hf_check",
-    "infimum_convolution",
     "max_p_over_presentations",
     "multiplicity_bound_check",
     "p_bound",

@@ -30,7 +30,6 @@ from .enumeration import (
     run_pipeline,
 )
 from .hf import HfWitness, d_invariant, hf_check
-from .semigroups import curve_r_function
 from .spectra import (
     SemicontinuityWitness,
     semicontinuity_check,
@@ -139,11 +138,7 @@ def _spectrum_rows(spectrum) -> List[Dict]:
 def _dinv_rows(
     curve: CurveType, config: CuspConfiguration, ms: Sequence[int]
 ) -> List[Dict]:
-    r_function = curve_r_function(curve, config)
-    return [
-        {"m": m, "d_invariant": _fr(d_invariant(curve, config, m, r_function))}
-        for m in ms
-    ]
+    return [{"m": m, "d_invariant": _fr(d_invariant(curve, config, m))} for m in ms]
 
 
 @click.group()

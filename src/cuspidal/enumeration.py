@@ -1,9 +1,16 @@
 """Generation of genus-compatible cusp configurations and the filter pipeline.
 
-The filters take only (curve, config): the data they share across the
-configurations of one curve is memoised by value inside `hf`, `spectra` and
-`semigroups` (the curve-level data of the most recent curve, and the data of
-up to 1024 cusps), so `run_pipeline` and single calls share it alike.
+The filters take only (curve, config) and memoise what they share by value,
+so `run_pipeline` and single calls share it alike:
+
+- by curve, for the most recent curve (`lru_cache(maxsize=1)`): the maximal
+  presentation line of `hf` and the spectrum at infinity of `spectra`;
+- by cusp, for up to 1024 cusps (`lru_cache(maxsize=1024)`): the semigroup
+  element list of `semigroups` and the spectrum numerators of `spectra`;
+- by (curve, config), for the most recent configuration
+  (`lru_cache(maxsize=1)`): the combined element list of `semigroups`, the
+  max-plus convolution e[v] = max_{p+q=v} e1[p] + e2[q] of the cusps' lists,
+  whose counting function is the infimum convolution R of the HF check.
 """
 
 from __future__ import annotations

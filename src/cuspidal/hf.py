@@ -6,6 +6,12 @@ presentations n = s1*b + s2*w with w = a + b*e.  The obstruction requires
 R(m + g) >= P(s1, s2) with P(s1, s2) = (s1+1)(s2+1) + s2(s2+1)e/2 for every
 such presentation; it is enough to compare against the maximal P.
 
+R(t) is read off the configuration's semigroup element list
+(`semigroups.curve_elements`): the number of elements below t for t <= 2g,
+and t - g beyond.  That list is memoised by (curve, config) value for the
+most recent configuration, so `hf_check` and every m of `d_invariant` on one
+configuration fold it once.
+
 The maximal presentation of every m in [-g, g] depends only on the curve, so
 it is memoised by curve value for the most recent curve (`_p_max_line`,
 `lru_cache(maxsize=1)`): the configurations of one curve share it and a new
@@ -14,13 +20,14 @@ curve replaces it.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Optional, Tuple
 
 from .core import CurveType, CuspConfiguration, PuiseuxCusp
-from .semigroups import CountingFunction, curve_r_function
+from .semigroups import curve_elements
 
 
 @dataclass(frozen=True)
@@ -120,11 +127,11 @@ def _p_max_line(curve: CurveType) -> Tuple[Tuple[int, int, int, int], ...]:
 
 def hf_check(curve: CurveType, config: CuspConfiguration) -> HfReport:
     """Scan all m in [-g, g] and collect every violated presentation."""
-    r_function = curve_r_function(curve, config)
+    elements = curve_elements(curve, config)
     g = curve.g
     witnesses = []
     for m, s1, s2, p in _p_max_line(curve):
-        r_value = r_function(m + g)
+        r_value = bisect_left(elements, m + g)
         if r_value < p:
             witnesses.append(HfWitness(m, s1, s2, r_value, p))
     return HfReport(tuple(witnesses))
@@ -139,21 +146,16 @@ def multiplicity_bound_check(curve: CurveType, cusp: PuiseuxCusp) -> bool:
     return cusp.r <= curve.b
 
 
-def d_invariant(
-    curve: CurveType,
-    config: CuspConfiguration,
-    m: int,
-    r_function: Optional[CountingFunction] = None,
-) -> Fraction:
+def d_invariant(curve: CurveType, config: CuspConfiguration, m: int) -> Fraction:
     """The correction term of the boundary of the curve neighbourhood.
 
     d = -[((d - 2m)^2 - d) / (4d) - 2(R(m + g) - m)], exact, for
     m in [-d/2, d/2).
     """
-    d = curve.d
+    d, g = curve.d, curve.g
     if not (-d <= 2 * m < d):
         raise ValueError(f"m must lie in [-{d}/2, {d}/2), got {m}")
-    if r_function is None:
-        r_function = curve_r_function(curve, config)
+    t = m + g
+    r_value = bisect_left(curve_elements(curve, config), t) if t <= 2 * g else t - g
     square_term = Fraction((d - 2 * m) ** 2 - d, 4 * d)
-    return -(square_term - 2 * (r_function(m + curve.g) - m))
+    return -(square_term - 2 * (r_value - m))

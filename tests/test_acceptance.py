@@ -7,6 +7,7 @@ comparisons are exact except where a tolerance is stated inline.
 
 import math
 import random
+from bisect import bisect_left
 from fractions import Fraction
 
 import pytest
@@ -15,15 +16,12 @@ from cuspidal import (
     CurveType,
     CuspConfiguration,
     PuiseuxCusp,
-    counting_function,
-    cusp_semigroup,
+    curve_elements,
     cusp_spectrum,
-    curve_r_function,
     dedekind_sum,
     enumerate_unicuspidal,
     half_window_counts,
     hf_check,
-    infimum_convolution,
     max_p_over_presentations,
     p_bound,
     rademacher_sum,
@@ -35,6 +33,7 @@ from cuspidal import (
     verify_limits,
 )
 from cuspidal.dedekind import dedekind_reciprocity_rhs, rademacher_reciprocity_rhs
+from cuspidal.semigroups import _cusp_elements, _max_plus
 from cuspidal.spectra import AlexanderData
 
 F = Fraction
@@ -184,27 +183,45 @@ def test_criterion_7_constructed_series_never_obstructed():
     _verdict(7, "constructed curve series survive all filters", ok)
 
 
+def _brute_counts(cusp, end):
+    """#(<r, s> intersect [0, t)) for t in 0 .. end, from all sums i*r + j*s."""
+    members = {
+        i * cusp.r + j * cusp.s
+        for i in range(end // cusp.r + 1)
+        for j in range(end // cusp.s + 1)
+    }
+    return [sum(1 for x in members if x < t) for t in range(end + 1)]
+
+
 def _brute_combined_r(cusps, t):
-    functions = [counting_function(cusp_semigroup(c)) for c in cusps]
-    if len(functions) == 1:
-        return functions[0](t)
-    best = None
-    if len(functions) == 2:
-        for k in range(t + 1):
-            value = functions[0](k) + functions[1](t - k)
-            best = value if best is None else min(best, value)
-        return best
-    for k1 in range(t + 1):
-        for k2 in range(t - k1 + 1):
-            value = functions[0](k1) + functions[1](k2) + functions[2](t - k1 - k2)
-            best = value if best is None else min(best, value)
-    return best
+    counts = [_brute_counts(c, t) for c in cusps]
+    if len(counts) == 1:
+        return counts[0][t]
+    if len(counts) == 2:
+        return min(counts[0][k] + counts[1][t - k] for k in range(t + 1))
+    return min(
+        counts[0][k1] + counts[1][k2] + counts[2][t - k1 - k2]
+        for k1 in range(t + 1)
+        for k2 in range(t - k1 + 1)
+    )
+
+
+def _r(elements, t):
+    g = len(elements) - 1
+    return bisect_left(elements, t) if t <= 2 * g else t - g
+
+
+def _extended(elements, length):
+    """The element list continued past its end by unit steps."""
+    last = elements[-1]
+    return [*elements, *range(last + 1, last + 1 + length - len(elements))]
 
 
 def test_criterion_8_property_suites():
     ok = True
 
-    # counting-function shape and tail law on several genus-compatible pairs
+    # element lists: unit steps of R and the tail law, on several
+    # genus-compatible configurations
     instances = [
         (CurveType(6, 6, 0), [(6, 11)]),
         (CurveType(4, 4, 2), [(3, 22)]),
@@ -212,31 +229,36 @@ def test_criterion_8_property_suites():
         (CurveType(4, 3, 1), [(2, 5), (3, 8)]),
     ]
     for curve, cusp_list in instances:
-        config = CuspConfiguration(tuple(PuiseuxCusp(r, s) for r, s in cusp_list))
-        r = curve_r_function(curve, config)
+        cusps = [PuiseuxCusp(r, s) for r, s in cusp_list]
+        elements = curve_elements(curve, CuspConfiguration(tuple(cusps)))
         g = curve.g
-        steps = [r(t + 1) - r(t) for t in range(2 * g + 5)]
+        steps = [_r(elements, t + 1) - _r(elements, t) for t in range(2 * g + 5)]
         ok = ok and set(steps) <= {0, 1}
-        ok = ok and all(r(2 * g + m) == g + m for m in range(1, 8))
+        ok = ok and len(elements) == g + 1 and elements[-1] == 2 * g
+        # R(2g + m) = g + m: the full max-plus fold of the lists continued
+        # past their conductors continues the folded list by unit steps.
+        length = g + 8
+        full = _extended((0,), length)
+        for cusp in cusps:
+            e = _extended(_cusp_elements(cusp), length)
+            full = [max(full[p] + e[v - p] for p in range(v + 1)) for v in range(length)]
+        ok = ok and full == _extended(elements, length)
 
-    # infimum convolution: commutativity, associativity, brute-force agreement
-    f = counting_function(cusp_semigroup(PuiseuxCusp(2, 5)))
-    g_fn = counting_function(cusp_semigroup(PuiseuxCusp(3, 7)))
-    h = counting_function(cusp_semigroup(PuiseuxCusp(2, 3)))
-    end = 70
-    fg = infimum_convolution(f, g_fn, end)
-    gf = infimum_convolution(g_fn, f, end)
-    ok = ok and all(fg(t) == gf(t) for t in range(end))
-    left = infimum_convolution(fg, h, end)
-    right = infimum_convolution(f, infimum_convolution(g_fn, h, end), end)
-    ok = ok and all(left(t) == right(t) for t in range(end))
+    # max-plus convolution: commutativity, associativity, brute-force agreement
+    f = _cusp_elements(PuiseuxCusp(2, 5))
+    g_fn = _cusp_elements(PuiseuxCusp(3, 7))
+    h = _cusp_elements(PuiseuxCusp(2, 3))
+    fg = _max_plus(f, g_fn)
+    ok = ok and fg == _max_plus(g_fn, f)
+    ok = ok and _max_plus(fg, h) == _max_plus(f, _max_plus(g_fn, h))
+    ok = ok and _max_plus((0,), fg) == fg == _max_plus(fg, (0,))
     for curve, cusp_list in instances:
         if len(cusp_list) > 3 or 2 * curve.g > 60:
             continue
         cusps = tuple(PuiseuxCusp(r, s) for r, s in cusp_list)
-        combined = curve_r_function(curve, CuspConfiguration(cusps))
+        combined = curve_elements(curve, CuspConfiguration(cusps))
         ok = ok and all(
-            combined(t) == _brute_combined_r(cusps, t)
+            _r(combined, t) == _brute_combined_r(cusps, t)
             for t in range(2 * curve.g + 2)
         )
 

@@ -1,8 +1,9 @@
 """The fast kernels against the direct kernels they replaced.
 
-The oracles below are the earlier implementations, kept verbatim in spirit:
-the unclipped infimum convolution that scans every split k in [0, t]
-through `CountingFunction.__call__`, the
+The oracles below are the direct definitions and the earlier
+implementations: R as the minimum over every split k in [0, t] of
+brute-force member counts of the cusp semigroups, max-plus convolution over
+every split of element lists continued past their conductors, the
 semicontinuity scan over `Fraction` values with `bisect` queries on each
 `SpectrumMultiset`, the HF scan over that oracle R with a fresh maximal
 presentation for every m, the defining loops of the sawtooth sums (O(q) for
@@ -13,6 +14,7 @@ pointwise, whole `SemicontinuityReport`s, witnesses and checked points, every
 sawtooth sum as a `Fraction`, and every spectrum entry.
 """
 import math
+from bisect import bisect_left
 from collections import Counter
 from fractions import Fraction
 
@@ -20,7 +22,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cuspidal import (
-    CountingFunction,
     CurveType,
     CuspConfiguration,
     HfReport,
@@ -28,14 +29,12 @@ from cuspidal import (
     PuiseuxCusp,
     SemicontinuityReport,
     SemicontinuityWitness,
-    counting_function,
-    curve_r_function,
-    cusp_semigroup,
+    curve_elements,
     cusp_spectrum,
+    d_invariant,
     dedekind_sum,
     enumerate_configurations,
     hf_check,
-    infimum_convolution,
     max_p_over_presentations,
     rademacher_sum,
     run_pipeline,
@@ -46,30 +45,42 @@ from cuspidal import (
     spectrum_at_infinity_table,
     verify_limits,
 )
-from cuspidal import hf, semigroups, spectra
+from cuspidal import cli, hf, semigroups, spectra
 from cuspidal.dedekind import (
     _sawtooth_numerator,
     dedekind_reciprocity_rhs,
     rademacher_reciprocity_rhs,
 )
-from cuspidal.semigroups import identity_counting_function
+from cuspidal.semigroups import _cusp_elements, _max_plus
 
 
-def _brute_convolution(r1, r2, window_end):
-    end = max(window_end, r1.window_end + r2.window_end, 1)
-    values = [min(r1(k) + r2(t - k) for k in range(t + 1)) for t in range(end + 1)]
-    return CountingFunction(tuple(values), r1.tail_offset + r2.tail_offset)
+def _brute_member_counts(cusp, end):
+    """[#(<r, s> intersect [0, t)) for t in 0 .. end], from all sums i*r + j*s."""
+    r, s = cusp.r, cusp.s
+    members = {i * r + j * s for i in range(end // r + 1) for j in range(end // s + 1)}
+    counts = [0]
+    for t in range(end):
+        counts.append(counts[-1] + (t in members))
+    return counts
 
 
-def _brute_r_function(curve, config):
-    # The fold starts from the first cusp: the identity is neutral (id * R = R).
-    functions = [counting_function(cusp_semigroup(cusp)) for cusp in config]
-    if not functions:
-        return identity_counting_function(2 * curve.g + 1)
-    result = functions[0]
-    for function in functions[1:]:
-        result = _brute_convolution(result, function, 2 * curve.g + 1)
-    return result
+def _brute_r(config, end):
+    """R on [0, end]: the min over every split k in [0, t], cusp by cusp.
+
+    With no cusps R(t) = t, the counting function of all t >= 0.
+    """
+    values = list(range(end + 1))
+    for cusp in config:
+        counts = _brute_member_counts(cusp, end)
+        values = [
+            min(counts[k] + values[t - k] for k in range(t + 1)) for t in range(end + 1)
+        ]
+    return values
+
+
+def _fast_r(curve, config, t):
+    elements = curve_elements(curve, config)
+    return bisect_left(elements, t) if t <= 2 * curve.g else t - curve.g
 
 
 def _brute_scan_points(infinity, cusp_spectra):
@@ -114,23 +125,22 @@ def _brute_semicontinuity(curve, config):
 
 def _brute_hf(curve, config):
     g = curve.g
-    r_function = _brute_r_function(curve, config)
+    r_values = _brute_r(config, 2 * g)
     witnesses = []
     for m in range(-g, g + 1):
         best = max_p_over_presentations(curve, m + g - 1)
-        if best is not None and r_function(m + g) < best[2]:
-            witnesses.append(HfWitness(m, *best[:2], r_function(m + g), best[2]))
+        if best is not None and r_values[m + g] < best[2]:
+            witnesses.append(HfWitness(m, *best[:2], r_values[m + g], best[2]))
     return HfReport(tuple(witnesses))
 
 
 def _assert_kernels_match(curve, config):
     g = curve.g
-    fast = curve_r_function(curve, config)
-    brute = _brute_r_function(curve, config)
-    assert fast.tail_offset == brute.tail_offset == g
-    assert [fast(t) for t in range(-3, 2 * g + 11)] == [
-        brute(t) for t in range(-3, 2 * g + 11)
+    brute = _brute_r(config, 2 * g + 10)
+    assert [_fast_r(curve, config, t) for t in range(-3, 2 * g + 11)] == [
+        0, 0, 0, *brute
     ]
+    assert hf_check(curve, config) == _brute_hf(curve, config)
     assert semicontinuity_check(curve, config) == (
         _brute_semicontinuity(curve, config)
     )
@@ -148,7 +158,8 @@ def test_kernels_match_oracles_on_every_configuration(curve):
 
 MEMOS = (
     hf._p_max_line,
-    semigroups._cusp_counting_function,
+    semigroups._cusp_elements,
+    semigroups.curve_elements,
     spectra._cusp_numerators,
     spectra._infinity_numerators,
 )
@@ -175,6 +186,10 @@ def test_memos_follow_the_curve_when_curves_interleave():
         assert run_pipeline(curve, configs[curve]) == alone[curve]
     assert hf._p_max_line.cache_info().misses == 3
     assert spectra._infinity_numerators.cache_info().misses == 3
+    # One fold per configuration: consecutive configurations differ.
+    assert semigroups.curve_elements.cache_info().misses == (
+        2 * len(configs[curves[0]]) + len(configs[curves[1]])
+    )
 
     # Alternate the two checks between the curves call by call.
     for first, second in zip(alone[curves[0]], alone[curves[1]]):
@@ -182,6 +197,33 @@ def test_memos_follow_the_curve_when_curves_interleave():
             assert hf_check(curve, verdict.configuration) == verdict.hf
         for curve, verdict in ((curves[1], second), (curves[0], first)):
             assert semicontinuity_check(curve, verdict.configuration) == verdict.spectrum
+
+
+@pytest.mark.parametrize(
+    "curve", [CurveType(6, 4, 0), CurveType(4, 4, 2), CurveType(5, 4, 1)]
+)
+def test_d_invariant_matches_formula_on_brute_r(curve):
+    d, g = curve.d, curve.g
+    ms = range(-(d // 2), (d + 1) // 2)
+    for config in enumerate_configurations(curve, 3):
+        r_values = _brute_r(config, ms[-1] + g)
+        for m in ms:
+            r_value = r_values[m + g] if m + g >= 0 else 0
+            expected = -(Fraction((d - 2 * m) ** 2 - d, 4 * d) - 2 * (r_value - m))
+            assert d_invariant(curve, config, m) == expected
+
+
+def test_dinv_all_m_folds_once():
+    curve = CurveType(6, 4, 0)
+    config = CuspConfiguration(
+        (PuiseuxCusp(2, 3), PuiseuxCusp(2, 5), PuiseuxCusp(5, 7))
+    )
+    assert config.is_genus_compatible(curve)
+    d = curve.d
+    semigroups.curve_elements.cache_clear()
+    rows = cli._dinv_rows(curve, config, range(-(d // 2), (d + 1) // 2))
+    assert len(rows) == d
+    assert semigroups.curve_elements.cache_info().misses == 1
 
 
 def _curve_or_none(a, b, e):
@@ -213,18 +255,25 @@ coprime_pairs = st.tuples(
 ).filter(lambda rs: rs[0] < rs[1] and math.gcd(*rs) == 1)
 
 
-@given(first=coprime_pairs, second=coprime_pairs, extra=st.integers(-60, 10))
+def _brute_max_plus(e1, e2, length):
+    """max over every split p + q = v of the lists extended by unit steps."""
+    def extend(e):
+        return [*e, *range(e[-1] + 1, e[-1] + 1 + length - len(e))]
+
+    x1, x2 = extend(e1), extend(e2)
+    return [max(x1[p] + x2[v - p] for p in range(v + 1)) for v in range(length)]
+
+
+@given(first=coprime_pairs, second=coprime_pairs, extra=st.integers(0, 20))
 @settings(max_examples=40, deadline=None)
 def test_clipped_convolution_matches_full_scan(first, second, extra):
-    f = counting_function(cusp_semigroup(PuiseuxCusp(*first)))
-    g = counting_function(cusp_semigroup(PuiseuxCusp(*second)))
-    window_end = f.window_end + g.window_end + extra
-    fast = infimum_convolution(f, g, window_end)
-    brute = _brute_convolution(f, g, window_end)
-    assert fast == brute
-    assert [fast(t) for t in range(-2, window_end + 5)] == [
-        brute(t) for t in range(-2, window_end + 5)
-    ]
+    f = _cusp_elements(PuiseuxCusp(*first))
+    g = _cusp_elements(PuiseuxCusp(*second))
+    fast = _max_plus(f, g)
+    length = len(fast) + extra
+    assert [*fast, *range(fast[-1] + 1, fast[-1] + 1 + extra)] == _brute_max_plus(
+        f, g, length
+    )
 
 
 def _brute_support(curve):

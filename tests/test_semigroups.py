@@ -1,20 +1,17 @@
 import math
+from bisect import bisect_left
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from cuspidal import (
-    CountingFunction,
     CurveType,
     CuspConfiguration,
     GenusMismatchError,
     PuiseuxCusp,
-    counting_function,
-    curve_r_function,
-    cusp_semigroup,
-    infimum_convolution,
+    curve_elements,
 )
-from cuspidal.semigroups import identity_counting_function
+from cuspidal.semigroups import _cusp_elements, _max_plus
 
 coprime_pairs = st.tuples(
     st.integers(min_value=2, max_value=12), st.integers(min_value=3, max_value=40)
@@ -34,6 +31,12 @@ def brute_semigroup(gens, bound):
     return member
 
 
+def r_value(elements, t):
+    """R(t) read off an element list ending at 2g: g = len - 1."""
+    g = len(elements) - 1
+    return bisect_left(elements, t) if t <= 2 * g else t - g
+
+
 @pytest.mark.parametrize(
     "gens, frobenius, gaps",
     [
@@ -45,107 +48,92 @@ def brute_semigroup(gens, bound):
     ],
 )
 def test_semigroup_frobenius_and_gaps(gens, frobenius, gaps):
-    semigroup = cusp_semigroup(PuiseuxCusp(*gens))
-    assert semigroup.frobenius == frobenius
-    assert semigroup.gap_count == gaps
+    elements = _cusp_elements(PuiseuxCusp(*gens))
+    missing = set(range(elements[-1] + 1)) - set(elements)
+    assert max(missing) == frobenius
+    assert len(missing) == gaps
 
 
 @given(rs=coprime_pairs)
 def test_two_generator_closed_forms(rs):
     r, s = rs
-    semigroup = cusp_semigroup(PuiseuxCusp(r, s))
+    elements = _cusp_elements(PuiseuxCusp(r, s))
     gaps = set(range(r * s)) - brute_semigroup((r, s), r * s)
-    assert semigroup.frobenius == max(gaps) == r * s - r - s
-    assert semigroup.gap_count == len(gaps) == (r - 1) * (s - 1) // 2
+    assert max(gaps) == r * s - r - s == elements[-1] - 1
+    assert len(gaps) == (r - 1) * (s - 1) // 2 == len(elements) - 1
 
 
-@given(rs=coprime_pairs)
-@settings(max_examples=30)
-def test_membership_matches_brute_force(rs):
-    r, s = rs
-    semigroup = cusp_semigroup(PuiseuxCusp(r, s))
-    bound = r * s
-    expected = brute_semigroup((r, s), bound)
-    for t in range(bound + 1):
-        assert (t in semigroup) == (t in expected)
-    assert -1 not in semigroup
+def test_membership_matches_brute_force():
+    pairs = [
+        (r, s) for r in range(2, 31) for s in range(r + 1, 130) if math.gcd(r, s) == 1
+    ]
+    assert len(pairs) == 1976
+    for r, s in pairs:
+        conductor = (r - 1) * (s - 1)
+        members = {
+            i * r + j * s
+            for i in range(conductor // r + 1)
+            for j in range(conductor // s + 1)
+        }
+        elements = _cusp_elements(PuiseuxCusp(r, s))
+        assert elements == tuple(t for t in range(conductor + 1) if t in members)
+        assert len(elements) == conductor // 2 + 1
+        assert elements[-1] == conductor
 
 
 def test_cusp_semigroup_uses_both_exponents():
-    semigroup = cusp_semigroup(PuiseuxCusp(3, 7))
-    assert semigroup.generators == (3, 7)
-    assert 3 in semigroup and 7 in semigroup and 10 in semigroup
-    assert 5 not in semigroup
-    assert 11 not in semigroup  # the Frobenius number of <3,7>
+    elements = _cusp_elements(PuiseuxCusp(3, 7))
+    assert {3, 7, 10} <= set(elements)
+    assert 5 not in elements
+    assert 11 not in elements  # the Frobenius number of <3,7>
+    assert elements[-1] == 12
 
 
 @given(rs=coprime_pairs)
 @settings(max_examples=30)
 def test_counting_function_counts_members(rs):
     r, s = rs
-    semigroup = cusp_semigroup(PuiseuxCusp(r, s))
-    counting = counting_function(semigroup)
+    elements = _cusp_elements(PuiseuxCusp(r, s))
     members = brute_semigroup((r, s), 3 * r * s)
-    for t in range(2 * r * s):
-        assert counting(t) == sum(1 for x in members if x < t)
-    # linear tail beyond the window
-    gaps = semigroup.gap_count
-    for t in range(counting.window_end, counting.window_end + 10):
-        assert counting(t) == t - gaps
-
-
-def test_counting_function_validation():
-    with pytest.raises(ValueError):
-        CountingFunction((1, 2), 0)  # must start at 0
-    with pytest.raises(ValueError):
-        CountingFunction((0, 2), -1)  # step of 2
-    with pytest.raises(ValueError):
-        CountingFunction((0, 1, 1), 0)  # tail mismatch at window end
-    identity = identity_counting_function(5)
-    assert [identity(t) for t in range(-2, 8)] == [0, 0, 0, 1, 2, 3, 4, 5, 6, 7]
+    for t in range(-2, 3 * r * s):
+        assert r_value(elements, t) == sum(1 for x in members if x < t)
 
 
 def test_convolution_of_simplest_cusp_pair():
-    r23 = counting_function(cusp_semigroup(PuiseuxCusp(2, 3)))
-    conv = infimum_convolution(r23, r23, 10)
-    assert [conv(t) for t in range(9)] == [0, 1, 1, 2, 2, 3, 4, 5, 6]
-    assert conv(5) == 3
-    assert conv.tail_offset == 2
+    e23 = _cusp_elements(PuiseuxCusp(2, 3))
+    conv = _max_plus(e23, e23)
+    assert conv == (0, 2, 4)
+    assert [r_value(conv, t) for t in range(9)] == [0, 1, 1, 2, 2, 3, 4, 5, 6]
+    assert _max_plus((0,), e23) == _max_plus(e23, (0,)) == e23
 
 
 @given(pair=st.tuples(coprime_pairs, coprime_pairs))
 @settings(max_examples=25, deadline=None)
 def test_convolution_commutes(pair):
-    (r1, s1), (r2, s2) = pair
-    f = counting_function(cusp_semigroup(PuiseuxCusp(r1, s1)))
-    g = counting_function(cusp_semigroup(PuiseuxCusp(r2, s2)))
-    end = f.window_end + g.window_end + 5
-    left = infimum_convolution(f, g, end)
-    right = infimum_convolution(g, f, end)
-    assert all(left(t) == right(t) for t in range(end + 5))
+    f, g = (_cusp_elements(PuiseuxCusp(*rs)) for rs in pair)
+    assert _max_plus(f, g) == _max_plus(g, f)
 
 
 def test_curve_r_function_tail_law():
     curve = CurveType(6, 6, 0)
-    config = CuspConfiguration((PuiseuxCusp(6, 11),))
-    r = curve_r_function(curve, config)
+    elements = curve_elements(curve, CuspConfiguration((PuiseuxCusp(6, 11),)))
     g = curve.g
+    assert len(elements) == g + 1 and elements[-1] == 2 * g
     for m in range(1, 12):
-        assert r(2 * g + m) == g + m
-    assert r(0) == 0
-    assert r(-3) == 0
+        assert r_value(elements, 2 * g + m) == g + m
+    assert r_value(elements, 0) == 0
+    assert r_value(elements, -3) == 0
 
 
 def test_curve_r_function_multi_cusp():
     # three unit-delta cusps on a genus-3 curve
     curve = CurveType(4, 2, 0)
-    config = CuspConfiguration((PuiseuxCusp(2, 3),) * 3)
-    r = curve_r_function(curve, config)
-    assert r.tail_offset == curve.g == 3
-    steps = [r(t + 1) - r(t) for t in range(2 * curve.g + 4)]
-    assert set(steps) <= {0, 1}
+    elements = curve_elements(curve, CuspConfiguration((PuiseuxCusp(2, 3),) * 3))
+    assert elements == (0, 2, 4, 6)
+    assert len(elements) == curve.g + 1
+    assert curve_elements(CurveType(1, 1, 0), CuspConfiguration()) == (0,)
 
 
 def test_curve_r_function_rejects_genus_mismatch():
     with pytest.raises(GenusMismatchError):
-        curve_r_function(CurveType(6, 6, 0), CuspConfiguration((PuiseuxCusp(2, 3),)))
+        curve_elements(CurveType(6, 6, 0), CuspConfiguration((PuiseuxCusp(2, 3),)))
