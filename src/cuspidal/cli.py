@@ -2,13 +2,15 @@
 
 Exit codes: 0 = not obstructed / success, 1 = usage or domain error,
 2 = obstructed, 3 = cross-validation mismatch between the two spectrum
-constructions.  Structured reports are byte-stable: keys are sorted and
-every rational is serialized as "num/den".
+constructions.  Structured reports are byte-stable: sorted keys and a
+two-space indent, byte-identical to `json.dumps(report, sort_keys=True,
+indent=2)`, and every rational serialized as "num/den".
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 import math
@@ -17,7 +19,8 @@ import sys
 from dataclasses import asdict, fields
 from fractions import Fraction
 from importlib import resources
-from typing import Dict, List, Optional, Sequence, Tuple
+from itertools import chain
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import click
 
@@ -60,8 +63,57 @@ def _report(command: str, inputs: Dict, results: Dict, witnesses: List[Dict]) ->
     }
 
 
+_FLAT = {str, int, bool, type(None)}
+
+
+@functools.lru_cache(maxsize=None)
+def _encoder(pad: str) -> Callable[[object], str]:
+    """The C encoder, sorting keys and separating items by a newline and `pad`."""
+    return json.JSONEncoder(sort_keys=True, separators=(",\n" + pad, ": ")).encode
+
+
+def _dumps(obj, pad: str = "") -> str:
+    """`json.dumps(obj, sort_keys=True, indent=2)`, byte for byte, with every
+    line after the first indented by `pad` more.
+
+    The stdlib runs its pure-Python encoder whenever `indent` is set.  Here
+    each flat container (scalar values only) and each list of non-empty flat
+    dicts (a report's rows) takes one C-encoder call, and only its brackets
+    are re-indented.  The encoder escapes every control character inside
+    strings, so a newline in its output is always an item separator.
+    """
+    if not (isinstance(obj, (dict, list, tuple)) and obj):
+        return _encoder(pad)(obj)
+    inner = pad + "  "
+    is_dict = isinstance(obj, dict)
+    types = set(map(type, obj.values() if is_dict else obj))
+    if types <= _FLAT:
+        text = _encoder(inner)(obj)
+    elif (
+        not is_dict
+        and types == {dict}
+        and all(obj)
+        and set(map(type, chain.from_iterable(map(dict.values, obj)))) <= _FLAT
+    ):
+        row = inner + "  "
+        text = _encoder(row)(obj).replace(
+            f"}},\n{row}{{", f"\n{inner}}},\n{inner}{{\n{row}"
+        )
+        text = f"[{{\n{row}{text[2:-2]}\n{inner}}}]"
+    elif is_dict:
+        # The one-item dict makes the C encoder turn the key into its JSON
+        # string as json.dumps does, for int, float, bool and None keys too.
+        text = "{%s}" % f",\n{inner}".join(
+            f"{_encoder(inner)({key: 0})[1:-4]}: {_dumps(value, inner)}"
+            for key, value in sorted(obj.items())
+        )
+    else:
+        text = "[%s]" % f",\n{inner}".join(_dumps(value, inner) for value in obj)
+    return f"{text[0]}\n{inner}{text[1:-1]}\n{pad}{text[-1]}"
+
+
 def _emit_json(report: Dict) -> None:
-    click.echo(json.dumps(report, sort_keys=True, indent=2))
+    click.echo(_dumps(report))
 
 
 def _emit_csv(rows: Sequence[Dict], empty_header: Sequence[str]) -> None:
@@ -130,7 +182,7 @@ def _check_rows(
 def _spectrum_rows(spectrum) -> List[Dict]:
     d = spectrum.denominator
     return [
-        {"value": f"{n // math.gcd(n, d)}/{d // math.gcd(n, d)}", "multiplicity": mult}
+        {"value": f"{n // (g := math.gcd(n, d))}/{d // g}", "multiplicity": mult}
         for n, mult in spectrum.numerator_entries()
     ]
 
@@ -472,8 +524,7 @@ def cmd_repro(ctx, update_dir) -> None:
             for name, payload in scenarios:
                 path = os.path.join(update_dir, f"{name}.json")
                 with open(path, "w") as handle:
-                    json.dump(payload, handle, sort_keys=True, indent=2)
-                    handle.write("\n")
+                    handle.write(_dumps(payload) + "\n")
         except OSError as exc:
             raise click.ClickException(str(exc)) from exc
         click.echo(f"wrote {len(scenarios)} golden files")

@@ -313,6 +313,30 @@ def _run(argv):
     return excinfo.value.code, stdout.getvalue()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", "--a", "6", "--b", "6", "--cusp", "2:51"],
+        ["check", "--a", "6", "--b", "6", "--cusp", "6:11"],
+        ["check", "--a", "4", "--b", "4", "--e", "2", "--cusp", "3:22", "--only", "hf"],
+        ["enumerate", "--a", "6", "--b", "6", "--max-cusps", "2"],
+        ["enumerate", "--a", "1", "--b", "1"],
+        ["spectrum", "--a", "6", "--b", "4", "--method", "table"],
+        ["spectrum", "--a", "6", "--b", "4", "--method", "derived"],
+        ["spectrum", "--a", "7", "--b", "5", "--e", "1", "--method", "both"],
+        ["dinv", "--a", "6", "--b", "6", "--cusp", "6:11", "--m", "3"],
+        ["dinv", "--a", "6", "--b", "6", "--cusp", "6:11", "--all-m"],
+        ["dedekind", "limits", "--b", "3", "--max-w", "2000"],
+    ],
+    ids=" ".join,
+)
+def test_json_reports_are_indented_stdlib_bytes(argv):
+    # Reports promise the bytes of json.dumps(sort_keys=True, indent=2).
+    code, out = _run([*argv, "--json"])
+    assert code in (0, 2)
+    assert out == json.dumps(json.loads(out), sort_keys=True, indent=2) + "\n"
+
+
 # Genus-0 curves on the edges of the domain: b = 1 (any a, large e included),
 # a = 0 (which needs e >= 1 for d > 0), and a = 1 on X_0.
 _GENUS_ZERO_EDGES = st.one_of(

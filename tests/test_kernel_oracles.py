@@ -11,15 +11,18 @@ s(p, q), O(r) for D(p, q, r), O(w) for the section sums), and both
 constructions of the spectrum at infinity and the cusp spectrum over
 `Fraction` values.  The fast kernels must agree with them exactly: R
 pointwise, whole `SemicontinuityReport`s, witnesses and checked points, every
-sawtooth sum as a `Fraction`, and every spectrum entry.
+sawtooth sum as a `Fraction`, and every spectrum entry.  The report
+serializer `cli._dumps` must write the bytes of the stdlib's
+`json.dumps(sort_keys=True, indent=2)`, which runs its pure-Python encoder.
 """
+import json
 import math
 from bisect import bisect_left
 from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cuspidal import (
     CurveType,
@@ -513,3 +516,36 @@ def test_verify_limits_at_large_width(b):
     report = verify_limits(b, 10**9)
     assert report.all_within_tol
     assert 10**9 - 10 <= report.entries[0].w <= 10**9
+
+
+# The report serializer against the stdlib's pure-Python indent encoder.
+# Strings carry the characters the serializer's re-indenting could trip on:
+# brackets, commas, quotes, backslashes, control characters and non-ASCII.
+_JSON_TEXT = st.text(
+    st.sampled_from(list('{}[],:"\\\n\t é\u2028\U0001d11ea')) | st.characters(),
+    max_size=6,
+)
+_JSON_SCALARS = st.none() | st.booleans() | st.integers() | _JSON_TEXT
+
+
+def _json_containers(children):
+    # Rows draw keys from a small set, so row lists mix equal and different
+    # key sets, empty rows and, through `children`, nested values.
+    rows = st.dictionaries(
+        st.sampled_from(["a", "b", "c", "},\n  {"]), _JSON_SCALARS | children, max_size=3
+    )
+    return (
+        st.lists(children, max_size=4)
+        | st.dictionaries(_JSON_TEXT, children, max_size=4)
+        | st.lists(rows, max_size=4)
+    )
+
+
+@given(st.recursive(_JSON_SCALARS, _json_containers, max_leaves=40))
+@example([{}])
+@example([{"a": 1}, {}])
+@example([{"a": "},\n    {"}, {"b": [1]}])
+@example({"rows": [{"a": 1, "b": None}, {"c": True}], "empty": {}, "none": []})
+@settings(max_examples=600, deadline=None)
+def test_dumps_matches_stdlib_indent_encoder(value):
+    assert cli._dumps(value) == json.dumps(value, sort_keys=True, indent=2)
