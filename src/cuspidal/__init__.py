@@ -40,17 +40,13 @@ from .dedekind import (
 )
 from .enumeration import (
     CandidateCapExceededError,
-    CandidateVerdict,
     enumerate_configurations,
     enumerate_unicuspidal,
-    evaluate_candidate,
-    run_pipeline,
 )
 
 __all__ = [
     "AlexanderData",
     "CandidateCapExceededError",
-    "CandidateVerdict",
     "CurveType",
     "CuspConfiguration",
     "GenusMismatchError",
@@ -68,14 +64,12 @@ __all__ = [
     "dedekind_sum",
     "enumerate_configurations",
     "enumerate_unicuspidal",
-    "evaluate_candidate",
     "half_window_counts",
     "hf_check",
     "max_p_over_presentations",
     "multiplicity_bound_check",
     "p_bound",
     "rademacher_sum",
-    "run_pipeline",
     "sawtooth",
     "section_sums",
     "semicontinuity_check",

@@ -30,9 +30,8 @@ from .enumeration import (
     DEFAULT_CANDIDATE_CAP,
     CandidateCapExceededError,
     enumerate_configurations,
-    run_pipeline,
 )
-from .hf import HfWitness, d_invariant, hf_check
+from .hf import HfWitness, d_invariant, hf_check, multiplicity_bound_check
 from .spectra import (
     SemicontinuityWitness,
     semicontinuity_check,
@@ -258,16 +257,21 @@ def cmd_check(ctx, a, b, e, cusps, only, as_json, as_csv) -> None:
 _CANDIDATE_FIELDS = ("cusps", "genus_ok", "multiplicity_ok", "hf", "spectrum", "survives")
 
 
-def _candidate_rows(verdicts) -> List[Dict]:
+def _candidate_rows(curve: CurveType, configs: Sequence[CuspConfiguration]) -> List[Dict]:
+    """One row of filter verdicts per configuration, keeping none of the reports."""
     rows = []
-    for verdict in verdicts:
+    for config in configs:
+        multiplicity_ok = all(multiplicity_bound_check(curve, cusp) for cusp in config)
+        hf = hf_check(curve, config).verdict
+        spectrum = semicontinuity_check(curve, config).verdict
         values = (
-            " ".join(f"{c.r}:{c.s}" for c in verdict.configuration),
-            verdict.genus_ok,
-            verdict.multiplicity_ok,
-            verdict.hf.verdict if verdict.hf else "skipped",
-            verdict.spectrum.verdict if verdict.spectrum else "skipped",
-            verdict.survives,
+            " ".join(f"{c.r}:{c.s}" for c in config),
+            # enumerate_configurations yields only genus-compatible configurations.
+            True,
+            multiplicity_ok,
+            hf,
+            spectrum,
+            multiplicity_ok and hf == "passes" and spectrum == "passes",
         )
         rows.append(dict(zip(_CANDIDATE_FIELDS, values)))
     return rows
@@ -297,8 +301,7 @@ def cmd_enumerate(ctx, a, b, e, max_cusps, cap, as_json, as_csv) -> None:
         configs = enumerate_configurations(curve, max_cusps, cap=cap)
     except (CandidateCapExceededError, ValueError) as exc:
         raise click.ClickException(str(exc)) from exc
-    verdicts = run_pipeline(curve, configs)
-    rows = _candidate_rows(verdicts)
+    rows = _candidate_rows(curve, configs)
     report = _report(
         "enumerate",
         {"a": a, "b": b, "e": e, "max_cusps": max_cusps, "cap": cap},

@@ -106,6 +106,10 @@ class CuspConfiguration:
 
     cusps: Tuple[PuiseuxCusp, ...] = ()
 
+    def __post_init__(self) -> None:
+        # A tuple whatever the caller passed, so the value hashes as a memo key.
+        object.__setattr__(self, "cusps", tuple(self.cusps))
+
     @property
     def total_delta(self) -> int:
         return sum(cusp.delta for cusp in self.cusps)

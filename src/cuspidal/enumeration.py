@@ -1,27 +1,16 @@
-"""Generation of genus-compatible cusp configurations and the filter pipeline.
+"""Generation of genus-compatible cusp configurations.
 
-The filters take only (curve, config) and memoise what they share by value,
-so `run_pipeline` and single calls share it alike:
-
-- by curve, for the most recent curve (`lru_cache(maxsize=1)`): the maximal
-  presentation line of `hf` and the spectrum at infinity of `spectra`;
-- by cusp, for up to 1024 cusps (`lru_cache(maxsize=1024)`): the semigroup
-  element list of `semigroups` and the spectrum numerators of `spectra`;
-- by (curve, config), for the most recent configuration
-  (`lru_cache(maxsize=1)`): the combined element list of `semigroups`, the
-  max-plus convolution e[v] = max_{p+q=v} e1[p] + e2[q] of the cusps' lists,
-  whose counting function is the infimum convolution R of the HF check.
+`enumerate_configurations` lists every multiset of cusps whose delta
+invariants sum to the genus by an iterative depth-first search over the
+cusps in (delta, r, s) order, so each configuration comes out once, sorted.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import List, Optional
+from typing import List
 
 from .core import CurveType, CuspConfiguration, PuiseuxCusp
-from .hf import HfReport, hf_check, multiplicity_bound_check
-from .spectra import SemicontinuityReport, semicontinuity_check
 
 DEFAULT_CANDIDATE_CAP = 10**6
 
@@ -104,54 +93,3 @@ def enumerate_configurations(
         results.append(CuspConfiguration(tuple(partial)))
         partial.pop()
     return results
-
-
-@dataclass(frozen=True)
-class CandidateVerdict:
-    """Aggregated per-configuration filter results."""
-
-    configuration: CuspConfiguration
-    genus_ok: bool
-    multiplicity_ok: bool
-    hf: Optional[HfReport]
-    spectrum: Optional[SemicontinuityReport]
-
-    @property
-    def survives(self) -> bool:
-        return (
-            self.genus_ok
-            and self.multiplicity_ok
-            and self.hf is not None
-            and not self.hf.obstructed
-            and self.spectrum is not None
-            and not self.spectrum.obstructed
-        )
-
-
-def evaluate_candidate(
-    curve: CurveType, config: CuspConfiguration
-) -> CandidateVerdict:
-    """Run the filters genus -> multiplicity -> semigroup counting -> spectrum.
-
-    Every filter runs on a genus-compatible configuration, so the verdict
-    carries complete witnesses.
-    """
-    if not config.is_genus_compatible(curve):
-        return CandidateVerdict(config, False, False, None, None)
-    multiplicity_ok = all(
-        multiplicity_bound_check(curve, cusp) for cusp in config
-    )
-    return CandidateVerdict(
-        config,
-        True,
-        multiplicity_ok,
-        hf_check(curve, config),
-        semicontinuity_check(curve, config),
-    )
-
-
-def run_pipeline(
-    curve: CurveType, configs: List[CuspConfiguration]
-) -> List[CandidateVerdict]:
-    """Evaluate every configuration of one curve."""
-    return [evaluate_candidate(curve, config) for config in configs]

@@ -20,6 +20,7 @@ curve replaces it.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
@@ -59,21 +60,6 @@ def p_bound(s1: int, s2: int, e: int) -> int:
     return (s1 + 1) * (s2 + 1) + s2 * (s2 + 1) // 2 * e
 
 
-def _extended_gcd(x: int, y: int) -> Tuple[int, int, int]:
-    """Return (g, u, v) with u*x + v*y = g = gcd(x, y)."""
-    old_r, r = x, y
-    old_u, u = 1, 0
-    old_v, v = 0, 1
-    while r != 0:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_u, u = u, old_u - q * u
-        old_v, v = v, old_v - q * v
-    if old_r < 0:
-        old_r, old_u, old_v = -old_r, -old_u, -old_v
-    return old_r, old_u, old_v
-
-
 def max_p_over_presentations(
     curve: CurveType, n: int
 ) -> Optional[Tuple[int, int, int]]:
@@ -85,12 +71,12 @@ def max_p_over_presentations(
     towards the larger s1.
     """
     b, w, e = curve.b, curve.w, curve.e
-    c, u, v = _extended_gcd(b, w)
+    c = math.gcd(b, w)
     if n % c != 0:
         return None
-    s1_0 = u * (n // c)
-    s2_0 = v * (n // c)
     step1, step2 = w // c, b // c
+    s1_0 = n // c * pow(step2, -1, step1)
+    s2_0 = (n - s1_0 * b) // w
 
     def at(k: int) -> Tuple[int, int, int]:
         s1 = s1_0 + k * step1

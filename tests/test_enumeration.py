@@ -4,11 +4,8 @@ from cuspidal import (
     CandidateCapExceededError,
     CurveType,
     CuspConfiguration,
-    PuiseuxCusp,
     enumerate_configurations,
     enumerate_unicuspidal,
-    evaluate_candidate,
-    run_pipeline,
 )
 from cuspidal.enumeration import cusps_with_delta
 
@@ -99,47 +96,3 @@ def test_enumerate_configurations_deeper_than_recursion_limit():
     # g = 1199, so the first configuration is 1199 cusps (2,3).
     with pytest.raises(CandidateCapExceededError):
         enumerate_configurations(CurveType(2, 1200), 1200, cap=5)
-
-
-def test_evaluate_candidate_survivor():
-    curve = CurveType(6, 6, 0)
-    verdict = evaluate_candidate(curve, CuspConfiguration((PuiseuxCusp(6, 11),)))
-    assert verdict.genus_ok
-    assert verdict.multiplicity_ok
-    assert not verdict.hf.obstructed
-    assert not verdict.spectrum.obstructed
-    assert verdict.survives
-
-
-def test_evaluate_candidate_spectrum_obstructed():
-    curve = CurveType(6, 6, 0)
-    verdict = evaluate_candidate(curve, CuspConfiguration((PuiseuxCusp(2, 51),)))
-    assert verdict.genus_ok and verdict.multiplicity_ok
-    assert not verdict.hf.obstructed
-    assert verdict.spectrum.obstructed
-    assert not verdict.survives
-
-
-def test_evaluate_candidate_genus_mismatch():
-    verdict = evaluate_candidate(
-        CurveType(6, 6, 0), CuspConfiguration((PuiseuxCusp(2, 3),))
-    )
-    assert not verdict.genus_ok
-    assert verdict.hf is None and verdict.spectrum is None
-    assert not verdict.survives
-
-
-def test_run_pipeline_degree_six():
-    curve = CurveType(6, 6, 0)
-    verdicts = run_pipeline(curve, enumerate_configurations(curve, 1))
-    survivors = [
-        tuple((c.r, c.s) for c in v.configuration) for v in verdicts if v.survives
-    ]
-    assert survivors == [((3, 26),), ((6, 11),)]
-
-
-def test_shared_context_matches_one_off_contexts():
-    curve = CurveType(6, 4, 0)
-    configs = enumerate_configurations(curve, 3)
-    one_off = [evaluate_candidate(curve, config) for config in configs]
-    assert run_pipeline(curve, configs) == one_off

@@ -168,6 +168,17 @@ def test_d_invariant_domain():
         d_invariant(curve, config, -2)
 
 
+def test_list_built_configuration_is_a_tuple_built_one():
+    curve = CurveType(6, 6, 0)
+    from_list = CuspConfiguration([PuiseuxCusp(6, 11)])
+    from_tuple = CuspConfiguration((PuiseuxCusp(6, 11),))
+    assert from_list == from_tuple
+    assert hash(from_list) == hash(from_tuple)
+    assert hf_check(curve, from_list) == hf_check(curve, from_tuple)
+    for m in (-36, 0, 25, 35):
+        assert d_invariant(curve, from_list, m) == d_invariant(curve, from_tuple, m)
+
+
 @given(
     a=st.integers(min_value=1, max_value=8),
     b=st.integers(min_value=1, max_value=8),

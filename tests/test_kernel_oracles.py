@@ -11,10 +11,13 @@ s(p, q), O(r) for D(p, q, r), O(w) for the section sums), and both
 constructions of the spectrum at infinity and the cusp spectrum over
 `Fraction` values.  The fast kernels must agree with them exactly: R
 pointwise, whole `SemicontinuityReport`s, witnesses and checked points, every
-sawtooth sum as a `Fraction`, and every spectrum entry.  The report
+sawtooth sum as a `Fraction`, every spectrum entry, and every row of
+`enumerate --json`, rebuilt from the oracle reports.  The report
 serializer `cli._dumps` must write the bytes of the stdlib's
 `json.dumps(sort_keys=True, indent=2)`, which runs its pure-Python encoder.
 """
+import contextlib
+import io
 import json
 import math
 from bisect import bisect_left
@@ -40,7 +43,6 @@ from cuspidal import (
     hf_check,
     max_p_over_presentations,
     rademacher_sum,
-    run_pipeline,
     section_sums,
     semicontinuity_check,
     signature_profile,
@@ -168,6 +170,14 @@ MEMOS = (
 )
 
 
+def _reports(curve, configs):
+    """(config, hf_check, semicontinuity_check) of every configuration, in order."""
+    return [
+        (config, hf_check(curve, config), semicontinuity_check(curve, config))
+        for config in configs
+    ]
+
+
 def test_memos_follow_the_curve_when_curves_interleave():
     curves = (CurveType(6, 4, 0), CurveType(4, 4, 2))
     configs = {curve: enumerate_configurations(curve, 3) for curve in curves}
@@ -175,18 +185,16 @@ def test_memos_follow_the_curve_when_curves_interleave():
     for curve in curves:
         for memo in MEMOS:
             memo.cache_clear()
-        alone[curve] = run_pipeline(curve, configs[curve])
-        for verdict in alone[curve]:
-            assert verdict.hf == _brute_hf(curve, verdict.configuration)
-            assert verdict.spectrum == _brute_semicontinuity(
-                curve, verdict.configuration
-            )
+        alone[curve] = _reports(curve, configs[curve])
+        for config, hf_report, spectrum_report in alone[curve]:
+            assert hf_report == _brute_hf(curve, config)
+            assert spectrum_report == _brute_semicontinuity(curve, config)
 
     # The curve-level memos hold one curve, so every switch evicts.
     for memo in MEMOS:
         memo.cache_clear()
     for curve in (curves[0], curves[1], curves[0]):
-        assert run_pipeline(curve, configs[curve]) == alone[curve]
+        assert _reports(curve, configs[curve]) == alone[curve]
     assert hf._p_max_line.cache_info().misses == 3
     assert spectra._infinity_numerators.cache_info().misses == 3
     # One fold per configuration: consecutive configurations differ.
@@ -196,10 +204,38 @@ def test_memos_follow_the_curve_when_curves_interleave():
 
     # Alternate the two checks between the curves call by call.
     for first, second in zip(alone[curves[0]], alone[curves[1]]):
-        for curve, verdict in ((curves[0], first), (curves[1], second)):
-            assert hf_check(curve, verdict.configuration) == verdict.hf
-        for curve, verdict in ((curves[1], second), (curves[0], first)):
-            assert semicontinuity_check(curve, verdict.configuration) == verdict.spectrum
+        for curve, (config, hf_report, _) in ((curves[0], first), (curves[1], second)):
+            assert hf_check(curve, config) == hf_report
+        for curve, (config, _, spectrum_report) in ((curves[1], second), (curves[0], first)):
+            assert semicontinuity_check(curve, config) == spectrum_report
+
+
+@pytest.mark.parametrize(
+    "curve", [CurveType(6, 4, 0), CurveType(4, 4, 2), CurveType(5, 4, 1)]
+)
+def test_enumerate_rows_match_oracle_rows(curve):
+    argv = ["enumerate", "--a", str(curve.a), "--b", str(curve.b), "--e", str(curve.e)]
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout), pytest.raises(SystemExit) as excinfo:
+        cli.main([*argv, "--max-cusps", "3", "--json"])
+    assert excinfo.value.code == 0
+    rows = json.loads(stdout.getvalue())["witnesses"]
+    expected = []
+    for config in enumerate_configurations(curve, 3):
+        multiplicity_ok = all(cusp.r <= curve.b for cusp in config)
+        hf_report = _brute_hf(curve, config)
+        spectrum_report = _brute_semicontinuity(curve, config)
+        expected.append({
+            "cusps": " ".join(f"{c.r}:{c.s}" for c in config),
+            "genus_ok": True,
+            "multiplicity_ok": multiplicity_ok,
+            "hf": hf_report.verdict,
+            "spectrum": spectrum_report.verdict,
+            "survives": multiplicity_ok
+            and not hf_report.obstructed
+            and not spectrum_report.obstructed,
+        })
+    assert rows == expected
 
 
 @pytest.mark.parametrize(
