@@ -18,13 +18,11 @@ from .hf import (
     p_bound,
 )
 from .spectra import (
-    AlexanderData,
     SemicontinuityReport,
     SemicontinuityWitness,
-    SignatureProfile,
     SpectrumMultiset,
+    alexander_order,
     cusp_spectrum,
-    half_window_counts,
     semicontinuity_check,
     signature_profile,
     spectrum_at_infinity_derived,
@@ -45,7 +43,6 @@ from .enumeration import (
 )
 
 __all__ = [
-    "AlexanderData",
     "CandidateCapExceededError",
     "CurveType",
     "CuspConfiguration",
@@ -56,15 +53,14 @@ __all__ = [
     "PuiseuxCusp",
     "SemicontinuityReport",
     "SemicontinuityWitness",
-    "SignatureProfile",
     "SpectrumMultiset",
+    "alexander_order",
     "curve_elements",
     "cusp_spectrum",
     "d_invariant",
     "dedekind_sum",
     "enumerate_configurations",
     "enumerate_unicuspidal",
-    "half_window_counts",
     "hf_check",
     "max_p_over_presentations",
     "multiplicity_bound_check",

@@ -24,10 +24,14 @@ g + 1 elements ending at 2g, and R(t) is `bisect_left(elements, t)` for
 t <= 2g and t - g beyond.
 
 Memoised: the element list of each cusp by cusp value (`_cusp_elements`,
-`lru_cache(maxsize=1024)`), so configurations that share a cusp build it
-once; and the combined list of the most recent configuration by
-(curve, config) value (`curve_elements`, `lru_cache(maxsize=1)`), so the
-checks of one configuration, such as every m of `dinv --all-m`, fold once.
+the last 1024 cusps), so configurations that share a cusp build it once;
+and the combined list of the most recent configuration by (curve, config)
+value (`curve_elements`, `lru_cache(maxsize=1)`), so the checks of one
+configuration, such as every m of `dinv --all-m`, fold once.
+`_cusp_elements` is the one per-cusp memo of both filters: the spectrum
+filter reads the cusp spectrum off the same list, since its values below 1
+are (r + s + e)/(r*s) for the delta elements e below 2*delta (see
+`spectra`).
 """
 
 from __future__ import annotations

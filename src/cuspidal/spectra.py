@@ -9,6 +9,15 @@ values are p/w, q/b, 1 and 1 plus those.  A cusp (r, s) has the values
 views `entries`, `values`, `mult`, `count_open` and `is_symmetric_about_one`
 do, as do error messages and reported witness points.
 
+The cusp spectrum is read off the semigroup <r, s>.  Its numerators
+i*s + j*r (1 <= i < r, 1 <= j < s) are distinct, since r divides
+(i - i')*s only for i = i', so every multiplicity is 1.  Those below r*s
+are exactly e + r + s for the delta elements e of <r, s> below the
+conductor 2*delta = r*s - r - s + 1: such an e is (i - 1)*s + (j - 1)*r
+with i < r and j >= 1, and e + r + s <= r*s forces j < s and excludes
+r*s itself; conversely i*s + j*r - r - s < 2*delta is an element.  The
+symmetry (i, j) -> (r - i, s - j) maps the rest onto 2*r*s - n.
+
 The semicontinuity check compares cusp spectra against the spectrum at
 infinity on every relevant open unit interval, on integers: with
 L = 2 * lcm(w, b, r_1*s_1, ...) all values, the scan points and the
@@ -16,11 +25,12 @@ midpoints between them are integer multiples of 1/L.  Interval counts are
 bisections of sorted int lists; cusp counts add up, so all cusps share one
 list.
 
-The check memoises its integer inputs by value: the spectrum at infinity as
-numerators over lcm(w, b) for the most recent curve (`_infinity_numerators`,
-`lru_cache(maxsize=1)`), and the sorted numerators over r*s of each cusp
-(`_cusp_numerators`, `lru_cache(maxsize=1024)`).  `cusp_spectrum` and both
-constructions of the spectrum at infinity are not memoised.
+The check memoises the spectrum at infinity as numerators over lcm(w, b)
+for the most recent curve (`_infinity_numerators`, `lru_cache(maxsize=1)`).
+Its per-cusp input is the element list of `semigroups._cusp_elements`,
+the one per-cusp memo, which the HF check reads too; `_cusp_numerators`
+turns it into numerators without a memo of its own.  `cusp_spectrum` and
+both constructions of the spectrum at infinity are not memoised.
 """
 
 from __future__ import annotations
@@ -28,13 +38,13 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, List, Mapping, Set, Tuple
 
 from .core import CurveType, CuspConfiguration, PuiseuxCusp
+from .semigroups import _cusp_elements
 
 
 class InternalConsistencyError(RuntimeError):
@@ -45,16 +55,13 @@ class SpectrumMultiset:
     """A finite multiset of rationals in [0, 2], as int numerators over one
     denominator, with positive multiplicities."""
 
-    def __init__(self, entries: Mapping[Fraction, int], denominator: int = 1):
-        """`entries` maps numerators over `denominator`, ints or `Fraction`s,
-        to multiplicities; zero multiplicities are dropped."""
-        scale = math.lcm(*(n.denominator for n in entries))
-        denominator *= scale
+    def __init__(self, entries: Mapping[int, int], denominator: int = 1):
+        """`entries` maps int numerators over `denominator` to multiplicities;
+        zero multiplicities are dropped."""
         counts: Dict[int, int] = {}
         for n, mult in entries.items():
             if mult == 0:
                 continue
-            n = n.numerator * (scale // n.denominator)
             if mult < 0:
                 raise ValueError(f"negative multiplicity {mult} of {n}/{denominator}")
             if not 0 <= n <= 2 * denominator:
@@ -100,9 +107,6 @@ class SpectrumMultiset:
         j = bisect.bisect_left(self._numerators, ceil_hi)
         return self._prefix[j] - self._prefix[i]
 
-    def count_outside_open(self, lo: Fraction, hi: Fraction) -> int:
-        return self.total - self.count_open(lo, hi)
-
     def is_symmetric_about_one(self) -> bool:
         """mult(x) = mult(2 - x) for all x."""
         two, pairs = 2 * self._denominator, self.numerator_entries()
@@ -124,33 +128,28 @@ class SpectrumMultiset:
         return f"SpectrumMultiset({{{body}}})"
 
 
+def _cusp_numerators(cusp: PuiseuxCusp) -> List[int]:
+    """The spectrum of `cusp` as sorted numerators over r*s, one per value,
+    read off its semigroup (module docstring)."""
+    r, s = cusp.r, cusp.s
+    low = [r + s + e for e in _cusp_elements(cusp)[:-1]]
+    return low + [2 * r * s - n for n in reversed(low)]
+
+
 def cusp_spectrum(cusp: PuiseuxCusp) -> SpectrumMultiset:
     """The spectrum {i/r + j/s : 1 <= i < r, 1 <= j < s} of a one-pair cusp."""
-    return SpectrumMultiset(Counter(_cusp_numerators(cusp)), cusp.r * cusp.s)
+    return SpectrumMultiset(dict.fromkeys(_cusp_numerators(cusp), 1), cusp.r * cusp.s)
 
 
-@dataclass(frozen=True)
-class SignatureProfile:
-    """Equivariant signatures of the two splice components of the link at infinity.
+def signature_profile(curve: CurveType) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
+    """Equivariant signatures (sigma1, sigma2) of the two splice components of
+    the link at infinity; sigma1[p - 1] is the value at p, sigma2[q - 1] at q:
 
-    sigma1[p] = 2*floor(p*b/w) - (b-1) - delta  for p in [1, w-1],
-                with delta = 1 iff w | p*b;
-    sigma2[q] = 2*floor(q*a/b) - (a-1) - delta' for q in [1, b-1],
-                with delta' = 1 iff b | q*a.
+    sigma1 at p = 2*floor(p*b/w) - (b-1) - delta  for p in [1, w-1],
+                  with delta = 1 iff w | p*b;
+    sigma2 at q = 2*floor(q*a/b) - (a-1) - delta' for q in [1, b-1],
+                  with delta' = 1 iff b | q*a.
     """
-
-    curve: CurveType
-    sigma1: Tuple[int, ...]
-    sigma2: Tuple[int, ...]
-
-    def sigma1_at(self, p: int) -> int:
-        return self.sigma1[p - 1]
-
-    def sigma2_at(self, q: int) -> int:
-        return self.sigma2[q - 1]
-
-
-def signature_profile(curve: CurveType) -> SignatureProfile:
     a, b, w = curve.a, curve.b, curve.w
     sigma1 = tuple(
         2 * (p * b // w) - (b - 1) - (1 if p * b % w == 0 else 0)
@@ -160,35 +159,17 @@ def signature_profile(curve: CurveType) -> SignatureProfile:
         2 * (q * a // b) - (a - 1) - (1 if q * a % b == 0 else 0)
         for q in range(1, b)
     )
-    return SignatureProfile(curve, sigma1, sigma2)
+    return sigma1, sigma2
 
 
-@dataclass(frozen=True)
-class AlexanderData:
-    """Root orders of (t-1)(t^w-1)^(b-1)(t^b-1)^(a-1) at roots of unity."""
-
-    curve: CurveType
-
-    @property
-    def degree(self) -> int:
-        curve = self.curve
-        return 1 + curve.w * (curve.b - 1) + curve.b * (curve.a - 1)
-
-    def order_at(self, x: Fraction) -> int:
-        """Order of the root at exp(2*pi*i*x) for reduced x in [0, 1)."""
-        if not (0 <= x < 1):
-            raise ValueError(f"x must lie in [0, 1), got {x}")
-        return self._order_at_primitive(x.denominator)
-
-    def _order_at_primitive(self, v: int) -> int:
-        """Order of the root at a primitive v-th root of unity (t^n - 1 has
-        simple roots, and vanishes there iff v divides n)."""
-        curve = self.curve
-        return (
-            (v == 1)
-            + (curve.b - 1) * (curve.w % v == 0)
-            + (curve.a - 1) * (curve.b % v == 0)
-        )
+def alexander_order(curve: CurveType, v: int) -> int:
+    """Order of (t-1)(t^w-1)^(b-1)(t^b-1)^(a-1) at a primitive v-th root of
+    unity (t^n - 1 has simple roots, and vanishes there iff v divides n)."""
+    return (
+        (v == 1)
+        + (curve.b - 1) * (curve.w % v == 0)
+        + (curve.a - 1) * (curve.b % v == 0)
+    )
 
 
 def _support(curve: CurveType) -> Tuple[int, int, int, Set[int]]:
@@ -230,18 +211,17 @@ def spectrum_at_infinity_derived(curve: CurveType) -> SpectrumMultiset:
     the total equivariant signature at x.  1 itself has multiplicity a+b-1.
     """
     a, b = curve.a, curve.b
-    profile = signature_profile(curve)
-    alexander = AlexanderData(curve)
+    sigma1, sigma2 = signature_profile(curve)
     denominator, step_w, step_b, support = _support(curve)
     entries: Dict[int, int] = {denominator: a + b - 1}
     for n in support:
         sigma = 0
         if n % step_w == 0:
-            sigma += profile.sigma1_at(n // step_w)
+            sigma += sigma1[n // step_w - 1]
         if n % step_b == 0:
-            sigma += profile.sigma2_at(n // step_b)
+            sigma += sigma2[n // step_b - 1]
         # x = n/D reduces to a fraction with denominator D / gcd(n, D).
-        order = alexander._order_at_primitive(denominator // math.gcd(n, denominator))
+        order = alexander_order(curve, denominator // math.gcd(n, denominator))
         if (order + sigma) % 2 != 0:
             raise InternalConsistencyError(
                 f"order {order} and signature {sigma} at "
@@ -269,14 +249,6 @@ class SemicontinuityWitness:
     cusp_outside: int
     infinity_outside: int
 
-    @property
-    def violates_inside(self) -> bool:
-        return self.cusp_inside > self.infinity_inside
-
-    @property
-    def violates_outside(self) -> bool:
-        return self.cusp_outside > self.infinity_outside
-
 
 @dataclass(frozen=True)
 class SemicontinuityReport:
@@ -301,13 +273,6 @@ def _infinity_numerators(curve: CurveType) -> Tuple[int, Tuple[int, ...]]:
     for n, mult in spectrum.numerator_entries():
         numerators += [n] * mult
     return spectrum.denominator, tuple(numerators)
-
-
-@lru_cache(maxsize=1024)
-def _cusp_numerators(cusp: PuiseuxCusp) -> Tuple[int, ...]:
-    """The spectrum of `cusp` as sorted numerators i*s + j*r over r*s."""
-    r, s = cusp.r, cusp.s
-    return tuple(sorted(i * s + j * r for i in range(1, r) for j in range(1, s)))
 
 
 def _count_open(values: List[int], lo: int, hi: int) -> int:
@@ -368,12 +333,3 @@ def semicontinuity_check(
                 )
             )
     return SemicontinuityReport(tuple(witnesses), len(points))
-
-
-def half_window_counts(curve: CurveType, cusp: PuiseuxCusp) -> Tuple[int, int]:
-    """Open-interval counts on (1/2, 3/2) of the cusp spectrum and the
-    spectrum at infinity."""
-    half, three_halves = Fraction(1, 2), Fraction(3, 2)
-    cusp_count = cusp_spectrum(cusp).count_open(half, three_halves)
-    infinity_count = spectrum_at_infinity_table(curve).count_open(half, three_halves)
-    return cusp_count, infinity_count

@@ -16,11 +16,11 @@ from cuspidal import (
     CurveType,
     CuspConfiguration,
     PuiseuxCusp,
+    alexander_order,
     curve_elements,
     cusp_spectrum,
     dedekind_sum,
     enumerate_unicuspidal,
-    half_window_counts,
     hf_check,
     max_p_over_presentations,
     p_bound,
@@ -34,7 +34,6 @@ from cuspidal import (
 )
 from cuspidal.dedekind import dedekind_reciprocity_rhs, rademacher_reciprocity_rhs
 from cuspidal.semigroups import _cusp_elements, _max_plus
-from cuspidal.spectra import AlexanderData
 
 F = Fraction
 
@@ -85,12 +84,11 @@ def test_criterion_2_even_twist_family_obstruction():
 
 def test_criterion_3_signature_spectrum_worked_example():
     curve = CurveType(6, 4, 0)
-    profile = signature_profile(curve)
-    ok = profile.sigma1 == (-3, -1, 0, 1, 3) and profile.sigma2 == (-3, 0, 3)
+    ok = signature_profile(curve) == ((-3, -1, 0, 1, 3), (-3, 0, 3))
 
-    data = AlexanderData(curve)
     points = [F(1, 6), F(1, 4), F(1, 3), F(1, 2), F(2, 3), F(3, 4), F(5, 6)]
-    ok = ok and [data.order_at(x) for x in points] == [3, 5, 3, 8, 3, 5, 3]
+    orders = [alexander_order(curve, x.denominator) for x in points]
+    ok = ok and orders == [3, 5, 3, 8, 3, 5, 3]
 
     spectrum = spectrum_at_infinity_derived(curve)
     low_part = {v: m for v, m in spectrum.entries() if v < 1}
@@ -273,14 +271,10 @@ def test_criterion_8_property_suites():
     # signature antisymmetry
     for a, b, e in [(6, 6, 0), (6, 4, 0), (4, 4, 2), (5, 3, 1), (7, 2, 3)]:
         curve = CurveType(a, b, e)
-        profile = signature_profile(curve)
+        sigma1, sigma2 = signature_profile(curve)
         w = curve.w
-        ok = ok and all(
-            profile.sigma1_at(p) == -profile.sigma1_at(w - p) for p in range(1, w)
-        )
-        ok = ok and all(
-            profile.sigma2_at(q) == -profile.sigma2_at(b - q) for q in range(1, b)
-        )
+        ok = ok and all(sigma1[p - 1] == -sigma1[w - p - 1] for p in range(1, w))
+        ok = ok and all(sigma2[q - 1] == -sigma2[b - q - 1] for q in range(1, b))
 
     # vertex-scan maximization vs a wide brute-force window
     for curve in [CurveType(6, 6, 0), CurveType(4, 4, 2), CurveType(5, 3, 1)]:
@@ -330,7 +324,9 @@ def test_criterion_9_half_window_growth_rate():
     e = 200
     curve = CurveType(4, 4, e)
     cusp = PuiseuxCusp(3, 6 * e + 10)
-    cusp_count, infinity_count = half_window_counts(curve, cusp)
+    half, three_halves = F(1, 2), F(3, 2)
+    cusp_count = cusp_spectrum(cusp).count_open(half, three_halves)
+    infinity_count = spectrum_at_infinity_table(curve).count_open(half, three_halves)
     slope = 10  # both counts grow like 10*e for this family
     ok = abs(F(cusp_count, e) - slope) <= F(slope, 20)
     ok = ok and abs(F(infinity_count, e) - slope) <= F(slope, 20)

@@ -3,7 +3,6 @@ import csv
 import io
 import json
 import os
-from fractions import Fraction
 from pathlib import Path
 from unittest import mock
 
@@ -251,9 +250,10 @@ def test_spectrum_mismatch_exits_three(shift, derived_mult, capsys, monkeypatch)
     derived = cli_module.spectrum_at_infinity_derived
 
     def shifted(curve):
-        entries = dict(derived(curve).entries())
-        entries[Fraction(1, 4)] += shift
-        return SpectrumMultiset(entries)
+        spectrum = derived(curve)
+        entries = dict(spectrum.numerator_entries())
+        entries[spectrum.denominator // 4] += shift
+        return SpectrumMultiset(entries, spectrum.denominator)
 
     monkeypatch.setattr(cli_module, "spectrum_at_infinity_derived", shifted)
     with pytest.raises(SystemExit) as excinfo:
@@ -303,6 +303,18 @@ def test_dedekind_limits_negative_tolerance_rejected(tol, capsys):
         main(["dedekind", "limits", "--b", "3", "--max-w", "100", "--tol", tol])
     assert excinfo.value.code == 1
     assert capsys.readouterr().err == f"error: tol must be >= 0, got {tol}\n"
+
+
+def test_dedekind_limits_without_subsequence_member(capsys):
+    # b is the product of the odd primes up to 97, so no w in [2, 100] is
+    # odd and coprime to b.
+    b = "1152783981972759212376551073665878035"
+    with pytest.raises(SystemExit) as excinfo:
+        main(["dedekind", "limits", "--b", b, "--max-w", "100"])
+    assert excinfo.value.code == 1
+    assert capsys.readouterr().err == (
+        f"error: no subsequence member <= 100 for b = {b}\n"
+    )
 
 
 def _run(argv):

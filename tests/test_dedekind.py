@@ -118,12 +118,14 @@ def test_verify_limits_converges_at_moderate_scale(b):
     assert report.tol == F(1, 200)
     names = [entry.name for entry in report.entries]
     assert names == ["a_w/w", "b_w/w", "c_w/w"]
-    # samples are drawn from the proof subsequence
-    for w, *_ in report.samples:
-        if b % 2 == 1:
-            assert math.gcd(w, 2 * b) == 1
-        else:
-            assert math.gcd(b, w) == 2
+    # the reported w is the largest member of the proof subsequence <= 2000
+    w = report.entries[0].w
+    assert all(entry.w == w for entry in report.entries)
+    members = [
+        v for v in range(2, 2001)
+        if (math.gcd(v, 2 * b) == 1 if b % 2 == 1 else math.gcd(b, v) == 2)
+    ]
+    assert w == members[-1]
 
 
 def test_verify_limits_input_validation():
