@@ -1,14 +1,17 @@
-"""Command-line interface.
+"""Command-line interface: `main(argv)`, parsed by one stdlib `argparse` parser.
 
 Exit codes: 0 = not obstructed / success, 1 = usage or domain error,
 2 = obstructed, 3 = cross-validation mismatch between the two spectrum
-constructions.  Structured reports are byte-stable: sorted keys and a
-two-space indent, byte-identical to `json.dumps(report, sort_keys=True,
-indent=2)`, and every rational serialized as "num/den".
+constructions.  Usage errors, which argparse would exit 2 for, print
+`error: <message>` on stderr and exit 1, as domain errors do.  Structured
+reports are byte-stable: sorted keys and a two-space indent, byte-identical
+to `json.dumps(report, sort_keys=True, indent=2)`, and every rational
+serialized as "num/den".
 """
 
 from __future__ import annotations
 
+import argparse
 import csv
 import functools
 import io
@@ -16,13 +19,10 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, fields
 from fractions import Fraction
 from importlib import resources
 from itertools import chain
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
-
-import click
+from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from .core import CurveType, CuspConfiguration, PuiseuxCusp
 from .dedekind import dedekind_sum, rademacher_sum, verify_limits
@@ -46,6 +46,10 @@ EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_OBSTRUCTED = 2
 EXIT_MISMATCH = 3
+
+
+class CliError(Exception):
+    """A usage or domain error: `main` prints `error: <message>` and exits 1."""
 
 
 def _fr(x: Fraction) -> str:
@@ -112,7 +116,7 @@ def _dumps(obj, pad: str = "") -> str:
 
 
 def _emit_json(report: Dict) -> None:
-    click.echo(_dumps(report))
+    print(_dumps(report))
 
 
 def _emit_csv(rows: Sequence[Dict], empty_header: Sequence[str]) -> None:
@@ -127,7 +131,7 @@ def _emit_csv(rows: Sequence[Dict], empty_header: Sequence[str]) -> None:
     writer = csv.DictWriter(buffer, fieldnames=header)
     writer.writeheader()
     writer.writerows(rows)
-    click.echo(buffer.getvalue(), nl=False)
+    print(buffer.getvalue(), end="")
 
 
 def _parse_cusps(specs: Sequence[str]) -> Tuple[PuiseuxCusp, ...]:
@@ -137,7 +141,7 @@ def _parse_cusps(specs: Sequence[str]) -> Tuple[PuiseuxCusp, ...]:
             r_text, s_text = spec.split(":")
             cusps.append(PuiseuxCusp(int(r_text), int(s_text)))
         except ValueError as exc:
-            raise click.ClickException(f"bad cusp '{spec}': {exc}") from exc
+            raise CliError(f"bad cusp '{spec}': {exc}") from exc
     return tuple(cusps)
 
 
@@ -145,13 +149,13 @@ def _curve(a: int, b: int, e: int) -> CurveType:
     try:
         return CurveType(a, b, e)
     except ValueError as exc:
-        raise click.ClickException(str(exc)) from exc
+        raise CliError(str(exc)) from exc
 
 
 def _config_for(curve: CurveType, cusps: Tuple[PuiseuxCusp, ...]) -> CuspConfiguration:
     config = CuspConfiguration(cusps)
     if not config.is_genus_compatible(curve):
-        raise click.ClickException(
+        raise CliError(
             f"genus mismatch: expected sum(mu/2) = g = {curve.g}, "
             f"got {config.total_delta}"
         )
@@ -167,12 +171,12 @@ def _check_rows(
     if only in (None, "hf"):
         hf_report = hf_check(curve, config)
         verdicts["hf"] = hf_report.verdict
-        witnesses += [{"check": "hf", **asdict(w)} for w in hf_report.witnesses]
+        witnesses += [{"check": "hf", **w._asdict()} for w in hf_report.witnesses]
     if only in (None, "spectrum"):
         sp_report = semicontinuity_check(curve, config)
         verdicts["spectrum"] = sp_report.verdict
         witnesses += [
-            {"check": "spectrum", **asdict(w), "x": _fr(w.x)}
+            {"check": "spectrum", **w._asdict(), "x": _fr(w.x)}
             for w in sp_report.witnesses
         ]
     return verdicts, witnesses
@@ -192,21 +196,7 @@ def _dinv_rows(
     return [{"m": m, "d_invariant": _fr(d_invariant(curve, config, m))} for m in ms]
 
 
-@click.group()
-def cli() -> None:
-    """Obstruction checks for rational cuspidal curves in ruled surfaces."""
-
-
-@cli.command("check")
-@click.option("--a", "a", type=int, required=True)
-@click.option("--b", "b", type=int, required=True)
-@click.option("--e", "e", type=int, default=0, show_default=True)
-@click.option("--cusp", "cusps", multiple=True, help="Cusp as r:s, repeatable.")
-@click.option("--only", type=click.Choice(["hf", "spectrum"]), default=None)
-@click.option("--json", "as_json", is_flag=True)
-@click.option("--csv", "as_csv", is_flag=True)
-@click.pass_context
-def cmd_check(ctx, a, b, e, cusps, only, as_json, as_csv) -> None:
+def _check(a, b, e, cusps, only, as_json, as_csv) -> int:
     """Decide whether a prescribed cusp configuration is obstructed."""
     curve = _curve(a, b, e)
     config = _config_for(curve, _parse_cusps(cusps))
@@ -231,27 +221,24 @@ def cmd_check(ctx, a, b, e, cusps, only, as_json, as_csv) -> None:
     if as_json:
         _emit_json(report)
     elif as_csv:
-        witness_types = {"hf": HfWitness, "spectrum": SemicontinuityWitness}
-        header = ["check"]
-        for check in verdicts:
-            header += [field.name for field in fields(witness_types[check])]
-        _emit_csv(witnesses, header)
+        fields = {"hf": HfWitness._fields, "spectrum": SemicontinuityWitness._fields}
+        _emit_csv(witnesses, ["check", *chain.from_iterable(map(fields.get, verdicts))])
     else:
-        click.echo(f"curve {curve}, cusps {config}: {results['verdict']}")
+        print(f"curve {curve}, cusps {config}: {results['verdict']}")
         for wit in witnesses:
             if wit["check"] == "hf":
-                click.echo(
+                print(
                     f"  hf witness: m={wit['m']} (m+g={wit['m'] + curve.g}), "
                     f"presentation (s1,s2)=({wit['s1']},{wit['s2']}), "
                     f"R={wit['r_value']} < P={wit['p_value']}"
                 )
             else:
-                click.echo(
+                print(
                     f"  spectrum witness: x={wit['x']}, "
                     f"inside {wit['cusp_inside']} vs {wit['infinity_inside']}, "
                     f"outside {wit['cusp_outside']} vs {wit['infinity_outside']}"
                 )
-    ctx.exit(EXIT_OBSTRUCTED if obstructed else EXIT_OK)
+    return EXIT_OBSTRUCTED if obstructed else EXIT_OK
 
 
 _CANDIDATE_FIELDS = ("cusps", "genus_ok", "multiplicity_ok", "hf", "spectrum", "survives")
@@ -277,16 +264,7 @@ def _candidate_rows(curve: CurveType, configs: Sequence[CuspConfiguration]) -> L
     return rows
 
 
-@cli.command("enumerate")
-@click.option("--a", "a", type=int, required=True)
-@click.option("--b", "b", type=int, required=True)
-@click.option("--e", "e", type=int, default=0, show_default=True)
-@click.option("--max-cusps", type=int, default=1, show_default=True)
-@click.option("--cap", type=int, default=None, help="Candidate cap override.")
-@click.option("--json", "as_json", is_flag=True)
-@click.option("--csv", "as_csv", is_flag=True)
-@click.pass_context
-def cmd_enumerate(ctx, a, b, e, max_cusps, cap, as_json, as_csv) -> None:
+def _enumerate(a, b, e, max_cusps, cap, as_json, as_csv) -> int:
     """List all genus-compatible configurations with per-filter verdicts."""
     curve = _curve(a, b, e)
     if cap is None:
@@ -294,13 +272,11 @@ def cmd_enumerate(ctx, a, b, e, max_cusps, cap, as_json, as_csv) -> None:
         try:
             cap = DEFAULT_CANDIDATE_CAP if text is None else int(text)
         except ValueError as exc:
-            raise click.ClickException(
-                f"{CAP_ENV_VAR} must be an integer, got {text!r}"
-            ) from exc
+            raise CliError(f"{CAP_ENV_VAR} must be an integer, got {text!r}") from exc
     try:
         configs = enumerate_configurations(curve, max_cusps, cap=cap)
     except (CandidateCapExceededError, ValueError) as exc:
-        raise click.ClickException(str(exc)) from exc
+        raise CliError(str(exc)) from exc
     rows = _candidate_rows(curve, configs)
     report = _report(
         "enumerate",
@@ -313,30 +289,17 @@ def cmd_enumerate(ctx, a, b, e, max_cusps, cap, as_json, as_csv) -> None:
     elif as_csv:
         _emit_csv(rows, _CANDIDATE_FIELDS)
     else:
-        click.echo(f"curve {curve}: {len(rows)} genus-compatible configuration(s)")
+        print(f"curve {curve}: {len(rows)} genus-compatible configuration(s)")
         for row in rows:
             status = "survives" if row["survives"] else "obstructed"
-            click.echo(
+            print(
                 f"  [{row['cusps']}] multiplicity={row['multiplicity_ok']} "
                 f"hf={row['hf']} spectrum={row['spectrum']} -> {status}"
             )
-    ctx.exit(EXIT_OK)
+    return EXIT_OK
 
 
-@cli.command("spectrum")
-@click.option("--a", "a", type=int, required=True)
-@click.option("--b", "b", type=int, required=True)
-@click.option("--e", "e", type=int, default=0, show_default=True)
-@click.option(
-    "--method",
-    type=click.Choice(["table", "derived", "both"]),
-    default="table",
-    show_default=True,
-)
-@click.option("--json", "as_json", is_flag=True)
-@click.option("--csv", "as_csv", is_flag=True)
-@click.pass_context
-def cmd_spectrum(ctx, a, b, e, method, as_json, as_csv) -> None:
+def _spectrum(a, b, e, method, as_json, as_csv) -> int:
     """Print the spectrum at infinity as sorted 'value multiplicity' lines."""
     curve = _curve(a, b, e)
     table = spectrum_at_infinity_table(curve) if method in ("table", "both") else None
@@ -356,62 +319,46 @@ def cmd_spectrum(ctx, a, b, e, method, as_json, as_csv) -> None:
         _emit_csv(rows, ("value", "multiplicity"))
     else:
         for row in rows:
-            click.echo(f"{row['value']} {row['multiplicity']}")
+            print(f"{row['value']} {row['multiplicity']}")
         if method == "both":
-            click.echo(f"methods agree: {not mismatch}")
+            print(f"methods agree: {not mismatch}")
     if mismatch:
-        click.echo("mismatch between table and derived constructions:", err=True)
+        print("mismatch between table and derived constructions:", file=sys.stderr)
         for value in sorted(set(table.values()) | set(derived.values())):
             if table.mult(value) != derived.mult(value):
-                click.echo(
+                print(
                     f"  {_fr(value)}: table {table.mult(value)} "
                     f"!= derived {derived.mult(value)}",
-                    err=True,
+                    file=sys.stderr,
                 )
-        ctx.exit(EXIT_MISMATCH)
-    ctx.exit(EXIT_OK)
+        return EXIT_MISMATCH
+    return EXIT_OK
 
 
-@cli.group("dedekind")
-def cmd_dedekind() -> None:
-    """Sawtooth sums: two- and three-term reciprocity families."""
-
-
-@cmd_dedekind.command("s")
-@click.argument("p", type=int)
-@click.argument("q", type=int)
-def cmd_dedekind_s(p, q) -> None:
+def _dedekind_s(p, q) -> int:
     """Print s(p, q) as num/den."""
     try:
-        click.echo(_fr(dedekind_sum(p, q)))
+        print(_fr(dedekind_sum(p, q)))
     except ValueError as exc:
-        raise click.ClickException(str(exc)) from exc
+        raise CliError(str(exc)) from exc
+    return EXIT_OK
 
 
-@cmd_dedekind.command("d")
-@click.argument("p", type=int)
-@click.argument("q", type=int)
-@click.argument("r", type=int)
-def cmd_dedekind_d(p, q, r) -> None:
+def _dedekind_d(p, q, r) -> int:
     """Print D(p, q, r) as num/den."""
     try:
-        click.echo(_fr(rademacher_sum(p, q, r)))
+        print(_fr(rademacher_sum(p, q, r)))
     except ValueError as exc:
-        raise click.ClickException(str(exc)) from exc
+        raise CliError(str(exc)) from exc
+    return EXIT_OK
 
 
-@cmd_dedekind.command("limits")
-@click.option("--b", "b", type=int, required=True)
-@click.option("--max-w", type=int, required=True)
-@click.option("--tol", type=str, default="1/200", show_default=True)
-@click.option("--json", "as_json", is_flag=True)
-@click.pass_context
-def cmd_dedekind_limits(ctx, b, max_w, tol, as_json) -> None:
+def _dedekind_limits(b, max_w, tol, as_json) -> int:
     """Evaluate the three limit statements along the proof subsequence."""
     try:
         report = verify_limits(b, max_w, Fraction(tol))
     except (ValueError, ZeroDivisionError) as exc:
-        raise click.ClickException(str(exc)) from exc
+        raise CliError(str(exc)) from exc
     entries = [
         {
             "name": entry.name,
@@ -434,26 +381,17 @@ def cmd_dedekind_limits(ctx, b, max_w, tol, as_json) -> None:
     else:
         for entry in entries:
             mark = "ok" if entry["within_tol"] else "EXCEEDS"
-            click.echo(
+            print(
                 f"{entry['name']} at w={entry['w']}: value {entry['value']}, "
                 f"limit {entry['limit']}, deviation {entry['deviation']} [{mark}]"
             )
-    ctx.exit(EXIT_OK if report.all_within_tol else EXIT_OBSTRUCTED)
+    return EXIT_OK if report.all_within_tol else EXIT_OBSTRUCTED
 
 
-@cli.command("dinv")
-@click.option("--a", "a", type=int, required=True)
-@click.option("--b", "b", type=int, required=True)
-@click.option("--e", "e", type=int, default=0, show_default=True)
-@click.option("--cusp", "cusps", multiple=True)
-@click.option("--m", "m", type=int, default=None)
-@click.option("--all-m", "all_m", is_flag=True)
-@click.option("--json", "as_json", is_flag=True)
-@click.pass_context
-def cmd_dinv(ctx, a, b, e, cusps, m, all_m, as_json) -> None:
+def _dinv(a, b, e, cusps, m, all_m, as_json) -> int:
     """Exact correction terms for one m or the whole range [-d/2, d/2)."""
     if (m is None) == (not all_m):
-        raise click.ClickException("provide exactly one of --m or --all-m")
+        raise CliError("provide exactly one of --m or --all-m")
     curve = _curve(a, b, e)
     config = _config_for(curve, _parse_cusps(cusps))
     d = curve.d
@@ -461,7 +399,7 @@ def cmd_dinv(ctx, a, b, e, cusps, m, all_m, as_json) -> None:
     try:
         values = _dinv_rows(curve, config, ms)
     except ValueError as exc:
-        raise click.ClickException(str(exc)) from exc
+        raise CliError(str(exc)) from exc
     report = _report(
         "dinv",
         {"a": a, "b": b, "e": e, "cusps": [f"{c.r}:{c.s}" for c in config]},
@@ -472,8 +410,8 @@ def cmd_dinv(ctx, a, b, e, cusps, m, all_m, as_json) -> None:
         _emit_json(report)
     else:
         for row in values:
-            click.echo(f"m={row['m']}: {row['d_invariant']}")
-    ctx.exit(EXIT_OK)
+            print(f"m={row['m']}: {row['d_invariant']}")
+    return EXIT_OK
 
 
 def _repro_scenarios() -> List[Tuple[str, Dict]]:
@@ -508,17 +446,7 @@ def _repro_scenarios() -> List[Tuple[str, Dict]]:
     return scenarios
 
 
-@cli.command("repro")
-@click.option(
-    "--update",
-    "update_dir",
-    type=click.Path(file_okay=False),
-    default=None,
-    metavar="DIR",
-    help="Write the golden files into DIR instead of diffing against them.",
-)
-@click.pass_context
-def cmd_repro(ctx, update_dir) -> None:
+def _repro(update_dir) -> int:
     """Re-run the bundled reference scenarios and diff against golden files."""
     scenarios = _repro_scenarios()
     if update_dir is not None:
@@ -529,40 +457,114 @@ def cmd_repro(ctx, update_dir) -> None:
                 with open(path, "w") as handle:
                     handle.write(_dumps(payload) + "\n")
         except OSError as exc:
-            raise click.ClickException(str(exc)) from exc
-        click.echo(f"wrote {len(scenarios)} golden files")
-        ctx.exit(EXIT_OK)
+            raise CliError(str(exc)) from exc
+        print(f"wrote {len(scenarios)} golden files")
+        return EXIT_OK
     failures = 0
     for name, payload in scenarios:
         resource = resources.files("cuspidal") / "golden" / f"{name}.json"
         try:
             expected = json.loads(resource.read_text())
         except FileNotFoundError:
-            click.echo(f"{name}: MISSING golden file")
+            print(f"{name}: MISSING golden file")
             failures += 1
             continue
         if expected == payload:
-            click.echo(f"{name}: ok")
+            print(f"{name}: ok")
         else:
-            click.echo(f"{name}: MISMATCH")
+            print(f"{name}: MISMATCH")
             failures += 1
-    ctx.exit(EXIT_OK if failures == 0 else EXIT_ERROR)
+    return EXIT_OK if failures == 0 else EXIT_ERROR
+
+
+class _Parser(argparse.ArgumentParser):
+    """No abbreviated options, `--help` but no `-h`, and `CliError` on misuse."""
+
+    def __init__(self, **kwargs) -> None:
+        super().__init__(allow_abbrev=False, add_help=False, **kwargs)
+        self.add_argument("--help", action="help", help="Show this message and exit.")
+
+    def error(self, message: str):
+        raise CliError(message)
+
+
+_INT = {"type": int}
+_REQUIRED = {"type": int, "required": True}
+_DEFAULT = "default: %(default)s"
+_E = ("--e", {**_INT, "default": 0, "help": _DEFAULT})
+_CURVE = (("--a", _REQUIRED), ("--b", _REQUIRED), _E)
+_CUSPS = ("--cusp", {"dest": "cusps", "action": "append", "default": [], "help": "r:s"})
+_JSON = ("--json", {"dest": "as_json", "action": "store_true"})
+_CSV = ("--csv", {"dest": "as_csv", "action": "store_true"})
+
+
+@functools.lru_cache(maxsize=None)
+def _parser() -> Tuple[_Parser, FrozenSet[str]]:
+    """The `cuspidal` parser, built once, and its options that take a value."""
+    valued: Set[str] = set()
+
+    def command(group, name: str, run: Callable[..., int], *arguments) -> None:
+        sub = group.add_parser(name, help=run.__doc__, description=run.__doc__)
+        sub.set_defaults(run=run)
+        for flag, kwargs in arguments:
+            if sub.add_argument(flag, **kwargs).nargs is None and flag[0] == "-":
+                valued.add(flag)
+
+    doc = "Obstruction checks for rational cuspidal curves in ruled surfaces."
+    parser = _Parser(prog="cuspidal", description=doc)
+    commands = parser.add_subparsers(required=True, metavar="COMMAND")
+    only = ("--only", {"choices": ["hf", "spectrum"]})
+    command(commands, "check", _check, *_CURVE, _CUSPS, only, _JSON, _CSV)
+    max_cusps = ("--max-cusps", {**_INT, "default": 1, "help": _DEFAULT})
+    cap = ("--cap", {**_INT, "help": "candidate cap override"})
+    command(commands, "enumerate", _enumerate, *_CURVE, max_cusps, cap, _JSON, _CSV)
+    methods = ["table", "derived", "both"]
+    method = ("--method", {"choices": methods, "default": "table", "help": _DEFAULT})
+    command(commands, "spectrum", _spectrum, *_CURVE, method, _JSON, _CSV)
+    doc = "Sawtooth sums: two- and three-term reciprocity families."
+    dedekind = commands.add_parser("dedekind", help=doc, description=doc)
+    sums = dedekind.add_subparsers(required=True, metavar="COMMAND")
+    command(sums, "s", _dedekind_s, ("p", _INT), ("q", _INT))
+    command(sums, "d", _dedekind_d, ("p", _INT), ("q", _INT), ("r", _INT))
+    b, max_w = ("--b", _REQUIRED), ("--max-w", _REQUIRED)
+    tol = ("--tol", {"default": "1/200", "help": _DEFAULT})
+    command(sums, "limits", _dedekind_limits, b, max_w, tol, _JSON)
+    all_m = ("--all-m", {"action": "store_true"})
+    command(commands, "dinv", _dinv, *_CURVE, _CUSPS, ("--m", _INT), all_m, _JSON)
+    doc = "write the golden files into DIR instead of diffing against them"
+    update = ("--update", {"dest": "update_dir", "metavar": "DIR", "help": doc})
+    command(commands, "repro", _repro, update)
+    return parser, frozenset(valued)
+
+
+def _joined(argv: Sequence[str], valued: FrozenSet[str]) -> List[str]:
+    """argv with each option that takes a value joined to the token after it,
+    as in `--tol=-1/1000`, so a value that begins with '-' is still a value."""
+    joined: List[str] = []
+    tokens = iter(argv)
+    for token in tokens:
+        value = next(tokens, None) if token in valued else None
+        joined.append(token if value is None else f"{token}={value}")
+    return joined
 
 
 def main(argv: Optional[Sequence[str]] = None) -> None:
     """Entry point with the exit-code contract described in the module docstring."""
+    parser, valued = _parser()
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        # With standalone_mode off, click hands ctx.exit codes back as the
-        # return value instead of raising SystemExit.
-        code = cli.main(args=argv, standalone_mode=False)
-        sys.exit(code if isinstance(code, int) else EXIT_OK)
-    except click.exceptions.Exit as exc:
-        sys.exit(exc.exit_code)
-    except click.ClickException as exc:
-        click.echo(f"error: {exc.format_message()}", err=True)
-        sys.exit(EXIT_ERROR)
-    except click.Abort:
-        sys.exit(EXIT_ERROR)
+        options = vars(parser.parse_args(_joined(argv, valued)))
+        code = options.pop("run")(**options)
+        sys.stdout.flush()
+    except CliError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        code = EXIT_ERROR
+    except BrokenPipeError:
+        # The reader of stdout went away: exit 1, with stdout on devnull so
+        # that the interpreter's last flush cannot fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_ERROR
+    sys.exit(code)
 
 
 if __name__ == "__main__":

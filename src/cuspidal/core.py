@@ -2,39 +2,44 @@
 
 All fractional quantities in this package are exact: a `fractions.Fraction`,
 or int numerators over a stated denominator.  Nothing is ever represented in
-floating point.  Every type here is an immutable value with its derived
-invariants checked eagerly at construction.
+floating point.  Every type here is an immutable tuple of its defining
+integers (or cusps), with its derived invariants checked eagerly at
+construction; it compares, orders and hashes as that tuple.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Tuple
+from operator import itemgetter
 
 
 class GenusMismatchError(ValueError):
     """A cusp list whose total delta invariant differs from the curve genus."""
 
 
-@dataclass(frozen=True, order=True)
-class PuiseuxCusp:
+class PuiseuxCusp(tuple):
     """A unibranched singularity locally of the form x^r = y^s.
 
     Requires 2 <= r < s and gcd(r, s) = 1.  The Milnor number is
     mu = (r-1)(s-1), always even; delta = mu/2 is the genus of the link.
     """
 
-    r: int
-    s: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.r < 2:
-            raise ValueError(f"cusp exponent r must be >= 2, got {self.r}")
-        if self.s <= self.r:
-            raise ValueError(f"cusp exponents must satisfy s > r, got ({self.r}, {self.s})")
-        if math.gcd(self.r, self.s) != 1:
-            raise ValueError(f"cusp exponents must be coprime, got ({self.r}, {self.s})")
+    def __new__(cls, r: int, s: int) -> PuiseuxCusp:
+        if r < 2:
+            raise ValueError(f"cusp exponent r must be >= 2, got {r}")
+        if s <= r:
+            raise ValueError(f"cusp exponents must satisfy s > r, got ({r}, {s})")
+        if math.gcd(r, s) != 1:
+            raise ValueError(f"cusp exponents must be coprime, got ({r}, {s})")
+        return tuple.__new__(cls, (r, s))
+
+    r = property(itemgetter(0))
+    s = property(itemgetter(1))
+
+    def __getnewargs__(self):
+        return tuple(self)
 
     @property
     def mu(self) -> int:
@@ -45,12 +50,14 @@ class PuiseuxCusp:
         # mu is even: r, s coprime means at least one of r-1, s-1 is even.
         return self.mu // 2
 
+    def __repr__(self) -> str:
+        return f"PuiseuxCusp(r={self.r}, s={self.s})"
+
     def __str__(self) -> str:
         return f"({self.r},{self.s})"
 
 
-@dataclass(frozen=True)
-class CurveType:
+class CurveType(tuple):
     """A curve class (a, b) on the ruled surface with twisting parameter e.
 
     Derived quantities:
@@ -63,21 +70,28 @@ class CurveType:
     rejected outright: the signature and spectrum formulas divide by b.
     """
 
-    a: int
-    b: int
-    e: int = 0
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.b <= 0:
-            raise ValueError(f"b must be positive, got {self.b}")
-        if self.a < 0:
-            raise ValueError(f"a must be nonnegative, got {self.a}")
-        if self.e < 0:
-            raise ValueError(f"e must be nonnegative, got {self.e}")
+    def __new__(cls, a: int, b: int, e: int = 0) -> CurveType:
+        if b <= 0:
+            raise ValueError(f"b must be positive, got {b}")
+        if a < 0:
+            raise ValueError(f"a must be nonnegative, got {a}")
+        if e < 0:
+            raise ValueError(f"e must be nonnegative, got {e}")
+        self = tuple.__new__(cls, (a, b, e))
         if self.d <= 0:
             raise ValueError(f"self-intersection must be positive, got {self.d}")
         if self.g < 0:
             raise ValueError(f"arithmetic genus must be nonnegative, got {self.g}")
+        return self
+
+    a = property(itemgetter(0))
+    b = property(itemgetter(1))
+    e = property(itemgetter(2))
+
+    def __getnewargs__(self):
+        return tuple(self)
 
     @property
     def w(self) -> int:
@@ -96,23 +110,21 @@ class CurveType:
         # b(b-1)e is even, so this is an exact integer.
         return (self.a - 1) * (self.b - 1) + self.b * (self.b - 1) * self.e // 2
 
+    def __repr__(self) -> str:
+        return f"CurveType(a={self.a}, b={self.b}, e={self.e})"
+
     def __str__(self) -> str:
         return f"({self.a},{self.b}) in X_{self.e}"
 
 
-@dataclass(frozen=True)
-class CuspConfiguration:
-    """A finite (possibly empty) list of one-Puiseux-pair cusps."""
+class CuspConfiguration(tuple):
+    """A finite (possibly empty) tuple of one-Puiseux-pair cusps."""
 
-    cusps: Tuple[PuiseuxCusp, ...] = ()
-
-    def __post_init__(self) -> None:
-        # A tuple whatever the caller passed, so the value hashes as a memo key.
-        object.__setattr__(self, "cusps", tuple(self.cusps))
+    __slots__ = ()
 
     @property
     def total_delta(self) -> int:
-        return sum(cusp.delta for cusp in self.cusps)
+        return sum(cusp.delta for cusp in self)
 
     def is_genus_compatible(self, curve: CurveType) -> bool:
         return self.total_delta == curve.g
@@ -124,13 +136,8 @@ class CuspConfiguration:
                 f"but curve {curve} needs total delta = g = {curve.g}"
             )
 
-    def __iter__(self):
-        return iter(self.cusps)
-
-    def __len__(self) -> int:
-        return len(self.cusps)
+    def __repr__(self) -> str:
+        return f"CuspConfiguration(cusps={tuple(self)!r})"
 
     def __str__(self) -> str:
-        if not self.cusps:
-            return "[]"
-        return "[" + ", ".join(str(c) for c in self.cusps) + "]"
+        return "[" + ", ".join(map(str, self)) + "]"

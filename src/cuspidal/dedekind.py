@@ -23,9 +23,8 @@ All sums are exact rationals, and each takes O(log modulus) integer steps:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 
 def sawtooth(x: Fraction) -> Fraction:
@@ -169,8 +168,7 @@ def limit_values(b: int) -> Tuple[Fraction, Fraction, Fraction]:
     return Fraction(0), Fraction(1, 6 * b), Fraction(1, 6 * b)
 
 
-@dataclass(frozen=True)
-class LimitEntry:
+class LimitEntry(NamedTuple):
     name: str
     w: int
     value: Fraction
@@ -181,8 +179,7 @@ class LimitEntry:
         return abs(self.value - self.limit)
 
 
-@dataclass(frozen=True)
-class LimitReport:
+class LimitReport(NamedTuple):
     b: int
     tol: Fraction
     entries: Tuple[LimitEntry, ...]

@@ -90,6 +90,6 @@ def enumerate_configurations(
             raise CandidateCapExceededError(
                 f"more than {cap} genus-compatible configurations"
             )
-        results.append(CuspConfiguration(tuple(partial)))
+        results.append(CuspConfiguration(partial))
         partial.pop()
     return results

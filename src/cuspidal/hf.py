@@ -22,17 +22,15 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 from .core import CurveType, CuspConfiguration, PuiseuxCusp
 from .semigroups import curve_elements
 
 
-@dataclass(frozen=True)
-class HfWitness:
+class HfWitness(NamedTuple):
     """A violated presentation: R(m + g) < P(s1, s2)."""
 
     m: int
@@ -42,8 +40,7 @@ class HfWitness:
     p_value: int
 
 
-@dataclass(frozen=True)
-class HfReport:
+class HfReport(NamedTuple):
     witnesses: Tuple[HfWitness, ...]
 
     @property

@@ -38,10 +38,9 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Dict, List, Mapping, Set, Tuple
+from typing import Dict, List, Mapping, NamedTuple, Set, Tuple
 
 from .core import CurveType, CuspConfiguration, PuiseuxCusp
 from .semigroups import _cusp_elements
@@ -239,8 +238,7 @@ def spectrum_at_infinity_derived(curve: CurveType) -> SpectrumMultiset:
     return SpectrumMultiset(entries, denominator)
 
 
-@dataclass(frozen=True)
-class SemicontinuityWitness:
+class SemicontinuityWitness(NamedTuple):
     """A point x where one of the two interval inequalities fails."""
 
     x: Fraction
@@ -250,8 +248,7 @@ class SemicontinuityWitness:
     infinity_outside: int
 
 
-@dataclass(frozen=True)
-class SemicontinuityReport:
+class SemicontinuityReport(NamedTuple):
     witnesses: Tuple[SemicontinuityWitness, ...]
     checked_points: int
 

@@ -3,62 +3,63 @@ import csv
 import io
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 from unittest import mock
 
 import pytest
-from click.testing import CliRunner
 from hypothesis import example, given, settings, strategies as st
 
 from cuspidal import SpectrumMultiset
 from cuspidal import cli as cli_module
-from cuspidal.cli import cli, main
+from cuspidal.cli import main
 
 
-@pytest.fixture
-def runner():
-    return CliRunner()
+def run(argv):
+    """main(argv) in-process: the exit code and stdout and stderr together."""
+    output = io.StringIO()
+    with contextlib.redirect_stdout(output), contextlib.redirect_stderr(output):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+    return excinfo.value.code, output.getvalue()
 
 
-def test_check_survivor_exits_zero(runner):
-    result = runner.invoke(cli, ["check", "--a", "6", "--b", "6", "--cusp", "6:11"])
-    assert result.exit_code == 0
-    assert "survives" in result.output
+def test_check_survivor_exits_zero():
+    code, output = run(["check", "--a", "6", "--b", "6", "--cusp", "6:11"])
+    assert code == 0
+    assert "survives" in output
 
 
-def test_check_obstructed_exits_two(runner):
-    result = runner.invoke(cli, ["check", "--a", "6", "--b", "6", "--cusp", "2:51"])
-    assert result.exit_code == 2
-    assert "obstructed" in result.output
-    assert "spectrum witness" in result.output
+def test_check_obstructed_exits_two():
+    code, output = run(["check", "--a", "6", "--b", "6", "--cusp", "2:51"])
+    assert code == 2
+    assert "obstructed" in output
+    assert "spectrum witness" in output
 
 
-def test_check_hf_witness_rendering(runner):
-    result = runner.invoke(
-        cli, ["check", "--a", "4", "--b", "4", "--e", "2", "--cusp", "3:22"]
-    )
-    assert result.exit_code == 2
-    assert "hf witness: m=0 (m+g=21)" in result.output
-    assert "R=7 < P=8" in result.output
+def test_check_hf_witness_rendering():
+    code, output = run(["check", "--a", "4", "--b", "4", "--e", "2", "--cusp", "3:22"])
+    assert code == 2
+    assert "hf witness: m=0 (m+g=21)" in output
+    assert "R=7 < P=8" in output
 
 
-def test_check_genus_mismatch_exits_one(runner):
-    result = runner.invoke(cli, ["check", "--a", "6", "--b", "6", "--cusp", "2:3"])
-    assert result.exit_code == 1
-    assert "genus mismatch" in result.output
+def test_check_genus_mismatch_exits_one():
+    code, output = run(["check", "--a", "6", "--b", "6", "--cusp", "2:3"])
+    assert code == 1
+    assert "genus mismatch" in output
 
 
-def test_check_bad_cusp_syntax(runner):
-    result = runner.invoke(cli, ["check", "--a", "6", "--b", "6", "--cusp", "2x51"])
-    assert result.exit_code == 1
+def test_check_bad_cusp_syntax():
+    code, output = run(["check", "--a", "6", "--b", "6", "--cusp", "2x51"])
+    assert code == 1
 
 
-def test_check_json_report(runner):
-    result = runner.invoke(
-        cli, ["check", "--a", "6", "--b", "6", "--cusp", "2:51", "--json"]
-    )
-    assert result.exit_code == 2
-    report = json.loads(result.output)
+def test_check_json_report():
+    code, output = run(["check", "--a", "6", "--b", "6", "--cusp", "2:51", "--json"])
+    assert code == 2
+    report = json.loads(output)
     assert report["schema_version"] == "1"
     assert report["command"] == "check"
     assert report["inputs"]["cusps"] == ["2:51"]
@@ -69,12 +70,10 @@ def test_check_json_report(runner):
     assert "25/51" in xs  # rationals serialize as num/den
 
 
-def test_check_csv_projection(runner):
-    result = runner.invoke(
-        cli, ["check", "--a", "6", "--b", "6", "--cusp", "2:51", "--csv"]
-    )
-    assert result.exit_code == 2
-    rows = list(csv.DictReader(io.StringIO(result.output)))
+def test_check_csv_projection():
+    code, output = run(["check", "--a", "6", "--b", "6", "--cusp", "2:51", "--csv"])
+    assert code == 2
+    rows = list(csv.DictReader(io.StringIO(output)))
     assert len(rows) == 6
     assert rows[0]["check"] == "spectrum"
     assert {"x", "cusp_inside", "infinity_inside"} <= set(rows[0])
@@ -104,11 +103,11 @@ def test_check_csv_projection(runner):
         ),
     ],
 )
-def test_check_row_order_is_pinned(runner, curve, header, first_row, witness_keys):
-    result = runner.invoke(cli, ["check", *curve, "--csv"])
-    assert result.output.splitlines()[:2] == [header, first_row]
-    result = runner.invoke(cli, ["check", *curve, "--json"])
-    assert list(json.loads(result.output)["witnesses"][0]) == witness_keys
+def test_check_row_order_is_pinned(curve, header, first_row, witness_keys):
+    code, output = run(["check", *curve, "--csv"])
+    assert output.splitlines()[:2] == [header, first_row]
+    code, output = run(["check", *curve, "--json"])
+    assert list(json.loads(output)["witnesses"][0]) == witness_keys
 
 
 @pytest.mark.parametrize(
@@ -145,43 +144,42 @@ def test_empty_csv_prints_header(argv, header, capsys):
     assert capsys.readouterr().out == header + "\r\n"
 
 
-def test_check_only_filters(runner):
-    result = runner.invoke(
-        cli, ["check", "--a", "6", "--b", "6", "--cusp", "2:51", "--only", "hf"]
+def test_check_only_filters():
+    code, output = run(
+        ["check", "--a", "6", "--b", "6", "--cusp", "2:51", "--only", "hf"]
     )
-    assert result.exit_code == 0  # hf alone does not obstruct this cusp
-    result = runner.invoke(
-        cli,
-        ["check", "--a", "6", "--b", "6", "--cusp", "2:51", "--only", "spectrum"],
+    assert code == 0  # hf alone does not obstruct this cusp
+    code, output = run(
+        ["check", "--a", "6", "--b", "6", "--cusp", "2:51", "--only", "spectrum"]
     )
-    assert result.exit_code == 2
+    assert code == 2
 
 
-def test_enumerate_human_output(runner):
-    result = runner.invoke(cli, ["enumerate", "--a", "6", "--b", "6"])
-    assert result.exit_code == 0
-    assert "3 genus-compatible configuration(s)" in result.output
-    assert "[2:51]" in result.output and "obstructed" in result.output
-    assert "[6:11]" in result.output and "survives" in result.output
+def test_enumerate_human_output():
+    code, output = run(["enumerate", "--a", "6", "--b", "6"])
+    assert code == 0
+    assert "3 genus-compatible configuration(s)" in output
+    assert "[2:51]" in output and "obstructed" in output
+    assert "[6:11]" in output and "survives" in output
 
 
-def test_enumerate_json(runner):
-    result = runner.invoke(cli, ["enumerate", "--a", "6", "--b", "6", "--json"])
-    report = json.loads(result.output)
+def test_enumerate_json():
+    code, output = run(["enumerate", "--a", "6", "--b", "6", "--json"])
+    report = json.loads(output)
     assert report["results"]["count"] == 3
     survivors = [w["cusps"] for w in report["witnesses"] if w["survives"]]
     assert survivors == ["3:26", "6:11"]
 
 
-def test_enumerate_cap_from_environment(runner, monkeypatch):
+def test_enumerate_cap_from_environment(monkeypatch):
     monkeypatch.setenv("CUSPIDAL_CANDIDATE_CAP", "1")
-    result = runner.invoke(cli, ["enumerate", "--a", "6", "--b", "6", "--max-cusps", "2"])
-    assert result.exit_code == 1
+    code, output = run(["enumerate", "--a", "6", "--b", "6", "--max-cusps", "2"])
+    assert code == 1
     # explicit --cap overrides the environment
-    result = runner.invoke(
-        cli, ["enumerate", "--a", "6", "--b", "6", "--max-cusps", "2", "--cap", "100"]
+    code, output = run(
+        ["enumerate", "--a", "6", "--b", "6", "--max-cusps", "2", "--cap", "100"]
     )
-    assert result.exit_code == 0
+    assert code == 0
 
 
 @pytest.mark.parametrize("value", ["abc", "", "1.5"])
@@ -223,24 +221,24 @@ def test_enumerate_deep_configurations_hit_the_cap(capsys):
     assert "Traceback" not in captured.out + captured.err
 
 
-def test_enumerate_genus_zero_empty_table(runner):
-    result = runner.invoke(cli, ["enumerate", "--a", "1", "--b", "1"])
-    assert result.exit_code == 0
-    assert "0 genus-compatible configuration(s)" in result.output
+def test_enumerate_genus_zero_empty_table():
+    code, output = run(["enumerate", "--a", "1", "--b", "1"])
+    assert code == 0
+    assert "0 genus-compatible configuration(s)" in output
 
 
-def test_spectrum_table_output(runner):
-    result = runner.invoke(cli, ["spectrum", "--a", "6", "--b", "6"])
-    assert result.exit_code == 0
-    lines = result.output.strip().splitlines()
+def test_spectrum_table_output():
+    code, output = run(["spectrum", "--a", "6", "--b", "6"])
+    assert code == 0
+    lines = output.strip().splitlines()
     assert lines[0] == "1/6 1"
     assert "1/1 11" in lines
 
 
-def test_spectrum_both_methods_agree(runner):
-    result = runner.invoke(cli, ["spectrum", "--a", "6", "--b", "4", "--method", "both"])
-    assert result.exit_code == 0
-    assert "methods agree: True" in result.output
+def test_spectrum_both_methods_agree():
+    code, output = run(["spectrum", "--a", "6", "--b", "4", "--method", "both"])
+    assert code == 0
+    assert "methods agree: True" in output
 
 
 @pytest.mark.parametrize("shift, derived_mult", [(1, 2), (-1, 0)])
@@ -267,33 +265,28 @@ def test_spectrum_mismatch_exits_three(shift, derived_mult, capsys, monkeypatch)
     )
 
 
-def test_spectrum_csv(runner):
-    result = runner.invoke(cli, ["spectrum", "--a", "6", "--b", "4", "--csv"])
-    rows = list(csv.DictReader(io.StringIO(result.output)))
+def test_spectrum_csv():
+    code, output = run(["spectrum", "--a", "6", "--b", "4", "--csv"])
+    rows = list(csv.DictReader(io.StringIO(output)))
     assert rows[0]["value"] == "1/4"
     assert sum(int(row["multiplicity"]) for row in rows) == 39
 
 
-def test_dedekind_commands(runner):
-    result = runner.invoke(cli, ["dedekind", "s", "1", "3"])
-    assert result.output.strip() == "1/18"
-    result = runner.invoke(cli, ["dedekind", "d", "1", "3", "7"])
-    assert result.output.strip() == "-1/14"
-    result = runner.invoke(cli, ["dedekind", "s", "1", "0"])
-    assert result.exit_code == 1
+def test_dedekind_commands():
+    code, output = run(["dedekind", "s", "1", "3"])
+    assert output.strip() == "1/18"
+    code, output = run(["dedekind", "d", "1", "3", "7"])
+    assert output.strip() == "-1/14"
+    code, output = run(["dedekind", "s", "1", "0"])
+    assert code == 1
 
 
-def test_dedekind_limits(runner):
-    result = runner.invoke(
-        cli, ["dedekind", "limits", "--b", "3", "--max-w", "2000"]
-    )
-    assert result.exit_code == 0
-    assert "[ok]" in result.output
-    result = runner.invoke(
-        cli,
-        ["dedekind", "limits", "--b", "3", "--max-w", "2000", "--json"],
-    )
-    report = json.loads(result.output)
+def test_dedekind_limits():
+    code, output = run(["dedekind", "limits", "--b", "3", "--max-w", "2000"])
+    assert code == 0
+    assert "[ok]" in output
+    code, output = run(["dedekind", "limits", "--b", "3", "--max-w", "2000", "--json"])
+    report = json.loads(output)
     assert report["results"]["all_within_tol"] is True
 
 
@@ -317,14 +310,6 @@ def test_dedekind_limits_without_subsequence_member(capsys):
     )
 
 
-def _run(argv):
-    """main(argv) in-process: the exit code and stdout."""
-    stdout = io.StringIO()
-    with contextlib.redirect_stdout(stdout), pytest.raises(SystemExit) as excinfo:
-        main(argv)
-    return excinfo.value.code, stdout.getvalue()
-
-
 @pytest.mark.parametrize(
     "argv",
     [
@@ -344,7 +329,7 @@ def _run(argv):
 )
 def test_json_reports_are_indented_stdlib_bytes(argv):
     # Reports promise the bytes of json.dumps(sort_keys=True, indent=2).
-    code, out = _run([*argv, "--json"])
+    code, out = run([*argv, "--json"])
     assert code in (0, 2)
     assert out == json.dumps(json.loads(out), sort_keys=True, indent=2) + "\n"
 
@@ -369,54 +354,51 @@ def test_domain_edges_of_genus_zero(curve):
     # g = 0 leaves no room for a cusp: the empty configuration is the only
     # one that fits, it survives both filters, and enumerate finds nothing.
     base = [f"--{name}={value}" for name, value in zip("abe", curve)]
-    code, out = _run(["check", *base, "--json"])
+    code, out = run(["check", *base, "--json"])
     report = json.loads(out)
     assert code == 0
     assert report["results"]["g"] == 0
     assert report["results"]["verdict"] == "survives"
     assert report["witnesses"] == []
-    code, out = _run(["enumerate", *base, "--max-cusps", "3", "--json"])
+    code, out = run(["enumerate", *base, "--max-cusps", "3", "--json"])
     assert code == 0
     assert json.loads(out)["results"]["count"] == 0
-    code, out = _run(["spectrum", *base, "--method", "both", "--json"])
+    code, out = run(["spectrum", *base, "--method", "both", "--json"])
     assert code == 0
     assert json.loads(out)["results"]["methods_agree"] is True
 
 
-def test_dinv_single_and_all(runner):
-    result = runner.invoke(cli, ["dinv", "--a", "1", "--b", "1", "--m", "0"])
-    assert result.output.strip() == "m=0: -1/4"
-    result = runner.invoke(
-        cli,
-        ["dinv", "--a", "6", "--b", "6", "--cusp", "6:11", "--all-m", "--json"],
+def test_dinv_single_and_all():
+    code, output = run(["dinv", "--a", "1", "--b", "1", "--m", "0"])
+    assert output.strip() == "m=0: -1/4"
+    code, output = run(
+        ["dinv", "--a", "6", "--b", "6", "--cusp", "6:11", "--all-m", "--json"]
     )
-    report = json.loads(result.output)
+    report = json.loads(output)
     values = {row["m"]: row["d_invariant"] for row in report["results"]["values"]}
     assert len(values) == 72
     assert values[25] == "-103/72"
 
 
-def test_dinv_requires_exactly_one_mode(runner):
-    result = runner.invoke(cli, ["dinv", "--a", "1", "--b", "1"])
-    assert result.exit_code == 1
-    result = runner.invoke(
-        cli, ["dinv", "--a", "1", "--b", "1", "--m", "0", "--all-m"]
-    )
-    assert result.exit_code == 1
+def test_dinv_requires_exactly_one_mode():
+    code, output = run(["dinv", "--a", "1", "--b", "1"])
+    assert code == 1
+    code, output = run(["dinv", "--a", "1", "--b", "1", "--m", "0", "--all-m"])
+    assert code == 1
 
 
-def test_repro_matches_golden_files(runner):
-    result = runner.invoke(cli, ["repro"])
-    assert result.exit_code == 0
-    assert "MISMATCH" not in result.output
-    assert result.output.count(": ok") == 7
+def test_repro_matches_golden_files():
+    code, output = run(["repro"])
+    assert code == 0
+    assert "MISMATCH" not in output
+    assert output.count(": ok") == 7
 
 
-def test_repro_update_writes_golden_files(runner, tmp_path):
+def test_repro_update_writes_golden_files(tmp_path):
     target = tmp_path / "golden"
-    result = runner.invoke(cli, ["repro", "--update", str(target)])
-    assert result.exit_code == 0
-    assert result.output == "wrote 7 golden files\n"
+    code, output = run(["repro", "--update", str(target)])
+    assert code == 0
+    assert output == "wrote 7 golden files\n"
     golden = Path(__file__).resolve().parents[1] / "src" / "cuspidal" / "golden"
     names = sorted(path.name for path in target.iterdir())
     assert len(names) == 7
@@ -447,6 +429,96 @@ def test_main_propagates_exit_codes(capsys):
     assert "genus mismatch" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", "--b", "6", "--cusp", "6:11"],
+        ["check", "--a", "6", "--b", "6", "--cusp", "6:11", "--x"],
+        ["check", "--a", "seven", "--b", "6"],
+        ["spectrum", "--a", "6", "--b", "4", "--method", "foo"],
+        ["enumerate", "--a", "6", "--b", "6", "--max", "2"],
+        ["dedekind"],
+        [],
+    ],
+    ids=lambda argv: " ".join(argv) or "no command",
+)
+def test_usage_errors_exit_one(argv, capsys):
+    # Exit 2 means "obstructed", so a usage error must never exit 2.
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "command",
+    [[], ["check"], ["enumerate"], ["spectrum"], ["dinv"], ["repro"], ["dedekind"]]
+    + [["dedekind", name] for name in ("s", "d", "limits")],
+    ids=lambda command: " ".join(["cuspidal", *command]),
+)
+def test_help_exits_zero(command, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main([*command, "--help"])
+    assert excinfo.value.code == 0
+    assert capsys.readouterr().out.startswith(" ".join(["usage: cuspidal", *command]))
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (
+            ["check", "--a", "6", "--b", "6", "--cusp", "-2:3"],
+            "bad cusp '-2:3': cusp exponent r must be >= 2, got -2",
+        ),
+        (["spectrum", "--a", "-1", "--b", "4"], "a must be nonnegative, got -1"),
+    ],
+)
+def test_option_values_may_begin_with_a_dash(argv, message):
+    assert run(argv) == (1, f"error: {message}\n")
+
+
+def test_dedekind_sum_of_a_negative_numerator():
+    # A negative p is a value, not an option; s(-1, 3) = s(2, 3) as p is
+    # reduced mod q.
+    assert run(["dedekind", "s", "-1", "3"]) == (0, "-1/18\n")
+    d = ["dedekind", "d"]
+    assert run([*d, "-1", "3", "7"]) == run([*d, "6", "3", "7"])
+
+
+def test_cli_imports_neither_click_nor_dataclasses():
+    # A fresh `import cuspidal.cli` pays for no third-party parser and for no
+    # dataclasses (which imports inspect).  -S keeps site-packages' own
+    # start-up imports out of the module set.
+    src = Path(cli_module.__file__).resolve().parents[1]
+    code = (
+        "import sys, cuspidal.cli; "
+        "print(sorted({'click', 'dataclasses', 'inspect'} & set(sys.modules)))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert result.stdout == "[]\n"
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"])
+def test_closed_stdout_exits_one_quietly(unbuffered):
+    # The reader is gone before the first write, as in `cuspidal ... | head -0`.
+    src = Path(cli_module.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src), "PYTHONUNBUFFERED": unbuffered}
+    code = "from cuspidal.cli import main; main(['dedekind', 's', '1', '3'])"
+    pipe = subprocess.PIPE
+    child = subprocess.Popen(
+        [sys.executable, "-c", code], env=env, stdout=pipe, stderr=pipe
+    )
+    child.stdout.close()
+    assert child.stderr.read() == b""
+    assert child.wait(timeout=60) == 1
 
 
 def _ints(lo, hi):

@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 
 import pytest
 from hypothesis import given, strategies as st
@@ -113,3 +115,27 @@ def test_constructors_and_str():
     assert str(PuiseuxCusp(2, 3)) == "(2,3)"
     assert str(CurveType(6, 4, 0)) == "(6,4) in X_0"
     assert str(CuspConfiguration((PuiseuxCusp(2, 3),))) == "[(2,3)]"
+
+
+def test_values_are_immutable_ordered_hashable_tuples():
+    cusp = PuiseuxCusp(2, 3)
+    curve = CurveType(6, 6)
+    config = CuspConfiguration([cusp, PuiseuxCusp(3, 4)])
+    for value, attr in ((cusp, "r"), (curve, "e"), (config, "total_delta")):
+        with pytest.raises(AttributeError):
+            setattr(value, attr, 0)
+        assert pickle.loads(pickle.dumps(value)) == copy.copy(value) == value
+        assert type(copy.deepcopy(value)) is type(value)
+    # Cusps order as (r, s) and hash as that pair; configurations hash as
+    # the tuple of their cusps, so they serve as memo keys.
+    assert sorted([PuiseuxCusp(3, 4), PuiseuxCusp(2, 5), cusp]) == [
+        cusp,
+        PuiseuxCusp(2, 5),
+        PuiseuxCusp(3, 4),
+    ]
+    assert hash(cusp) == hash((2, 3)) and hash(curve) == hash((6, 6, 0))
+    assert len({config, CuspConfiguration((cusp, PuiseuxCusp(3, 4)))}) == 1
+    assert repr(config) == (
+        "CuspConfiguration(cusps=(PuiseuxCusp(r=2, s=3), PuiseuxCusp(r=3, s=4)))"
+    )
+    assert repr(curve) == "CurveType(a=6, b=6, e=0)"
