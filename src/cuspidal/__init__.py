@@ -1,5 +1,9 @@
 """Exact obstruction checks and candidate enumeration for rational cuspidal
-curves in Hirzebruch surfaces."""
+curves in Hirzebruch surfaces.
+
+The `dedekind` names load on first use (PEP 562), so that importing the
+package, and the CLI with it, does not load the sawtooth sums.
+"""
 
 from .core import (
     CurveType,
@@ -13,6 +17,7 @@ from .hf import (
     HfWitness,
     d_invariant,
     hf_check,
+    hf_obstructed,
     max_p_over_presentations,
     multiplicity_bound_check,
     p_bound,
@@ -24,17 +29,10 @@ from .spectra import (
     alexander_order,
     cusp_spectrum,
     semicontinuity_check,
+    semicontinuity_obstructed,
     signature_profile,
     spectrum_at_infinity_derived,
     spectrum_at_infinity_table,
-)
-from .dedekind import (
-    LimitReport,
-    dedekind_sum,
-    rademacher_sum,
-    sawtooth,
-    section_sums,
-    verify_limits,
 )
 from .enumeration import (
     CandidateCapExceededError,
@@ -62,6 +60,7 @@ __all__ = [
     "enumerate_configurations",
     "enumerate_unicuspidal",
     "hf_check",
+    "hf_obstructed",
     "max_p_over_presentations",
     "multiplicity_bound_check",
     "p_bound",
@@ -69,6 +68,7 @@ __all__ = [
     "sawtooth",
     "section_sums",
     "semicontinuity_check",
+    "semicontinuity_obstructed",
     "signature_profile",
     "spectrum_at_infinity_derived",
     "spectrum_at_infinity_table",
@@ -76,3 +76,20 @@ __all__ = [
 ]
 
 __version__ = "0.1.0"
+
+_DEDEKIND = frozenset({
+    "LimitReport",
+    "dedekind_sum",
+    "rademacher_sum",
+    "sawtooth",
+    "section_sums",
+    "verify_limits",
+})
+
+
+def __getattr__(name: str):
+    if name in _DEDEKIND:
+        from . import dedekind
+
+        return getattr(dedekind, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

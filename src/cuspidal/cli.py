@@ -12,7 +12,6 @@ serialized as "num/den".
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import io
 import json
@@ -20,21 +19,26 @@ import math
 import os
 import sys
 from fractions import Fraction
-from importlib import resources
 from itertools import chain
 from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from .core import CurveType, CuspConfiguration, PuiseuxCusp
-from .dedekind import dedekind_sum, rademacher_sum, verify_limits
 from .enumeration import (
     DEFAULT_CANDIDATE_CAP,
     CandidateCapExceededError,
     enumerate_configurations,
 )
-from .hf import HfWitness, d_invariant, hf_check, multiplicity_bound_check
+from .hf import (
+    HfWitness,
+    d_invariant,
+    hf_check,
+    hf_obstructed,
+    multiplicity_bound_check,
+)
 from .spectra import (
     SemicontinuityWitness,
     semicontinuity_check,
+    semicontinuity_obstructed,
     spectrum_at_infinity_derived,
     spectrum_at_infinity_table,
 )
@@ -122,6 +126,8 @@ def _emit_json(report: Dict) -> None:
 def _emit_csv(rows: Sequence[Dict], empty_header: Sequence[str]) -> None:
     """The rows as CSV under the union of their keys, in order of first
     appearance; with no rows, just the header `empty_header`."""
+    import csv
+
     header: List[str] = [] if rows else list(empty_header)
     for row in rows:
         for key in row:
@@ -242,15 +248,17 @@ def _check(a, b, e, cusps, only, as_json, as_csv) -> int:
 
 
 _CANDIDATE_FIELDS = ("cusps", "genus_ok", "multiplicity_ok", "hf", "spectrum", "survives")
+_VERDICTS = ("passes", "obstructed")
 
 
 def _candidate_rows(curve: CurveType, configs: Sequence[CuspConfiguration]) -> List[Dict]:
-    """One row of filter verdicts per configuration, keeping none of the reports."""
+    """One row of filter verdicts per configuration, from the verdict-only
+    filters, which build no witness."""
     rows = []
     for config in configs:
         multiplicity_ok = all(multiplicity_bound_check(curve, cusp) for cusp in config)
-        hf = hf_check(curve, config).verdict
-        spectrum = semicontinuity_check(curve, config).verdict
+        hf = _VERDICTS[hf_obstructed(curve, config)]
+        spectrum = _VERDICTS[semicontinuity_obstructed(curve, config)]
         values = (
             " ".join(f"{c.r}:{c.s}" for c in config),
             # enumerate_configurations yields only genus-compatible configurations.
@@ -337,6 +345,8 @@ def _spectrum(a, b, e, method, as_json, as_csv) -> int:
 
 def _dedekind_s(p, q) -> int:
     """Print s(p, q) as num/den."""
+    from .dedekind import dedekind_sum
+
     try:
         print(_fr(dedekind_sum(p, q)))
     except ValueError as exc:
@@ -346,6 +356,8 @@ def _dedekind_s(p, q) -> int:
 
 def _dedekind_d(p, q, r) -> int:
     """Print D(p, q, r) as num/den."""
+    from .dedekind import rademacher_sum
+
     try:
         print(_fr(rademacher_sum(p, q, r)))
     except ValueError as exc:
@@ -355,6 +367,8 @@ def _dedekind_d(p, q, r) -> int:
 
 def _dedekind_limits(b, max_w, tol, as_json) -> int:
     """Evaluate the three limit statements along the proof subsequence."""
+    from .dedekind import verify_limits
+
     try:
         report = verify_limits(b, max_w, Fraction(tol))
     except (ValueError, ZeroDivisionError) as exc:
@@ -448,6 +462,8 @@ def _repro_scenarios() -> List[Tuple[str, Dict]]:
 
 def _repro(update_dir) -> int:
     """Re-run the bundled reference scenarios and diff against golden files."""
+    from importlib import resources
+
     scenarios = _repro_scenarios()
     if update_dir is not None:
         try:
@@ -496,15 +512,54 @@ _CURVE = (("--a", _REQUIRED), ("--b", _REQUIRED), _E)
 _CUSPS = ("--cusp", {"dest": "cusps", "action": "append", "default": [], "help": "r:s"})
 _JSON = ("--json", {"dest": "as_json", "action": "store_true"})
 _CSV = ("--csv", {"dest": "as_csv", "action": "store_true"})
+_ONLY = ("--only", {"choices": ["hf", "spectrum"]})
+_MAX_CUSPS = ("--max-cusps", {**_INT, "default": 1, "help": _DEFAULT})
+_CAP = ("--cap", {**_INT, "help": "candidate cap override"})
+_METHODS = ["table", "derived", "both"]
+_METHOD = ("--method", {"choices": _METHODS, "default": "table", "help": _DEFAULT})
+_TOL = ("--tol", {"default": "1/200", "help": _DEFAULT})
+_ALL_M = ("--all-m", {"action": "store_true"})
+_UPDATE_DOC = "write the golden files into DIR instead of diffing against them"
+_UPDATE = ("--update", {"dest": "update_dir", "metavar": "DIR", "help": _UPDATE_DOC})
+_SUMS_DOC = "Sawtooth sums: two- and three-term reciprocity families."
+
+# Each command as (function, arguments); `dedekind` groups the sawtooth sums.
+_COMMANDS = {
+    "check": (_check, (*_CURVE, _CUSPS, _ONLY, _JSON, _CSV)),
+    "enumerate": (_enumerate, (*_CURVE, _MAX_CUSPS, _CAP, _JSON, _CSV)),
+    "spectrum": (_spectrum, (*_CURVE, _METHOD, _JSON, _CSV)),
+    "dedekind": {
+        "s": (_dedekind_s, (("p", _INT), ("q", _INT))),
+        "d": (_dedekind_d, (("p", _INT), ("q", _INT), ("r", _INT))),
+        "limits": (
+            _dedekind_limits,
+            (("--b", _REQUIRED), ("--max-w", _REQUIRED), _TOL, _JSON),
+        ),
+    },
+    "dinv": (_dinv, (*_CURVE, _CUSPS, ("--m", _INT), _ALL_M, _JSON)),
+    "repro": (_repro, (_UPDATE,)),
+}
 
 
 @functools.lru_cache(maxsize=None)
-def _parser() -> Tuple[_Parser, FrozenSet[str]]:
-    """The `cuspidal` parser, built once, and its options that take a value."""
+def _parser(name: Optional[str]) -> Tuple[_Parser, FrozenSet[str]]:
+    """The `cuspidal` parser with the subparser of command `name` only, or of
+    every command for None, built once, and its options that take a value.
+
+    Each subparser parses and reports errors on its own, so the parser with
+    only the named command behaves as the full one on that command's argv.
+    """
     valued: Set[str] = set()
 
-    def command(group, name: str, run: Callable[..., int], *arguments) -> None:
-        sub = group.add_parser(name, help=run.__doc__, description=run.__doc__)
+    def add(group, command: str, spec) -> None:
+        if isinstance(spec, dict):
+            sub = group.add_parser(command, help=_SUMS_DOC, description=_SUMS_DOC)
+            sums = sub.add_subparsers(required=True, metavar="COMMAND")
+            for item in spec.items():
+                add(sums, *item)
+            return
+        run, arguments = spec
+        sub = group.add_parser(command, help=run.__doc__, description=run.__doc__)
         sub.set_defaults(run=run)
         for flag, kwargs in arguments:
             if sub.add_argument(flag, **kwargs).nargs is None and flag[0] == "-":
@@ -513,27 +568,9 @@ def _parser() -> Tuple[_Parser, FrozenSet[str]]:
     doc = "Obstruction checks for rational cuspidal curves in ruled surfaces."
     parser = _Parser(prog="cuspidal", description=doc)
     commands = parser.add_subparsers(required=True, metavar="COMMAND")
-    only = ("--only", {"choices": ["hf", "spectrum"]})
-    command(commands, "check", _check, *_CURVE, _CUSPS, only, _JSON, _CSV)
-    max_cusps = ("--max-cusps", {**_INT, "default": 1, "help": _DEFAULT})
-    cap = ("--cap", {**_INT, "help": "candidate cap override"})
-    command(commands, "enumerate", _enumerate, *_CURVE, max_cusps, cap, _JSON, _CSV)
-    methods = ["table", "derived", "both"]
-    method = ("--method", {"choices": methods, "default": "table", "help": _DEFAULT})
-    command(commands, "spectrum", _spectrum, *_CURVE, method, _JSON, _CSV)
-    doc = "Sawtooth sums: two- and three-term reciprocity families."
-    dedekind = commands.add_parser("dedekind", help=doc, description=doc)
-    sums = dedekind.add_subparsers(required=True, metavar="COMMAND")
-    command(sums, "s", _dedekind_s, ("p", _INT), ("q", _INT))
-    command(sums, "d", _dedekind_d, ("p", _INT), ("q", _INT), ("r", _INT))
-    b, max_w = ("--b", _REQUIRED), ("--max-w", _REQUIRED)
-    tol = ("--tol", {"default": "1/200", "help": _DEFAULT})
-    command(sums, "limits", _dedekind_limits, b, max_w, tol, _JSON)
-    all_m = ("--all-m", {"action": "store_true"})
-    command(commands, "dinv", _dinv, *_CURVE, _CUSPS, ("--m", _INT), all_m, _JSON)
-    doc = "write the golden files into DIR instead of diffing against them"
-    update = ("--update", {"dest": "update_dir", "metavar": "DIR", "help": doc})
-    command(commands, "repro", _repro, update)
+    for command, spec in _COMMANDS.items():
+        if name in (None, command):
+            add(commands, command, spec)
     return parser, frozenset(valued)
 
 
@@ -550,8 +587,9 @@ def _joined(argv: Sequence[str], valued: FrozenSet[str]) -> List[str]:
 
 def main(argv: Optional[Sequence[str]] = None) -> None:
     """Entry point with the exit-code contract described in the module docstring."""
-    parser, valued = _parser()
     argv = sys.argv[1:] if argv is None else argv
+    # A bare `cuspidal`, `--help` or an unknown command needs every command.
+    parser, valued = _parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     try:
         options = vars(parser.parse_args(_joined(argv, valued)))
         code = options.pop("run")(**options)

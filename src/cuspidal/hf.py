@@ -8,9 +8,13 @@ such presentation; it is enough to compare against the maximal P.
 
 R(t) is read off the configuration's semigroup element list
 (`semigroups.curve_elements`): the number of elements below t for t <= 2g,
-and t - g beyond.  That list is memoised by (curve, config) value for the
-most recent configuration, so `hf_check` and every m of `d_invariant` on one
+and t - g beyond.  That list is memoised for the most recent configuration
+and its prefixes, so `hf_check` and every m of `d_invariant` on one
 configuration fold it once.
+
+One scan, `_violations`, has two consumers: `hf_check` collects every
+violated presentation as an `HfWitness`, and `hf_obstructed`, the verdict
+`enumerate` prints, stops at the first and builds no witness.
 
 The maximal presentation of every m in [-g, g] depends only on the curve, so
 it is memoised by curve value for the most recent curve (`_p_max_line`,
@@ -24,7 +28,7 @@ import math
 from bisect import bisect_left
 from fractions import Fraction
 from functools import lru_cache
-from typing import NamedTuple, Optional, Tuple
+from typing import Iterator, NamedTuple, Optional, Tuple
 
 from .core import CurveType, CuspConfiguration, PuiseuxCusp
 from .semigroups import curve_elements
@@ -108,16 +112,28 @@ def _p_max_line(curve: CurveType) -> Tuple[Tuple[int, int, int, int], ...]:
     )
 
 
-def hf_check(curve: CurveType, config: CuspConfiguration) -> HfReport:
-    """Scan all m in [-g, g] and collect every violated presentation."""
+def _violations(
+    curve: CurveType, config: CuspConfiguration
+) -> Iterator[Tuple[int, int, int, int, int]]:
+    """(m, s1, s2, R(m + g), P) of every violated maximal presentation, in
+    increasing m, lazily."""
     elements = curve_elements(curve, config)
     g = curve.g
-    witnesses = []
     for m, s1, s2, p in _p_max_line(curve):
         r_value = bisect_left(elements, m + g)
         if r_value < p:
-            witnesses.append(HfWitness(m, s1, s2, r_value, p))
-    return HfReport(tuple(witnesses))
+            yield m, s1, s2, r_value, p
+
+
+def hf_check(curve: CurveType, config: CuspConfiguration) -> HfReport:
+    """Scan all m in [-g, g] and collect every violated presentation."""
+    return HfReport(tuple(map(HfWitness._make, _violations(curve, config))))
+
+
+def hf_obstructed(curve: CurveType, config: CuspConfiguration) -> bool:
+    """Whether some m in [-g, g] violates its maximal presentation: the
+    verdict of `hf_check`, decided at the first violation."""
+    return next(_violations(curve, config), None) is not None
 
 
 def multiplicity_bound_check(curve: CurveType, cusp: PuiseuxCusp) -> bool:

@@ -23,14 +23,19 @@ p in [max(0, v - delta2), min(v, delta1)] suffice, and the result ends at
 g + 1 elements ending at 2g, and R(t) is `bisect_left(elements, t)` for
 t <= 2g and t - g beyond.
 
+The fold starts from the first cusp's list, not from (0,), so a cusp on
+its own costs no convolution.
+
 Memoised: the element list of each cusp by cusp value (`_cusp_elements`,
 the last 1024 cusps), so configurations that share a cusp build it once;
-and the combined list of the most recent configuration by (curve, config)
-value (`curve_elements`, `lru_cache(maxsize=1)`), so the checks of one
-configuration, such as every m of `dinv --all-m`, fold once.
-`_cusp_elements` is the one per-cusp memo of both filters: the spectrum
-filter reads the cusp spectrum off the same list, since its values below 1
-are (r + s + e)/(r*s) for the delta elements e below 2*delta (see
+and the folds of every prefix of the most recent configuration
+(`curve_elements`), so a configuration that shares its first k cusps with
+the one before it folds only the rest.  `enumerate` lists configurations in
+depth-first order, so the leaves under one prefix fold that prefix once,
+and the checks of one configuration, such as every m of `dinv --all-m`,
+fold once.  `_cusp_elements` is the one per-cusp memo of both filters: the
+spectrum filter reads the cusp spectrum off the same list, since its values
+below 1 are (r + s + e)/(r*s) for the delta elements e below 2*delta (see
 `spectra`).
 """
 
@@ -38,7 +43,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from operator import add
-from typing import Tuple
+from typing import List, NamedTuple, Tuple
 
 from .core import CurveType, CuspConfiguration, PuiseuxCusp
 
@@ -57,25 +62,67 @@ def _cusp_elements(cusp: PuiseuxCusp) -> Tuple[int, ...]:
 
 def _max_plus(e1: Tuple[int, ...], e2: Tuple[int, ...]) -> Tuple[int, ...]:
     """v -> max_{p + q = v} e1[p] + e2[q] over the splits inside both lists."""
+    if len(e1) < len(e2):
+        e1, e2 = e2, e1
     d1, d2 = len(e1) - 1, len(e2) - 1
-    result = []
-    for v in range(d1 + d2 + 1):
-        lo, hi = max(0, v - d2), min(v, d1)
-        # e1[p] + e2[v - p] for p = lo .. hi
-        result.append(max(map(add, e1[lo : hi + 1], reversed(e2[v - hi : v - lo + 1]))))
-    return tuple(result)
+    # e2 reversed: e2[v - p] for p = lo .. hi is a slice of it.  The splits
+    # are p in [0, v] while v < d2, then [v - d2, v] up to v = d1, then
+    # [v - d2, d1].
+    r2 = e2[::-1]
+    return (
+        *[max(map(add, e1[: v + 1], r2[d2 - v :])) for v in range(d2)],
+        *[max(map(add, e1[v - d2 : v + 1], r2)) for v in range(d2, d1 + 1)],
+        *[
+            max(map(add, e1[v - d2 :], r2[: d1 + d2 + 1 - v]))
+            for v in range(d1 + 1, d1 + d2 + 1)
+        ],
+    )
 
 
-@lru_cache(maxsize=1)
-def curve_elements(curve: CurveType, config: CuspConfiguration) -> Tuple[int, ...]:
-    """The g + 1 elements, ending at 2g, whose counting function is R.
+class _CacheInfo(NamedTuple):
+    hits: int
+    misses: int
 
-    Fold of the per-cusp element lists under max-plus convolution from the
-    neutral (0,); R(t) is the number of elements below t for t <= 2g and
-    t - g beyond.
-    """
-    config.require_genus_compatible(curve)
-    elements: Tuple[int, ...] = (0,)
-    for cusp in config:
-        elements = _max_plus(elements, _cusp_elements(cusp))
-    return elements
+
+class _PrefixFolds:
+    """The fold of a configuration, memoised by prefix: `curve_elements`."""
+
+    def __init__(self) -> None:
+        self.cache_clear()
+
+    def cache_clear(self) -> None:
+        # _folds[k] is the fold of the first k cusps of the most recent
+        # configuration, _cusps; _folds[0] is the neutral (0,).
+        self._cusps: List[PuiseuxCusp] = []
+        self._folds: List[Tuple[int, ...]] = [(0,)]
+        self._hits = self._misses = 0
+
+    def cache_info(self) -> _CacheInfo:
+        """A call is a hit when it asks for the most recent configuration."""
+        return _CacheInfo(self._hits, self._misses)
+
+    def __call__(self, curve: CurveType, config: CuspConfiguration) -> Tuple[int, ...]:
+        """The g + 1 elements, ending at 2g, whose counting function is R.
+
+        R(t) is the number of elements below t for t <= 2g and t - g beyond.
+        """
+        config.require_genus_compatible(curve)
+        cusps, folds = self._cusps, self._folds
+        shared = 0
+        for held, cusp in zip(cusps, config):
+            if held != cusp:
+                break
+            shared += 1
+        if shared == len(cusps) == len(config):
+            self._hits += 1
+            return folds[-1]
+        self._misses += 1
+        del cusps[shared:], folds[shared + 1 :]
+        for cusp in config[shared:]:
+            elements = _cusp_elements(cusp)
+            folds.append(_max_plus(folds[-1], elements) if cusps else elements)
+            cusps.append(cusp)
+        return folds[-1]
+
+
+curve_elements = _PrefixFolds()

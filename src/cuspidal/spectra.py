@@ -18,29 +18,77 @@ with i < r and j >= 1, and e + r + s <= r*s forces j < s and excludes
 r*s itself; conversely i*s + j*r - r - s < 2*delta is an element.  The
 symmetry (i, j) -> (r - i, s - j) maps the rest onto 2*r*s - n.
 
-The semicontinuity check compares cusp spectra against the spectrum at
-infinity on every relevant open unit interval, on integers: with
-L = 2 * lcm(w, b, r_1*s_1, ...) all values, the scan points and the
-midpoints between them are integer multiples of 1/L.  Interval counts are
-bisections of sorted int lists; cusp counts add up, so all cusps share one
-list.
+The spectrum at infinity is symmetric about 1 too: mult(2 - x) = mult(x)
+for x in (0, 1) in the table below.  At x = p/w alone (w does not divide
+p*b, or x would be q/b), 2 - x has p' = w - p and multiplicity
+b - 1 - floor(p'*b/w) = ceil(p*b/w) - 1 = floor(p*b/w).  At x = q/b alone,
+b does not divide q*a (or x = (q*a/b + q*e)/w), and the same steps give
+floor(q*a/b).  At x = p/w = q/b, p = q*a/b + q*e makes q*a/b an integer,
+and both multiplicities are q + q*a/b - 1.
 
-The check memoises the spectrum at infinity as numerators over lcm(w, b)
-for the most recent curve (`_infinity_numerators`, `lru_cache(maxsize=1)`).
-Its per-cusp input is the element list of `semigroups._cusp_elements`,
-the one per-cusp memo, which the HF check reads too; `_cusp_numerators`
-turns it into numerators without a memo of its own.  `cusp_spectrum` and
-both constructions of the spectrum at infinity are not memoised.
+The semicontinuity check compares the cusp spectra against the spectrum at
+infinity on the open unit intervals (x, x + 1), x in (0, 1): it fails at x
+if the cusps have more values inside than infinity has, or more outside.
+Both counts change only at the critical points, the v and v - 1 in (0, 1)
+for v a value of any spectrum involved.  The scan points are the midpoints
+of consecutive critical points (with 0 and 1 as ends), which stand for the
+open stretches between them, and the critical points that are not values
+of the spectrum at infinity.
+
+Fold.  For a spectrum symmetric about 1 and x in (0, 1), the values in
+(x, x + 1) are those in (x, 1), the value 1, and those in (1, 1 + x), which
+v -> 2 - v maps onto (1 - x, 1).  So the count inside is
+
+    #{l < 1 : l > x} + mult(1) + #{l < 1 : l > 1 - x},
+
+the same at x and at 1 - x, and so is the count outside, the total minus
+it.  Every spectrum here is symmetric, so whether x fails depends on
+min(x, 1 - x) only, and the scan evaluates the counts at the folded points
+min(x, 1 - x) in (0, 1/2] of its scan points, with four bisections of the
+sorted values below 1 each.  It runs from 1/2 down: failures crowd towards
+1/2, and most obstructed configurations fail at one of the first three
+points.
+
+The critical points are symmetric under x -> 1 - x, and so are the
+midpoints, but the scan points need not be.  For x <= 1/2 the multiplicity
+of x at infinity is at most that of 1 - x: the table gives floor(x*b) at
+x = p/w alone, floor(x*a) at x = q/b alone and x*b + x*a - 1 at both, each
+nondecreasing in x, and 1 - x has the form of x.  So the mirror of a value
+at infinity in (0, 1/2] is a value at infinity, but not conversely: for
+(0, 5, 2) with cusps (2, 3), (3, 4), (4, 9), 1/5 is a scan point and a
+witness, while 4/5, a value at infinity, is not scanned.  Hence the mirror
+of every scan point above 1/2 is a scan point, and the folded points are
+the scan points in (0, 1/2].  A folded point y stands for y, and for 1 - y
+too if that is not a value at infinity.  (A midpoint never is one, since
+every value below 1 is critical.)
+
+The scan runs on integers: with L = 2 * lcm(w, b, r_1*s_1, ...) all
+values, the scan points and the midpoints between them are integer
+multiples of 1/L, and counts are bisections of sorted int lists.  Cusp
+counts add up, so all cusps share one list: the values (r + s + e)/(r*s)
+below 1, read off the element lists.  One scan, `_scan`, has two
+consumers: `semicontinuity_check` unfolds every failing point into its
+witnesses, and `semicontinuity_obstructed`, the verdict `enumerate` prints,
+stops at the first and builds no witness and no `Fraction`.
+
+The scan memoises the values below 1 of the spectrum at infinity, as
+numerators over lcm(w, b), and the multiplicity of 1 for the most recent
+curve (`_infinity_numerators`, `lru_cache(maxsize=1)`).  Its per-cusp input
+is the element list of `semigroups._cusp_elements`, the one per-cusp memo,
+which the HF check reads too; `_cusp_numerators` turns it into numerators
+without a memo of its own.  `cusp_spectrum` and both constructions of the
+spectrum at infinity are not memoised.
 """
 
 from __future__ import annotations
 
-import bisect
-import itertools
 import math
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from functools import lru_cache
-from typing import Dict, List, Mapping, NamedTuple, Set, Tuple
+from itertools import accumulate, repeat
+from operator import add, mul
+from typing import Callable, Dict, Iterator, List, Mapping, NamedTuple, Set, Tuple
 
 from .core import CurveType, CuspConfiguration, PuiseuxCusp
 from .semigroups import _cusp_elements
@@ -70,7 +118,7 @@ class SpectrumMultiset:
         self._numerators: Tuple[int, ...] = tuple(sorted(counts))
         self._mults: Tuple[int, ...] = tuple(counts[n] for n in self._numerators)
         # prefix[i] = total multiplicity of the first i distinct values
-        self._prefix: Tuple[int, ...] = (0, *itertools.accumulate(self._mults))
+        self._prefix: Tuple[int, ...] = (0, *accumulate(self._mults))
 
     @property
     def denominator(self) -> int:
@@ -92,7 +140,7 @@ class SpectrumMultiset:
 
     def mult(self, x: Fraction) -> int:
         n, remainder = divmod(x.numerator * self._denominator, x.denominator)
-        i = bisect.bisect_left(self._numerators, n)
+        i = bisect_left(self._numerators, n)
         if not remainder and i < len(self._numerators) and self._numerators[i] == n:
             return self._mults[i]
         return 0
@@ -102,8 +150,8 @@ class SpectrumMultiset:
         # n/D > lo iff n > floor(lo*D), and n/D < hi iff n < ceil(hi*D)
         floor_lo = lo.numerator * self._denominator // lo.denominator
         ceil_hi = -(-hi.numerator * self._denominator // hi.denominator)
-        i = bisect.bisect_right(self._numerators, floor_lo)
-        j = bisect.bisect_left(self._numerators, ceil_hi)
+        i = bisect_right(self._numerators, floor_lo)
+        j = bisect_left(self._numerators, ceil_hi)
         return self._prefix[j] - self._prefix[i]
 
     def is_symmetric_about_one(self) -> bool:
@@ -262,19 +310,82 @@ class SemicontinuityReport(NamedTuple):
 
 
 @lru_cache(maxsize=1)
-def _infinity_numerators(curve: CurveType) -> Tuple[int, Tuple[int, ...]]:
-    """(lcm(w, b), the spectrum at infinity as sorted numerators over it),
-    one entry per unit of multiplicity."""
+def _infinity_numerators(curve: CurveType) -> Tuple[int, Tuple[int, ...], int]:
+    """(D = lcm(w, b), the values below 1 of the spectrum at infinity as
+    sorted numerators over D, one per unit of multiplicity, and the
+    multiplicity of 1)."""
     spectrum = spectrum_at_infinity_table(curve)
-    numerators: List[int] = []
+    denominator = spectrum.denominator
+    low: List[int] = []
     for n, mult in spectrum.numerator_entries():
-        numerators += [n] * mult
-    return spectrum.denominator, tuple(numerators)
+        if n >= denominator:
+            break
+        low += [n] * mult
+    # The values above 1 mirror those below it (module docstring).
+    return denominator, tuple(low), spectrum.total - 2 * len(low)
 
 
-def _count_open(values: List[int], lo: int, hi: int) -> int:
-    """How many entries of the sorted list `values` lie strictly inside (lo, hi)."""
-    return bisect.bisect_left(values, hi) - bisect.bisect_right(values, lo)
+def _scan(
+    curve: CurveType, config: CuspConfiguration
+) -> Tuple[
+    int,
+    Set[int],
+    Callable[[], Iterator[int]],
+    Iterator[Tuple[int, int, int, int, int]],
+]:
+    """The folded scan (module docstring).
+
+    Returns L; the values below 1 of the spectrum at infinity, as a set of
+    numerators over L; a function listing the folded points, the scan points
+    y in (0, L/2], in decreasing order; and, lazily in the same order, every
+    failing one as (y, cusp inside, infinity inside, cusp outside, infinity
+    outside).
+    """
+    config.require_genus_compatible(curve)
+    denominator, infinity_low, mult_one = _infinity_numerators(curve)
+    scale = 2 * math.lcm(denominator, *(cusp.r * cusp.s for cusp in config))
+    half = scale // 2
+    cusps: List[int] = []
+    for cusp in config:
+        r, s = cusp.r, cusp.s
+        low = _cusp_elements(cusp)[:-1]
+        cusps += map(mul, map(add, low, repeat(r + s)), repeat(scale // (r * s)))
+    cusps.sort()
+    infinity = list(map(mul, infinity_low, repeat(scale // denominator)))
+    at_infinity = set(infinity)
+    # The critical points in (0, 1/2], from the top; the others mirror them.
+    critical = sorted(
+        {v if v <= half else scale - v for v in (*cusps, *at_infinity)}, reverse=True
+    )
+
+    def points() -> Iterator[int]:
+        if critical[:1] != [half]:
+            yield half  # the midpoint of the two critical points nearest 1/2
+        for right, left in zip(critical, [*critical[1:], 0]):
+            if right not in at_infinity:
+                yield right
+            yield (left + right) // 2
+
+    cusp_total = 2 * len(cusps)
+    infinity_total = 2 * len(infinity) + mult_one
+
+    def failing() -> Iterator[Tuple[int, int, int, int, int]]:
+        for y in points():
+            mirror = scale - y
+            cusp_inside = (
+                cusp_total - bisect_right(cusps, y) - bisect_right(cusps, mirror)
+            )
+            infinity_inside = (
+                infinity_total
+                - bisect_right(infinity, y)
+                - bisect_right(infinity, mirror)
+            )
+            cusp_outside = cusp_total - cusp_inside
+            infinity_outside = infinity_total - infinity_inside
+            if cusp_inside > infinity_inside or cusp_outside > infinity_outside:
+                yield y, cusp_inside, infinity_inside, cusp_outside, infinity_outside
+
+    return scale, at_infinity, points, failing()
 
 
 def semicontinuity_check(
@@ -287,46 +398,31 @@ def semicontinuity_check(
     are the v and v - 1 in (0, 1) for v a value of any spectrum involved.
     Both interval counts are step functions of x changing only at critical
     points, so the midpoints represent every open interval between changes.
+    Each folded point y of the scan stands for y, and for 1 - y too if that
+    is not a value at infinity (module docstring).
     """
-    config.require_genus_compatible(curve)
-    denominator, infinity_numerators = _infinity_numerators(curve)
-    # Every value below is a numerator over `scale` (L in the module
-    # docstring).  All of them are even, so midpoints are integers too.
-    scale = 2 * math.lcm(denominator, *(cusp.r * cusp.s for cusp in config))
-    cusp_values: List[int] = []
-    for cusp in config:
-        factor = scale // (cusp.r * cusp.s)
-        cusp_values += [n * factor for n in _cusp_numerators(cusp)]
-    cusp_values.sort()
-    factor = scale // denominator
-    infinity = [n * factor for n in infinity_numerators]
-    infinity_values = set(infinity)
+    scale, at_infinity, points, failing = _scan(curve, config)
+    half = scale // 2
 
-    critical = sorted({v % scale for v in (*cusp_values, *infinity_values)} - {0})
-    points = []
-    left = 0
-    for right in critical:
-        points.append((left + right) // 2)
-        if right not in infinity_values:
-            points.append(right)
-        left = right
-    points.append((left + scale) // 2)
+    def mirrored(y: int) -> bool:
+        """Whether 1 - y is a scan point other than y."""
+        return y != half and scale - y not in at_infinity
 
-    cusp_total, infinity_total = len(cusp_values), len(infinity)
-    witnesses = []
-    for x in points:
-        cusp_inside = _count_open(cusp_values, x, x + scale)
-        infinity_inside = _count_open(infinity, x, x + scale)
-        cusp_outside = cusp_total - cusp_inside
-        infinity_outside = infinity_total - infinity_inside
-        if cusp_inside > infinity_inside or cusp_outside > infinity_outside:
-            witnesses.append(
-                SemicontinuityWitness(
-                    Fraction(x, scale),
-                    cusp_inside,
-                    infinity_inside,
-                    cusp_outside,
-                    infinity_outside,
-                )
-            )
-    return SemicontinuityReport(tuple(witnesses), len(points))
+    found = list(failing)
+    witnesses = [
+        SemicontinuityWitness(Fraction(y, scale), *counts)
+        for y, *counts in reversed(found)
+    ]
+    witnesses += [
+        SemicontinuityWitness(Fraction(scale - y, scale), *counts)
+        for y, *counts in found
+        if mirrored(y)
+    ]
+    checked = sum(1 + mirrored(y) for y in points())
+    return SemicontinuityReport(tuple(witnesses), checked)
+
+
+def semicontinuity_obstructed(curve: CurveType, config: CuspConfiguration) -> bool:
+    """Whether some scan point fails an interval inequality: the verdict of
+    `semicontinuity_check`, decided at the first failing folded point."""
+    return next(_scan(curve, config)[3], None) is not None

@@ -488,13 +488,22 @@ def test_dedekind_sum_of_a_negative_numerator():
 
 
 def test_cli_imports_neither_click_nor_dataclasses():
-    # A fresh `import cuspidal.cli` pays for no third-party parser and for no
-    # dataclasses (which imports inspect).  -S keeps site-packages' own
-    # start-up imports out of the module set.
+    # A fresh `import cuspidal.cli` pays for no third-party parser, for no
+    # dataclasses (which imports inspect), and for none of the modules only
+    # some commands use: the sawtooth sums, csv and importlib.resources.
+    # -S keeps site-packages' own start-up imports out of the module set.
     src = Path(cli_module.__file__).resolve().parents[1]
+    absent = [
+        "click",
+        "dataclasses",
+        "inspect",
+        "cuspidal.dedekind",
+        "csv",
+        "importlib.resources",
+    ]
     code = (
         "import sys, cuspidal.cli; "
-        "print(sorted({'click', 'dataclasses', 'inspect'} & set(sys.modules)))"
+        f"print(sorted(set({absent!r}) & set(sys.modules)))"
     )
     result = subprocess.run(
         [sys.executable, "-S", "-c", code],

@@ -6,22 +6,24 @@ brute-force member counts of the cusp semigroups, max-plus convolution over
 every split of element lists continued past their conductors, the
 semicontinuity scan over `Fraction` values with `bisect` queries on each
 `SpectrumMultiset` (its cusp spectra built from i/r + j/s, not read off the
-semigroup as `cusp_spectrum` does), the HF scan over that oracle R with a
-fresh maximal presentation for every m, the defining loops of the sawtooth
-sums (O(q) for s(p, q), O(r) for D(p, q, r), O(w) for the section sums),
-and both constructions of the spectrum at infinity and the cusp spectrum
-over `Fraction` values.  The fast kernels must agree with them exactly: R
-pointwise, whole `SemicontinuityReport`s, witnesses and checked points, every
-sawtooth sum as a `Fraction`, every spectrum entry, and every row of
-`enumerate --json`, rebuilt from the oracle reports.  The report
-serializer `cli._dumps` must write the bytes of the stdlib's
-`json.dumps(sort_keys=True, indent=2)`, which runs its pure-Python encoder.
+semigroup as `cusp_spectrum` does), the unfolded integer scan over every
+scan point in (0, 1) that the folded scan replaced, the HF scan over that
+oracle R with a fresh maximal presentation for every m, the defining loops
+of the sawtooth sums (O(q) for s(p, q), O(r) for D(p, q, r), O(w) for the
+section sums), and both constructions of the spectrum at infinity and the
+cusp spectrum over `Fraction` values.  The fast kernels must agree with them
+exactly: R pointwise, whole `SemicontinuityReport`s, witnesses and checked
+points, the verdicts `enumerate` prints, every sawtooth sum as a
+`Fraction`, every spectrum entry, and every row of `enumerate --json`,
+rebuilt from the oracle reports.  The report serializer `cli._dumps` must
+write the bytes of the stdlib's `json.dumps(sort_keys=True, indent=2)`,
+which runs its pure-Python encoder.
 """
 import contextlib
 import io
 import json
 import math
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from fractions import Fraction
 
@@ -43,10 +45,12 @@ from cuspidal import (
     dedekind_sum,
     enumerate_configurations,
     hf_check,
+    hf_obstructed,
     max_p_over_presentations,
     rademacher_sum,
     section_sums,
     semicontinuity_check,
+    semicontinuity_obstructed,
     signature_profile,
     spectrum_at_infinity_derived,
     spectrum_at_infinity_table,
@@ -59,6 +63,7 @@ from cuspidal.dedekind import (
     rademacher_reciprocity_rhs,
 )
 from cuspidal.semigroups import _cusp_elements, _max_plus
+from cuspidal.spectra import _cusp_numerators
 
 
 def _brute_member_counts(cusp, end):
@@ -142,6 +147,53 @@ def _brute_semicontinuity(curve, config):
     return SemicontinuityReport(tuple(witnesses), len(points))
 
 
+def _integer_scan(curve, config):
+    """The unfolded scan: both counts at every scan point in (0, 1), from one
+    merged list of cusp values and the whole spectrum at infinity over
+    L = 2 * lcm(lcm(w, b), r_1*s_1, ...)."""
+    infinity_spectrum = spectrum_at_infinity_table(curve)
+    denominator = infinity_spectrum.denominator
+    scale = 2 * math.lcm(denominator, *(cusp.r * cusp.s for cusp in config))
+    cusp_values = sorted(
+        n * (scale // (cusp.r * cusp.s))
+        for cusp in config
+        for n in _cusp_numerators(cusp)
+    )
+    infinity = [
+        n * (scale // denominator)
+        for n, mult in infinity_spectrum.numerator_entries()
+        for _ in range(mult)
+    ]
+    infinity_values = set(infinity)
+    critical = sorted({v % scale for v in (*cusp_values, *infinity_values)} - {0})
+    points = []
+    left = 0
+    for right in critical:
+        points.append((left + right) // 2)
+        if right not in infinity_values:
+            points.append(right)
+        left = right
+    points.append((left + scale) // 2)
+
+    def inside(values, x):
+        return bisect_left(values, x + scale) - bisect_right(values, x)
+
+    witnesses = []
+    for x in points:
+        cusp_inside, infinity_inside = inside(cusp_values, x), inside(infinity, x)
+        cusp_outside = len(cusp_values) - cusp_inside
+        infinity_outside = len(infinity) - infinity_inside
+        if cusp_inside > infinity_inside or cusp_outside > infinity_outside:
+            witnesses.append(SemicontinuityWitness(
+                Fraction(x, scale),
+                cusp_inside,
+                infinity_inside,
+                cusp_outside,
+                infinity_outside,
+            ))
+    return SemicontinuityReport(tuple(witnesses), len(points))
+
+
 def _brute_hf(curve, config):
     g = curve.g
     r_values = _brute_r(config, 2 * g)
@@ -159,14 +211,18 @@ def _assert_kernels_match(curve, config):
     assert [_fast_r(curve, config, t) for t in range(-3, 2 * g + 11)] == [
         0, 0, 0, *brute
     ]
-    assert hf_check(curve, config) == _brute_hf(curve, config)
-    assert semicontinuity_check(curve, config) == (
-        _brute_semicontinuity(curve, config)
-    )
+    hf_report = _brute_hf(curve, config)
+    assert hf_check(curve, config) == hf_report
+    assert hf_obstructed(curve, config) == hf_report.obstructed
+    spectrum_report = _brute_semicontinuity(curve, config)
+    assert semicontinuity_check(curve, config) == spectrum_report
+    assert _integer_scan(curve, config) == spectrum_report
+    assert semicontinuity_obstructed(curve, config) == spectrum_report.obstructed
 
 
 @pytest.mark.parametrize(
-    "curve", [CurveType(6, 4, 0), CurveType(4, 4, 2), CurveType(5, 4, 1)]
+    "curve",
+    [CurveType(6, 4, 0), CurveType(4, 4, 2), CurveType(5, 4, 1), CurveType(0, 5, 2)],
 )
 def test_kernels_match_oracles_on_every_configuration(curve):
     configs = enumerate_configurations(curve, 3)
@@ -249,6 +305,80 @@ def test_enumerate_rows_match_oracle_rows(curve):
             and not spectrum_report.obstructed,
         })
     assert rows == expected
+
+
+def test_multiplicity_at_infinity_grows_from_x_to_one_minus_x():
+    # The folded scan rests on this: for x <= 1/2, x is a value at infinity
+    # only if 1 - x is one, so every scan point above 1/2 mirrors into one.
+    for a in range(41):
+        for b in range(1, 41):
+            for e in range(4):
+                curve = _curve_or_none(a, b, e)
+                if curve is None:
+                    continue
+                spectrum = spectrum_at_infinity_table(curve)
+                denominator = spectrum.denominator
+                mults = dict(spectrum.numerator_entries())
+                for n in range(1, denominator // 2 + 1):
+                    assert mults.get(n, 0) <= mults.get(denominator - n, 0)
+
+
+def test_witness_sets_need_not_be_symmetric():
+    # The counts at x and 1 - x agree, but a scan point's mirror need not be
+    # a scan point: 4/5 is a value at infinity, so the scan skips it.
+    curve = CurveType(0, 5, 2)
+    config = CuspConfiguration(
+        (PuiseuxCusp(2, 3), PuiseuxCusp(3, 4), PuiseuxCusp(4, 9))
+    )
+    report = semicontinuity_check(curve, config)
+    assert [w.x for w in report.witnesses] == [
+        Fraction(71, 360), Fraction(1, 5), Fraction(289, 360)
+    ]
+    assert spectrum_at_infinity_table(curve).mult(Fraction(4, 5)) > 0
+    assert spectrum_at_infinity_table(curve).mult(Fraction(1, 5)) == 0
+    asymmetric = [
+        config
+        for config in enumerate_configurations(curve, 3)
+        if (xs := {w.x for w in semicontinuity_check(curve, config).witnesses})
+        != {1 - x for x in xs}
+    ]
+    assert len(asymmetric) == 5
+
+
+def test_witness_at_one_half_is_reported_once():
+    # 1/2 is its own mirror image, so the fold must not count it twice.
+    curve = CurveType(0, 5, 3)
+    config = CuspConfiguration(
+        (PuiseuxCusp(2, 3), PuiseuxCusp(2, 3), PuiseuxCusp(2, 49))
+    )
+    report = semicontinuity_check(curve, config)
+    assert [w.x for w in report.witnesses].count(Fraction(1, 2)) == 1
+    assert report == _brute_semicontinuity(curve, config)
+    assert report == _integer_scan(curve, config)
+
+
+def test_enumerate_builds_no_witness_and_no_fraction(monkeypatch):
+    argv = ["enumerate", "--a", "6", "--b", "6", "--max-cusps", "3", "--json"]
+
+    def enumerate_json():
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout), pytest.raises(SystemExit) as excinfo:
+            cli.main(argv)
+        assert excinfo.value.code == 0
+        return stdout.getvalue()
+
+    expected = enumerate_json()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("enumerate built a witness or a Fraction")
+
+    for module in (hf, spectra):
+        monkeypatch.setattr(module, "Fraction", refuse)
+    monkeypatch.setattr(hf, "HfWitness", refuse)
+    monkeypatch.setattr(spectra, "SemicontinuityWitness", refuse)
+    for memo in MEMOS:
+        memo.cache_clear()
+    assert enumerate_json() == expected
 
 
 @pytest.mark.parametrize(
