@@ -35,14 +35,6 @@ def sawtooth(x: Fraction) -> Fraction:
     return x - math.floor(x) - Fraction(1, 2)
 
 
-def _sawtooth_numerator(value: int, modulus: int) -> int:
-    """2*modulus times sawtooth(value / modulus)."""
-    rem = value % modulus
-    if rem == 0:
-        return 0
-    return 2 * rem - modulus
-
-
 def dedekind_sum(p: int, q: int) -> Fraction:
     """s(p, q) = sum over i in [0, q) of <i/q><p*i/q>."""
     if q < 1:

@@ -8,6 +8,7 @@ cusps in (delta, r, s) order, so each configuration comes out once, sorted.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from typing import List
 
 from .core import CurveType, CuspConfiguration, PuiseuxCusp
@@ -66,6 +67,8 @@ def enumerate_configurations(
         for delta in range(1, curve.g + 1)
         for cusp in cusps_with_delta(delta)
     ]
+    # first[k] indexes the first cusp of delta k: every k >= 1 has (2, 2k + 1).
+    first = [bisect_left(choices, (k,)) for k in range(curve.g + 1)]
     results: List[CuspConfiguration] = []
     partial: List[PuiseuxCusp] = []
     # Depth-first search without recursion, so a configuration may have more
@@ -75,7 +78,10 @@ def enumerate_configurations(
     while stack:
         frame = stack[-1]
         j, remaining = frame
-        if len(partial) == max_cusps or j == len(choices) or choices[j][0] > remaining:
+        if len(partial) == max_cusps - 1:
+            # One slot left: only a cusp of delta `remaining` completes.
+            j = max(j, first[remaining])
+        if j == len(choices) or choices[j][0] > remaining:
             stack.pop()
             if partial:
                 partial.pop()

@@ -4,22 +4,28 @@ For a curve of type (a, b) with genus g, every integer m in [-g, g] whose
 shifted value n = m + g - 1 is divisible by c = gcd(a, b) admits integer
 presentations n = s1*b + s2*w with w = a + b*e.  The obstruction requires
 R(m + g) >= P(s1, s2) with P(s1, s2) = (s1+1)(s2+1) + s2(s2+1)e/2 for every
-such presentation; it is enough to compare against the maximal P.
+such presentation; it is enough to compare against the maximal P.  Along
+the solution line s2 runs over one residue class mod b/c, and
+s1 + 1 = (n + b - s2*w)/b with 2w - b*e = 2a + b*e = q = d/b, so
 
-R(t) is read off the configuration's semigroup element list
-(`semigroups.curve_elements`): the number of elements below t for t <= 2g,
-and t - g beyond.  That list is memoised for the most recent configuration
-and its prefixes, so `hf_check` and every m of `d_invariant` on one
-configuration fold it once.
+    2b * P = (s2 + 1)(2(n + b) - q*s2).
+
+`CurveType` rejects d <= 0, so q > 0: P is a downward parabola in s2 with
+its vertex midway between the roots -1 and 2(n + b)/q, at
+(2(n + b) - q)/(2q), and the maximum is at the solution at or below the
+vertex or at the next one up.
+
+R(t) is read off the configuration's semigroup element list, folded once
+per prefix (`semigroups.curve_elements`): the number of elements below t
+for t <= 2g, and t - g beyond.
 
 One scan, `_violations`, has two consumers: `hf_check` collects every
 violated presentation as an `HfWitness`, and `hf_obstructed`, the verdict
 `enumerate` prints, stops at the first and builds no witness.
 
 The maximal presentation of every m in [-g, g] depends only on the curve, so
-it is memoised by curve value for the most recent curve (`_p_max_line`,
-`lru_cache(maxsize=1)`): the configurations of one curve share it and a new
-curve replaces it.
+`_p_max_line` memoises it for the most recent curve: the configurations of
+one curve share it and a new curve replaces it.
 """
 
 from __future__ import annotations
@@ -66,39 +72,24 @@ def max_p_over_presentations(
 ) -> Optional[Tuple[int, int, int]]:
     """The presentation s1*b + s2*w = n maximizing P, or None if c does not divide n.
 
-    Solutions form the line (s1_0 + k*w/c, s2_0 - k*b/c); P restricted to the
-    line is a downward-opening quadratic in k, so the maximum sits next to the
-    real vertex.  A +-2 window around the vertex is scanned.  Ties are broken
-    towards the larger s1.
+    Of the two solutions next to the vertex of P (see the module docstring),
+    ties go to the one with the larger s1.
     """
     b, w, e = curve.b, curve.w, curve.e
     c = math.gcd(b, w)
     if n % c != 0:
         return None
-    step1, step2 = w // c, b // c
-    s1_0 = n // c * pow(step2, -1, step1)
-    s2_0 = (n - s1_0 * b) // w
-
-    def at(k: int) -> Tuple[int, int, int]:
-        s1 = s1_0 + k * step1
-        s2 = s2_0 - k * step2
-        return s1, s2, p_bound(s1, s2, e)
-
-    # Fit P(k) = A k^2 + B k + C through three samples: 2A < 0 because
-    # a + b*e/2 > 0, and the vertex -B/(2A) is (p_m1 - p_1) / (2 * 2A).
-    p_m1, p_0, p_1 = at(-1)[2], at(0)[2], at(1)[2]
-    twice_a = p_1 + p_m1 - 2 * p_0
-    if twice_a >= 0:
-        raise AssertionError("P must be concave along the presentation line")
-    numerator, denominator = p_m1 - p_1, 2 * twice_a
-    lo = numerator // denominator - 2
-    hi = -(-numerator // denominator) + 2
-    best = None
-    for k in range(lo, hi + 1):
-        s1, s2, p = at(k)
-        if best is None or (p, s1) > (best[2], best[0]):
-            best = (s1, s2, p)
-    return best
+    step = b // c
+    residue = n // c * pow(w // c, -1, step) % step
+    q = curve.d // b
+    num, den = 2 * (n + b) - q, 2 * q  # the vertex is num/den
+    below = residue + (num - residue * den) // (step * den) * step
+    # max keeps the first of equal P: the lower s2, so the larger s1.
+    s1, s2 = max(
+        [((n - s2 * w) // b, s2) for s2 in (below, below + step)],
+        key=lambda s1_s2: p_bound(*s1_s2, e),
+    )
+    return s1, s2, p_bound(s1, s2, e)
 
 
 @lru_cache(maxsize=1)

@@ -28,22 +28,25 @@ its own costs no convolution.
 
 Memoised: the element list of each cusp by cusp value (`_cusp_elements`,
 the last 1024 cusps), so configurations that share a cusp build it once;
-and the folds of every prefix of the most recent configuration
-(`curve_elements`), so a configuration that shares its first k cusps with
-the one before it folds only the rest.  `enumerate` lists configurations in
-depth-first order, so the leaves under one prefix fold that prefix once,
-and the checks of one configuration, such as every m of `dinv --all-m`,
-fold once.  `_cusp_elements` is the one per-cusp memo of both filters: the
-spectrum filter reads the cusp spectrum off the same list, since its values
-below 1 are (r + s + e)/(r*s) for the delta elements e below 2*delta (see
-`spectra`).
+and the folds of the most recent configuration's prefixes, in two lists:
+its cusps, `_cusps`, and `_folds`, where `_folds[k]` folds the first k.
+`curve_elements` compares a configuration with `_cusps`, truncates both
+lists to the k cusps they share, and folds the rest: one `_max_plus` per
+cusp past the first max(k, 1), none for the most recent configuration.
+Prefixes are compared by value, so lists left by another curve are only
+not reused.  `enumerate` lists configurations in depth-first order, so the
+leaves under one prefix fold it once, and so do the checks of one
+configuration, such as every m of `dinv --all-m`.  `_cusp_elements` is the
+one per-cusp memo of both filters: the spectrum filter reads the cusp
+spectrum off the same list, since its values below 1 are (r + s + e)/(r*s)
+for the delta elements e below 2*delta (see `spectra`).
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from operator import add
-from typing import List, NamedTuple, Tuple
+from typing import List, Tuple
 
 from .core import CurveType, CuspConfiguration, PuiseuxCusp
 
@@ -79,50 +82,24 @@ def _max_plus(e1: Tuple[int, ...], e2: Tuple[int, ...]) -> Tuple[int, ...]:
     )
 
 
-class _CacheInfo(NamedTuple):
-    hits: int
-    misses: int
+_cusps: List[PuiseuxCusp] = []
+_folds: List[Tuple[int, ...]] = [(0,)]
 
 
-class _PrefixFolds:
-    """The fold of a configuration, memoised by prefix: `curve_elements`."""
+def curve_elements(curve: CurveType, config: CuspConfiguration) -> Tuple[int, ...]:
+    """The g + 1 elements, ending at 2g, whose counting function is R.
 
-    def __init__(self) -> None:
-        self.cache_clear()
-
-    def cache_clear(self) -> None:
-        # _folds[k] is the fold of the first k cusps of the most recent
-        # configuration, _cusps; _folds[0] is the neutral (0,).
-        self._cusps: List[PuiseuxCusp] = []
-        self._folds: List[Tuple[int, ...]] = [(0,)]
-        self._hits = self._misses = 0
-
-    def cache_info(self) -> _CacheInfo:
-        """A call is a hit when it asks for the most recent configuration."""
-        return _CacheInfo(self._hits, self._misses)
-
-    def __call__(self, curve: CurveType, config: CuspConfiguration) -> Tuple[int, ...]:
-        """The g + 1 elements, ending at 2g, whose counting function is R.
-
-        R(t) is the number of elements below t for t <= 2g and t - g beyond.
-        """
-        config.require_genus_compatible(curve)
-        cusps, folds = self._cusps, self._folds
-        shared = 0
-        for held, cusp in zip(cusps, config):
-            if held != cusp:
-                break
-            shared += 1
-        if shared == len(cusps) == len(config):
-            self._hits += 1
-            return folds[-1]
-        self._misses += 1
-        del cusps[shared:], folds[shared + 1 :]
-        for cusp in config[shared:]:
-            elements = _cusp_elements(cusp)
-            folds.append(_max_plus(folds[-1], elements) if cusps else elements)
-            cusps.append(cusp)
-        return folds[-1]
-
-
-curve_elements = _PrefixFolds()
+    R(t) is the number of elements below t for t <= 2g and t - g beyond.
+    """
+    config.require_genus_compatible(curve)
+    shared = 0
+    for held, cusp in zip(_cusps, config):
+        if held != cusp:
+            break
+        shared += 1
+    del _cusps[shared:], _folds[shared + 1 :]
+    for cusp in config[shared:]:
+        elements = _cusp_elements(cusp)
+        _folds.append(_max_plus(_folds[-1], elements) if _cusps else elements)
+        _cusps.append(cusp)
+    return _folds[-1]

@@ -8,10 +8,11 @@ semicontinuity scan over `Fraction` values with `bisect` queries on each
 `SpectrumMultiset` (its cusp spectra built from i/r + j/s, not read off the
 semigroup as `cusp_spectrum` does), the unfolded integer scan over every
 scan point in (0, 1) that the folded scan replaced, the HF scan over that
-oracle R with a fresh maximal presentation for every m, the defining loops
-of the sawtooth sums (O(q) for s(p, q), O(r) for D(p, q, r), O(w) for the
-section sums), and both constructions of the spectrum at infinity and the
-cusp spectrum over `Fraction` values.  The fast kernels must agree with them
+oracle R with a fresh maximal presentation for every m, the parabola-fit
+search for that presentation that its closed form replaced, the defining
+loops of the sawtooth sums (O(q) for s(p, q), O(r) for D(p, q, r), O(w) for
+the section sums), and both constructions of the spectrum at infinity and
+the cusp spectrum over `Fraction` values.  The fast kernels must agree with them
 exactly: R pointwise, whole `SemicontinuityReport`s, witnesses and checked
 points, the verdicts `enumerate` prints, every sawtooth sum as a
 `Fraction`, every spectrum entry, and every row of `enumerate --json`,
@@ -56,12 +57,8 @@ from cuspidal import (
     spectrum_at_infinity_table,
     verify_limits,
 )
-from cuspidal import cli, hf, semigroups, spectra
-from cuspidal.dedekind import (
-    _sawtooth_numerator,
-    dedekind_reciprocity_rhs,
-    rademacher_reciprocity_rhs,
-)
+from cuspidal import cli, hf, p_bound, semigroups, spectra
+from cuspidal.dedekind import dedekind_reciprocity_rhs, rademacher_reciprocity_rhs
 from cuspidal.semigroups import _cusp_elements, _max_plus
 from cuspidal.spectra import _cusp_numerators
 
@@ -205,6 +202,55 @@ def _brute_hf(curve, config):
     return HfReport(tuple(witnesses))
 
 
+def _fit_max_p(curve, n):
+    """The maximal presentation by the search `max_p_over_presentations` made
+    before its closed form: a parabola through three samples of P along the
+    solution line, then every solution within 2 of its vertex."""
+    b, w, e = curve.b, curve.w, curve.e
+    c = math.gcd(b, w)
+    if n % c != 0:
+        return None
+    step1, step2 = w // c, b // c
+    s1_0 = n // c * pow(step2, -1, step1)
+    s2_0 = (n - s1_0 * b) // w
+
+    def at(k):
+        s1 = s1_0 + k * step1
+        s2 = s2_0 - k * step2
+        return s1, s2, p_bound(s1, s2, e)
+
+    p_m1, p_0, p_1 = at(-1)[2], at(0)[2], at(1)[2]
+    twice_a = p_1 + p_m1 - 2 * p_0
+    assert twice_a < 0, "P must be concave along the presentation line"
+    numerator, denominator = p_m1 - p_1, 2 * twice_a
+    lo = numerator // denominator - 2
+    hi = -(-numerator // denominator) + 2
+    best = None
+    for k in range(lo, hi + 1):
+        s1, s2, p = at(k)
+        if best is None or (p, s1) > (best[2], best[0]):
+            best = (s1, s2, p)
+    return best
+
+
+def test_max_p_closed_form_matches_search():
+    # Wider than the HF scan's n in [-g - 1, 2g - 1] on both sides.
+    pairs = 0
+    for a in range(13):
+        for b in range(1, 13):
+            for e in range(4):
+                curve = _curve_or_none(a, b, e)
+                if curve is None:
+                    continue
+                g = curve.g
+                for n in range(-2 * g - 5, 3 * g + 6):
+                    assert max_p_over_presentations(curve, n) == _fit_max_p(curve, n), (
+                        curve, n
+                    )
+                    pairs += 1
+    assert pairs == 204_402
+
+
 def _assert_kernels_match(curve, config):
     g = curve.g
     brute = _brute_r(config, 2 * g + 10)
@@ -231,12 +277,25 @@ def test_kernels_match_oracles_on_every_configuration(curve):
         _assert_kernels_match(curve, config)
 
 
-MEMOS = (
-    hf._p_max_line,
-    semigroups._cusp_elements,
-    semigroups.curve_elements,
-    spectra._infinity_numerators,
-)
+MEMOS = (hf._p_max_line, semigroups._cusp_elements, spectra._infinity_numerators)
+
+
+@pytest.fixture
+def max_plus_calls(monkeypatch):
+    """The list of `_max_plus` calls from here on: the prefix folds made."""
+    calls = []
+
+    def counted(e1, e2):
+        calls.append((e1, e2))
+        return _max_plus(e1, e2)
+
+    monkeypatch.setattr(semigroups, "_max_plus", counted)
+    return calls
+
+
+def _prefixes(configs):
+    """The distinct prefixes of at least 2 cusps: the folds that need `_max_plus`."""
+    return {config[:k] for config in configs for k in range(2, len(config) + 1)}
 
 
 def _reports(curve, configs):
@@ -247,7 +306,7 @@ def _reports(curve, configs):
     ]
 
 
-def test_memos_follow_the_curve_when_curves_interleave():
+def test_memos_follow_the_curve_when_curves_interleave(max_plus_calls):
     curves = (CurveType(6, 4, 0), CurveType(4, 4, 2))
     configs = {curve: enumerate_configurations(curve, 3) for curve in curves}
     alone = {}
@@ -259,16 +318,18 @@ def test_memos_follow_the_curve_when_curves_interleave():
             assert hf_report == _brute_hf(curve, config)
             assert spectrum_report == _brute_semicontinuity(curve, config)
 
-    # The curve-level memos hold one curve, so every switch evicts.
+    # The curve-level memos hold one curve, so every switch evicts.  The
+    # curves differ in genus, so no pass shares a prefix with the pass before
+    # it, and each pass folds every prefix of its curve once.
     for memo in MEMOS:
         memo.cache_clear()
+    max_plus_calls.clear()
     for curve in (curves[0], curves[1], curves[0]):
         assert _reports(curve, configs[curve]) == alone[curve]
     assert hf._p_max_line.cache_info().misses == 3
     assert spectra._infinity_numerators.cache_info().misses == 3
-    # One fold per configuration: consecutive configurations differ.
-    assert semigroups.curve_elements.cache_info().misses == (
-        2 * len(configs[curves[0]]) + len(configs[curves[1]])
+    assert len(max_plus_calls) == (
+        2 * len(_prefixes(configs[curves[0]])) + len(_prefixes(configs[curves[1]]))
     )
 
     # Alternate the two checks between the curves call by call.
@@ -357,7 +418,7 @@ def test_witness_at_one_half_is_reported_once():
     assert report == _integer_scan(curve, config)
 
 
-def test_enumerate_builds_no_witness_and_no_fraction(monkeypatch):
+def test_enumerate_builds_no_witness_and_no_fraction(monkeypatch, max_plus_calls):
     argv = ["enumerate", "--a", "6", "--b", "6", "--max-cusps", "3", "--json"]
 
     def enumerate_json():
@@ -378,7 +439,13 @@ def test_enumerate_builds_no_witness_and_no_fraction(monkeypatch):
     monkeypatch.setattr(spectra, "SemicontinuityWitness", refuse)
     for memo in MEMOS:
         memo.cache_clear()
+    max_plus_calls.clear()
     assert enumerate_json() == expected
+    # The last configuration of the first run is a single cusp, so the second
+    # run folds every prefix once.
+    assert len(max_plus_calls) == len(
+        _prefixes(enumerate_configurations(CurveType(6, 6, 0), 3))
+    )
 
 
 @pytest.mark.parametrize(
@@ -395,17 +462,38 @@ def test_d_invariant_matches_formula_on_brute_r(curve):
             assert d_invariant(curve, config, m) == expected
 
 
-def test_dinv_all_m_folds_once():
+def test_dinv_all_m_folds_once(max_plus_calls):
     curve = CurveType(6, 4, 0)
     config = CuspConfiguration(
         (PuiseuxCusp(2, 3), PuiseuxCusp(2, 5), PuiseuxCusp(5, 7))
     )
     assert config.is_genus_compatible(curve)
     d = curve.d
-    semigroups.curve_elements.cache_clear()
+    # The empty configuration leaves no prefix held, so the first m folds.
+    curve_elements(CurveType(1, 1, 0), CuspConfiguration())
     rows = cli._dinv_rows(curve, config, range(-(d // 2), (d + 1) // 2))
     assert len(rows) == d
-    assert semigroups.curve_elements.cache_info().misses == 1
+    assert len(max_plus_calls) == 2
+
+
+def test_deep_configuration_through_both_filters(max_plus_calls):
+    # 1,199 cusps, more than Python's default recursion limit of 1,000.
+    curve = CurveType(2, 1200, 0)
+    config = CuspConfiguration((PuiseuxCusp(2, 3),) * 1199)
+    argv = ["check", "--a", "2", "--b", "1200", "--json"]
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main([*argv, *["--cusp", "2:3"] * 1199])
+    assert excinfo.value.code == 2
+    assert "Traceback" not in stderr.getvalue()
+    results = json.loads(stdout.getvalue())["results"]
+    assert (results["hf"], results["spectrum"]) == ("passes", "obstructed")
+    elements = curve_elements(curve, config)
+    assert len(elements) == 1200 and elements[-1] == 2398
+    max_plus_calls.clear()
+    assert curve_elements(curve, config) is elements
+    assert max_plus_calls == []
 
 
 def _curve_or_none(a, b, e):
@@ -587,6 +675,14 @@ def test_cusp_spectrum_matches_oracle():
     large_s = [(2, 101), (2, 301), (3, 100), (7, 60), (12, 97), (17, 60)]
     for cusp in (*cusps, *(PuiseuxCusp(r, s) for r, s in large_s)):
         assert dict(cusp_spectrum(cusp).entries()) == _brute_cusp_spectrum(cusp)
+
+
+def _sawtooth_numerator(value, modulus):
+    """2*modulus times sawtooth(value / modulus)."""
+    rem = value % modulus
+    if rem == 0:
+        return 0
+    return 2 * rem - modulus
 
 
 def _brute_dedekind_sum(p, q):
