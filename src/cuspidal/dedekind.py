@@ -1,7 +1,8 @@
 """Sawtooth sums: Dedekind and Dedekind-Rademacher sums, reciprocity, and
 the half-range sawtooth sums with their limit verification harness.
 
-All sums are exact rationals, and each takes O(log modulus) integer steps:
+All sums are exact rationals.  One Euclid loop does the work, O(log
+modulus) integer steps:
 
 - ``dedekind_sum(p, q)`` reduces to coprime 0 <= h < k by s(p, q) =
   s(p mod q, q) and s(ch, ck) = s(h, k), then runs Euclid on (h, k) with the
@@ -12,12 +13,17 @@ All sums are exact rationals, and each takes O(log modulus) integer steps:
   sum_{t < n} <x + t/n> = <nx> folds the sum over i mod r onto i mod r/g:
   D(p, q, r) = h * s((p/h) * (q/g)^-1 mod r/g, r/g), and D = 0 when
   r/g = 1.
-- ``section_sums(b, w)`` writes the sawtooth numerator
-  2w<pb/w> = 2pb - 2w*floor(pb/w) - w + w*[w | pb].  <2p/w> is linear on
-  [0, ceil(w/2)) and on [ceil(w/2), w), apart from its zeros at p = 0 and
-  p = w/2, where <pb/w> = 0 as well.  So all four sums reduce to prefix
-  sums of floor(bx/w) and x*floor(bx/w), which the Euclid-like floor-sum
-  recursion computes (carrying the sum of floor(.)^2 as well).
+- ``section_sums(b, w)`` reads the four sums over p in [0, w) off s and D:
+  - d_w = 0.  With n = w/gcd(b, w), pb/w mod 1 runs gcd(b, w) times over
+    k/n for k in [0, n), and <k/n> + <(n-k)/n> = 0.
+  - b_w = 2 s(b, w).  For 0 < p < w, <p/w> = p/w - 1/2, so
+    s(b, w) = sum (p/w)<pb/w> - 1/2 sum <pb/w>, and the second sum is 0.
+  - c_w = D(b, 2, w), by the definition of D.
+  - a_w = b_w - c_w.  2p/w - <2p/w> is 1/2 for 0 < p < w/2 and 3/2 for
+    w/2 < p < w; at p = 0 and p = w/2, pb/w is a multiple of 1/2 and
+    <pb/w> = 0.  So b_w - c_w = L/2 + 3H/2 with L and H the sums of <pb/w>
+    over the lower and the upper half, and L + H = 0 gives b_w - c_w = H,
+    which is a_w.
 """
 
 from __future__ import annotations
@@ -68,9 +74,7 @@ def rademacher_sum(p: int, q: int, r: int) -> Fraction:
 
 def dedekind_reciprocity_rhs(p: int, q: int) -> Fraction:
     """The two-term law: s(p,q) + s(q,p) for coprime p, q."""
-    return Fraction(1, 12) * (
-        Fraction(p, q) + Fraction(q, p) + Fraction(1, p * q) - 3
-    )
+    return Fraction(p * p + q * q + 1 - 3 * p * q, 12 * p * q)
 
 
 def rademacher_reciprocity_rhs(p: int, q: int, r: int) -> Fraction:
@@ -78,73 +82,20 @@ def rademacher_reciprocity_rhs(p: int, q: int, r: int) -> Fraction:
     return Fraction(p * p + q * q + r * r - 3 * p * q * r, 12 * p * q * r)
 
 
-def _floor_sums(a: int, b: int, c: int, n: int) -> Tuple[int, int, int]:
-    """Sums over x in [0, n] of f(x), x*f(x) and f(x)^2, f(x) = floor((ax+b)/c).
-
-    Needs a, b, n >= 0 and c >= 1.  Each level either reduces a and b mod c
-    or swaps the roles of a and c, so the depth is that of Euclid on (a, c).
-    """
-    if a >= c or b >= c:
-        qa, a = divmod(a, c)
-        qb, b = divmod(b, c)
-        f, g, h = _floor_sums(a, b, c, n)
-        s1 = n * (n + 1) // 2
-        s2 = s1 * (2 * n + 1) // 3
-        return (
-            f + qa * s1 + qb * (n + 1),
-            g + qa * s2 + qb * s1,
-            h + qa * qa * s2 + qb * qb * (n + 1) + 2 * qa * qb * s1
-            + 2 * qb * f + 2 * qa * g,
-        )
-    m = (a * n + b) // c
-    if m == 0:
-        return 0, 0, 0
-    # Count lattice points by rows instead of columns: floor((ax+b)/c) >= j
-    # exactly when x > floor((cj - b - 1)/a), for j in [1, m].
-    f, g, h = _floor_sums(c, c - b - 1, a, m - 1)
-    total = n * m - f
-    return total, (m * n * (n + 1) - h - f) // 2, n * m * (m + 1) - 2 * g - 2 * f - total
-
-
-def _sawtooth_prefix(b: int, w: int, n: int) -> Tuple[int, int]:
-    """Sums over p in [0, n) of 2w<pb/w> and of p * 2w<pb/w>."""
-    if n == 0:
-        return 0, 0
-    floor_sum, floor_moment, _ = _floor_sums(b, 0, w, n - 1)
-    step = w // math.gcd(b, w)  # w | pb exactly when step | p
-    hits = (n + step - 1) // step
-    s1 = n * (n - 1) // 2
-    s2 = s1 * (2 * n - 1) // 3
-    return (
-        2 * b * s1 - 2 * w * floor_sum - w * n + w * hits,
-        2 * b * s2 - 2 * w * floor_moment - w * s1 + w * step * hits * (hits - 1) // 2,
-    )
-
-
 def section_sums(b: int, w: int) -> Tuple[Fraction, Fraction, Fraction, Fraction]:
     """The four sawtooth sums (a_w, b_w, c_w, d_w) for given b and w.
 
     a_w sums <p*b/w> over the upper half range p in [ceil(w/2), w-1];
     b_w sums <p*b/w> * 2p/w, c_w sums <p*b/w><2p/w>, and d_w is half the
-    full-range sawtooth sum, all over p in [0, w-1].  The exact identity
-    a_w = b_w - c_w + d_w holds, with d_w = 0.
+    full-range sawtooth sum, all over p in [0, w-1].  By the identities in
+    the module docstring, d_w = 0, b_w = 2 s(b, w), c_w = D(b, 2, w) and
+    a_w = b_w - c_w + d_w.
     """
     if b < 2 or w < 2:
         raise ValueError(f"need b >= 2 and w >= 2, got b={b}, w={w}")
-    half_start = (w + 1) // 2
-    low_sum, _ = _sawtooth_prefix(b, w, half_start)
-    full_sum, full_moment = _sawtooth_prefix(b, w, w)
-    high_sum = full_sum - low_sum
-    # 2w<2p/w> is 4p - w below half_start and 4p - 3w from it on, except
-    # that it is 0 at p = 0 and p = w/2.  There pb/w is a multiple of 1/2,
-    # so <pb/w> = 0 and the two terms need no correction.
-    c_num = 4 * full_moment - w * low_sum - 3 * w * high_sum
-    return (
-        Fraction(high_sum, 2 * w),
-        Fraction(2 * full_moment, 2 * w * w),
-        Fraction(c_num, 4 * w * w),
-        Fraction(full_sum, 4 * w),
-    )
+    b_w = 2 * dedekind_sum(b, w)
+    c_w = rademacher_sum(b, 2, w)
+    return b_w - c_w, b_w, c_w, Fraction(0)
 
 
 def _in_proof_subsequence(b: int, w: int) -> bool:

@@ -11,8 +11,10 @@ scan point in (0, 1) that the folded scan replaced, the HF scan over that
 oracle R with a fresh maximal presentation for every m, the parabola-fit
 search for that presentation that its closed form replaced, the defining
 loops of the sawtooth sums (O(q) for s(p, q), O(r) for D(p, q, r), O(w) for
-the section sums), and both constructions of the spectrum at infinity and
-the cusp spectrum over `Fraction` values.  The fast kernels must agree with them
+the section sums), the Euclidean floor-sum route to the section sums that
+their identities over s and D replaced (for widths no loop reaches), and
+both constructions of the spectrum at infinity and the cusp spectrum over
+`Fraction` values.  The fast kernels must agree with them
 exactly: R pointwise, whole `SemicontinuityReport`s, witnesses and checked
 points, the verdicts `enumerate` prints, every sawtooth sum as a
 `Fraction`, every spectrum entry, and every row of `enumerate --json`,
@@ -717,6 +719,69 @@ def _brute_section_sums(b, w):
     )
 
 
+def _floor_sums(a, b, c, n):
+    """Sums over x in [0, n] of f(x), x*f(x) and f(x)^2, f(x) = floor((ax+b)/c).
+
+    Needs a, b, n >= 0 and c >= 1.  Each level either reduces a and b mod c
+    or swaps the roles of a and c, so the depth is that of Euclid on (a, c).
+    """
+    if a >= c or b >= c:
+        qa, a = divmod(a, c)
+        qb, b = divmod(b, c)
+        f, g, h = _floor_sums(a, b, c, n)
+        s1 = n * (n + 1) // 2
+        s2 = s1 * (2 * n + 1) // 3
+        return (
+            f + qa * s1 + qb * (n + 1),
+            g + qa * s2 + qb * s1,
+            h + qa * qa * s2 + qb * qb * (n + 1) + 2 * qa * qb * s1
+            + 2 * qb * f + 2 * qa * g,
+        )
+    m = (a * n + b) // c
+    if m == 0:
+        return 0, 0, 0
+    # Count lattice points by rows instead of columns: floor((ax+b)/c) >= j
+    # exactly when x > floor((cj - b - 1)/a), for j in [1, m].
+    f, g, h = _floor_sums(c, c - b - 1, a, m - 1)
+    total = n * m - f
+    return total, (m * n * (n + 1) - h - f) // 2, n * m * (m + 1) - 2 * g - 2 * f - total
+
+
+def _sawtooth_prefix(b, w, n):
+    """Sums over p in [0, n) of 2w<pb/w> and of p * 2w<pb/w>."""
+    if n == 0:
+        return 0, 0
+    floor_sum, floor_moment, _ = _floor_sums(b, 0, w, n - 1)
+    step = w // math.gcd(b, w)  # w | pb exactly when step | p
+    hits = (n + step - 1) // step
+    s1 = n * (n - 1) // 2
+    s2 = s1 * (2 * n - 1) // 3
+    return (
+        2 * b * s1 - 2 * w * floor_sum - w * n + w * hits,
+        2 * b * s2 - 2 * w * floor_moment - w * s1 + w * step * hits * (hits - 1) // 2,
+    )
+
+
+def _floor_sum_section_sums(b, w):
+    """The section sums from prefix sums of floor(pb/w) and p*floor(pb/w).
+
+    The sawtooth numerator is 2w<pb/w> = 2pb - 2w*floor(pb/w) - w + w*[w | pb],
+    and <2p/w> is linear on [0, ceil(w/2)) and on [ceil(w/2), w), apart from
+    its zeros at p = 0 and p = w/2, where <pb/w> = 0 as well.
+    """
+    half_start = (w + 1) // 2
+    low_sum, _ = _sawtooth_prefix(b, w, half_start)
+    full_sum, full_moment = _sawtooth_prefix(b, w, w)
+    high_sum = full_sum - low_sum
+    c_num = 4 * full_moment - w * low_sum - 3 * w * high_sum
+    return (
+        Fraction(high_sum, 2 * w),
+        Fraction(2 * full_moment, 2 * w * w),
+        Fraction(c_num, 4 * w * w),
+        Fraction(full_sum, 4 * w),
+    )
+
+
 moduli = st.one_of(st.just(1), st.integers(min_value=1, max_value=300))
 residues = st.integers(min_value=-2000, max_value=2000)  # any sign, 0 included
 
@@ -782,9 +847,25 @@ def test_three_term_law_at_large_moduli():
 
 
 def test_section_sums_at_large_width():
-    a_w, b_w, c_w, d_w = section_sums(7, 10**12 + 1)
-    assert d_w == 0
-    assert a_w == b_w - c_w + d_w
+    # 10**9 = 2**9 * 5**9, 10**9 + 7 is prime, 10**12 + 1 = 73 * 137 * 99990001.
+    cases = [
+        (7, 10**9),  # gcd 1
+        (6, 10**9),  # gcd 2
+        (8, 10**9),  # gcd 8
+        (10**9 + 12, 10**9),  # b > w, gcd 4
+        (3 * 10**9, 10**9),  # w | b
+        (2, 10**9 + 7),
+        (10**6 + 3, 10**9 + 7),
+        (2 * (10**9 + 7), 10**9 + 7),
+        (7, 10**12 + 1),
+        (73 * 137, 10**12 + 1),  # gcd 10001
+        (10**12 + 1 + 146, 10**12 + 1),  # b > w, gcd 73
+    ]
+    for b, w in cases:
+        a_w, b_w, c_w, d_w = section_sums(b, w)
+        assert d_w == 0
+        assert a_w == b_w - c_w + d_w
+        assert (a_w, b_w, c_w, d_w) == _floor_sum_section_sums(b, w), (b, w)
 
 
 @pytest.mark.parametrize("b", [3, 4, 7])
