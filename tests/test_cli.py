@@ -334,6 +334,280 @@ def test_json_reports_are_indented_stdlib_bytes(argv):
     assert out == json.dumps(json.loads(out), sort_keys=True, indent=2) + "\n"
 
 
+
+def _crlf(text):
+    """CSV rows end in CRLF, as the csv module writes them."""
+    return text.replace("\n", "\r\n")
+
+
+# Exit code and stdout of text and CSV reports, recorded byte for byte.
+_PINNED = {
+    "check --a 6 --b 6 --cusp 2:51": (
+        2,
+        """\
+curve (6,6) in X_0, cusps [(2,51)]: obstructed
+  spectrum witness: x=8/17, inside 49 vs 48, outside 1 vs 13
+  spectrum witness: x=49/102, inside 49 vs 48, outside 1 vs 13
+  spectrum witness: x=25/51, inside 50 vs 48, outside 0 vs 13
+  spectrum witness: x=26/51, inside 50 vs 48, outside 0 vs 13
+  spectrum witness: x=53/102, inside 49 vs 48, outside 1 vs 13
+  spectrum witness: x=9/17, inside 49 vs 48, outside 1 vs 13
+""",
+    ),
+    "check --a 6 --b 6 --cusp 2:51 --csv": (
+        2,
+        _crlf("""\
+check,x,cusp_inside,infinity_inside,cusp_outside,infinity_outside
+spectrum,8/17,49,48,1,13
+spectrum,49/102,49,48,1,13
+spectrum,25/51,50,48,0,13
+spectrum,26/51,50,48,0,13
+spectrum,53/102,49,48,1,13
+spectrum,9/17,49,48,1,13
+"""),
+    ),
+    "check --a 6 --b 6 --cusp 2:3 --cusp 5:13": (
+        2,
+        """\
+curve (6,6) in X_0, cusps [(2,3), (5,13)]: obstructed
+  hf witness: m=-12 (m+g=13), presentation (s1,s2)=(1,1), R=3 < P=4
+  hf witness: m=0 (m+g=25), presentation (s1,s2)=(2,2), R=8 < P=9
+  hf witness: m=12 (m+g=37), presentation (s1,s2)=(3,3), R=15 < P=16
+""",
+    ),
+    "check --a 6 --b 6 --cusp 2:3 --cusp 5:13 --csv": (
+        2,
+        _crlf("""\
+check,m,s1,s2,r_value,p_value
+hf,-12,1,1,3,4
+hf,0,2,2,8,9
+hf,12,3,3,15,16
+"""),
+    ),
+    "check --a 9 --b 7 --e 1 --cusp 2:49 --cusp 10:11": (
+        2,
+        """\
+curve (9,7) in X_1, cusps [(2,49), (10,11)]: obstructed
+  hf witness: m=-61 (m+g=8), presentation (s1,s2)=(1,0), R=1 < P=2
+  hf witness: m=61 (m+g=130), presentation (s1,s2)=(7,5), R=62 < P=63
+  spectrum witness: x=2487/5390, inside 121 vs 120, outside 17 vs 33
+  spectrum witness: x=2903/5390, inside 121 vs 120, outside 17 vs 33
+""",
+    ),
+    "check --a 9 --b 7 --e 1 --cusp 2:49 --cusp 10:11 --csv": (
+        2,
+        _crlf("""\
+check,m,s1,s2,r_value,p_value,x,cusp_inside,infinity_inside,cusp_outside,infinity_outside
+hf,-61,1,0,1,2,,,,,
+hf,61,7,5,62,63,,,,,
+spectrum,,,,,,2487/5390,121,120,17,33
+spectrum,,,,,,2903/5390,121,120,17,33
+"""),
+    ),
+    "check --a 6 --b 6 --cusp 6:11": (
+        0,
+        """\
+curve (6,6) in X_0, cusps [(6,11)]: survives
+""",
+    ),
+    "check --a 6 --b 6 --cusp 6:11 --csv": (
+        0,
+        _crlf("""\
+check,m,s1,s2,r_value,p_value,x,cusp_inside,infinity_inside,cusp_outside,infinity_outside
+"""),
+    ),
+    "enumerate --a 6 --b 6 --max-cusps 2": (
+        0,
+        """\
+curve (6,6) in X_0: 69 genus-compatible configuration(s)
+  [2:3 2:49] multiplicity=True hf=passes spectrum=obstructed -> obstructed
+  [2:3 3:25] multiplicity=True hf=passes spectrum=passes -> survives
+  [2:3 4:17] multiplicity=True hf=passes spectrum=passes -> survives
+  [2:3 5:13] multiplicity=True hf=obstructed spectrum=passes -> obstructed
+  [2:3 7:9] multiplicity=False hf=obstructed spectrum=passes -> obstructed
+  [2:5 2:47] multiplicity=True hf=passes spectrum=obstructed -> obstructed
+  [2:7 2:45] multiplicity=True hf=passes spectrum=obstructed -> obstructed
+  [2:7 3:23] multiplicity=True hf=passes spectrum=passes -> survives
+  [2:7 5:12] multiplicity=True hf=passes spectrum=passes -> survives
+  [3:4 2:45] multiplicity=True hf=passes spectrum=obstructed -> obstructed
+  [3:4 3:23] multiplicity=True hf=passes spectrum=passes -> survives
+  [3:4 5:12] multiplicity=True hf=obstructed spectrum=passes -> obstructed
+  [2:9 2:43] multiplicity=True hf=passes spectrum=obstructed -> obstructed
+  [2:9 3:22] multiplicity=True hf=passes spectrum=passes -> survives
+  [2:9 4:15] multiplicity=True hf=passes spectrum=passes -> survives
+  [2:9 7:8] multiplicity=False hf=obstructed spectrum=passes -> obstructed
+  [3:5 2:43] multiplicity=True hf=passes spectrum=obstructed -> obstructed
+  [3:5 3:22] multiplicity=True hf=passes spectrum=passes -> survives
+  [3:5 4:15] multiplicity=True hf=passes spectrum=passes -> survives
+  [3:5 7:8] multiplicity=False hf=obstructed spectrum=passes -> obstructed
+  [2:11 2:41] multiplicity=True hf=passes spectrum=obstructed -> obstructed
+  [2:11 5:11] multiplicity=True hf=passes spectrum=passes -> survives
+  [2:13 2:39] multiplicity=True hf=passes spectrum=obstructed -> obstructed
+  [2:13 3:20] multiplicity=True hf=passes spectrum=passes -> survives
+  [3:7 2:39] multiplicity=True hf=passes spectrum=obstructed -> obstructed
+  [3:7 3:20] multiplicity=True hf=passes spectrum=passes -> survives
+  [4:5 2:39] multiplicity=True hf=passes spectrum=passes -> survives
+  [4:5 3:20] multiplicity=True hf=passes spectrum=passes -> survives
+  [2:15 2:37] multiplicity=True hf=passes spectrum=obstructed -> obstructed
+  [2:15 3:19] multiplicity=True hf=passes spectrum=passes -> survives
+  [2:15 4:13] multiplicity=True hf=passes spectrum=passes -> survives
+  [3:8 2:37] multiplicity=True hf=passes spectrum=passes -> survives
+  [3:8 3:19] multiplicity=True hf=passes spectrum=passes -> survives
+  [3:8 4:13] multiplicity=True hf=passes spectrum=passes -> survives
+  [2:17 2:35] multiplicity=True hf=passes spectrum=obstructed -> obstructed
+  [2:19 2:33] multiplicity=True hf=passes spectrum=obstructed -> obstructed
+  [2:19 3:17] multiplicity=True hf=passes spectrum=passes -> survives
+  [2:19 5:9] multiplicity=True hf=passes spectrum=passes -> survives
+  [3:10 2:33] multiplicity=True hf=passes spectrum=passes -> survives
+  [3:10 3:17] multiplicity=True hf=passes spectrum=passes -> survives
+  [3:10 5:9] multiplicity=True hf=passes spectrum=passes -> survives
+  [4:7 2:33] multiplicity=True hf=passes spectrum=passes -> survives
+  [4:7 3:17] multiplicity=True hf=passes spectrum=passes -> survives
+  [4:7 5:9] multiplicity=True hf=obstructed spectrum=passes -> obstructed
+  [2:21 2:31] multiplicity=True hf=passes spectrum=obstructed -> obstructed
+  [2:21 3:16] multiplicity=True hf=passes spectrum=passes -> survives
+  [2:21 4:11] multiplicity=True hf=passes spectrum=passes -> survives
+  [2:21 6:7] multiplicity=True hf=passes spectrum=passes -> survives
+  [3:11 2:31] multiplicity=True hf=passes spectrum=passes -> survives
+  [3:11 3:16] multiplicity=True hf=passes spectrum=passes -> survives
+  [3:11 4:11] multiplicity=True hf=passes spectrum=passes -> survives
+  [3:11 6:7] multiplicity=True hf=passes spectrum=passes -> survives
+  [5:6 2:31] multiplicity=True hf=passes spectrum=passes -> survives
+  [5:6 3:16] multiplicity=True hf=obstructed spectrum=passes -> obstructed
+  [5:6 4:11] multiplicity=True hf=obstructed spectrum=passes -> obstructed
+  [5:6 6:7] multiplicity=True hf=passes spectrum=passes -> survives
+  [2:23 2:29] multiplicity=True hf=passes spectrum=obstructed -> obstructed
+  [2:23 5:8] multiplicity=True hf=passes spectrum=passes -> survives
+  [2:25 2:27] multiplicity=True hf=passes spectrum=obstructed -> obstructed
+  [2:25 3:14] multiplicity=True hf=passes spectrum=passes -> survives
+  [3:13 2:27] multiplicity=True hf=passes spectrum=passes -> survives
+  [3:13 3:14] multiplicity=True hf=passes spectrum=passes -> survives
+  [4:9 2:27] multiplicity=True hf=passes spectrum=passes -> survives
+  [4:9 3:14] multiplicity=True hf=passes spectrum=passes -> survives
+  [5:7 2:27] multiplicity=True hf=passes spectrum=passes -> survives
+  [5:7 3:14] multiplicity=True hf=passes spectrum=passes -> survives
+  [2:51] multiplicity=True hf=passes spectrum=obstructed -> obstructed
+  [3:26] multiplicity=True hf=passes spectrum=passes -> survives
+  [6:11] multiplicity=True hf=passes spectrum=passes -> survives
+""",
+    ),
+    "enumerate --a 6 --b 6 --max-cusps 2 --csv": (
+        0,
+        _crlf("""\
+cusps,genus_ok,multiplicity_ok,hf,spectrum,survives
+2:3 2:49,True,True,passes,obstructed,False
+2:3 3:25,True,True,passes,passes,True
+2:3 4:17,True,True,passes,passes,True
+2:3 5:13,True,True,obstructed,passes,False
+2:3 7:9,True,False,obstructed,passes,False
+2:5 2:47,True,True,passes,obstructed,False
+2:7 2:45,True,True,passes,obstructed,False
+2:7 3:23,True,True,passes,passes,True
+2:7 5:12,True,True,passes,passes,True
+3:4 2:45,True,True,passes,obstructed,False
+3:4 3:23,True,True,passes,passes,True
+3:4 5:12,True,True,obstructed,passes,False
+2:9 2:43,True,True,passes,obstructed,False
+2:9 3:22,True,True,passes,passes,True
+2:9 4:15,True,True,passes,passes,True
+2:9 7:8,True,False,obstructed,passes,False
+3:5 2:43,True,True,passes,obstructed,False
+3:5 3:22,True,True,passes,passes,True
+3:5 4:15,True,True,passes,passes,True
+3:5 7:8,True,False,obstructed,passes,False
+2:11 2:41,True,True,passes,obstructed,False
+2:11 5:11,True,True,passes,passes,True
+2:13 2:39,True,True,passes,obstructed,False
+2:13 3:20,True,True,passes,passes,True
+3:7 2:39,True,True,passes,obstructed,False
+3:7 3:20,True,True,passes,passes,True
+4:5 2:39,True,True,passes,passes,True
+4:5 3:20,True,True,passes,passes,True
+2:15 2:37,True,True,passes,obstructed,False
+2:15 3:19,True,True,passes,passes,True
+2:15 4:13,True,True,passes,passes,True
+3:8 2:37,True,True,passes,passes,True
+3:8 3:19,True,True,passes,passes,True
+3:8 4:13,True,True,passes,passes,True
+2:17 2:35,True,True,passes,obstructed,False
+2:19 2:33,True,True,passes,obstructed,False
+2:19 3:17,True,True,passes,passes,True
+2:19 5:9,True,True,passes,passes,True
+3:10 2:33,True,True,passes,passes,True
+3:10 3:17,True,True,passes,passes,True
+3:10 5:9,True,True,passes,passes,True
+4:7 2:33,True,True,passes,passes,True
+4:7 3:17,True,True,passes,passes,True
+4:7 5:9,True,True,obstructed,passes,False
+2:21 2:31,True,True,passes,obstructed,False
+2:21 3:16,True,True,passes,passes,True
+2:21 4:11,True,True,passes,passes,True
+2:21 6:7,True,True,passes,passes,True
+3:11 2:31,True,True,passes,passes,True
+3:11 3:16,True,True,passes,passes,True
+3:11 4:11,True,True,passes,passes,True
+3:11 6:7,True,True,passes,passes,True
+5:6 2:31,True,True,passes,passes,True
+5:6 3:16,True,True,obstructed,passes,False
+5:6 4:11,True,True,obstructed,passes,False
+5:6 6:7,True,True,passes,passes,True
+2:23 2:29,True,True,passes,obstructed,False
+2:23 5:8,True,True,passes,passes,True
+2:25 2:27,True,True,passes,obstructed,False
+2:25 3:14,True,True,passes,passes,True
+3:13 2:27,True,True,passes,passes,True
+3:13 3:14,True,True,passes,passes,True
+4:9 2:27,True,True,passes,passes,True
+4:9 3:14,True,True,passes,passes,True
+5:7 2:27,True,True,passes,passes,True
+5:7 3:14,True,True,passes,passes,True
+2:51,True,True,passes,obstructed,False
+3:26,True,True,passes,passes,True
+6:11,True,True,passes,passes,True
+"""),
+    ),
+    "spectrum --a 6 --b 4 --method both": (
+        0,
+        """\
+1/4 1
+1/3 1
+1/2 4
+2/3 2
+3/4 4
+5/6 3
+1/1 9
+7/6 3
+5/4 4
+4/3 2
+3/2 4
+5/3 1
+7/4 1
+methods agree: True
+""",
+    ),
+    "dinv --a 6 --b 6 --cusp 6:11 --m 3": (
+        0,
+        """\
+m=3: -23/8
+""",
+    ),
+    "dedekind limits --b 3 --max-w 1000": (
+        0,
+        """\
+a_w/w at w=997: value 41002/994009, limit 1/24, deviation 9961/23856216 [ok]
+b_w/w at w=997: value 54614/994009, limit 1/18, deviation 10957/17892162 [ok]
+c_w/w at w=997: value 13612/994009, limit 1/72, deviation 13945/71568648 [ok]
+""",
+    ),
+}
+
+
+@pytest.mark.parametrize("argv", _PINNED)
+def test_text_and_csv_reports_are_pinned_bytes(argv, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv.split())
+    assert (excinfo.value.code, capsys.readouterr().out) == _PINNED[argv]
+
 # Genus-0 curves on the edges of the domain: b = 1 (any a, large e included),
 # a = 0 (which needs e >= 1 for d > 0), and a = 1 on X_0.
 _GENUS_ZERO_EDGES = st.one_of(
