@@ -2,32 +2,29 @@
 
 Exit codes: 0 = not obstructed / success, 1 = usage or domain error,
 2 = obstructed, 3 = cross-validation mismatch between the two spectrum
-constructions.  Usage errors, which argparse would exit 2 for, print
-`error: <message>` on stderr and exit 1, as domain errors do.  Structured
-reports are byte-stable: sorted keys and a two-space indent, byte-identical
-to `json.dumps(report, sort_keys=True, indent=2)`, and every rational
-serialized as "num/den".
+constructions.  `main` prints every `ValueError` as `error: <message>` on
+stderr and exits 1, whether it comes from argparse (which would exit 2), the
+CLI or the library.  Structured reports are byte-stable: sorted keys and a
+two-space indent, byte-identical to `json.dumps(report, sort_keys=True,
+indent=2)`, and every rational serialized as "num/den".
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import io
 import json
 import math
 import os
 import sys
 from fractions import Fraction
 from itertools import chain
-from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import (
+    Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+)
 
 from .core import CurveType, CuspConfiguration, PuiseuxCusp
-from .enumeration import (
-    DEFAULT_CANDIDATE_CAP,
-    CandidateCapExceededError,
-    enumerate_configurations,
-)
+from .enumeration import DEFAULT_CANDIDATE_CAP, enumerate_configurations
 from .hf import (
     HfWitness,
     d_invariant,
@@ -52,8 +49,9 @@ EXIT_OBSTRUCTED = 2
 EXIT_MISMATCH = 3
 
 
-class CliError(Exception):
-    """A usage or domain error: `main` prints `error: <message>` and exits 1."""
+class CliError(ValueError):
+    """A usage or domain error the CLI words itself; `main` prints it as any
+    other `ValueError`."""
 
 
 def _fr(x: Fraction) -> str:
@@ -119,25 +117,26 @@ def _dumps(obj, pad: str = "") -> str:
     return f"{text[0]}\n{inner}{text[1:-1]}\n{pad}{text[-1]}"
 
 
-def _emit_json(report: Dict) -> None:
-    print(_dumps(report))
+def _emit(
+    fmt: str,
+    report: Dict,
+    lines: Iterable[str],
+    rows: Sequence[Dict] = (),
+    header: Sequence[str] = (),
+) -> None:
+    """Print `report` as JSON, `rows` as CSV under `header` (its columns a
+    row lacks stay empty), or the text `lines`, which only this path reads."""
+    if fmt == "json":
+        print(_dumps(report))
+    elif fmt == "csv":
+        import csv
 
-
-def _emit_csv(rows: Sequence[Dict], empty_header: Sequence[str]) -> None:
-    """The rows as CSV under the union of their keys, in order of first
-    appearance; with no rows, just the header `empty_header`."""
-    import csv
-
-    header: List[str] = [] if rows else list(empty_header)
-    for row in rows:
-        for key in row:
-            if key not in header:
-                header.append(key)
-    buffer = io.StringIO()
-    writer = csv.DictWriter(buffer, fieldnames=header)
-    writer.writeheader()
-    writer.writerows(rows)
-    print(buffer.getvalue(), end="")
+        writer = csv.DictWriter(sys.stdout, fieldnames=header)
+        writer.writeheader()
+        writer.writerows(rows)
+    else:
+        for line in lines:
+            print(line)
 
 
 def _parse_cusps(specs: Sequence[str]) -> Tuple[PuiseuxCusp, ...]:
@@ -149,13 +148,6 @@ def _parse_cusps(specs: Sequence[str]) -> Tuple[PuiseuxCusp, ...]:
         except ValueError as exc:
             raise CliError(f"bad cusp '{spec}': {exc}") from exc
     return tuple(cusps)
-
-
-def _curve(a: int, b: int, e: int) -> CurveType:
-    try:
-        return CurveType(a, b, e)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
 
 
 def _config_for(curve: CurveType, cusps: Tuple[PuiseuxCusp, ...]) -> CuspConfiguration:
@@ -202,9 +194,9 @@ def _dinv_rows(
     return [{"m": m, "d_invariant": _fr(d_invariant(curve, config, m))} for m in ms]
 
 
-def _check(a, b, e, cusps, only, as_json, as_csv) -> int:
+def _check(a, b, e, cusps, only, fmt) -> int:
     """Decide whether a prescribed cusp configuration is obstructed."""
-    curve = _curve(a, b, e)
+    curve = CurveType(a, b, e)
     config = _config_for(curve, _parse_cusps(cusps))
 
     verdicts, witnesses = _check_rows(curve, config, only)
@@ -224,26 +216,28 @@ def _check(a, b, e, cusps, only, as_json, as_csv) -> int:
         results,
         witnesses,
     )
-    if as_json:
-        _emit_json(report)
-    elif as_csv:
-        fields = {"hf": HfWitness._fields, "spectrum": SemicontinuityWitness._fields}
-        _emit_csv(witnesses, ["check", *chain.from_iterable(map(fields.get, verdicts))])
-    else:
-        print(f"curve {curve}, cusps {config}: {results['verdict']}")
-        for wit in witnesses:
-            if wit["check"] == "hf":
-                print(
-                    f"  hf witness: m={wit['m']} (m+g={wit['m'] + curve.g}), "
-                    f"presentation (s1,s2)=({wit['s1']},{wit['s2']}), "
-                    f"R={wit['r_value']} < P={wit['p_value']}"
-                )
-            else:
-                print(
-                    f"  spectrum witness: x={wit['x']}, "
-                    f"inside {wit['cusp_inside']} vs {wit['infinity_inside']}, "
-                    f"outside {wit['cusp_outside']} vs {wit['infinity_outside']}"
-                )
+    lines = chain(
+        [f"curve {curve}, cusps {config}: {results['verdict']}"],
+        (
+            (
+                f"  hf witness: m={wit['m']} (m+g={wit['m'] + curve.g}), "
+                f"presentation (s1,s2)=({wit['s1']},{wit['s2']}), "
+                f"R={wit['r_value']} < P={wit['p_value']}"
+            )
+            if wit["check"] == "hf"
+            else (
+                f"  spectrum witness: x={wit['x']}, "
+                f"inside {wit['cusp_inside']} vs {wit['infinity_inside']}, "
+                f"outside {wit['cusp_outside']} vs {wit['infinity_outside']}"
+            )
+            for wit in witnesses
+        ),
+    )
+    # The columns of the witness kinds present, or of every filter that ran.
+    kinds = {wit["check"] for wit in witnesses} or verdicts
+    fields = {"hf": HfWitness._fields, "spectrum": SemicontinuityWitness._fields}
+    header = ["check", *chain.from_iterable(fields[k] for k in verdicts if k in kinds)]
+    _emit(fmt, report, lines, witnesses, header)
     return EXIT_OBSTRUCTED if obstructed else EXIT_OK
 
 
@@ -272,44 +266,38 @@ def _candidate_rows(curve: CurveType, configs: Sequence[CuspConfiguration]) -> L
     return rows
 
 
-def _enumerate(a, b, e, max_cusps, cap, as_json, as_csv) -> int:
+def _enumerate(a, b, e, max_cusps, cap, fmt) -> int:
     """List all genus-compatible configurations with per-filter verdicts."""
-    curve = _curve(a, b, e)
+    curve = CurveType(a, b, e)
     if cap is None:
         text = os.environ.get(CAP_ENV_VAR)
         try:
             cap = DEFAULT_CANDIDATE_CAP if text is None else int(text)
         except ValueError as exc:
             raise CliError(f"{CAP_ENV_VAR} must be an integer, got {text!r}") from exc
-    try:
-        configs = enumerate_configurations(curve, max_cusps, cap=cap)
-    except (CandidateCapExceededError, ValueError) as exc:
-        raise CliError(str(exc)) from exc
-    rows = _candidate_rows(curve, configs)
+    rows = _candidate_rows(curve, enumerate_configurations(curve, max_cusps, cap=cap))
     report = _report(
         "enumerate",
         {"a": a, "b": b, "e": e, "max_cusps": max_cusps, "cap": cap},
         {"g": curve.g, "count": len(rows)},
         rows,
     )
-    if as_json:
-        _emit_json(report)
-    elif as_csv:
-        _emit_csv(rows, _CANDIDATE_FIELDS)
-    else:
-        print(f"curve {curve}: {len(rows)} genus-compatible configuration(s)")
-        for row in rows:
-            status = "survives" if row["survives"] else "obstructed"
-            print(
-                f"  [{row['cusps']}] multiplicity={row['multiplicity_ok']} "
-                f"hf={row['hf']} spectrum={row['spectrum']} -> {status}"
-            )
+    lines = chain(
+        [f"curve {curve}: {len(rows)} genus-compatible configuration(s)"],
+        (
+            f"  [{row['cusps']}] multiplicity={row['multiplicity_ok']} "
+            f"hf={row['hf']} spectrum={row['spectrum']} -> "
+            f"{'survives' if row['survives'] else 'obstructed'}"
+            for row in rows
+        ),
+    )
+    _emit(fmt, report, lines, rows, _CANDIDATE_FIELDS)
     return EXIT_OK
 
 
-def _spectrum(a, b, e, method, as_json, as_csv) -> int:
+def _spectrum(a, b, e, method, fmt) -> int:
     """Print the spectrum at infinity as sorted 'value multiplicity' lines."""
-    curve = _curve(a, b, e)
+    curve = CurveType(a, b, e)
     table = spectrum_at_infinity_table(curve) if method in ("table", "both") else None
     derived = (
         spectrum_at_infinity_derived(curve) if method in ("derived", "both") else None
@@ -321,15 +309,11 @@ def _spectrum(a, b, e, method, as_json, as_csv) -> int:
     if method == "both":
         results["methods_agree"] = not mismatch
     report = _report("spectrum", {"a": a, "b": b, "e": e}, results, [])
-    if as_json:
-        _emit_json(report)
-    elif as_csv:
-        _emit_csv(rows, ("value", "multiplicity"))
-    else:
-        for row in rows:
-            print(f"{row['value']} {row['multiplicity']}")
-        if method == "both":
-            print(f"methods agree: {not mismatch}")
+    lines = chain(
+        (f"{row['value']} {row['multiplicity']}" for row in rows),
+        [f"methods agree: {not mismatch}"] if method == "both" else [],
+    )
+    _emit(fmt, report, lines, rows, ("value", "multiplicity"))
     if mismatch:
         print("mismatch between table and derived constructions:", file=sys.stderr)
         for value in sorted(set(table.values()) | set(derived.values())):
@@ -347,10 +331,7 @@ def _dedekind_s(p, q) -> int:
     """Print s(p, q) as num/den."""
     from .dedekind import dedekind_sum
 
-    try:
-        print(_fr(dedekind_sum(p, q)))
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    print(_fr(dedekind_sum(p, q)))
     return EXIT_OK
 
 
@@ -358,21 +339,19 @@ def _dedekind_d(p, q, r) -> int:
     """Print D(p, q, r) as num/den."""
     from .dedekind import rademacher_sum
 
-    try:
-        print(_fr(rademacher_sum(p, q, r)))
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    print(_fr(rademacher_sum(p, q, r)))
     return EXIT_OK
 
 
-def _dedekind_limits(b, max_w, tol, as_json) -> int:
+def _dedekind_limits(b, max_w, tol, fmt) -> int:
     """Evaluate the three limit statements along the proof subsequence."""
     from .dedekind import verify_limits
 
     try:
-        report = verify_limits(b, max_w, Fraction(tol))
-    except (ValueError, ZeroDivisionError) as exc:
+        tol = Fraction(tol)
+    except ZeroDivisionError as exc:
         raise CliError(str(exc)) from exc
+    report = verify_limits(b, max_w, tol)
     entries = [
         {
             "name": entry.name,
@@ -390,41 +369,30 @@ def _dedekind_limits(b, max_w, tol, as_json) -> int:
         {"all_within_tol": report.all_within_tol, "entries": entries},
         [],
     )
-    if as_json:
-        _emit_json(doc)
-    else:
-        for entry in entries:
-            mark = "ok" if entry["within_tol"] else "EXCEEDS"
-            print(
-                f"{entry['name']} at w={entry['w']}: value {entry['value']}, "
-                f"limit {entry['limit']}, deviation {entry['deviation']} [{mark}]"
-            )
+    lines = (
+        f"{entry['name']} at w={entry['w']}: value {entry['value']}, "
+        f"limit {entry['limit']}, deviation {entry['deviation']} "
+        f"[{'ok' if entry['within_tol'] else 'EXCEEDS'}]"
+        for entry in entries
+    )
+    _emit(fmt, doc, lines)
     return EXIT_OK if report.all_within_tol else EXIT_OBSTRUCTED
 
 
-def _dinv(a, b, e, cusps, m, all_m, as_json) -> int:
+def _dinv(a, b, e, cusps, m, all_m, fmt) -> int:
     """Exact correction terms for one m or the whole range [-d/2, d/2)."""
-    if (m is None) == (not all_m):
-        raise CliError("provide exactly one of --m or --all-m")
-    curve = _curve(a, b, e)
+    curve = CurveType(a, b, e)
     config = _config_for(curve, _parse_cusps(cusps))
     d = curve.d
     ms = range(-(d // 2), (d + 1) // 2) if all_m else [m]
-    try:
-        values = _dinv_rows(curve, config, ms)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    values = _dinv_rows(curve, config, ms)
     report = _report(
         "dinv",
         {"a": a, "b": b, "e": e, "cusps": [f"{c.r}:{c.s}" for c in config]},
         {"values": values},
         [],
     )
-    if as_json:
-        _emit_json(report)
-    else:
-        for row in values:
-            print(f"m={row['m']}: {row['d_invariant']}")
+    _emit(fmt, report, (f"m={row['m']}: {row['d_invariant']}" for row in values))
     return EXIT_OK
 
 
@@ -510,24 +478,27 @@ _DEFAULT = "default: %(default)s"
 _E = ("--e", {**_INT, "default": 0, "help": _DEFAULT})
 _CURVE = (("--a", _REQUIRED), ("--b", _REQUIRED), _E)
 _CUSPS = ("--cusp", {"dest": "cusps", "action": "append", "default": [], "help": "r:s"})
-_JSON = ("--json", {"dest": "as_json", "action": "store_true"})
-_CSV = ("--csv", {"dest": "as_csv", "action": "store_true"})
+_FMT = {"dest": "fmt", "action": "store_const", "default": "text"}
+_JSON = ("--json", {**_FMT, "const": "json"})
+_FORMATS = ({}, _JSON, ("--csv", {**_FMT, "const": "csv"}))
 _ONLY = ("--only", {"choices": ["hf", "spectrum"]})
 _MAX_CUSPS = ("--max-cusps", {**_INT, "default": 1, "help": _DEFAULT})
 _CAP = ("--cap", {**_INT, "help": "candidate cap override"})
 _METHODS = ["table", "derived", "both"]
 _METHOD = ("--method", {"choices": _METHODS, "default": "table", "help": _DEFAULT})
 _TOL = ("--tol", {"default": "1/200", "help": _DEFAULT})
-_ALL_M = ("--all-m", {"action": "store_true"})
+_MODES = ({"required": True}, ("--m", _INT), ("--all-m", {"action": "store_true"}))
 _UPDATE_DOC = "write the golden files into DIR instead of diffing against them"
 _UPDATE = ("--update", {"dest": "update_dir", "metavar": "DIR", "help": _UPDATE_DOC})
 _SUMS_DOC = "Sawtooth sums: two- and three-term reciprocity families."
 
-# Each command as (function, arguments); `dedekind` groups the sawtooth sums.
+# Each command as (function, arguments), where an argument is (flag, kwargs)
+# and a tuple led by a dict is a mutually exclusive group: its kwargs, then
+# its arguments.  `dedekind` groups the sawtooth sums.
 _COMMANDS = {
-    "check": (_check, (*_CURVE, _CUSPS, _ONLY, _JSON, _CSV)),
-    "enumerate": (_enumerate, (*_CURVE, _MAX_CUSPS, _CAP, _JSON, _CSV)),
-    "spectrum": (_spectrum, (*_CURVE, _METHOD, _JSON, _CSV)),
+    "check": (_check, (*_CURVE, _CUSPS, _ONLY, _FORMATS)),
+    "enumerate": (_enumerate, (*_CURVE, _MAX_CUSPS, _CAP, _FORMATS)),
+    "spectrum": (_spectrum, (*_CURVE, _METHOD, _FORMATS)),
     "dedekind": {
         "s": (_dedekind_s, (("p", _INT), ("q", _INT))),
         "d": (_dedekind_d, (("p", _INT), ("q", _INT), ("r", _INT))),
@@ -536,7 +507,7 @@ _COMMANDS = {
             (("--b", _REQUIRED), ("--max-w", _REQUIRED), _TOL, _JSON),
         ),
     },
-    "dinv": (_dinv, (*_CURVE, _CUSPS, ("--m", _INT), _ALL_M, _JSON)),
+    "dinv": (_dinv, (*_CURVE, _CUSPS, _MODES, _JSON)),
     "repro": (_repro, (_UPDATE,)),
 }
 
@@ -561,9 +532,14 @@ def _parser(name: Optional[str]) -> Tuple[_Parser, FrozenSet[str]]:
         run, arguments = spec
         sub = group.add_parser(command, help=run.__doc__, description=run.__doc__)
         sub.set_defaults(run=run)
-        for flag, kwargs in arguments:
-            if sub.add_argument(flag, **kwargs).nargs is None and flag[0] == "-":
-                valued.add(flag)
+        for argument in arguments:
+            owner, members = sub, (argument,)
+            if isinstance(argument[0], dict):
+                owner = sub.add_mutually_exclusive_group(**argument[0])
+                members = argument[1:]
+            for flag, kwargs in members:
+                if owner.add_argument(flag, **kwargs).nargs is None and flag[0] == "-":
+                    valued.add(flag)
 
     doc = "Obstruction checks for rational cuspidal curves in ruled surfaces."
     parser = _Parser(prog="cuspidal", description=doc)
@@ -594,7 +570,7 @@ def main(argv: Optional[Sequence[str]] = None) -> None:
         options = vars(parser.parse_args(_joined(argv, valued)))
         code = options.pop("run")(**options)
         sys.stdout.flush()
-    except CliError as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         code = EXIT_ERROR
     except BrokenPipeError:

@@ -16,7 +16,7 @@ from .core import CurveType, CuspConfiguration, PuiseuxCusp
 DEFAULT_CANDIDATE_CAP = 10**6
 
 
-class CandidateCapExceededError(RuntimeError):
+class CandidateCapExceededError(ValueError):
     """The enumeration produced more configurations than the configured cap."""
 
 

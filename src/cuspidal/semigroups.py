@@ -36,14 +36,17 @@ cusp past the first max(k, 1), none for the most recent configuration.
 Prefixes are compared by value, so lists left by another curve are only
 not reused.  `enumerate` lists configurations in depth-first order, so the
 leaves under one prefix fold it once, and so do the checks of one
-configuration, such as every m of `dinv --all-m`.  `_cusp_elements` is the
-one per-cusp memo of both filters: the spectrum filter reads the cusp
-spectrum off the same list, since its values below 1 are (r + s + e)/(r*s)
-for the delta elements e below 2*delta (see `spectra`).
+configuration, such as every m of `dinv --all-m`.  One lock guards both
+lists, so threads that call `curve_elements` at once never fold onto each
+other's prefix.  `_cusp_elements` is the one per-cusp memo of both
+filters: the spectrum filter reads the cusp spectrum off the same list,
+since its values below 1 are (r + s + e)/(r*s) for the delta elements e
+below 2*delta (see `spectra`).
 """
 
 from __future__ import annotations
 
+import threading
 from functools import lru_cache
 from operator import add
 from typing import List, Tuple
@@ -84,6 +87,7 @@ def _max_plus(e1: Tuple[int, ...], e2: Tuple[int, ...]) -> Tuple[int, ...]:
 
 _cusps: List[PuiseuxCusp] = []
 _folds: List[Tuple[int, ...]] = [(0,)]
+_lock = threading.Lock()
 
 
 def curve_elements(curve: CurveType, config: CuspConfiguration) -> Tuple[int, ...]:
@@ -92,14 +96,15 @@ def curve_elements(curve: CurveType, config: CuspConfiguration) -> Tuple[int, ..
     R(t) is the number of elements below t for t <= 2g and t - g beyond.
     """
     config.require_genus_compatible(curve)
-    shared = 0
-    for held, cusp in zip(_cusps, config):
-        if held != cusp:
-            break
-        shared += 1
-    del _cusps[shared:], _folds[shared + 1 :]
-    for cusp in config[shared:]:
-        elements = _cusp_elements(cusp)
-        _folds.append(_max_plus(_folds[-1], elements) if _cusps else elements)
-        _cusps.append(cusp)
-    return _folds[-1]
+    with _lock:
+        shared = 0
+        for held, cusp in zip(_cusps, config):
+            if held != cusp:
+                break
+            shared += 1
+        del _cusps[shared:], _folds[shared + 1 :]
+        for cusp in config[shared:]:
+            elements = _cusp_elements(cusp)
+            _folds.append(_max_plus(_folds[-1], elements) if _cusps else elements)
+            _cusps.append(cusp)
+        return _folds[-1]

@@ -144,6 +144,26 @@ def test_empty_csv_prints_header(argv, header, capsys):
     assert capsys.readouterr().out == header + "\r\n"
 
 
+@pytest.mark.parametrize("first, second", [("--json", "--csv"), ("--csv", "--json")])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", "--a", "6", "--b", "6", "--cusp", "2:51"],
+        ["enumerate", "--a", "6", "--b", "6"],
+        ["spectrum", "--a", "6", "--b", "4"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_json_and_csv_exclude_each_other(argv, first, second, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main([*argv, first, second])
+    assert excinfo.value.code == 1
+    assert capsys.readouterr() == (
+        "",
+        f"error: argument {second}: not allowed with argument {first}\n",
+    )
+
+
 def test_check_only_filters():
     code, output = run(
         ["check", "--a", "6", "--b", "6", "--cusp", "2:51", "--only", "hf"]
@@ -332,7 +352,6 @@ def test_json_reports_are_indented_stdlib_bytes(argv):
     code, out = run([*argv, "--json"])
     assert code in (0, 2)
     assert out == json.dumps(json.loads(out), sort_keys=True, indent=2) + "\n"
-
 
 
 def _crlf(text):
@@ -654,11 +673,15 @@ def test_dinv_single_and_all():
     assert values[25] == "-103/72"
 
 
-def test_dinv_requires_exactly_one_mode():
-    code, output = run(["dinv", "--a", "1", "--b", "1"])
-    assert code == 1
-    code, output = run(["dinv", "--a", "1", "--b", "1", "--m", "0", "--all-m"])
-    assert code == 1
+def test_dinv_requires_exactly_one_mode(capsys):
+    for modes, message in [
+        ([], "one of the arguments --m --all-m is required"),
+        (["--m", "0", "--all-m"], "argument --all-m: not allowed with argument --m"),
+    ]:
+        with pytest.raises(SystemExit) as excinfo:
+            main(["dinv", "--a", "1", "--b", "1", *modes])
+        assert excinfo.value.code == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 def test_repro_matches_golden_files():

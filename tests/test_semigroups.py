@@ -1,5 +1,8 @@
 import math
+import sys
+import threading
 from bisect import bisect_left
+from functools import reduce
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,6 +13,7 @@ from cuspidal import (
     GenusMismatchError,
     PuiseuxCusp,
     curve_elements,
+    enumerate_configurations,
 )
 from cuspidal.semigroups import _cusp_elements, _max_plus
 
@@ -137,3 +141,34 @@ def test_curve_r_function_multi_cusp():
 def test_curve_r_function_rejects_genus_mismatch():
     with pytest.raises(GenusMismatchError):
         curve_elements(CurveType(6, 6, 0), CuspConfiguration((PuiseuxCusp(2, 3),)))
+
+
+def test_curve_elements_is_thread_safe():
+    # Two threads walk the multi-cusp configurations of (6,6,0) in opposite
+    # orders, so each keeps replacing the prefix the other is folding onto.
+    curve = CurveType(6, 6, 0)
+    configs = [c for c in enumerate_configurations(curve, 3) if len(c) > 1]
+    expected = [reduce(_max_plus, map(_cusp_elements, c)) for c in configs]
+    wrong, finished = [], []
+
+    def walk(order):
+        wrong.extend(
+            i for i in order if curve_elements(curve, configs[i]) != expected[i]
+        )
+        finished.append(order)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [
+            threading.Thread(target=walk, args=(order,))
+            for order in (range(len(configs)), range(len(configs))[::-1])
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert len(finished) == 2 and len(configs) > 100 and wrong == []
