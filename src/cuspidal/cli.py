@@ -49,11 +49,6 @@ EXIT_OBSTRUCTED = 2
 EXIT_MISMATCH = 3
 
 
-class CliError(ValueError):
-    """A usage or domain error the CLI words itself; `main` prints it as any
-    other `ValueError`."""
-
-
 def _fr(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
@@ -139,25 +134,19 @@ def _emit(
             print(line)
 
 
-def _parse_cusps(specs: Sequence[str]) -> Tuple[PuiseuxCusp, ...]:
+def _parse_cusps(specs: Sequence[str]) -> CuspConfiguration:
     cusps = []
     for spec in specs:
         try:
-            r_text, s_text = spec.split(":")
-            cusps.append(PuiseuxCusp(int(r_text), int(s_text)))
+            r, s = map(int, spec.split(":"))
         except ValueError as exc:
-            raise CliError(f"bad cusp '{spec}': {exc}") from exc
-    return tuple(cusps)
-
-
-def _config_for(curve: CurveType, cusps: Tuple[PuiseuxCusp, ...]) -> CuspConfiguration:
-    config = CuspConfiguration(cusps)
-    if not config.is_genus_compatible(curve):
-        raise CliError(
-            f"genus mismatch: expected sum(mu/2) = g = {curve.g}, "
-            f"got {config.total_delta}"
-        )
-    return config
+            message = "expected r:s with integers r and s"
+            raise ValueError(f"bad cusp '{spec}': {message}") from exc
+        try:
+            cusps.append(PuiseuxCusp(r, s))
+        except ValueError as exc:
+            raise ValueError(f"bad cusp '{spec}': {exc}") from exc
+    return CuspConfiguration(cusps)
 
 
 def _check_rows(
@@ -197,7 +186,8 @@ def _dinv_rows(
 def _check(a, b, e, cusps, only, fmt) -> int:
     """Decide whether a prescribed cusp configuration is obstructed."""
     curve = CurveType(a, b, e)
-    config = _config_for(curve, _parse_cusps(cusps))
+    config = _parse_cusps(cusps)
+    config.require_genus_compatible(curve)
 
     verdicts, witnesses = _check_rows(curve, config, only)
     results: Dict = {"g": curve.g, "total_delta": config.total_delta, **verdicts}
@@ -274,7 +264,7 @@ def _enumerate(a, b, e, max_cusps, cap, fmt) -> int:
         try:
             cap = DEFAULT_CANDIDATE_CAP if text is None else int(text)
         except ValueError as exc:
-            raise CliError(f"{CAP_ENV_VAR} must be an integer, got {text!r}") from exc
+            raise ValueError(f"{CAP_ENV_VAR} must be an integer, got {text!r}") from exc
     rows = _candidate_rows(curve, enumerate_configurations(curve, max_cusps, cap=cap))
     report = _report(
         "enumerate",
@@ -349,8 +339,9 @@ def _dedekind_limits(b, max_w, tol, fmt) -> int:
 
     try:
         tol = Fraction(tol)
-    except ZeroDivisionError as exc:
-        raise CliError(str(exc)) from exc
+    except (ValueError, ZeroDivisionError) as exc:
+        example = "a rational number such as 1/200"
+        raise ValueError(f"--tol must be {example}, got {tol!r}") from exc
     report = verify_limits(b, max_w, tol)
     entries = [
         {
@@ -382,7 +373,8 @@ def _dedekind_limits(b, max_w, tol, fmt) -> int:
 def _dinv(a, b, e, cusps, m, all_m, fmt) -> int:
     """Exact correction terms for one m or the whole range [-d/2, d/2)."""
     curve = CurveType(a, b, e)
-    config = _config_for(curve, _parse_cusps(cusps))
+    config = _parse_cusps(cusps)
+    config.require_genus_compatible(curve)
     d = curve.d
     ms = range(-(d // 2), (d + 1) // 2) if all_m else [m]
     values = _dinv_rows(curve, config, ms)
@@ -441,7 +433,7 @@ def _repro(update_dir) -> int:
                 with open(path, "w") as handle:
                     handle.write(_dumps(payload) + "\n")
         except OSError as exc:
-            raise CliError(str(exc)) from exc
+            raise ValueError(str(exc)) from exc
         print(f"wrote {len(scenarios)} golden files")
         return EXIT_OK
     failures = 0
@@ -462,14 +454,14 @@ def _repro(update_dir) -> int:
 
 
 class _Parser(argparse.ArgumentParser):
-    """No abbreviated options, `--help` but no `-h`, and `CliError` on misuse."""
+    """No abbreviated options, `--help` but no `-h`, and `ValueError` on misuse."""
 
     def __init__(self, **kwargs) -> None:
         super().__init__(allow_abbrev=False, add_help=False, **kwargs)
         self.add_argument("--help", action="help", help="Show this message and exit.")
 
     def error(self, message: str):
-        raise CliError(message)
+        raise ValueError(message)
 
 
 _INT = {"type": int}

@@ -4,20 +4,22 @@ All fractional quantities in this package are exact: a `fractions.Fraction`,
 or int numerators over a stated denominator.  Nothing is ever represented in
 floating point.  Every type here is an immutable tuple of its defining
 integers (or cusps), with its derived invariants checked eagerly at
-construction; it compares, orders and hashes as that tuple.
+construction; it compares, orders and hashes as that tuple.  `PuiseuxCusp`
+and `CurveType` subclass a `collections.namedtuple`; their `_make`, and so
+`_replace`, goes through the validating constructor.
 """
 
 from __future__ import annotations
 
 import math
-from operator import itemgetter
+from collections import namedtuple
 
 
 class GenusMismatchError(ValueError):
     """A cusp list whose total delta invariant differs from the curve genus."""
 
 
-class PuiseuxCusp(tuple):
+class PuiseuxCusp(namedtuple("PuiseuxCusp", "r s")):
     """A unibranched singularity locally of the form x^r = y^s.
 
     Requires 2 <= r < s and gcd(r, s) = 1.  The Milnor number is
@@ -33,13 +35,9 @@ class PuiseuxCusp(tuple):
             raise ValueError(f"cusp exponents must satisfy s > r, got ({r}, {s})")
         if math.gcd(r, s) != 1:
             raise ValueError(f"cusp exponents must be coprime, got ({r}, {s})")
-        return tuple.__new__(cls, (r, s))
+        return super().__new__(cls, r, s)
 
-    r = property(itemgetter(0))
-    s = property(itemgetter(1))
-
-    def __getnewargs__(self):
-        return tuple(self)
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
     @property
     def mu(self) -> int:
@@ -50,14 +48,11 @@ class PuiseuxCusp(tuple):
         # mu is even: r, s coprime means at least one of r-1, s-1 is even.
         return self.mu // 2
 
-    def __repr__(self) -> str:
-        return f"PuiseuxCusp(r={self.r}, s={self.s})"
-
     def __str__(self) -> str:
         return f"({self.r},{self.s})"
 
 
-class CurveType(tuple):
+class CurveType(namedtuple("CurveType", "a b e")):
     """A curve class (a, b) on the ruled surface with twisting parameter e.
 
     Derived quantities:
@@ -79,19 +74,14 @@ class CurveType(tuple):
             raise ValueError(f"a must be nonnegative, got {a}")
         if e < 0:
             raise ValueError(f"e must be nonnegative, got {e}")
-        self = tuple.__new__(cls, (a, b, e))
+        self = super().__new__(cls, a, b, e)
         if self.d <= 0:
             raise ValueError(f"self-intersection must be positive, got {self.d}")
         if self.g < 0:
             raise ValueError(f"arithmetic genus must be nonnegative, got {self.g}")
         return self
 
-    a = property(itemgetter(0))
-    b = property(itemgetter(1))
-    e = property(itemgetter(2))
-
-    def __getnewargs__(self):
-        return tuple(self)
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
     @property
     def w(self) -> int:
@@ -109,9 +99,6 @@ class CurveType(tuple):
     def g(self) -> int:
         # b(b-1)e is even, so this is an exact integer.
         return (self.a - 1) * (self.b - 1) + self.b * (self.b - 1) * self.e // 2
-
-    def __repr__(self) -> str:
-        return f"CurveType(a={self.a}, b={self.b}, e={self.e})"
 
     def __str__(self) -> str:
         return f"({self.a},{self.b}) in X_{self.e}"
@@ -132,8 +119,8 @@ class CuspConfiguration(tuple):
     def require_genus_compatible(self, curve: CurveType) -> None:
         if not self.is_genus_compatible(curve):
             raise GenusMismatchError(
-                f"cusp configuration has total delta {self.total_delta}, "
-                f"but curve {curve} needs total delta = g = {curve.g}"
+                f"genus mismatch: expected sum(mu/2) = g = {curve.g}, "
+                f"got {self.total_delta}"
             )
 
     def __repr__(self) -> str:

@@ -140,24 +140,24 @@ def _snap_to_subsequence(b: int, target: int) -> Optional[int]:
 
 
 def verify_limits(
-    b: int, w_max: int, tol: Fraction = Fraction(1, 200)
+    b: int, max_w: int, tol: Fraction = Fraction(1, 200)
 ) -> LimitReport:
     """Convergence harness for the three limit statements.
 
-    Evaluates a_w/w, b_w/w and c_w/w at the largest w <= w_max of the
+    Evaluates a_w/w, b_w/w and c_w/w at the largest w <= max_w of the
     subsequence used in the corresponding proofs (w coprime to 2b for odd b;
     gcd(b, w) = 2 for even b) and reports their deviations from the limits.
     This checks convergence at a finite scale, not the limits themselves.
     """
     if b < 2:
         raise ValueError(f"b must be >= 2, got {b}")
-    if w_max < 100:
-        raise ValueError(f"w_max must be >= 100, got {w_max}")
+    if max_w < 100:
+        raise ValueError(f"max_w must be >= 100, got {max_w}")
     if tol < 0:
         raise ValueError(f"tol must be >= 0, got {tol}")
-    w = _snap_to_subsequence(b, w_max)
+    w = _snap_to_subsequence(b, max_w)
     if w is None:
-        raise ValueError(f"no subsequence member <= {w_max} for b = {b}")
+        raise ValueError(f"no subsequence member <= {max_w} for b = {b}")
     a_w, b_w, c_w, _ = section_sums(b, w)
     a_lim, b_lim, c_lim = limit_values(b)
     entries = (

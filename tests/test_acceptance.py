@@ -22,16 +22,19 @@ from cuspidal import (
     dedekind_sum,
     enumerate_unicuspidal,
     hf_check,
+    hf_obstructed,
     max_p_over_presentations,
     p_bound,
     rademacher_sum,
     section_sums,
     semicontinuity_check,
+    semicontinuity_obstructed,
     signature_profile,
     spectrum_at_infinity_derived,
     spectrum_at_infinity_table,
     verify_limits,
 )
+from cuspidal.hf import multiplicity_bound_check
 from cuspidal.dedekind import dedekind_reciprocity_rhs, rademacher_reciprocity_rhs
 from cuspidal.semigroups import _cusp_elements, _max_plus
 
@@ -179,6 +182,49 @@ def test_criterion_7_constructed_series_never_obstructed():
                     ok = ok and not hf_check(curve, config).obstructed
                     ok = ok and not semicontinuity_check(curve, config).obstructed
     _verdict(7, "constructed curve series survive all filters", ok)
+
+
+def _plane_unicuspidal(max_degree):
+    """(d, (r, s)) for each rational unicuspidal plane curve of degree
+    d < max_degree whose cusp x^r = y^s has one Puiseux pair, after
+    Fernandez de Bobadilla, Luengo, Melle-Hernandez and Nemethi (2006)."""
+    phi = [0, 1]
+    while len(phi) < 40:
+        phi.append(phi[-1] + phi[-2])
+    curves = [(d, (d - 1, d)) for d in range(3, max_degree)]
+    curves += [(d, (d // 2, 2 * d - 1)) for d in range(4, max_degree, 2)]
+    for j in range(5, len(phi) - 2, 2):
+        curves.append((phi[j - 1] ** 2 + 1, (phi[j - 2] ** 2, phi[j] ** 2)))
+        curves.append((phi[j], (phi[j - 2], phi[j + 2])))
+    curves += [(8, (3, 22)), (16, (6, 43))]
+    return [(d, cusp) for d, cusp in curves if d < max_degree]
+
+
+def _blown_up(n, cusps):
+    """The curves in X_1 that blowing up one point of a plane curve of
+    degree n with these cusps gives: a point of multiplicity m makes the
+    type (m, n - m, 1).  At a smooth point the cusps stay; at the cusp
+    (p, q) it becomes (p, q - p), sorted, and is gone when q - p = 1."""
+    yield CurveType(1, n - 1, 1), cusps
+    for i, (p, q) in enumerate(cusps):
+        rest = cusps[:i] + cusps[i + 1 :]
+        if q - p > 1:
+            rest += ((min(p, q - p), max(p, q - p)),)
+        yield CurveType(p, n - p, 1), rest
+
+
+def test_criterion_10_existing_curves_never_obstructed():
+    plane = [(d, (cusp,)) for d, cusp in _plane_unicuspidal(70)]
+    quartics = [(4, ((2, 3), (2, 5))), (4, ((2, 3),) * 3)]
+    cases = [case for n, cusps in plane + quartics for case in _blown_up(n, cusps)]
+    ok = len(plane) == 107 and len(cases) == 2 * 107 + 3 + 4
+    for curve, cusps in cases:
+        config = CuspConfiguration(sorted(PuiseuxCusp(r, s) for r, s in cusps))
+        ok = ok and config.is_genus_compatible(curve)
+        ok = ok and all(multiplicity_bound_check(curve, cusp) for cusp in config)
+        ok = ok and not hf_obstructed(curve, config)
+        ok = ok and not semicontinuity_obstructed(curve, config)
+    _verdict(10, "blown-up plane cuspidal curves survive all filters", ok)
 
 
 def _brute_counts(cusp, end):

@@ -331,6 +331,39 @@ def test_dedekind_limits_without_subsequence_member(capsys):
 
 
 @pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--tol", "1/0"], "--tol must be a rational number such as 1/200, got '1/0'"),
+        (["--tol", "x"], "--tol must be a rational number such as 1/200, got 'x'"),
+        (["--max-w", "-1"], "max_w must be >= 100, got -1"),
+    ],
+)
+def test_dedekind_limits_errors_name_the_option(argv, message):
+    limits = ["dedekind", "limits", "--b", "3", "--max-w", "100"]
+    assert run([*limits, *argv]) == (1, f"error: {message}\n")
+
+
+@pytest.mark.parametrize("spec", ["2x51", "", "2:3:4", "2:x", "2:3:"])
+def test_cusp_syntax_errors_name_the_form(spec):
+    argv = ["check", "--a", "6", "--b", "6", "--cusp", "6:11", f"--cusp={spec}"]
+    message = f"bad cusp '{spec}': expected r:s with integers r and s"
+    assert run(argv) == (1, f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", "--a", "6", "--b", "6", "--cusp", "2:3", "--only", "spectrum"],
+        ["dinv", "--a", "6", "--b", "6", "--cusp", "2:3", "--m", "0"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_genus_mismatch_message(argv):
+    message = "genus mismatch: expected sum(mu/2) = g = 25, got 1"
+    assert run(argv) == (1, f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["check", "--a", "6", "--b", "6", "--cusp", "2:51"],

@@ -139,3 +139,39 @@ def test_values_are_immutable_ordered_hashable_tuples():
         "CuspConfiguration(cusps=(PuiseuxCusp(r=2, s=3), PuiseuxCusp(r=3, s=4)))"
     )
     assert repr(curve) == "CurveType(a=6, b=6, e=0)"
+    # The namedtuple API, and equality with plain tuples.
+    assert (cusp._fields, curve._fields) == (("r", "s"), ("a", "b", "e"))
+    assert curve._asdict() == {"a": 6, "b": 6, "e": 0}
+    assert cusp == (2, 3) and curve == (6, 6, 0)
+
+
+@pytest.mark.parametrize(
+    "value, invalid",
+    [
+        (PuiseuxCusp(2, 51), {"r": 1}),
+        (PuiseuxCusp(2, 51), {"s": 4}),
+        (CurveType(6, 6, 0), {"b": 0}),
+        (CurveType(6, 6, 0), {"a": 0, "b": 2}),
+    ],
+)
+def test_every_construction_path_validates(value, invalid):
+    cls = type(value)
+    fields = tuple({**value._asdict(), **invalid}.values())
+    with pytest.raises(ValueError) as constructor:
+        cls(*fields)
+    # A value that skipped the constructor's checks; unpickling or copying
+    # it runs them.
+    unchecked = tuple.__new__(cls, fields)
+    paths = [
+        lambda: value._replace(**invalid),
+        lambda: cls._make(fields),
+        lambda: pickle.loads(pickle.dumps(unchecked)),
+        lambda: copy.copy(unchecked),
+        lambda: copy.deepcopy(unchecked),
+    ]
+    for path in paths:
+        with pytest.raises(ValueError) as excinfo:
+            path()
+        assert str(excinfo.value) == str(constructor.value)
+    for copied in (value._replace(), cls._make(value)):
+        assert type(copied) is cls and copied == value
