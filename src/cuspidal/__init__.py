@@ -27,7 +27,6 @@ from .spectra import (
     SemicontinuityWitness,
     SpectrumMultiset,
     alexander_order,
-    cusp_spectrum,
     semicontinuity_check,
     semicontinuity_obstructed,
     signature_profile,
@@ -54,7 +53,6 @@ __all__ = [
     "SpectrumMultiset",
     "alexander_order",
     "curve_elements",
-    "cusp_spectrum",
     "d_invariant",
     "dedekind_sum",
     "enumerate_configurations",
@@ -65,7 +63,6 @@ __all__ = [
     "multiplicity_bound_check",
     "p_bound",
     "rademacher_sum",
-    "sawtooth",
     "section_sums",
     "semicontinuity_check",
     "semicontinuity_obstructed",
@@ -81,7 +78,6 @@ _DEDEKIND = frozenset({
     "LimitReport",
     "dedekind_sum",
     "rademacher_sum",
-    "sawtooth",
     "section_sums",
     "verify_limits",
 })

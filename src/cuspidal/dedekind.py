@@ -1,8 +1,8 @@
-"""Sawtooth sums: Dedekind and Dedekind-Rademacher sums, reciprocity, and
-the half-range sawtooth sums with their limit verification harness.
+"""Sawtooth sums: Dedekind and Dedekind-Rademacher sums, and the half-range
+sawtooth sums with their limit verification harness.
 
-All sums are exact rationals.  One Euclid loop does the work, O(log
-modulus) integer steps:
+<x> is the sawtooth {x} - 1/2, and 0 on the integers.  All sums are exact
+rationals.  One Euclid loop does the work, O(log modulus) integer steps:
 
 - ``dedekind_sum(p, q)`` reduces to coprime 0 <= h < k by s(p, q) =
   s(p mod q, q) and s(ch, ck) = s(h, k), then runs Euclid on (h, k) with the
@@ -31,14 +31,6 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from typing import NamedTuple, Optional, Tuple
-
-
-def sawtooth(x: Fraction) -> Fraction:
-    """{x} - 1/2 for non-integer x, and 0 on the integers."""
-    x = Fraction(x)
-    if x.denominator == 1:
-        return Fraction(0)
-    return x - math.floor(x) - Fraction(1, 2)
 
 
 def dedekind_sum(p: int, q: int) -> Fraction:
@@ -70,16 +62,6 @@ def rademacher_sum(p: int, q: int, r: int) -> Fraction:
     h = math.gcd(p, g)
     modulus = r // g
     return h * dedekind_sum(p // h * pow(q // g, -1, modulus), modulus)
-
-
-def dedekind_reciprocity_rhs(p: int, q: int) -> Fraction:
-    """The two-term law: s(p,q) + s(q,p) for coprime p, q."""
-    return Fraction(p * p + q * q + 1 - 3 * p * q, 12 * p * q)
-
-
-def rademacher_reciprocity_rhs(p: int, q: int, r: int) -> Fraction:
-    """The three-term law: D(p,q,r) + D(r,p,q) + D(q,r,p) for pairwise coprime."""
-    return Fraction(p * p + q * q + r * r - 3 * p * q * r, 12 * p * q * r)
 
 
 def section_sums(b: int, w: int) -> Tuple[Fraction, Fraction, Fraction, Fraction]:

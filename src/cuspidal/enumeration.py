@@ -3,13 +3,18 @@
 `enumerate_configurations` lists every multiset of cusps whose delta
 invariants sum to the genus by an iterative depth-first search over the
 cusps in (delta, r, s) order, so each configuration comes out once, sorted.
+
+Every cusp after a slot has at least its delta, so only the last slot can
+take a cusp of more than half the delta still missing: the others draw
+from the cusps of delta <= g/2, and the last takes one of exactly the
+missing delta, at or after its predecessor.  With one cusp allowed, only
+the cusps of delta g are built.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
-from typing import List
+from typing import Dict, List
 
 from .core import CurveType, CuspConfiguration, PuiseuxCusp
 
@@ -61,14 +66,13 @@ def enumerate_configurations(
         raise ValueError(f"max_cusps must be >= 1, got {max_cusps}")
     if cap < 0:
         raise ValueError(f"candidate cap must be >= 0, got {cap}")
-    # Every cusp of delta at most g, in (delta, r, s) order.
+    # The cusps that fit before the last slot, in (delta, r, s) order.
     choices = [
         (delta, cusp)
-        for delta in range(1, curve.g + 1)
+        for delta in range(1, curve.g // 2 + 1 if max_cusps > 1 else 1)
         for cusp in cusps_with_delta(delta)
     ]
-    # first[k] indexes the first cusp of delta k: every k >= 1 has (2, 2k + 1).
-    first = [bisect_left(choices, (k,)) for k in range(curve.g + 1)]
+    completions: Dict[int, List[PuiseuxCusp]] = {}
     results: List[CuspConfiguration] = []
     partial: List[PuiseuxCusp] = []
     # Depth-first search without recursion, so a configuration may have more
@@ -78,24 +82,26 @@ def enumerate_configurations(
     while stack:
         frame = stack[-1]
         j, remaining = frame
-        if len(partial) == max_cusps - 1:
-            # One slot left: only a cusp of delta `remaining` completes.
-            j = max(j, first[remaining])
-        if j == len(choices) or choices[j][0] > remaining:
-            stack.pop()
-            if partial:
-                partial.pop()
-            continue
-        frame[0] = j + 1
-        delta, cusp = choices[j]
-        partial.append(cusp)
-        if delta < remaining:
+        fits = j < len(choices) and 2 * choices[j][0] <= remaining
+        if fits and len(stack) < max_cusps:
+            frame[0] = j + 1
+            delta, cusp = choices[j]
+            partial.append(cusp)
             stack.append([j, remaining - delta])
             continue
-        if len(results) >= cap:
-            raise CandidateCapExceededError(
-                f"more than {cap} genus-compatible configurations"
-            )
-        results.append(CuspConfiguration(partial))
-        partial.pop()
+        # Complete the prefix with one cusp, after all its longer extensions.
+        stack.pop()
+        if remaining not in completions:
+            completions[remaining] = cusps_with_delta(remaining)
+        last = (partial[-1].delta, partial[-1]) if partial else (0,)
+        for cusp in completions[remaining]:
+            if (remaining, cusp) < last:
+                continue
+            if len(results) >= cap:
+                raise CandidateCapExceededError(
+                    f"more than {cap} genus-compatible configurations"
+                )
+            results.append(CuspConfiguration([*partial, cusp]))
+        if partial:
+            partial.pop()
     return results

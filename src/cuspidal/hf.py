@@ -23,6 +23,11 @@ One scan, `_violations`, has two consumers: `hf_check` collects every
 violated presentation as an `HfWitness`, and `hf_obstructed`, the verdict
 `enumerate` prints, stops at the first and builds no witness.
 
+Two maps of the type keep every m, R(m + g) and maximal P.  (a + b, b, e - 2)
+has the same d, g and c and w - b for w, so (s1, s2) maps to (s1 + s2, s2),
+and P keeps its value as s2(s2 + 1) moves from the e-term to the first.  On
+X_0, swapping a and b swaps s1 and s2, and P = (s1 + 1)(s2 + 1) is symmetric.
+
 The maximal presentation of every m in [-g, g] depends only on the curve, so
 `_p_max_line` memoises it for the most recent curve: the configurations of
 one curve share it and a new curve replaces it.

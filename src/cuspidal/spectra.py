@@ -1,22 +1,24 @@
 """Spectra as exact multisets of rationals, held as int numerators.
 
 A `SpectrumMultiset` holds a denominator D, the sorted distinct numerators n
-of its values n/D, their multiplicities and prefix sums.  Both constructions
-of the spectrum at infinity (the closed-form table, and the route through
-equivariant signatures and the Alexander polynomial) use D = lcm(w, b): its
-values are p/w, q/b, 1 and 1 plus those.  A cusp (r, s) has the values
-(i*s + j*r)/(r*s), so D = r*s.  No construction makes a `Fraction`; the
-views `entries`, `values`, `mult`, `count_open` and `is_symmetric_about_one`
-do, as do error messages and reported witness points.
+of its values n/D and their multiplicities.  Both constructions of the
+spectrum at infinity (the closed-form table, and the route through
+equivariant signatures and the Alexander polynomial) use D = lcm(w, b).
+Its values below 1 lie on two progressions: x = p/w at the numerators
+range(D/w, D, D/w) and x = q/b at range(D/b, D, D/b).  Each construction
+zips its p-row and its q-row onto them and combines the two where they
+meet.  No construction makes a `Fraction`; `values` and `mult` do, as do
+error messages and reported witness points.
 
-The cusp spectrum is read off the semigroup <r, s>.  Its numerators
-i*s + j*r (1 <= i < r, 1 <= j < s) are distinct, since r divides
-(i - i')*s only for i = i', so every multiplicity is 1.  Those below r*s
-are exactly e + r + s for the delta elements e of <r, s> below the
-conductor 2*delta = r*s - r - s + 1: such an e is (i - 1)*s + (j - 1)*r
-with i < r and j >= 1, and e + r + s <= r*s forces j < s and excludes
-r*s itself; conversely i*s + j*r - r - s < 2*delta is an element.  The
-symmetry (i, j) -> (r - i, s - j) maps the rest onto 2*r*s - n.
+The cusp spectrum is read off the semigroup <r, s>, and only inside `_scan`.
+A cusp (r, s) has the values (i*s + j*r)/(r*s), 1 <= i < r, 1 <= j < s.
+These numerators are distinct, since r divides (i - i')*s only for i = i',
+so every multiplicity is 1.  Those below r*s are exactly e + r + s for the
+delta elements e of <r, s> below the conductor 2*delta = r*s - r - s + 1:
+such an e is (i - 1)*s + (j - 1)*r with i < r and j >= 1, and
+e + r + s <= r*s forces j < s and excludes r*s itself; conversely
+i*s + j*r - r - s < 2*delta is an element.  The symmetry
+(i, j) -> (r - i, s - j) maps the rest onto 2*r*s - n.
 
 The spectrum at infinity is symmetric about 1 too: mult(2 - x) = mult(x)
 for x in (0, 1) in the table below.  At x = p/w alone (w does not divide
@@ -75,9 +77,8 @@ The scan memoises the values below 1 of the spectrum at infinity, as
 numerators over lcm(w, b), and the multiplicity of 1 for the most recent
 curve (`_infinity_numerators`, `lru_cache(maxsize=1)`).  Its per-cusp input
 is the element list of `semigroups._cusp_elements`, the one per-cusp memo,
-which the HF check reads too; `_cusp_numerators` turns it into numerators
-without a memo of its own.  `cusp_spectrum` and both constructions of the
-spectrum at infinity are not memoised.
+which the HF check reads too.  Neither construction of the spectrum at
+infinity is memoised.
 """
 
 from __future__ import annotations
@@ -86,11 +87,11 @@ import math
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, repeat
+from itertools import repeat
 from operator import add, mul
 from typing import Callable, Dict, Iterator, List, Mapping, NamedTuple, Set, Tuple
 
-from .core import CurveType, CuspConfiguration, PuiseuxCusp
+from .core import CurveType, CuspConfiguration
 from .semigroups import _cusp_elements
 
 
@@ -117,8 +118,6 @@ class SpectrumMultiset:
         self._denominator = denominator
         self._numerators: Tuple[int, ...] = tuple(sorted(counts))
         self._mults: Tuple[int, ...] = tuple(counts[n] for n in self._numerators)
-        # prefix[i] = total multiplicity of the first i distinct values
-        self._prefix: Tuple[int, ...] = (0, *accumulate(self._mults))
 
     @property
     def denominator(self) -> int:
@@ -126,14 +125,11 @@ class SpectrumMultiset:
 
     @property
     def total(self) -> int:
-        return self._prefix[-1]
+        return sum(self._mults)
 
     def numerator_entries(self) -> Tuple[Tuple[int, int], ...]:
         """(numerator over `denominator`, multiplicity), in increasing order."""
         return tuple(zip(self._numerators, self._mults))
-
-    def entries(self) -> Tuple[Tuple[Fraction, int], ...]:
-        return tuple(zip(self.values(), self._mults))
 
     def values(self) -> Tuple[Fraction, ...]:
         return tuple(Fraction(n, self._denominator) for n in self._numerators)
@@ -145,20 +141,6 @@ class SpectrumMultiset:
             return self._mults[i]
         return 0
 
-    def count_open(self, lo: Fraction, hi: Fraction) -> int:
-        """Total multiplicity strictly inside (lo, hi)."""
-        # n/D > lo iff n > floor(lo*D), and n/D < hi iff n < ceil(hi*D)
-        floor_lo = lo.numerator * self._denominator // lo.denominator
-        ceil_hi = -(-hi.numerator * self._denominator // hi.denominator)
-        i = bisect_right(self._numerators, floor_lo)
-        j = bisect_left(self._numerators, ceil_hi)
-        return self._prefix[j] - self._prefix[i]
-
-    def is_symmetric_about_one(self) -> bool:
-        """mult(x) = mult(2 - x) for all x."""
-        two, pairs = 2 * self._denominator, self.numerator_entries()
-        return pairs == tuple((two - n, mult) for n, mult in reversed(pairs))
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SpectrumMultiset):
             return NotImplemented
@@ -168,24 +150,11 @@ class SpectrumMultiset:
         ] == [m * self._denominator for m in other._numerators]
 
     def __hash__(self) -> int:
-        return hash(self.entries())
+        return hash(tuple(zip(self.values(), self._mults)))
 
     def __repr__(self) -> str:
-        body = ", ".join(f"{v}^{m}" for v, m in self.entries())
+        body = ", ".join(f"{v}^{m}" for v, m in zip(self.values(), self._mults))
         return f"SpectrumMultiset({{{body}}})"
-
-
-def _cusp_numerators(cusp: PuiseuxCusp) -> List[int]:
-    """The spectrum of `cusp` as sorted numerators over r*s, one per value,
-    read off its semigroup (module docstring)."""
-    r, s = cusp.r, cusp.s
-    low = [r + s + e for e in _cusp_elements(cusp)[:-1]]
-    return low + [2 * r * s - n for n in reversed(low)]
-
-
-def cusp_spectrum(cusp: PuiseuxCusp) -> SpectrumMultiset:
-    """The spectrum {i/r + j/s : 1 <= i < r, 1 <= j < s} of a one-pair cusp."""
-    return SpectrumMultiset(dict.fromkeys(_cusp_numerators(cusp), 1), cusp.r * cusp.s)
 
 
 def signature_profile(curve: CurveType) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
@@ -219,32 +188,21 @@ def alexander_order(curve: CurveType, v: int) -> int:
     )
 
 
-def _support(curve: CurveType) -> Tuple[int, int, int, Set[int]]:
-    """D = lcm(w, b), D/w, D/b and the numerators over D of all x in (0, 1)
-    of the form p/w or q/b."""
-    denominator = math.lcm(curve.w, curve.b)
-    step_w, step_b = denominator // curve.w, denominator // curve.b
-    support = {*range(step_w, denominator, step_w), *range(step_b, denominator, step_b)}
-    return denominator, step_w, step_b, support
-
-
 def spectrum_at_infinity_table(curve: CurveType) -> SpectrumMultiset:
     """The spectrum at infinity by the closed-form multiplicity table."""
     a, b, w = curve.a, curve.b, curve.w
-    denominator, step_w, step_b, support = _support(curve)
+    denominator = math.lcm(w, b)
     entries: Dict[int, int] = {denominator: a + b - 1}
-    for n in support:
-        p, p_rest = divmod(n, step_w)
-        q, q_rest = divmod(n, step_b)
-        if not p_rest and not q_rest:
-            low = p * b // w + q * a // b - 1
-            high = a + b - 1 - p * b // w - q * a // b
-        elif not p_rest:
-            low = p * b // w
-            high = b - 1 - p * b // w
-        else:
-            low = q * a // b
-            high = a - 1 - q * a // b
+    step = denominator // w
+    for n, p in zip(range(step, denominator, step), range(1, w)):
+        entries[n] = p * b // w
+        entries[n + denominator] = b - 1 - p * b // w
+    step = denominator // b
+    for n, q in zip(range(step, denominator, step), range(1, b)):
+        low, high = q * a // b, a - 1 - q * a // b
+        if n in entries:  # x = p/w = q/b: (sum - 1, a + b - 1 - sum)
+            low += entries[n] - 1
+            high += entries[n + denominator] + 1
         entries[n] = low
         entries[n + denominator] = high
     return SpectrumMultiset(entries, denominator)
@@ -257,16 +215,16 @@ def spectrum_at_infinity_derived(curve: CurveType) -> SpectrumMultiset:
     (order + sigma)/2 and that of 1 + x is (order - sigma)/2, where sigma is
     the total equivariant signature at x.  1 itself has multiplicity a+b-1.
     """
-    a, b = curve.a, curve.b
+    a, b, w = curve.a, curve.b, curve.w
     sigma1, sigma2 = signature_profile(curve)
-    denominator, step_w, step_b, support = _support(curve)
+    denominator = math.lcm(w, b)
+    step = denominator // w
+    sigmas = dict(zip(range(step, denominator, step), sigma1))
+    step = denominator // b
+    for n, sigma in zip(range(step, denominator, step), sigma2):
+        sigmas[n] = sigmas.get(n, 0) + sigma  # x = p/w = q/b: the two add
     entries: Dict[int, int] = {denominator: a + b - 1}
-    for n in support:
-        sigma = 0
-        if n % step_w == 0:
-            sigma += sigma1[n // step_w - 1]
-        if n % step_b == 0:
-            sigma += sigma2[n // step_b - 1]
+    for n, sigma in sigmas.items():
         # x = n/D reduces to a fraction with denominator D / gcd(n, D).
         order = alexander_order(curve, denominator // math.gcd(n, denominator))
         if (order + sigma) % 2 != 0:

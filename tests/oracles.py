@@ -1,0 +1,113 @@
+"""Views and kernels that only the tests use.
+
+- `entries`, `count_open` and `is_symmetric_about_one` read a
+  `SpectrumMultiset` through its `Fraction` values and its numerators.
+- `cusp_spectrum` reads the spectrum of a one-pair cusp off its semigroup,
+  as `spectra._scan` does for the values below 1.
+- `sawtooth` and the reciprocity right-hand sides state the laws that the
+  Dedekind kernels obey.
+- `dfs_configurations` is the depth-first enumeration that
+  `enumerate_configurations` replaced: it lists every cusp of delta at most
+  g and, with one slot left, jumps to the first cusp of the missing delta.
+"""
+
+import math
+from bisect import bisect_left
+from fractions import Fraction
+
+from cuspidal import CuspConfiguration, SpectrumMultiset
+from cuspidal.enumeration import cusps_with_delta
+from cuspidal.semigroups import _cusp_elements
+
+
+def entries(spectrum):
+    """(value, multiplicity), in increasing order."""
+    return tuple(
+        zip(spectrum.values(), (mult for _, mult in spectrum.numerator_entries()))
+    )
+
+
+def count_open(spectrum, lo, hi):
+    """Total multiplicity strictly inside (lo, hi)."""
+    denominator = spectrum.denominator
+    # n/D > lo iff n > floor(lo*D), and n/D < hi iff n < ceil(hi*D)
+    floor_lo = lo.numerator * denominator // lo.denominator
+    ceil_hi = -(-hi.numerator * denominator // hi.denominator)
+    return sum(
+        mult for n, mult in spectrum.numerator_entries() if floor_lo < n < ceil_hi
+    )
+
+
+def is_symmetric_about_one(spectrum):
+    """mult(x) = mult(2 - x) for all x."""
+    two, pairs = 2 * spectrum.denominator, spectrum.numerator_entries()
+    return pairs == tuple((two - n, mult) for n, mult in reversed(pairs))
+
+
+def cusp_numerators(cusp):
+    """The spectrum of `cusp` as sorted numerators over r*s, one per value,
+    read off its semigroup (the `spectra` module docstring)."""
+    r, s = cusp.r, cusp.s
+    low = [r + s + e for e in _cusp_elements(cusp)[:-1]]
+    return low + [2 * r * s - n for n in reversed(low)]
+
+
+def cusp_spectrum(cusp):
+    """The spectrum {i/r + j/s : 1 <= i < r, 1 <= j < s} of a one-pair cusp."""
+    return SpectrumMultiset(dict.fromkeys(cusp_numerators(cusp), 1), cusp.r * cusp.s)
+
+
+def sawtooth(x):
+    """{x} - 1/2 for non-integer x, and 0 on the integers."""
+    x = Fraction(x)
+    if x.denominator == 1:
+        return Fraction(0)
+    return x - math.floor(x) - Fraction(1, 2)
+
+
+def dedekind_reciprocity_rhs(p, q):
+    """The two-term law: s(p,q) + s(q,p) for coprime p, q."""
+    return Fraction(p * p + q * q + 1 - 3 * p * q, 12 * p * q)
+
+
+def rademacher_reciprocity_rhs(p, q, r):
+    """The three-term law: D(p,q,r) + D(r,p,q) + D(q,r,p) for pairwise coprime."""
+    return Fraction(p * p + q * q + r * r - 3 * p * q * r, 12 * p * q * r)
+
+
+def dfs_configurations(curve, max_cusps):
+    """All multisets of at most max_cusps cusps with total delta equal to g,
+    each in nondecreasing (delta, r, s) order."""
+    # Every cusp of delta at most g, in (delta, r, s) order.
+    choices = [
+        (delta, cusp)
+        for delta in range(1, curve.g + 1)
+        for cusp in cusps_with_delta(delta)
+    ]
+    # first[k] indexes the first cusp of delta k: every k >= 1 has (2, 2k + 1).
+    first = [bisect_left(choices, (k,)) for k in range(curve.g + 1)]
+    results = []
+    partial = []
+    # stack[k] holds, for the prefix partial[:k], the next index into
+    # `choices` and the delta still missing.
+    stack = [[0, curve.g]]
+    while stack:
+        frame = stack[-1]
+        j, remaining = frame
+        if len(partial) == max_cusps - 1:
+            # One slot left: only a cusp of delta `remaining` completes.
+            j = max(j, first[remaining])
+        if j == len(choices) or choices[j][0] > remaining:
+            stack.pop()
+            if partial:
+                partial.pop()
+            continue
+        frame[0] = j + 1
+        delta, cusp = choices[j]
+        partial.append(cusp)
+        if delta < remaining:
+            stack.append([j, remaining - delta])
+            continue
+        results.append(CuspConfiguration(partial))
+        partial.pop()
+    return results

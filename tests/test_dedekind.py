@@ -8,15 +8,11 @@ from hypothesis import given, settings, strategies as st
 from cuspidal import (
     dedekind_sum,
     rademacher_sum,
-    sawtooth,
     section_sums,
     verify_limits,
 )
-from cuspidal.dedekind import (
-    dedekind_reciprocity_rhs,
-    limit_values,
-    rademacher_reciprocity_rhs,
-)
+from cuspidal.dedekind import limit_values
+from oracles import dedekind_reciprocity_rhs, rademacher_reciprocity_rhs, sawtooth
 
 F = Fraction
 

@@ -7,7 +7,9 @@ from cuspidal import (
     enumerate_configurations,
     enumerate_unicuspidal,
 )
+from cuspidal import enumeration
 from cuspidal.enumeration import cusps_with_delta
+from oracles import dfs_configurations
 
 
 def test_cusps_with_delta_known_values():
@@ -96,3 +98,41 @@ def test_enumerate_configurations_deeper_than_recursion_limit():
     # g = 1199, so the first configuration is 1199 cusps (2,3).
     with pytest.raises(CandidateCapExceededError):
         enumerate_configurations(CurveType(2, 1200), 1200, cap=5)
+
+
+def test_enumerate_configurations_matches_dfs_oracle():
+    # Every curve with a <= 13, b <= 8, e <= 2 and 1 <= g <= 40.
+    curves = set()
+    for a in range(14):
+        for b in range(1, 9):
+            for e in range(3):
+                try:
+                    curve = CurveType(a, b, e)
+                except ValueError:
+                    continue
+                if 1 <= curve.g <= 40:
+                    curves.add(curve)
+    for curve in sorted(curves):
+        for max_cusps in range(1, 5):
+            assert enumerate_configurations(curve, max_cusps) == dfs_configurations(
+                curve, max_cusps
+            )
+
+
+def test_one_cusp_builds_only_the_cusps_of_delta_g(monkeypatch):
+    calls = []
+
+    def recorded(delta):
+        calls.append(delta)
+        return cusps_with_delta(delta)
+
+    monkeypatch.setattr(enumeration, "cusps_with_delta", recorded)
+    curve = CurveType(300, 300)
+    configs = enumerate_configurations(curve, 1)
+    assert calls == [curve.g]
+    assert configs == [CuspConfiguration((cusp,)) for cusp in cusps_with_delta(curve.g)]
+    calls.clear()
+    # g = 99999^2: the cap trips on the first configuration.
+    with pytest.raises(CandidateCapExceededError):
+        enumerate_configurations(CurveType(100000, 100000), 1, cap=0)
+    assert calls == [99999**2]

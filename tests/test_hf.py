@@ -8,11 +8,16 @@ from cuspidal import (
     CuspConfiguration,
     PuiseuxCusp,
     d_invariant,
+    enumerate_configurations,
     hf_check,
+    hf_obstructed,
     max_p_over_presentations,
     multiplicity_bound_check,
     p_bound,
+    semicontinuity_check,
+    semicontinuity_obstructed,
 )
+from cuspidal.hf import _p_max_line
 
 
 @pytest.mark.parametrize(
@@ -195,3 +200,43 @@ def test_max_p_is_an_actual_presentation(a, b, e):
             s1, s2, p = best
             assert s1 * curve.b + s2 * curve.w == n
             assert p == p_bound(s1, s2, e)
+
+
+GENUS_40_CURVES = [curve for curve in _curves_up_to_genus(40, 40) if curve.g >= 1]
+
+
+def _hf_values(curve, config):
+    """(m, R(m + g), P) of every HF witness: what both maps of the module
+    docstring keep."""
+    return [(w.m, w.r_value, w.p_value) for w in hf_check(curve, config).witnesses]
+
+
+@given(
+    curve=st.sampled_from([curve for curve in GENUS_40_CURVES if curve.e >= 2]),
+    data=st.data(),
+)
+@settings(max_examples=40, deadline=None)
+def test_hf_keeps_its_values_from_x_e_to_x_e_minus_2(curve, data):
+    twin = CurveType(curve.a + curve.b, curve.b, curve.e - 2)
+    assert (twin.d, twin.g, twin.c) == (curve.d, curve.g, curve.c)
+    line = _p_max_line(curve)
+    assert _p_max_line(twin) == tuple((m, s1 + s2, s2, p) for m, s1, s2, p in line)
+    config = data.draw(st.sampled_from(enumerate_configurations(curve, 3)))
+    assert _hf_values(twin, config) == _hf_values(curve, config)
+    assert hf_obstructed(twin, config) == hf_obstructed(curve, config)
+
+
+@given(
+    curve=st.sampled_from([curve for curve in GENUS_40_CURVES if curve.e == 0]),
+    data=st.data(),
+)
+@settings(max_examples=40, deadline=None)
+def test_hf_and_spectrum_verdicts_keep_when_x_0_swaps_a_and_b(curve, data):
+    swapped = CurveType(curve.b, curve.a, 0)
+    config = data.draw(st.sampled_from(enumerate_configurations(curve, 3)))
+    assert hf_obstructed(swapped, config) == hf_obstructed(curve, config)
+    assert _hf_values(swapped, config) == _hf_values(curve, config)
+    assert semicontinuity_obstructed(swapped, config) == semicontinuity_obstructed(
+        curve, config
+    )
+    assert semicontinuity_check(swapped, config) == semicontinuity_check(curve, config)

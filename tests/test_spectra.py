@@ -1,4 +1,5 @@
 import fractions
+import re
 import sys
 from fractions import Fraction
 
@@ -11,12 +12,14 @@ from cuspidal import (
     PuiseuxCusp,
     SpectrumMultiset,
     alexander_order,
-    cusp_spectrum,
     semicontinuity_check,
     signature_profile,
     spectrum_at_infinity_derived,
     spectrum_at_infinity_table,
 )
+from cuspidal import spectra
+from cuspidal.spectra import InternalConsistencyError
+from oracles import count_open, cusp_spectrum, entries, is_symmetric_about_one
 
 F = Fraction
 
@@ -26,9 +29,9 @@ def test_multiset_basic_queries():
     assert ms.total == 7
     assert ms.mult(F(1, 2)) == 2
     assert ms.mult(F(1, 3)) == 0
-    assert ms.count_open(F(0), F(1)) == 2
-    assert ms.count_open(F(1, 2), F(3, 2)) == 3  # endpoints excluded
-    assert ms.is_symmetric_about_one()
+    assert count_open(ms, F(0), F(1)) == 2
+    assert count_open(ms, F(1, 2), F(3, 2)) == 3  # endpoints excluded
+    assert is_symmetric_about_one(ms)
     assert ms == SpectrumMultiset({2: 2, 4: 3, 6: 2}, 4)  # quarters
     assert ms != SpectrumMultiset({1: 2, 3: 2, 2: 2}, 2)
 
@@ -48,7 +51,7 @@ def test_cusp_spectrum_size_and_symmetry():
         cusp = PuiseuxCusp(r, s)
         spectrum = cusp_spectrum(cusp)
         assert spectrum.total == cusp.mu
-        assert spectrum.is_symmetric_about_one()
+        assert is_symmetric_about_one(spectrum)
     assert cusp_spectrum(PuiseuxCusp(2, 3)).values() == (F(5, 6), F(7, 6))
 
 
@@ -94,7 +97,7 @@ def test_derived_spectrum_worked_example():
     }
     for value, mult in low_part.items():
         assert spectrum.mult(value) == mult
-    assert sum(m for v, m in spectrum.entries() if v < 1) == 15
+    assert sum(m for v, m in entries(spectrum) if v < 1) == 15
     assert spectrum.mult(F(1)) == 9
     assert spectrum.total == 39
 
@@ -114,7 +117,7 @@ def test_table_spectrum_degree_six():
         F(5, 3): 3,
         F(11, 6): 1,
     }
-    assert dict(spectrum.entries()) == expected
+    assert dict(entries(spectrum)) == expected
 
 
 @given(
@@ -127,7 +130,7 @@ def test_two_constructions_agree(a, b, e):
     curve = CurveType(a, b, e)
     table = spectrum_at_infinity_table(curve)
     assert table == spectrum_at_infinity_derived(curve)
-    assert table.is_symmetric_about_one()
+    assert is_symmetric_about_one(table)
     # The degree of (t-1)(t^w-1)^(b-1)(t^b-1)^(a-1).
     assert table.total == 1 + curve.w * (b - 1) + b * (a - 1)
 
@@ -178,3 +181,20 @@ def test_constructions_make_no_fraction():
     finally:
         sys.setprofile(None)
     assert "__new__" in calls
+
+
+def test_derived_construction_rejects_bad_signatures(monkeypatch):
+    curve = CurveType(6, 4, 0)
+    assert signature_profile(curve) == ((-3, -1, 0, 1, 3), (-3, 0, 3))
+    # x = 1/2 is p/w for p = 3 and q/b for q = 2, so the two signatures add
+    # up there: 0 + 1 against the order 8.
+    profile = ((-3, -1, 0, 1, 3), (-3, 1, 3))
+    monkeypatch.setattr(spectra, "signature_profile", lambda curve: profile)
+    message = "order 8 and signature 1 at x = 1/2 have different parity"
+    with pytest.raises(InternalConsistencyError, match=re.escape(message)):
+        spectrum_at_infinity_derived(curve)
+    # x = 1/6 only has p = 1: -5 is of the right parity but too large.
+    profile = ((-5, -1, 0, 1, 3), (-3, 0, 3))
+    message = "negative multiplicity at x = 1/6: low=-1, high=4"
+    with pytest.raises(InternalConsistencyError, match=re.escape(message)):
+        spectrum_at_infinity_derived(curve)
