@@ -7,6 +7,13 @@ stderr and exits 1, whether it comes from argparse (which would exit 2), the
 CLI or the library.  Structured reports are byte-stable: sorted keys and a
 two-space indent, byte-identical to `json.dumps(report, sort_keys=True,
 indent=2)`, and every rational serialized as "num/den".
+
+Here live parsing, dispatch, output and the filter commands `check`,
+`enumerate` and `dinv`; `spectrum`, `dedekind` and `repro` live in
+`cuspidal.reference`, imported only to build their subparsers.  A fresh
+process without a bytecode cache compiles every module it imports, so
+`enumerate`, and `check` of a survivor, compile no reference code and import
+neither the sawtooth sums nor `fractions` (which imports `decimal`).
 """
 
 from __future__ import annotations
@@ -14,10 +21,8 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import os
 import sys
-from fractions import Fraction
 from itertools import chain
 from typing import (
     Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
@@ -36,8 +41,6 @@ from .spectra import (
     SemicontinuityWitness,
     semicontinuity_check,
     semicontinuity_obstructed,
-    spectrum_at_infinity_derived,
-    spectrum_at_infinity_table,
 )
 
 SCHEMA_VERSION = "1"
@@ -169,14 +172,6 @@ def _check_rows(
     return verdicts, witnesses
 
 
-def _spectrum_rows(spectrum) -> List[Dict]:
-    d = spectrum.denominator
-    return [
-        {"value": f"{n // (g := math.gcd(n, d))}/{d // g}", "multiplicity": mult}
-        for n, mult in spectrum.numerator_entries()
-    ]
-
-
 def _dinv_rows(
     curve: CurveType, config: CuspConfiguration, ms: Sequence[int]
 ) -> List[Dict]:
@@ -285,91 +280,6 @@ def _enumerate(a, b, e, max_cusps, cap, fmt) -> int:
     return EXIT_OK
 
 
-def _spectrum(a, b, e, method, fmt) -> int:
-    """Print the spectrum at infinity as sorted 'value multiplicity' lines."""
-    curve = CurveType(a, b, e)
-    table = spectrum_at_infinity_table(curve) if method in ("table", "both") else None
-    derived = (
-        spectrum_at_infinity_derived(curve) if method in ("derived", "both") else None
-    )
-    mismatch = method == "both" and table != derived
-    spectrum = table if table is not None else derived
-    rows = _spectrum_rows(spectrum)
-    results: Dict = {"method": method, "total": spectrum.total, "entries": rows}
-    if method == "both":
-        results["methods_agree"] = not mismatch
-    report = _report("spectrum", {"a": a, "b": b, "e": e}, results, [])
-    lines = chain(
-        (f"{row['value']} {row['multiplicity']}" for row in rows),
-        [f"methods agree: {not mismatch}"] if method == "both" else [],
-    )
-    _emit(fmt, report, lines, rows, ("value", "multiplicity"))
-    if mismatch:
-        print("mismatch between table and derived constructions:", file=sys.stderr)
-        for value in sorted(set(table.values()) | set(derived.values())):
-            if table.mult(value) != derived.mult(value):
-                print(
-                    f"  {_fr(value)}: table {table.mult(value)} "
-                    f"!= derived {derived.mult(value)}",
-                    file=sys.stderr,
-                )
-        return EXIT_MISMATCH
-    return EXIT_OK
-
-
-def _dedekind_s(p, q) -> int:
-    """Print s(p, q) as num/den."""
-    from .dedekind import dedekind_sum
-
-    print(_fr(dedekind_sum(p, q)))
-    return EXIT_OK
-
-
-def _dedekind_d(p, q, r) -> int:
-    """Print D(p, q, r) as num/den."""
-    from .dedekind import rademacher_sum
-
-    print(_fr(rademacher_sum(p, q, r)))
-    return EXIT_OK
-
-
-def _dedekind_limits(b, max_w, tol, fmt) -> int:
-    """Evaluate the three limit statements along the proof subsequence."""
-    from .dedekind import verify_limits
-
-    try:
-        tol = Fraction(tol)
-    except (ValueError, ZeroDivisionError) as exc:
-        example = "a rational number such as 1/200"
-        raise ValueError(f"--tol must be {example}, got {tol!r}") from exc
-    report = verify_limits(b, max_w, tol)
-    entries = [
-        {
-            "name": entry.name,
-            "w": entry.w,
-            "value": _fr(entry.value),
-            "limit": _fr(entry.limit),
-            "deviation": _fr(entry.deviation),
-            "within_tol": entry.deviation <= report.tol,
-        }
-        for entry in report.entries
-    ]
-    doc = _report(
-        "dedekind limits",
-        {"b": b, "max_w": max_w, "tol": _fr(report.tol)},
-        {"all_within_tol": report.all_within_tol, "entries": entries},
-        [],
-    )
-    lines = (
-        f"{entry['name']} at w={entry['w']}: value {entry['value']}, "
-        f"limit {entry['limit']}, deviation {entry['deviation']} "
-        f"[{'ok' if entry['within_tol'] else 'EXCEEDS'}]"
-        for entry in entries
-    )
-    _emit(fmt, doc, lines)
-    return EXIT_OK if report.all_within_tol else EXIT_OBSTRUCTED
-
-
 def _dinv(a, b, e, cusps, m, all_m, fmt) -> int:
     """Exact correction terms for one m or the whole range [-d/2, d/2)."""
     curve = CurveType(a, b, e)
@@ -386,71 +296,6 @@ def _dinv(a, b, e, cusps, m, all_m, fmt) -> int:
     )
     _emit(fmt, report, (f"m={row['m']}: {row['d_invariant']}" for row in values))
     return EXIT_OK
-
-
-def _repro_scenarios() -> List[Tuple[str, Dict]]:
-    """The bundled reference scenarios, as (name, payload) pairs.
-
-    Each payload holds the rows the matching command reports, every row as
-    the list of its values.
-    """
-    scenarios: List[Tuple[str, Dict]] = []
-    checks = ((6, 6, 0, 2, 51), (6, 6, 0, 3, 26), (6, 6, 0, 6, 11), (4, 4, 2, 3, 22))
-    for a, b, e, r, s in checks:
-        config = CuspConfiguration((PuiseuxCusp(r, s),))
-        verdicts, witnesses = _check_rows(CurveType(a, b, e), config, None)
-        for check in ("hf", "spectrum"):
-            # The payload key names the check, so rows drop their first column.
-            verdicts[f"{check}_witnesses"] = [
-                list(row.values())[1:] for row in witnesses if row["check"] == check
-            ]
-        scenarios.append((f"check_{a}_{b}_{e}_cusp_{r}_{s}", verdicts))
-
-    for a, b, e in ((6, 4, 0), (6, 6, 0)):
-        spectrum = spectrum_at_infinity_table(CurveType(a, b, e))
-        entries = [list(row.values()) for row in _spectrum_rows(spectrum)]
-        scenarios.append(
-            (f"spectrum_{a}_{b}_{e}", {"total": spectrum.total, "entries": entries})
-        )
-
-    config = CuspConfiguration((PuiseuxCusp(6, 11),))
-    rows = _dinv_rows(CurveType(6, 6, 0), config, range(-36, 36))
-    values = [list(row.values()) for row in rows]
-    scenarios.append(("dinv_6_6_0_cusp_6_11_all_m", {"values": values}))
-    return scenarios
-
-
-def _repro(update_dir) -> int:
-    """Re-run the bundled reference scenarios and diff against golden files."""
-    from importlib import resources
-
-    scenarios = _repro_scenarios()
-    if update_dir is not None:
-        try:
-            os.makedirs(update_dir, exist_ok=True)
-            for name, payload in scenarios:
-                path = os.path.join(update_dir, f"{name}.json")
-                with open(path, "w") as handle:
-                    handle.write(_dumps(payload) + "\n")
-        except OSError as exc:
-            raise ValueError(str(exc)) from exc
-        print(f"wrote {len(scenarios)} golden files")
-        return EXIT_OK
-    failures = 0
-    for name, payload in scenarios:
-        resource = resources.files("cuspidal") / "golden" / f"{name}.json"
-        try:
-            expected = json.loads(resource.read_text())
-        except FileNotFoundError:
-            print(f"{name}: MISSING golden file")
-            failures += 1
-            continue
-        if expected == payload:
-            print(f"{name}: ok")
-        else:
-            print(f"{name}: MISMATCH")
-            failures += 1
-    return EXIT_OK if failures == 0 else EXIT_ERROR
 
 
 class _Parser(argparse.ArgumentParser):
@@ -486,21 +331,22 @@ _SUMS_DOC = "Sawtooth sums: two- and three-term reciprocity families."
 
 # Each command as (function, arguments), where an argument is (flag, kwargs)
 # and a tuple led by a dict is a mutually exclusive group: its kwargs, then
-# its arguments.  `dedekind` groups the sawtooth sums.
+# its arguments.  A function named by a string is that attribute of
+# `cuspidal.reference`.  `dedekind` groups the sawtooth sums.
 _COMMANDS = {
     "check": (_check, (*_CURVE, _CUSPS, _ONLY, _FORMATS)),
     "enumerate": (_enumerate, (*_CURVE, _MAX_CUSPS, _CAP, _FORMATS)),
-    "spectrum": (_spectrum, (*_CURVE, _METHOD, _FORMATS)),
+    "spectrum": ("_spectrum", (*_CURVE, _METHOD, _FORMATS)),
     "dedekind": {
-        "s": (_dedekind_s, (("p", _INT), ("q", _INT))),
-        "d": (_dedekind_d, (("p", _INT), ("q", _INT), ("r", _INT))),
+        "s": ("_dedekind_s", (("p", _INT), ("q", _INT))),
+        "d": ("_dedekind_d", (("p", _INT), ("q", _INT), ("r", _INT))),
         "limits": (
-            _dedekind_limits,
+            "_dedekind_limits",
             (("--b", _REQUIRED), ("--max-w", _REQUIRED), _TOL, _JSON),
         ),
     },
     "dinv": (_dinv, (*_CURVE, _CUSPS, _MODES, _JSON)),
-    "repro": (_repro, (_UPDATE,)),
+    "repro": ("_repro", (_UPDATE,)),
 }
 
 
@@ -522,6 +368,10 @@ def _parser(name: Optional[str]) -> Tuple[_Parser, FrozenSet[str]]:
                 add(sums, *item)
             return
         run, arguments = spec
+        if isinstance(run, str):
+            from . import reference
+
+            run = getattr(reference, run)
         sub = group.add_parser(command, help=run.__doc__, description=run.__doc__)
         sub.set_defaults(run=run)
         for argument in arguments:

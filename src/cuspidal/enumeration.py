@@ -7,14 +7,15 @@ cusps in (delta, r, s) order, so each configuration comes out once, sorted.
 Every cusp after a slot has at least its delta, so only the last slot can
 take a cusp of more than half the delta still missing: the others draw
 from the cusps of delta <= g/2, and the last takes one of exactly the
-missing delta, at or after its predecessor.  With one cusp allowed, only
-the cusps of delta g are built.
+missing delta, at or after its predecessor.  The cusps of delta <= g/2 are
+built one delta at a time as the search reaches it (none with one cusp
+allowed), so the cap trips at the first configurations however large g is.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, List
+from typing import Dict, List, Tuple
 
 from .core import CurveType, CuspConfiguration, PuiseuxCusp
 
@@ -66,12 +67,9 @@ def enumerate_configurations(
         raise ValueError(f"max_cusps must be >= 1, got {max_cusps}")
     if cap < 0:
         raise ValueError(f"candidate cap must be >= 0, got {cap}")
-    # The cusps that fit before the last slot, in (delta, r, s) order.
-    choices = [
-        (delta, cusp)
-        for delta in range(1, curve.g // 2 + 1 if max_cusps > 1 else 1)
-        for cusp in cusps_with_delta(delta)
-    ]
+    # The cusps that fit before the last slot so far, in (delta, r, s) order.
+    choices: List[Tuple[int, PuiseuxCusp]] = []
+    next_delta = 1
     completions: Dict[int, List[PuiseuxCusp]] = {}
     results: List[CuspConfiguration] = []
     partial: List[PuiseuxCusp] = []
@@ -82,8 +80,11 @@ def enumerate_configurations(
     while stack:
         frame = stack[-1]
         j, remaining = frame
-        fits = j < len(choices) and 2 * choices[j][0] <= remaining
-        if fits and len(stack) < max_cusps:
+        deeper = len(stack) < max_cusps
+        while deeper and j == len(choices) and 2 * next_delta <= remaining:
+            choices += ((next_delta, cusp) for cusp in cusps_with_delta(next_delta))
+            next_delta += 1
+        if deeper and j < len(choices) and 2 * choices[j][0] <= remaining:
             frame[0] = j + 1
             delta, cusp = choices[j]
             partial.append(cusp)

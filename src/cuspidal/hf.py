@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from fractions import Fraction
 from functools import lru_cache
 from typing import Iterator, NamedTuple, Optional, Tuple
 
@@ -152,5 +151,7 @@ def d_invariant(curve: CurveType, config: CuspConfiguration, m: int) -> Fraction
         raise ValueError(f"m must lie in [-{d}/2, {d}/2), got {m}")
     t = m + g
     r_value = bisect_left(curve_elements(curve, config), t) if t <= 2 * g else t - g
+    from fractions import Fraction
+
     square_term = Fraction((d - 2 * m) ** 2 - d, 4 * d)
     return -(square_term - 2 * (r_value - m))

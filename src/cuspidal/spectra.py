@@ -85,7 +85,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from fractions import Fraction
 from functools import lru_cache
 from itertools import repeat
 from operator import add, mul
@@ -132,6 +131,7 @@ class SpectrumMultiset:
         return tuple(zip(self._numerators, self._mults))
 
     def values(self) -> Tuple[Fraction, ...]:
+        from fractions import Fraction
         return tuple(Fraction(n, self._denominator) for n in self._numerators)
 
     def mult(self, x: Fraction) -> int:
@@ -228,6 +228,7 @@ def spectrum_at_infinity_derived(curve: CurveType) -> SpectrumMultiset:
         # x = n/D reduces to a fraction with denominator D / gcd(n, D).
         order = alexander_order(curve, denominator // math.gcd(n, denominator))
         if (order + sigma) % 2 != 0:
+            from fractions import Fraction
             raise InternalConsistencyError(
                 f"order {order} and signature {sigma} at "
                 f"x = {Fraction(n, denominator)} have different parity"
@@ -235,6 +236,7 @@ def spectrum_at_infinity_derived(curve: CurveType) -> SpectrumMultiset:
         low = (order + sigma) // 2
         high = (order - sigma) // 2
         if low < 0 or high < 0:
+            from fractions import Fraction
             raise InternalConsistencyError(
                 f"negative multiplicity at x = {Fraction(n, denominator)}: "
                 f"low={low}, high={high}"
@@ -366,7 +368,12 @@ def semicontinuity_check(
         """Whether 1 - y is a scan point other than y."""
         return y != half and scale - y not in at_infinity
 
+    checked = sum(1 + mirrored(y) for y in points())
     found = list(failing)
+    if not found:  # no witness, so no `fractions` import
+        return SemicontinuityReport((), checked)
+    from fractions import Fraction
+
     witnesses = [
         SemicontinuityWitness(Fraction(y, scale), *counts)
         for y, *counts in reversed(found)
@@ -376,7 +383,6 @@ def semicontinuity_check(
         for y, *counts in found
         if mirrored(y)
     ]
-    checked = sum(1 + mirrored(y) for y in points())
     return SemicontinuityReport(tuple(witnesses), checked)
 
 

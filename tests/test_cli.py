@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from cuspidal import SpectrumMultiset
-from cuspidal import cli as cli_module
+from cuspidal import cli as cli_module, reference
 from cuspidal.cli import main
 
 
@@ -265,7 +265,7 @@ def test_spectrum_both_methods_agree():
 def test_spectrum_mismatch_exits_three(shift, derived_mult, capsys, monkeypatch):
     # Shift the derived multiplicity of 1/4 (1 in both constructions of
     # (6, 4, 0)); a shift to 0 leaves 1/4 in the table only.
-    derived = cli_module.spectrum_at_infinity_derived
+    derived = reference.spectrum_at_infinity_derived
 
     def shifted(curve):
         spectrum = derived(curve)
@@ -273,7 +273,7 @@ def test_spectrum_mismatch_exits_three(shift, derived_mult, capsys, monkeypatch)
         entries[spectrum.denominator // 4] += shift
         return SpectrumMultiset(entries, spectrum.denominator)
 
-    monkeypatch.setattr(cli_module, "spectrum_at_infinity_derived", shifted)
+    monkeypatch.setattr(reference, "spectrum_at_infinity_derived", shifted)
     with pytest.raises(SystemExit) as excinfo:
         main(["spectrum", "--a", "6", "--b", "4", "--method", "both", "--json"])
     assert excinfo.value.code == 3
@@ -782,17 +782,50 @@ def test_usage_errors_exit_one(argv, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+_DESCRIPTIONS = {
+    "": "Obstruction checks for rational cuspidal curves in ruled surfaces.",
+    "check": "Decide whether a prescribed cusp configuration is obstructed.",
+    "enumerate": "List all genus-compatible configurations with per-filter verdicts.",
+    "spectrum": "Print the spectrum at infinity as sorted 'value multiplicity' lines.",
+    "dedekind": "Sawtooth sums: two- and three-term reciprocity families.",
+    "dinv": "Exact correction terms for one m or the whole range [-d/2, d/2).",
+    "repro": "Re-run the bundled reference scenarios and diff against golden files.",
+    "dedekind s": "Print s(p, q) as num/den.",
+    "dedekind d": "Print D(p, q, r) as num/den.",
+    "dedekind limits": "Evaluate the three limit statements along the proof subsequence.",
+}
+
+
 @pytest.mark.parametrize(
     "command",
     [[], ["check"], ["enumerate"], ["spectrum"], ["dinv"], ["repro"], ["dedekind"]]
     + [["dedekind", name] for name in ("s", "d", "limits")],
     ids=lambda command: " ".join(["cuspidal", *command]),
 )
-def test_help_exits_zero(command, capsys):
+def test_help_exits_zero(command, capsys, monkeypatch):
+    # Wide enough that no description wraps.
+    monkeypatch.setenv("COLUMNS", "200")
     with pytest.raises(SystemExit) as excinfo:
         main([*command, "--help"])
     assert excinfo.value.code == 0
-    assert capsys.readouterr().out.startswith(" ".join(["usage: cuspidal", *command]))
+    usage, description = capsys.readouterr().out.split("\n\n")[:2]
+    assert usage.startswith(" ".join(["usage: cuspidal", *command]))
+    assert description == _DESCRIPTIONS[" ".join(command)]
+
+
+def test_group_help_lists_every_command_with_its_description(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "200")
+    with pytest.raises(SystemExit) as excinfo:
+        main(["--help"])
+    assert excinfo.value.code == 0
+    # The command list: each name, then its description on the same line
+    # or, for a long name, on the next.
+    listed = capsys.readouterr().out.split("  COMMAND\n")[1].split("\n\n")[0]
+    commands = ["check", "enumerate", "spectrum", "dedekind", "dinv", "repro"]
+    assert commands == list(cli_module._COMMANDS)
+    assert listed.split() == " ".join(
+        f"{command} {_DESCRIPTIONS[command]}" for command in commands
+    ).split()
 
 
 @pytest.mark.parametrize(
@@ -817,12 +850,36 @@ def test_dedekind_sum_of_a_negative_numerator():
     assert run([*d, "-1", "3", "7"]) == run([*d, "6", "3", "7"])
 
 
+def _fresh_modules(argv, names):
+    """Run `main(argv)`, or only `import cuspidal.cli` for an empty argv, in
+    a fresh `python -S` (which keeps site-packages' own start-up imports out
+    of the module set); return the exit code and which of `names` it loaded."""
+    src = Path(cli_module.__file__).resolve().parents[1]
+    code = (
+        "import json, sys, cuspidal.cli\n"
+        "code = None\n"
+        "try:\n"
+        "    if sys.argv[1:]:\n"
+        "        cuspidal.cli.main(sys.argv[1:])\n"
+        "except SystemExit as exc:\n"
+        "    code = exc.code\n"
+        f"loaded = sorted(set({names!r}) & set(sys.modules))\n"
+        "print(json.dumps([code, loaded]), file=sys.stderr)\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", code, *argv],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    return tuple(json.loads(result.stderr))
+
+
 def test_cli_imports_neither_click_nor_dataclasses():
     # A fresh `import cuspidal.cli` pays for no third-party parser, for no
     # dataclasses (which imports inspect), and for none of the modules only
     # some commands use: the sawtooth sums, csv and importlib.resources.
-    # -S keeps site-packages' own start-up imports out of the module set.
-    src = Path(cli_module.__file__).resolve().parents[1]
     absent = [
         "click",
         "dataclasses",
@@ -831,18 +888,35 @@ def test_cli_imports_neither_click_nor_dataclasses():
         "csv",
         "importlib.resources",
     ]
-    code = (
-        "import sys, cuspidal.cli; "
-        f"print(sorted(set({absent!r}) & set(sys.modules)))"
-    )
-    result = subprocess.run(
-        [sys.executable, "-S", "-c", code],
-        env={**os.environ, "PYTHONPATH": str(src)},
-        capture_output=True,
-        text=True,
-        check=True,
-    )
-    assert result.stdout == "[]\n"
+    assert _fresh_modules([], absent) == (None, [])
+
+
+_REFERENCE_ONLY = ["fractions", "decimal", "cuspidal.reference", "cuspidal.dedekind"]
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        ([], None),
+        (["enumerate", "--a", "6", "--b", "6", "--max-cusps", "3", "--json"], 0),
+        (["check", "--a", "6", "--b", "6", "--cusp", "6:11"], 0),
+    ],
+    ids=["import", "enumerate", "check-survivor"],
+)
+def test_filter_commands_load_no_reference_code_and_no_fractions(argv, code):
+    # Without a bytecode cache every imported module is compiled, so a fresh
+    # `enumerate` or `check` on a survivor (which builds no `Fraction`)
+    # compiles no reference command and imports no fractions or decimal.
+    assert _fresh_modules(argv, _REFERENCE_ONLY) == (code, [])
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["spectrum", "--a", "6", "--b", "4", "--method", "both"], ["dedekind", "s", "1", "3"]],
+    ids=["spectrum", "dedekind-s"],
+)
+def test_reference_commands_load_the_reference_module(argv):
+    assert _fresh_modules(argv, _REFERENCE_ONLY) == (0, sorted(_REFERENCE_ONLY))
 
 
 @pytest.mark.parametrize("unbuffered", ["", "1"])

@@ -136,3 +136,19 @@ def test_one_cusp_builds_only_the_cusps_of_delta_g(monkeypatch):
     with pytest.raises(CandidateCapExceededError):
         enumerate_configurations(CurveType(100000, 100000), 1, cap=0)
     assert calls == [99999**2]
+
+
+def test_cap_trips_before_the_cusps_of_small_delta_are_all_built(monkeypatch):
+    calls = []
+
+    def recorded(delta):
+        calls.append(delta)
+        return cusps_with_delta(delta)
+
+    monkeypatch.setattr(enumeration, "cusps_with_delta", recorded)
+    curve = CurveType(3000, 3000)
+    # The first configuration is (2, 3) and a cusp of delta g - 1, so only
+    # those two deltas are built, not the cusps of every delta <= g/2.
+    with pytest.raises(CandidateCapExceededError):
+        enumerate_configurations(curve, 2, cap=0)
+    assert calls == [1, curve.g - 1]

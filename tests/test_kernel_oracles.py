@@ -23,6 +23,7 @@ write the bytes of the stdlib's `json.dumps(sort_keys=True, indent=2)`,
 which runs its pure-Python encoder.
 """
 import contextlib
+import fractions
 import io
 import json
 import math
@@ -440,8 +441,9 @@ def test_enumerate_builds_no_witness_and_no_fraction(monkeypatch, max_plus_calls
     def refuse(*args, **kwargs):
         raise AssertionError("enumerate built a witness or a Fraction")
 
-    for module in (hf, spectra):
-        monkeypatch.setattr(module, "Fraction", refuse)
+    # hf and spectra import Fraction where they build one, so this reaches
+    # every use.
+    monkeypatch.setattr(fractions, "Fraction", refuse)
     monkeypatch.setattr(hf, "HfWitness", refuse)
     monkeypatch.setattr(spectra, "SemicontinuityWitness", refuse)
     for memo in MEMOS:
