@@ -10,10 +10,12 @@ indent=2)`, and every rational serialized as "num/den".
 
 Here live parsing, dispatch, output and the filter commands `check`,
 `enumerate` and `dinv`; `spectrum`, `dedekind` and `repro` live in
-`cuspidal.reference`, imported only to build their subparsers.  A fresh
-process without a bytecode cache compiles every module it imports, so
-`enumerate`, and `check` of a survivor, compile no reference code and import
-neither the sawtooth sums nor `fractions` (which imports `decimal`).
+`cuspidal.reference`, imported only to build their subparsers: `enumerate`,
+and `check` of a survivor, import neither the sawtooth sums nor `fractions`
+(which imports `decimal`).  Without a bytecode cache
+(`PYTHONDONTWRITEBYTECODE`) the split also spares them compiling reference
+code; with a warm cache it saves no measurable memory.  Under `python -m
+cuspidal.cli` a reference command loads this file twice.
 """
 
 from __future__ import annotations

@@ -1,7 +1,5 @@
-"""The reference commands `spectrum`, `dedekind s/d/limits` and `repro`,
-which `cli` imports only to build their subparsers (see its docstring): the
-filter commands `check`, `enumerate` and `dinv` run none of this.  The output
-helpers, and the rows `repro` shares with `check` and `dinv`, stay in `cli`.
+"""The reference commands `spectrum`, `dedekind s/d/limits` and `repro`, which
+`cli` imports only to build their subparsers (see its docstring).
 """
 
 from __future__ import annotations

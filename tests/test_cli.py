@@ -814,6 +814,9 @@ def test_help_exits_zero(command, capsys, monkeypatch):
 
 
 def test_group_help_lists_every_command_with_its_description(capsys, monkeypatch):
+    # The group's help builds `_parser(None)`, which resolves every function
+    # `_COMMANDS` names by string in `cuspidal.reference`: a name missing
+    # there fails here.
     monkeypatch.setenv("COLUMNS", "200")
     with pytest.raises(SystemExit) as excinfo:
         main(["--help"])
