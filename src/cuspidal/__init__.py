@@ -25,7 +25,6 @@ from .hf import (
 from .spectra import (
     SemicontinuityReport,
     SemicontinuityWitness,
-    SpectrumMultiset,
     alexander_order,
     semicontinuity_check,
     semicontinuity_obstructed,
@@ -50,7 +49,6 @@ __all__ = [
     "PuiseuxCusp",
     "SemicontinuityReport",
     "SemicontinuityWitness",
-    "SpectrumMultiset",
     "alexander_order",
     "curve_elements",
     "d_invariant",

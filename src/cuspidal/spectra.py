@@ -1,14 +1,14 @@
 """Spectra as exact multisets of rationals, held as int numerators.
 
-A `SpectrumMultiset` holds a denominator D, the sorted distinct numerators n
-of its values n/D and their multiplicities.  Both constructions of the
-spectrum at infinity (the closed-form table, and the route through
-equivariant signatures and the Alexander polynomial) use D = lcm(w, b).
-Its values below 1 lie on two progressions: x = p/w at the numerators
-range(D/w, D, D/w) and x = q/b at range(D/b, D, D/b).  Each construction
-zips its p-row and its q-row onto them and combines the two where they
-meet.  No construction makes a `Fraction`; `values` and `mult` do, as do
-error messages and reported witness points.
+Both constructions of the spectrum at infinity (the closed-form table, and
+the route through equivariant signatures and the Alexander polynomial)
+return the pair (D, entries): the denominator D = lcm(w, b), and the
+(numerator n, multiplicity) of each value n/D in increasing order of n,
+without zero multiplicities.  The values below 1 lie on two progressions:
+x = p/w at the numerators range(D/w, D, D/w) and x = q/b at
+range(D/b, D, D/b).  Each construction zips its p-row and its q-row onto
+them and combines the two where they meet.  No construction makes a
+`Fraction`; error messages and reported witness points do.
 
 The cusp spectrum is read off the semigroup <r, s>, and only inside `_scan`.
 A cusp (r, s) has the values (i*s + j*r)/(r*s), 1 <= i < r, 1 <= j < s.
@@ -84,11 +84,11 @@ infinity is memoised.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from functools import lru_cache
 from itertools import repeat
 from operator import add, mul
-from typing import Callable, Dict, Iterator, List, Mapping, NamedTuple, Set, Tuple
+from typing import Callable, Dict, Iterator, List, NamedTuple, Set, Tuple
 
 from .core import CurveType, CuspConfiguration
 from .semigroups import _cusp_elements
@@ -98,63 +98,8 @@ class InternalConsistencyError(RuntimeError):
     """The signature/order data failed an integrality guarantee."""
 
 
-class SpectrumMultiset:
-    """A finite multiset of rationals in [0, 2], as int numerators over one
-    denominator, with positive multiplicities."""
-
-    def __init__(self, entries: Mapping[int, int], denominator: int = 1):
-        """`entries` maps int numerators over `denominator` to multiplicities;
-        zero multiplicities are dropped."""
-        counts: Dict[int, int] = {}
-        for n, mult in entries.items():
-            if mult == 0:
-                continue
-            if mult < 0:
-                raise ValueError(f"negative multiplicity {mult} of {n}/{denominator}")
-            if not 0 <= n <= 2 * denominator:
-                raise ValueError(f"spectrum value {n}/{denominator} outside [0, 2]")
-            counts[n] = mult
-        self._denominator = denominator
-        self._numerators: Tuple[int, ...] = tuple(sorted(counts))
-        self._mults: Tuple[int, ...] = tuple(counts[n] for n in self._numerators)
-
-    @property
-    def denominator(self) -> int:
-        return self._denominator
-
-    @property
-    def total(self) -> int:
-        return sum(self._mults)
-
-    def numerator_entries(self) -> Tuple[Tuple[int, int], ...]:
-        """(numerator over `denominator`, multiplicity), in increasing order."""
-        return tuple(zip(self._numerators, self._mults))
-
-    def values(self) -> Tuple[Fraction, ...]:
-        from fractions import Fraction
-        return tuple(Fraction(n, self._denominator) for n in self._numerators)
-
-    def mult(self, x: Fraction) -> int:
-        n, remainder = divmod(x.numerator * self._denominator, x.denominator)
-        i = bisect_left(self._numerators, n)
-        if not remainder and i < len(self._numerators) and self._numerators[i] == n:
-            return self._mults[i]
-        return 0
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, SpectrumMultiset):
-            return NotImplemented
-        # n/D = m/E iff n*E = m*D
-        return self._mults == other._mults and [
-            n * other._denominator for n in self._numerators
-        ] == [m * self._denominator for m in other._numerators]
-
-    def __hash__(self) -> int:
-        return hash(tuple(zip(self.values(), self._mults)))
-
-    def __repr__(self) -> str:
-        body = ", ".join(f"{v}^{m}" for v, m in zip(self.values(), self._mults))
-        return f"SpectrumMultiset({{{body}}})"
+# (D, the sorted (numerator over D, multiplicity) pairs): module docstring.
+Spectrum = Tuple[int, Tuple[Tuple[int, int], ...]]
 
 
 def signature_profile(curve: CurveType) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
@@ -188,7 +133,7 @@ def alexander_order(curve: CurveType, v: int) -> int:
     )
 
 
-def spectrum_at_infinity_table(curve: CurveType) -> SpectrumMultiset:
+def spectrum_at_infinity_table(curve: CurveType) -> Spectrum:
     """The spectrum at infinity by the closed-form multiplicity table."""
     a, b, w = curve.a, curve.b, curve.w
     denominator = math.lcm(w, b)
@@ -205,10 +150,10 @@ def spectrum_at_infinity_table(curve: CurveType) -> SpectrumMultiset:
             high += entries[n + denominator] + 1
         entries[n] = low
         entries[n + denominator] = high
-    return SpectrumMultiset(entries, denominator)
+    return denominator, tuple(sorted(item for item in entries.items() if item[1]))
 
 
-def spectrum_at_infinity_derived(curve: CurveType) -> SpectrumMultiset:
+def spectrum_at_infinity_derived(curve: CurveType) -> Spectrum:
     """The spectrum at infinity recovered from signatures and root orders.
 
     For x in (0, 1) with exp(2*pi*i*x) a root, the multiplicity of x is
@@ -243,7 +188,7 @@ def spectrum_at_infinity_derived(curve: CurveType) -> SpectrumMultiset:
             )
         entries[n] = low
         entries[n + denominator] = high
-    return SpectrumMultiset(entries, denominator)
+    return denominator, tuple(sorted(item for item in entries.items() if item[1]))
 
 
 class SemicontinuityWitness(NamedTuple):
@@ -274,15 +219,15 @@ def _infinity_numerators(curve: CurveType) -> Tuple[int, Tuple[int, ...], int]:
     """(D = lcm(w, b), the values below 1 of the spectrum at infinity as
     sorted numerators over D, one per unit of multiplicity, and the
     multiplicity of 1)."""
-    spectrum = spectrum_at_infinity_table(curve)
-    denominator = spectrum.denominator
+    denominator, entries = spectrum_at_infinity_table(curve)
     low: List[int] = []
-    for n, mult in spectrum.numerator_entries():
+    for n, mult in entries:
         if n >= denominator:
             break
         low += [n] * mult
-    # The values above 1 mirror those below it (module docstring).
-    return denominator, tuple(low), spectrum.total - 2 * len(low)
+    # The values above 1 mirror those below it (module docstring), and 1 is on
+    # neither progression, so its multiplicity is the table's a + b - 1.
+    return denominator, tuple(low), curve.a + curve.b - 1
 
 
 def _scan(

@@ -1,9 +1,10 @@
 """Views and kernels that only the tests use.
 
-- `entries`, `count_open` and `is_symmetric_about_one` read a
-  `SpectrumMultiset` through its `Fraction` values and its numerators.
+- `entries`, `total`, `count_open` and `is_symmetric_about_one` read a
+  spectrum, the pair (denominator, sorted (numerator, multiplicity) pairs)
+  that both constructions of the spectrum at infinity return.
 - `cusp_spectrum` reads the spectrum of a one-pair cusp off its semigroup,
-  as `spectra._scan` does for the values below 1.
+  as `spectra._scan` does for the values below 1, and returns that pair.
 - `sawtooth` and the reciprocity right-hand sides state the laws that the
   Dedekind kernels obey.
 - `dfs_configurations` is the depth-first enumeration that
@@ -15,33 +16,35 @@ import math
 from bisect import bisect_left
 from fractions import Fraction
 
-from cuspidal import CuspConfiguration, SpectrumMultiset
+from cuspidal import CuspConfiguration
 from cuspidal.enumeration import cusps_with_delta
 from cuspidal.semigroups import _cusp_elements
 
 
 def entries(spectrum):
-    """(value, multiplicity), in increasing order."""
-    return tuple(
-        zip(spectrum.values(), (mult for _, mult in spectrum.numerator_entries()))
-    )
+    """(value as a `Fraction`, multiplicity), in increasing order."""
+    denominator, pairs = spectrum
+    return tuple((Fraction(n, denominator), mult) for n, mult in pairs)
+
+
+def total(spectrum):
+    """The sum of the multiplicities."""
+    return sum(mult for _, mult in spectrum[1])
 
 
 def count_open(spectrum, lo, hi):
     """Total multiplicity strictly inside (lo, hi)."""
-    denominator = spectrum.denominator
+    denominator, pairs = spectrum
     # n/D > lo iff n > floor(lo*D), and n/D < hi iff n < ceil(hi*D)
     floor_lo = lo.numerator * denominator // lo.denominator
     ceil_hi = -(-hi.numerator * denominator // hi.denominator)
-    return sum(
-        mult for n, mult in spectrum.numerator_entries() if floor_lo < n < ceil_hi
-    )
+    return sum(mult for n, mult in pairs if floor_lo < n < ceil_hi)
 
 
 def is_symmetric_about_one(spectrum):
     """mult(x) = mult(2 - x) for all x."""
-    two, pairs = 2 * spectrum.denominator, spectrum.numerator_entries()
-    return pairs == tuple((two - n, mult) for n, mult in reversed(pairs))
+    denominator, pairs = spectrum
+    return pairs == tuple((2 * denominator - n, mult) for n, mult in reversed(pairs))
 
 
 def cusp_numerators(cusp):
@@ -54,7 +57,7 @@ def cusp_numerators(cusp):
 
 def cusp_spectrum(cusp):
     """The spectrum {i/r + j/s : 1 <= i < r, 1 <= j < s} of a one-pair cusp."""
-    return SpectrumMultiset(dict.fromkeys(cusp_numerators(cusp), 1), cusp.r * cusp.s)
+    return cusp.r * cusp.s, tuple((n, 1) for n in cusp_numerators(cusp))
 
 
 def sawtooth(x):

@@ -11,7 +11,6 @@ from unittest import mock
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from cuspidal import SpectrumMultiset
 from cuspidal import cli as cli_module, reference
 from cuspidal.cli import main
 
@@ -261,17 +260,27 @@ def test_spectrum_both_methods_agree():
     assert "methods agree: True" in output
 
 
-@pytest.mark.parametrize("shift, derived_mult", [(1, 2), (-1, 0)])
-def test_spectrum_mismatch_exits_three(shift, derived_mult, capsys, monkeypatch):
-    # Shift the derived multiplicity of 1/4 (1 in both constructions of
-    # (6, 4, 0)); a shift to 0 leaves 1/4 in the table only.
+@pytest.mark.parametrize(
+    "x, shift, line",
+    [
+        pytest.param(4, 1, "1/4: table 1 != derived 2", id="1-2"),
+        pytest.param(4, -1, "1/4: table 1 != derived 0", id="-1-0"),
+        pytest.param(12, 1, "1/12: table 0 != derived 1", id="1-1"),
+    ],
+)
+def test_spectrum_mismatch_exits_three(x, shift, line, capsys, monkeypatch):
+    # Shift the derived multiplicity of 1/x in (6, 4, 0), over 12: 1/4 has 1
+    # in both constructions, and a shift to 0 leaves it in the table only;
+    # 1/12 is in neither, and a shift to 1 puts it in the derived one only.
+    # Each id is the shift and the derived multiplicity.
     derived = reference.spectrum_at_infinity_derived
 
     def shifted(curve):
-        spectrum = derived(curve)
-        entries = dict(spectrum.numerator_entries())
-        entries[spectrum.denominator // 4] += shift
-        return SpectrumMultiset(entries, spectrum.denominator)
+        denominator, pairs = derived(curve)
+        mults = dict(pairs)
+        n = denominator // x
+        mults[n] = mults.get(n, 0) + shift
+        return denominator, tuple(sorted(item for item in mults.items() if item[1]))
 
     monkeypatch.setattr(reference, "spectrum_at_infinity_derived", shifted)
     with pytest.raises(SystemExit) as excinfo:
@@ -279,10 +288,7 @@ def test_spectrum_mismatch_exits_three(shift, derived_mult, capsys, monkeypatch)
     assert excinfo.value.code == 3
     out, err = capsys.readouterr()
     assert json.loads(out)["results"]["methods_agree"] is False
-    assert err == (
-        "mismatch between table and derived constructions:\n"
-        f"  1/4: table 1 != derived {derived_mult}\n"
-    )
+    assert err == f"mismatch between table and derived constructions:\n  {line}\n"
 
 
 def test_spectrum_csv():

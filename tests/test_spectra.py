@@ -1,4 +1,5 @@
 import fractions
+import math
 import re
 import sys
 from fractions import Fraction
@@ -10,7 +11,6 @@ from cuspidal import (
     CurveType,
     CuspConfiguration,
     PuiseuxCusp,
-    SpectrumMultiset,
     alexander_order,
     semicontinuity_check,
     signature_profile,
@@ -19,40 +19,43 @@ from cuspidal import (
 )
 from cuspidal import spectra
 from cuspidal.spectra import InternalConsistencyError
-from oracles import count_open, cusp_spectrum, entries, is_symmetric_about_one
+from oracles import count_open, cusp_spectrum, entries, is_symmetric_about_one, total
 
 F = Fraction
 
 
 def test_multiset_basic_queries():
-    ms = SpectrumMultiset({1: 2, 3: 2, 2: 3}, 2)  # halves
-    assert ms.total == 7
-    assert ms.mult(F(1, 2)) == 2
-    assert ms.mult(F(1, 3)) == 0
-    assert count_open(ms, F(0), F(1)) == 2
-    assert count_open(ms, F(1, 2), F(3, 2)) == 3  # endpoints excluded
-    assert is_symmetric_about_one(ms)
-    assert ms == SpectrumMultiset({2: 2, 4: 3, 6: 2}, 4)  # quarters
-    assert ms != SpectrumMultiset({1: 2, 3: 2, 2: 2}, 2)
+    spectrum = (2, ((1, 2), (2, 3), (3, 2)))  # halves
+    assert total(spectrum) == 7
+    assert count_open(spectrum, F(0), F(1)) == 2
+    assert count_open(spectrum, F(1, 2), F(3, 2)) == 3  # endpoints excluded
+    assert is_symmetric_about_one(spectrum)
+    assert not is_symmetric_about_one((2, ((1, 2), (2, 3), (3, 1))))
 
 
 def test_multiset_validation():
-    with pytest.raises(ValueError):
-        SpectrumMultiset({5: 1}, 2)
-    with pytest.raises(ValueError):
-        SpectrumMultiset({-1: 1}, 2)
-    with pytest.raises(ValueError):
-        SpectrumMultiset({1: -1}, 2)
-    assert SpectrumMultiset({1: 0}, 2).total == 0
+    # Both constructions list each value in [0, 2] once, in increasing order,
+    # and drop zero multiplicities: (6, 4, 0) has none at 1/6 = 2/12, and
+    # (0, 1, 1) has no value at all.
+    for a, b, e in [(6, 4, 0), (0, 1, 1), (1, 2, 0), (7, 7, 2)]:
+        curve = CurveType(a, b, e)
+        for construction in (spectrum_at_infinity_table, spectrum_at_infinity_derived):
+            denominator, pairs = construction(curve)
+            assert denominator == math.lcm(curve.w, b)
+            numerators = [n for n, _ in pairs]
+            assert numerators == sorted(set(numerators))
+            assert all(0 <= n <= 2 * denominator and mult > 0 for n, mult in pairs)
+    assert 2 not in dict(spectrum_at_infinity_table(CurveType(6, 4, 0))[1])
+    assert spectrum_at_infinity_derived(CurveType(0, 1, 1)) == (1, ())
 
 
 def test_cusp_spectrum_size_and_symmetry():
     for r, s in [(2, 3), (2, 51), (3, 26), (6, 11), (3, 22)]:
         cusp = PuiseuxCusp(r, s)
         spectrum = cusp_spectrum(cusp)
-        assert spectrum.total == cusp.mu
+        assert total(spectrum) == cusp.mu
         assert is_symmetric_about_one(spectrum)
-    assert cusp_spectrum(PuiseuxCusp(2, 3)).values() == (F(5, 6), F(7, 6))
+    assert entries(cusp_spectrum(PuiseuxCusp(2, 3))) == ((F(5, 6), 1), (F(7, 6), 1))
 
 
 def test_signature_profile_worked_values():
@@ -77,7 +80,7 @@ def test_signature_antisymmetry(a, b, e):
 
 def test_alexander_orders_worked_example():
     curve = CurveType(6, 4, 0)
-    assert spectrum_at_infinity_table(curve).total == 39  # the degree
+    assert total(spectrum_at_infinity_table(curve)) == 39  # the degree
     points = [F(1, 6), F(1, 4), F(1, 3), F(1, 2), F(2, 3), F(3, 4), F(5, 6)]
     orders = [alexander_order(curve, x.denominator) for x in points]
     assert orders == [3, 5, 3, 8, 3, 5, 3]
@@ -86,7 +89,7 @@ def test_alexander_orders_worked_example():
 
 def test_derived_spectrum_worked_example():
     curve = CurveType(6, 4, 0)
-    spectrum = spectrum_at_infinity_derived(curve)
+    spectrum = dict(entries(spectrum_at_infinity_derived(curve)))
     low_part = {
         F(1, 4): 1,
         F(1, 3): 1,
@@ -96,10 +99,10 @@ def test_derived_spectrum_worked_example():
         F(5, 6): 3,
     }
     for value, mult in low_part.items():
-        assert spectrum.mult(value) == mult
-    assert sum(m for v, m in entries(spectrum) if v < 1) == 15
-    assert spectrum.mult(F(1)) == 9
-    assert spectrum.total == 39
+        assert spectrum.get(value, 0) == mult
+    assert sum(m for v, m in spectrum.items() if v < 1) == 15
+    assert spectrum[F(1)] == 9
+    assert sum(spectrum.values()) == 39
 
 
 def test_table_spectrum_degree_six():
@@ -132,7 +135,7 @@ def test_two_constructions_agree(a, b, e):
     assert table == spectrum_at_infinity_derived(curve)
     assert is_symmetric_about_one(table)
     # The degree of (t-1)(t^w-1)^(b-1)(t^b-1)^(a-1).
-    assert table.total == 1 + curve.w * (b - 1) + b * (a - 1)
+    assert total(table) == 1 + curve.w * (b - 1) + b * (a - 1)
 
 
 def test_semicontinuity_obstructs_small_multiplicity_cusp():
@@ -177,7 +180,7 @@ def test_constructions_make_no_fraction():
     # The watch sees Fraction code when it runs.
     sys.setprofile(watch)
     try:
-        cusp_spectrum(PuiseuxCusp(2, 3)).values()
+        entries(cusp_spectrum(PuiseuxCusp(2, 3)))
     finally:
         sys.setprofile(None)
     assert "__new__" in calls
