@@ -4,9 +4,9 @@ Exit codes: 0 = not obstructed / success, 1 = usage or domain error,
 2 = obstructed, 3 = cross-validation mismatch between the two spectrum
 constructions.  `main` prints every `ValueError` as `error: <message>` on
 stderr and exits 1, whether it comes from argparse (which would exit 2), the
-CLI or the library.  Structured reports are byte-stable: sorted keys and a
-two-space indent, byte-identical to `json.dumps(report, sort_keys=True,
-indent=2)`, and every rational serialized as "num/den".
+CLI or the library.  A `--json` report is a small envelope plus at most one
+long list of flat rows, printed byte-identical to `json.dumps(report,
+sort_keys=True, indent=2)` (see `_dumps`), every rational as "num/den".
 
 Here live parsing, dispatch, output and the filter commands `check`,
 `enumerate` and `dinv`; `spectrum`, `dedekind` and `repro` live in
@@ -26,9 +26,7 @@ import json
 import os
 import sys
 from itertools import chain
-from typing import (
-    Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
-)
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .core import CurveType, CuspConfiguration, PuiseuxCusp
 from .enumeration import DEFAULT_CANDIDATE_CAP, enumerate_configurations
@@ -68,53 +66,34 @@ def _report(command: str, inputs: Dict, results: Dict, witnesses: List[Dict]) ->
     }
 
 
-_FLAT = {str, int, bool, type(None)}
+def _dumps(report: Dict, rows: Sequence[Dict]) -> str:
+    """`json.dumps(report, sort_keys=True, indent=2)`, byte for byte, when
+    `rows` is empty or is the report's list at `witnesses`, `results.entries`
+    or `results.values` and holds non-empty flat dicts (scalar values only).
 
-
-@functools.lru_cache(maxsize=None)
-def _encoder(pad: str) -> Callable[[object], str]:
-    """The C encoder, sorting keys and separating items by a newline and `pad`."""
-    return json.JSONEncoder(sort_keys=True, separators=(",\n" + pad, ": ")).encode
-
-
-def _dumps(obj, pad: str = "") -> str:
-    """`json.dumps(obj, sort_keys=True, indent=2)`, byte for byte, with every
-    line after the first indented by `pad` more.
-
-    The stdlib runs its pure-Python encoder whenever `indent` is set.  Here
-    each flat container (scalar values only) and each list of non-empty flat
-    dicts (a report's rows) takes one C-encoder call, and only its brackets
-    are re-indented.  The encoder escapes every control character inside
-    strings, so a newline in its output is always an item separator.
+    `rows` takes one C-encoder call, and only the brackets between rows are
+    re-indented: the encoder escapes every control character inside strings,
+    so a newline in its output is always an item separator.  Then the stdlib
+    (its pure-Python encoder, as `indent` is set) writes the envelope twice,
+    with 0 and with 1 for `rows`; the texts first differ where `rows` goes,
+    whatever strings they hold.  The other order took 80 kB more peak memory.
     """
-    if not (isinstance(obj, (dict, list, tuple)) and obj):
-        return _encoder(pad)(obj)
-    inner = pad + "  "
-    is_dict = isinstance(obj, dict)
-    types = set(map(type, obj.values() if is_dict else obj))
-    if types <= _FLAT:
-        text = _encoder(inner)(obj)
-    elif (
-        not is_dict
-        and types == {dict}
-        and all(obj)
-        and set(map(type, chain.from_iterable(map(dict.values, obj)))) <= _FLAT
-    ):
-        row = inner + "  "
-        text = _encoder(row)(obj).replace(
-            f"}},\n{row}{{", f"\n{inner}}},\n{inner}{{\n{row}"
-        )
-        text = f"[{{\n{row}{text[2:-2]}\n{inner}}}]"
-    elif is_dict:
-        # The one-item dict makes the C encoder turn the key into its JSON
-        # string as json.dumps does, for int, float, bool and None keys too.
-        text = "{%s}" % f",\n{inner}".join(
-            f"{_encoder(inner)({key: 0})[1:-4]}: {_dumps(value, inner)}"
-            for key, value in sorted(obj.items())
-        )
-    else:
-        text = "[%s]" % f",\n{inner}".join(_dumps(value, inner) for value in obj)
-    return f"{text[0]}\n{inner}{text[1:-1]}\n{pad}{text[-1]}"
+    if not rows:
+        return json.dumps(report, sort_keys=True, indent=2)
+    envelope = {**report, "results": dict(report["results"])}
+    owner = envelope if report["witnesses"] is rows else envelope["results"]
+    key = next(key for key, value in owner.items() if value is rows)
+    pad = "  " if owner is envelope else "    "
+    inner, row = pad + "  ", pad + "    "
+    text = json.JSONEncoder(sort_keys=True, separators=(",\n" + row, ": ")).encode(rows)
+    text = text.replace(f"}},\n{row}{{", f"\n{inner}}},\n{inner}{{\n{row}")
+    head, tail = f"[\n{inner}{{\n{row}", f"\n{inner}}}\n{pad}]"
+    texts = []
+    for mark in (0, 1):
+        owner[key] = mark
+        texts.append(json.dumps(envelope, sort_keys=True, indent=2))
+    at = len(os.path.commonprefix(texts))
+    return "".join((texts[0][:at], head, text[2:-2], tail, texts[0][at + 1:]))
 
 
 def _emit(
@@ -127,7 +106,7 @@ def _emit(
     """Print `report` as JSON, `rows` as CSV under `header` (its columns a
     row lacks stay empty), or the text `lines`, which only this path reads."""
     if fmt == "json":
-        print(_dumps(report))
+        print(_dumps(report, rows))
     elif fmt == "csv":
         import csv
 
@@ -296,7 +275,8 @@ def _dinv(a, b, e, cusps, m, all_m, fmt) -> int:
         {"values": values},
         [],
     )
-    _emit(fmt, report, (f"m={row['m']}: {row['d_invariant']}" for row in values))
+    lines = (f"m={row['m']}: {row['d_invariant']}" for row in values)
+    _emit(fmt, report, lines, values)
     return EXIT_OK
 
 

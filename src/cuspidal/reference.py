@@ -14,7 +14,7 @@ from typing import Dict, List, Tuple
 
 from .cli import (
     EXIT_ERROR, EXIT_MISMATCH, EXIT_OBSTRUCTED, EXIT_OK,
-    _check_rows, _dinv_rows, _dumps, _emit, _fr, _report,
+    _check_rows, _dinv_rows, _emit, _fr, _report,
 )
 from .core import CurveType, CuspConfiguration, PuiseuxCusp
 from .dedekind import dedekind_sum, rademacher_sum, verify_limits
@@ -105,7 +105,7 @@ def _dedekind_limits(b, max_w, tol, fmt) -> int:
         f"[{'ok' if entry['within_tol'] else 'EXCEEDS'}]"
         for entry in entries
     )
-    _emit(fmt, doc, lines)
+    _emit(fmt, doc, lines, entries)
     return EXIT_OK if report.all_within_tol else EXIT_OBSTRUCTED
 
 
@@ -153,7 +153,7 @@ def _repro(update_dir) -> int:
             for name, payload in scenarios:
                 path = os.path.join(update_dir, f"{name}.json")
                 with open(path, "w") as handle:
-                    handle.write(_dumps(payload) + "\n")
+                    handle.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
         except OSError as exc:
             raise ValueError(str(exc)) from exc
         print(f"wrote {len(scenarios)} golden files")

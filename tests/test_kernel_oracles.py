@@ -19,9 +19,10 @@ taken from the loops that make the values) and the cusp spectrum over
 points, the verdicts `enumerate` prints, every sawtooth sum as a
 `Fraction`, every spectrum entry (each construction's (lcm(w, b), entries)
 pair, compared as numerators), and every row of `enumerate --json`,
-rebuilt from the oracle reports.  The report serializer `cli._dumps` must
-write the bytes of the stdlib's `json.dumps(sort_keys=True, indent=2)`,
-which runs its pure-Python encoder.
+rebuilt from the oracle reports.  The report serializer `cli._dumps`, which
+splices one C-encoded row list into a stdlib-written envelope, must write
+the bytes of the stdlib's `json.dumps(sort_keys=True, indent=2)`, which runs
+its pure-Python encoder, on every report shape.
 """
 import contextlib
 import fractions
@@ -881,34 +882,43 @@ def test_verify_limits_at_large_width(b):
     assert 10**9 - 10 <= report.entries[0].w <= 10**9
 
 
-# The report serializer against the stdlib's pure-Python indent encoder.
-# Strings carry the characters the serializer's re-indenting could trip on:
-# brackets, commas, quotes, backslashes, control characters and non-ASCII.
+# The report serializer against the stdlib's pure-Python indent encoder, on
+# the shape of a report: an envelope of scalars (and lists of strings, as
+# `check`'s cusps) and one list of flat rows at `witnesses`, `results.entries`
+# or `results.values`.  Strings carry the characters the row re-indent or the
+# splice could trip on: brackets, commas, quotes, backslashes, control
+# characters, non-ASCII and a placeholder's encoding inside a string.
 _JSON_TEXT = st.text(
-    st.sampled_from(list('{}[],:"\\\n\t é\u2028\U0001d11ea')) | st.characters(),
+    st.sampled_from(list('{}[],:"\\\n\t\x00 é\u2028\U0001d11ea')) | st.characters(),
     max_size=6,
-)
+) | st.sampled_from(['x"\x00rows', "\x00rows"])
 _JSON_SCALARS = st.none() | st.booleans() | st.integers() | _JSON_TEXT
+_ENVELOPE_DICTS = st.dictionaries(
+    _JSON_TEXT, _JSON_SCALARS | st.lists(_JSON_TEXT, max_size=3), max_size=4
+)
+# Rows draw keys from a small set, so a row list mixes equal and different
+# key sets, as `check`'s hf and spectrum witnesses do.
+_ROWS = st.lists(
+    st.dictionaries(
+        st.sampled_from(["a", "b", "c", "},\n  {"]), _JSON_SCALARS, min_size=1, max_size=3
+    ),
+    max_size=4,
+)
 
 
-def _json_containers(children):
-    # Rows draw keys from a small set, so row lists mix equal and different
-    # key sets, empty rows and, through `children`, nested values.
-    rows = st.dictionaries(
-        st.sampled_from(["a", "b", "c", "},\n  {"]), _JSON_SCALARS | children, max_size=3
-    )
-    return (
-        st.lists(children, max_size=4)
-        | st.dictionaries(_JSON_TEXT, children, max_size=4)
-        | st.lists(rows, max_size=4)
-    )
-
-
-@given(st.recursive(_JSON_SCALARS, _json_containers, max_leaves=40))
-@example([{}])
-@example([{"a": 1}, {}])
-@example([{"a": "},\n    {"}, {"b": [1]}])
-@example({"rows": [{"a": 1, "b": None}, {"c": True}], "empty": {}, "none": []})
+@given(
+    _JSON_TEXT,
+    _ENVELOPE_DICTS,
+    _ENVELOPE_DICTS,
+    _ROWS,
+    st.sampled_from(["witnesses", "entries", "values"]),
+)
+@example("check", {"cusps": ["2:3"]}, {}, [{"a": "},\n    {"}, {"b": None}], "witnesses")
+@example("spectrum", {"a": 'x"\x00rows'}, {"z": "\x00rows"}, [{"a": 1}], "entries")
+@example("dinv", {}, {"values": 0}, [], "values")
 @settings(max_examples=600, deadline=None)
-def test_dumps_matches_stdlib_indent_encoder(value):
-    assert cli._dumps(value) == json.dumps(value, sort_keys=True, indent=2)
+def test_dumps_matches_stdlib_indent_encoder(command, inputs, results, rows, place):
+    if place != "witnesses":
+        results = {**results, place: rows}
+    report = cli._report(command, inputs, results, rows if place == "witnesses" else [])
+    assert cli._dumps(report, rows) == json.dumps(report, sort_keys=True, indent=2)
