@@ -1,4 +1,4 @@
-"""Command-line interface: `main(argv)`, parsed by one stdlib `argparse` parser.
+"""Command-line interface: `main(argv)`, parsed by stdlib `argparse`.
 
 Exit codes: 0 = not obstructed / success, 1 = usage or domain error,
 2 = obstructed, 3 = cross-validation mismatch between the two spectrum
@@ -9,13 +9,11 @@ long list of flat rows, printed byte-identical to `json.dumps(report,
 sort_keys=True, indent=2)` (see `_dumps`), every rational as "num/den".
 
 Here live parsing, dispatch, output and the filter commands `check`,
-`enumerate` and `dinv`; `spectrum`, `dedekind` and `repro` live in
-`cuspidal.reference`, imported only to build their subparsers: `enumerate`,
-and `check` of a survivor, import neither the sawtooth sums nor `fractions`
-(which imports `decimal`).  Without a bytecode cache
-(`PYTHONDONTWRITEBYTECODE`) the split also spares them compiling reference
-code; with a warm cache it saves no measurable memory.  Under `python -m
-cuspidal.cli` a reference command loads this file twice.
+`enumerate` and `dinv`.  `main` parses argv with the parser of the command
+it names (`_parser`); `spectrum`, `dedekind` and `repro` live in
+`cuspidal.reference`, which `enumerate`, and `check` of a survivor, never
+import, nor `fractions`.  Under `python -m cuspidal.cli` a reference command
+loads this file twice, with a second `_parser` cache.
 """
 
 from __future__ import annotations
@@ -309,6 +307,7 @@ _TOL = ("--tol", {"default": "1/200", "help": _DEFAULT})
 _MODES = ({"required": True}, ("--m", _INT), ("--all-m", {"action": "store_true"}))
 _UPDATE_DOC = "write the golden files into DIR instead of diffing against them"
 _UPDATE = ("--update", {"dest": "update_dir", "metavar": "DIR", "help": _UPDATE_DOC})
+_DOC = "Obstruction checks for rational cuspidal curves in ruled surfaces."
 _SUMS_DOC = "Sawtooth sums: two- and three-term reciprocity families."
 
 # Each command as (function, arguments), where an argument is (flag, kwargs)
@@ -333,44 +332,42 @@ _COMMANDS = {
 
 
 @functools.lru_cache(maxsize=None)
-def _parser(name: Optional[str]) -> Tuple[_Parser, FrozenSet[str]]:
-    """The `cuspidal` parser with the subparser of command `name` only, or of
-    every command for None, built once, and its options that take a value.
+def _parser(path: Tuple[str, ...]) -> Tuple[_Parser, FrozenSet[str]]:
+    """The parser of the command at `path` in `_COMMANDS`, `()` for the group
+    of every command, built once, and the options under it that take a value.
 
-    Each subparser parses and reports errors on its own, so the parser with
-    only the named command behaves as the full one on that command's argv.
+    It is the parser the group above it hands the rest of argv to: the same
+    prog, description, help and errors.  A group holds its commands' parsers.
     """
     valued: Set[str] = set()
 
-    def add(group, command: str, spec) -> None:
+    def build(make, spec) -> _Parser:
         if isinstance(spec, dict):
-            sub = group.add_parser(command, help=_SUMS_DOC, description=_SUMS_DOC)
-            sums = sub.add_subparsers(required=True, metavar="COMMAND")
-            for item in spec.items():
-                add(sums, *item)
-            return
+            parser = make(_SUMS_DOC if spec is not _COMMANDS else _DOC)
+            sub = parser.add_subparsers(required=True, metavar="COMMAND")
+            for name, child in spec.items():
+                build(lambda doc: sub.add_parser(name, help=doc, description=doc), child)
+            return parser
         run, arguments = spec
         if isinstance(run, str):
             from . import reference
 
             run = getattr(reference, run)
-        sub = group.add_parser(command, help=run.__doc__, description=run.__doc__)
-        sub.set_defaults(run=run)
+        parser = make(run.__doc__)
+        parser.set_defaults(run=run)
         for argument in arguments:
-            owner, members = sub, (argument,)
+            owner, members = parser, (argument,)
             if isinstance(argument[0], dict):
-                owner = sub.add_mutually_exclusive_group(**argument[0])
+                owner = parser.add_mutually_exclusive_group(**argument[0])
                 members = argument[1:]
             for flag, kwargs in members:
                 if owner.add_argument(flag, **kwargs).nargs is None and flag[0] == "-":
                     valued.add(flag)
+        return parser
 
-    doc = "Obstruction checks for rational cuspidal curves in ruled surfaces."
-    parser = _Parser(prog="cuspidal", description=doc)
-    commands = parser.add_subparsers(required=True, metavar="COMMAND")
-    for command, spec in _COMMANDS.items():
-        if name in (None, command):
-            add(commands, command, spec)
+    prog = " ".join(("cuspidal", *path))
+    spec = functools.reduce(dict.get, path, _COMMANDS)
+    parser = build(lambda doc: _Parser(prog=prog, description=doc), spec)
     return parser, frozenset(valued)
 
 
@@ -388,10 +385,13 @@ def _joined(argv: Sequence[str], valued: FrozenSet[str]) -> List[str]:
 def main(argv: Optional[Sequence[str]] = None) -> None:
     """Entry point with the exit-code contract described in the module docstring."""
     argv = sys.argv[1:] if argv is None else argv
-    # A bare `cuspidal`, `--help` or an unknown command needs every command.
-    parser, valued = _parser(argv[0] if argv and argv[0] in _COMMANDS else None)
+    node, k = _COMMANDS, 0  # down the command words, to a command or a group
+    while isinstance(node, dict) and k < len(argv) and argv[k] in node:
+        node, k = node[argv[k]], k + 1
+    # Values join to every option of the top command, as `--b 3` after `dedekind s`.
+    parser, valued = _parser(tuple(argv[:k]))[0], _parser(tuple(argv[: min(k, 1)]))[1]
     try:
-        options = vars(parser.parse_args(_joined(argv, valued)))
+        options = vars(parser.parse_args(_joined(argv[k:], valued)))
         code = options.pop("run")(**options)
         sys.stdout.flush()
     except ValueError as exc:

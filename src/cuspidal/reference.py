@@ -1,5 +1,5 @@
 """The reference commands `spectrum`, `dedekind s/d/limits` and `repro`, which
-`cli` imports only to build their subparsers (see its docstring).
+`cli` imports only to build their parsers (see its docstring).
 """
 
 from __future__ import annotations

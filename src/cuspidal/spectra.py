@@ -247,6 +247,8 @@ def _scan(
     outside).
     """
     config.require_genus_compatible(curve)
+    if not config:  # genus 0: both cusp counts are 0, so no point can fail
+        return 2, set(), lambda: iter(()), iter(())
     denominator, infinity_low, mult_one = _infinity_numerators(curve)
     scale = 2 * math.lcm(denominator, *(cusp.r * cusp.s for cusp in config))
     half = scale // 2
@@ -304,7 +306,8 @@ def semicontinuity_check(
     Both interval counts are step functions of x changing only at critical
     points, so the midpoints represent every open interval between changes.
     Each folded point y of the scan stands for y, and for 1 - y too if that
-    is not a value at infinity (module docstring).
+    is not a value at infinity (module docstring).  No cusps (genus 0): no
+    point can fail, and `checked_points` is 0.
     """
     scale, at_infinity, points, failing = _scan(curve, config)
     half = scale // 2

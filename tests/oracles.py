@@ -10,13 +10,16 @@
 - `dfs_configurations` is the depth-first enumeration that
   `enumerate_configurations` replaced: it lists every cusp of delta at most
   g and, with one slot left, jumps to the first cusp of the missing delta.
+- `group_dispatch` is `cli.main` as it was when every call parsed its whole
+  argv with the group parser of every command.
 """
 
 import math
+import sys
 from bisect import bisect_left
 from fractions import Fraction
 
-from cuspidal import CuspConfiguration
+from cuspidal import CuspConfiguration, cli
 from cuspidal.enumeration import cusps_with_delta
 from cuspidal.semigroups import _cusp_elements
 
@@ -114,3 +117,20 @@ def dfs_configurations(curve, max_cusps):
         results.append(CuspConfiguration(partial))
         partial.pop()
     return results
+
+
+def group_dispatch(argv):
+    """`cli.main` before per-command parsers: the group parser of every command
+    parses the whole argv, with the values of the options of the command that
+    argv names first joined (of every command if it names none).  Without
+    `main`'s closed-stdout handling."""
+    parser = cli._parser(())[0]
+    top = argv[0] if argv and argv[0] in cli._COMMANDS else None
+    valued = cli._parser((top,) if top else ())[1]
+    try:
+        options = vars(parser.parse_args(cli._joined(argv, valued)))
+        code = options.pop("run")(**options)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        code = cli.EXIT_ERROR
+    sys.exit(code)

@@ -13,6 +13,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from cuspidal import cli as cli_module, reference
 from cuspidal.cli import main
+from oracles import group_dispatch
 
 
 def run(argv):
@@ -820,9 +821,9 @@ def test_help_exits_zero(command, capsys, monkeypatch):
 
 
 def test_group_help_lists_every_command_with_its_description(capsys, monkeypatch):
-    # The group's help builds `_parser(None)`, which resolves every function
-    # `_COMMANDS` names by string in `cuspidal.reference`: a name missing
-    # there fails here.
+    # The group's help builds `_parser(())`, the parser of every command,
+    # which resolves every function `_COMMANDS` names by string in
+    # `cuspidal.reference`: a name missing there fails here.
     monkeypatch.setenv("COLUMNS", "200")
     with pytest.raises(SystemExit) as excinfo:
         main(["--help"])
@@ -837,6 +838,103 @@ def test_group_help_lists_every_command_with_its_description(capsys, monkeypatch
     ).split()
 
 
+_HELP_TEXTS = json.loads((Path(__file__).parent / "help_texts.json").read_text())
+
+
+@pytest.mark.parametrize("columns", ["80", "200"])
+def test_help_texts_are_pinned_bytes(columns, capsys, monkeypatch):
+    # Every help text, whole.  argparse lays out help differently from
+    # Python 3.13 on, so the texts are pinned per version range.
+    if sys.version_info[:2] > (3, 13):
+        pytest.skip("help texts are pinned for Python 3.10 to 3.13")
+    key = "3.13" if sys.version_info >= (3, 13) else "3.10-3.12"
+    monkeypatch.setenv("COLUMNS", columns)
+    for name, text in _HELP_TEXTS[key].items():
+        if name.startswith(columns + " "):
+            with pytest.raises(SystemExit) as excinfo:
+                main([*name.split()[2:], "--help"])
+            assert (excinfo.value.code, capsys.readouterr().out) == (0, text), name
+
+
+def _outcome(run_main, argv):
+    """The exit code, stdout and stderr of `run_main(argv)`."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        with pytest.raises(SystemExit) as excinfo:
+            run_main(argv)
+    return excinfo.value.code, stdout.getvalue(), stderr.getvalue()
+
+
+_COMMAND_PATHS = [
+    [],
+    *([command] for command in ("check", "enumerate", "spectrum", "dinv", "repro")),
+    *(["dedekind", *sums] for sums in ([], ["s"], ["d"], ["limits"])),
+]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [],
+        ["--help"],
+        ["bogus"],
+        ["dedekind"],
+        ["dedekind", "x"],
+        ["dedekind", "s"],
+        ["dedekind", "s", "--", "3", "4"],
+        ["--x", "check"],
+        ["--help", "check"],
+        ["check", "dedekind"],
+        *([*path, "--help"] for path in _COMMAND_PATHS),
+    ],
+    ids=lambda argv: " ".join(argv) or "no command",
+)
+def test_main_parses_as_the_group_parser_on_group_argv(argv, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert _outcome(main, argv) == _outcome(group_dispatch, argv)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["dedekind", "s", "3", "7"],
+        ["spectrum", "--a", "6", "--b", "4", "--method", "both", "--json"],
+        ["enumerate", "--a", "6", "--b", "6", "--max-cusps", "2", "--json"],
+        ["--help"],
+    ],
+    ids=["dedekind-s", "spectrum", "enumerate", "help"],
+)
+def test_module_entry_point_matches_main(argv, monkeypatch):
+    # Under `python -m cuspidal.cli` this file runs as `__main__`, and a
+    # reference command loads it a second time as `cuspidal.cli`.
+    monkeypatch.setenv("COLUMNS", "80")
+    src = Path(cli_module.__file__).resolve().parents[1]
+    result = subprocess.run(
+        [sys.executable, "-m", "cuspidal.cli", *argv],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    code, out, _ = _outcome(main, argv)
+    assert (result.returncode, result.stdout, result.stderr) == (code, out, "")
+
+
+def test_genus_zero_check_builds_no_spectrum_at_infinity():
+    # The empty configuration can fail no inequality, so the scan stops
+    # before the spectrum at infinity, whose size grows with a.
+    src = Path(cli_module.__file__).resolve().parents[1]
+    result = subprocess.run(
+        [sys.executable, "-m", "cuspidal.cli", "check", "--a", str(10**20), "--b", "1"],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        timeout=10,
+    )
+    assert result.returncode == 0
+    assert result.stdout.endswith("cusps []: survives\n")
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
@@ -849,6 +947,19 @@ def test_group_help_lists_every_command_with_its_description(capsys, monkeypatch
 )
 def test_option_values_may_begin_with_a_dash(argv, message):
     assert run(argv) == (1, f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["s", "--tol", "3", "4"], "the following arguments are required: q"),
+        (["d", "--b", "-1", "2", "3"], "the following arguments are required: r"),
+        (["s", "--x", "3", "4"], "unrecognized arguments: --x"),
+    ],
+)
+def test_sums_join_the_values_of_every_dedekind_option(argv, message):
+    # `--tol 3` joins to `--tol=3` after `s` too, as the `limits` option it is.
+    assert run(["dedekind", *argv]) == (1, f"error: {message}\n")
 
 
 def test_dedekind_sum_of_a_negative_numerator():
@@ -1023,3 +1134,13 @@ def test_cli_fuzz_exit_codes_and_no_traceback(argv, cap):
             main(argv)
     assert excinfo.value.code in (0, 1, 2, 3), (argv, cap, stderr.getvalue())
     assert "Traceback" not in stderr.getvalue()
+
+
+@given(argv=_ARGV)
+@settings(max_examples=300, deadline=None)
+def test_main_parses_as_the_group_parser(argv):
+    # `main` parses only what follows the command words, with that command's
+    # own parser; the group parser over the whole argv is the oracle.
+    with mock.patch.dict(os.environ):
+        os.environ.pop("CUSPIDAL_CANDIDATE_CAP", None)
+        assert _outcome(main, argv) == _outcome(group_dispatch, argv)

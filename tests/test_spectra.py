@@ -18,7 +18,11 @@ from cuspidal import (
     spectrum_at_infinity_table,
 )
 from cuspidal import spectra
-from cuspidal.spectra import InternalConsistencyError
+from cuspidal.spectra import (
+    InternalConsistencyError,
+    SemicontinuityReport,
+    semicontinuity_obstructed,
+)
 from oracles import count_open, cusp_spectrum, entries, is_symmetric_about_one, total
 
 F = Fraction
@@ -156,6 +160,15 @@ def test_semicontinuity_passes_other_candidates(r, s):
     assert not report.obstructed
     assert report.verdict == "passes"
     assert report.checked_points > 0
+
+
+@pytest.mark.parametrize("a, b", [(10**20, 1), (1, 10**20)])
+def test_empty_configuration_passes_without_the_spectrum_at_infinity(a, b):
+    # At genus 0 both cusp counts are 0 everywhere, so no point can fail;
+    # the spectrum at infinity, whose size grows with a and b, is not built.
+    curve, config = CurveType(a, b, 0), CuspConfiguration(())
+    assert semicontinuity_check(curve, config) == SemicontinuityReport((), 0)
+    assert not semicontinuity_obstructed(curve, config)
 
 
 def test_constructions_make_no_fraction():
