@@ -30,15 +30,18 @@ from .core import CurveType, CuspConfiguration, PuiseuxCusp
 from .enumeration import DEFAULT_CANDIDATE_CAP, enumerate_configurations
 from .hf import (
     HfWitness,
-    d_invariant,
+    _d_invariant,
+    _p_max_line,
+    _violations,
     hf_check,
-    hf_obstructed,
     multiplicity_bound_check,
 )
+from .semigroups import _elements_along, curve_elements
 from .spectra import (
     SemicontinuityWitness,
+    _infinity_numerators,
+    _scan,
     semicontinuity_check,
-    semicontinuity_obstructed,
 )
 
 SCHEMA_VERSION = "1"
@@ -154,7 +157,8 @@ def _check_rows(
 def _dinv_rows(
     curve: CurveType, config: CuspConfiguration, ms: Sequence[int]
 ) -> List[Dict]:
-    return [{"m": m, "d_invariant": _fr(d_invariant(curve, config, m))} for m in ms]
+    elements = curve_elements(curve, config)
+    return [{"m": m, "d_invariant": _fr(_d_invariant(curve, elements, m))} for m in ms]
 
 
 def _check(a, b, e, cusps, only, fmt) -> int:
@@ -211,12 +215,15 @@ _VERDICTS = ("passes", "obstructed")
 
 def _candidate_rows(curve: CurveType, configs: Sequence[CuspConfiguration]) -> List[Dict]:
     """One row of filter verdicts per configuration, from the verdict-only
-    filters, which build no witness."""
+    scans, which build no witness, on the curve's data and prefix folds."""
+    if not configs:  # genus 0, whose spectrum at infinity can be vast
+        return []
+    g, line, infinity = curve.g, _p_max_line(curve), _infinity_numerators(curve)
     rows = []
-    for config in configs:
+    for config, elements in zip(configs, _elements_along(configs)):
         multiplicity_ok = all(multiplicity_bound_check(curve, cusp) for cusp in config)
-        hf = _VERDICTS[hf_obstructed(curve, config)]
-        spectrum = _VERDICTS[semicontinuity_obstructed(curve, config)]
+        hf = _VERDICTS[next(_violations(line, g, elements), None) is not None]
+        spectrum = _VERDICTS[next(_scan(infinity, config)[3], None) is not None]
         values = (
             " ".join(f"{c.r}:{c.s}" for c in config),
             # enumerate_configurations yields only genus-compatible configurations.
@@ -388,8 +395,7 @@ def main(argv: Optional[Sequence[str]] = None) -> None:
     node, k = _COMMANDS, 0  # down the command words, to a command or a group
     while isinstance(node, dict) and k < len(argv) and argv[k] in node:
         node, k = node[argv[k]], k + 1
-    # Values join to every option of the top command, as `--b 3` after `dedekind s`.
-    parser, valued = _parser(tuple(argv[:k]))[0], _parser(tuple(argv[: min(k, 1)]))[1]
+    parser, valued = _parser(tuple(argv[:k]))
     try:
         options = vars(parser.parse_args(_joined(argv[k:], valued)))
         code = options.pop("run")(**options)

@@ -15,29 +15,27 @@ its vertex midway between the roots -1 and 2(n + b)/q, at
 (2(n + b) - q)/(2q), and the maximum is at the solution at or below the
 vertex or at the next one up.
 
-R(t) is read off the configuration's semigroup element list, folded once
-per prefix (`semigroups.curve_elements`): the number of elements below t
-for t <= 2g, and t - g beyond.
+R(t) is read off the configuration's semigroup element list
+(`semigroups.curve_elements`): the number of elements below t for t <= 2g,
+and t - g beyond.
 
-One scan, `_violations`, has two consumers: `hf_check` collects every
-violated presentation as an `HfWitness`, and `hf_obstructed`, the verdict
-`enumerate` prints, stops at the first and builds no witness.
+One scan, `_violations`, has two kinds of consumer: `hf_check` collects
+every violated presentation as an `HfWitness`, and `hf_obstructed` and
+`enumerate`'s verdicts stop at the first and build no witness.
 
 Two maps of the type keep every m, R(m + g) and maximal P.  (a + b, b, e - 2)
 has the same d, g and c and w - b for w, so (s1, s2) maps to (s1 + s2, s2),
 and P keeps its value as s2(s2 + 1) moves from the e-term to the first.  On
 X_0, swapping a and b swaps s1 and s2, and P = (s1 + 1)(s2 + 1) is symmetric.
 
-The maximal presentation of every m in [-g, g] depends only on the curve, so
-`_p_max_line` memoises it for the most recent curve: the configurations of
-one curve share it and a new curve replaces it.
+The maximal presentations of all m in [-g, g], `_p_max_line`, depend only
+on the curve: a check builds them per call, and `enumerate` per curve.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from functools import lru_cache
 from typing import Iterator, NamedTuple, Optional, Tuple
 
 from .core import CurveType, CuspConfiguration, PuiseuxCusp
@@ -96,7 +94,6 @@ def max_p_over_presentations(
     return s1, s2, p_bound(s1, s2, e)
 
 
-@lru_cache(maxsize=1)
 def _p_max_line(curve: CurveType) -> Tuple[Tuple[int, int, int, int], ...]:
     """(m, s1, s2, P) of the maximal presentation of every m in [-g, g] that has one."""
     g = curve.g
@@ -108,13 +105,11 @@ def _p_max_line(curve: CurveType) -> Tuple[Tuple[int, int, int, int], ...]:
 
 
 def _violations(
-    curve: CurveType, config: CuspConfiguration
+    line: Tuple[Tuple[int, int, int, int], ...], g: int, elements: Tuple[int, ...]
 ) -> Iterator[Tuple[int, int, int, int, int]]:
-    """(m, s1, s2, R(m + g), P) of every violated maximal presentation, in
-    increasing m, lazily."""
-    elements = curve_elements(curve, config)
-    g = curve.g
-    for m, s1, s2, p in _p_max_line(curve):
+    """(m, s1, s2, R(m + g), P) of every violated entry of the curve's
+    `_p_max_line`, given the configuration's fold, in increasing m, lazily."""
+    for m, s1, s2, p in line:
         r_value = bisect_left(elements, m + g)
         if r_value < p:
             yield m, s1, s2, r_value, p
@@ -122,13 +117,16 @@ def _violations(
 
 def hf_check(curve: CurveType, config: CuspConfiguration) -> HfReport:
     """Scan all m in [-g, g] and collect every violated presentation."""
-    return HfReport(tuple(map(HfWitness._make, _violations(curve, config))))
+    elements = curve_elements(curve, config)
+    violations = _violations(_p_max_line(curve), curve.g, elements)
+    return HfReport(tuple(map(HfWitness._make, violations)))
 
 
 def hf_obstructed(curve: CurveType, config: CuspConfiguration) -> bool:
     """Whether some m in [-g, g] violates its maximal presentation: the
     verdict of `hf_check`, decided at the first violation."""
-    return next(_violations(curve, config), None) is not None
+    elements = curve_elements(curve, config)
+    return next(_violations(_p_max_line(curve), curve.g, elements), None) is not None
 
 
 def multiplicity_bound_check(curve: CurveType, cusp: PuiseuxCusp) -> bool:
@@ -146,11 +144,16 @@ def d_invariant(curve: CurveType, config: CuspConfiguration, m: int) -> Fraction
     d = -[((d - 2m)^2 - d) / (4d) - 2(R(m + g) - m)], exact, for
     m in [-d/2, d/2).
     """
+    return _d_invariant(curve, curve_elements(curve, config), m)
+
+
+def _d_invariant(curve: CurveType, elements: Tuple[int, ...], m: int) -> Fraction:
+    """`d_invariant` given the configuration's fold."""
     d, g = curve.d, curve.g
     if not (-d <= 2 * m < d):
         raise ValueError(f"m must lie in [-{d}/2, {d}/2), got {m}")
     t = m + g
-    r_value = bisect_left(curve_elements(curve, config), t) if t <= 2 * g else t - g
+    r_value = bisect_left(elements, t) if t <= 2 * g else t - g
     from fractions import Fraction
 
     square_term = Fraction((d - 2 * m) ** 2 - d, 4 * d)

@@ -27,29 +27,21 @@ The fold starts from the first cusp's list, not from (0,), so a cusp on
 its own costs no convolution.
 
 Memoised: the element list of each cusp by cusp value (`_cusp_elements`,
-the last 1024 cusps), so configurations that share a cusp build it once;
-and the folds of the most recent configuration's prefixes, in two lists:
-its cusps, `_cusps`, and `_folds`, where `_folds[k]` folds the first k.
-`curve_elements` compares a configuration with `_cusps`, truncates both
-lists to the k cusps they share, and folds the rest: one `_max_plus` per
-cusp past the first max(k, 1), none for the most recent configuration.
-Prefixes are compared by value, so lists left by another curve are only
-not reused.  `enumerate` lists configurations in depth-first order, so the
-leaves under one prefix fold it once, and so do the checks of one
-configuration, such as every m of `dinv --all-m`.  One lock guards both
-lists, so threads that call `curve_elements` at once never fold onto each
-other's prefix.  `_cusp_elements` is the one per-cusp memo of both
-filters: the spectrum filter reads the cusp spectrum off the same list,
-since its values below 1 are (r + s + e)/(r*s) for the delta elements e
-below 2*delta (see `spectra`).
+the last 1024 cusps), the one per-cusp memo of both filters: the spectrum
+filter reads the cusp's values below 1, (r + s + e)/(r*s) for the delta
+elements e below 2*delta, off the same list (see `spectra`).  No fold
+outlives a call: `_elements_along` keeps a configuration's prefix folds as
+locals and folds only the cusps past the k it shares with the one before,
+one `_max_plus` per cusp past the first max(k, 1), so the depth-first
+leaves of `enumerate` fold each prefix once.
 """
 
 from __future__ import annotations
 
-import threading
 from functools import lru_cache
-from operator import add
-from typing import List, Tuple
+from itertools import takewhile
+from operator import add, eq
+from typing import Iterable, Iterator, List, Tuple
 
 from .core import CurveType, CuspConfiguration, PuiseuxCusp
 
@@ -85,9 +77,19 @@ def _max_plus(e1: Tuple[int, ...], e2: Tuple[int, ...]) -> Tuple[int, ...]:
     )
 
 
-_cusps: List[PuiseuxCusp] = []
-_folds: List[Tuple[int, ...]] = [(0,)]
-_lock = threading.Lock()
+def _elements_along(configs: Iterable[CuspConfiguration]) -> Iterator[Tuple[int, ...]]:
+    """The element list of each configuration in turn, folding only the cusps
+    past the prefix it shares with the configuration before it."""
+    cusps: List[PuiseuxCusp] = []
+    folds: List[Tuple[int, ...]] = [(0,)]  # folds[k] folds cusps[:k]
+    for config in configs:
+        shared = len(list(takewhile(bool, map(eq, cusps, config))))
+        del cusps[shared:], folds[shared + 1 :]
+        for cusp in config[shared:]:
+            elements = _cusp_elements(cusp)
+            folds.append(_max_plus(folds[-1], elements) if cusps else elements)
+            cusps.append(cusp)
+        yield folds[-1]
 
 
 def curve_elements(curve: CurveType, config: CuspConfiguration) -> Tuple[int, ...]:
@@ -96,15 +98,4 @@ def curve_elements(curve: CurveType, config: CuspConfiguration) -> Tuple[int, ..
     R(t) is the number of elements below t for t <= 2g and t - g beyond.
     """
     config.require_genus_compatible(curve)
-    with _lock:
-        shared = 0
-        for held, cusp in zip(_cusps, config):
-            if held != cusp:
-                break
-            shared += 1
-        del _cusps[shared:], _folds[shared + 1 :]
-        for cusp in config[shared:]:
-            elements = _cusp_elements(cusp)
-            _folds.append(_max_plus(_folds[-1], elements) if _cusps else elements)
-            _cusps.append(cusp)
-        return _folds[-1]
+    return next(_elements_along((config,)))

@@ -69,23 +69,21 @@ values, the scan points and the midpoints between them are integer
 multiples of 1/L, and counts are bisections of sorted int lists.  Cusp
 counts add up, so all cusps share one list: the values (r + s + e)/(r*s)
 below 1, read off the element lists.  One scan, `_scan`, has two
-consumers: `semicontinuity_check` unfolds every failing point into its
-witnesses, and `semicontinuity_obstructed`, the verdict `enumerate` prints,
-stops at the first and builds no witness and no `Fraction`.
+kinds of consumer: `semicontinuity_check` unfolds every failing point into
+its witnesses, and `semicontinuity_obstructed` and `enumerate`'s verdicts
+stop at the first and build no witness and no `Fraction`.
 
-The scan memoises the values below 1 of the spectrum at infinity, as
-numerators over lcm(w, b), and the multiplicity of 1 for the most recent
-curve (`_infinity_numerators`, `lru_cache(maxsize=1)`).  Its per-cusp input
-is the element list of `semigroups._cusp_elements`, the one per-cusp memo,
-which the HF check reads too.  Neither construction of the spectrum at
-infinity is memoised.
+The scan reads the spectrum at infinity's values below 1, as numerators
+over lcm(w, b), and its multiplicity of 1 off `_infinity_numerators`, built
+per check and per curve in `enumerate`; and each cusp's element list off
+`semigroups._cusp_elements`, the one per-cusp memo, which the HF check reads
+too.  Neither construction of the spectrum at infinity is memoised.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from functools import lru_cache
 from itertools import repeat
 from operator import add, mul
 from typing import Callable, Dict, Iterator, List, NamedTuple, Set, Tuple
@@ -214,7 +212,6 @@ class SemicontinuityReport(NamedTuple):
         return "obstructed" if self.obstructed else "passes"
 
 
-@lru_cache(maxsize=1)
 def _infinity_numerators(curve: CurveType) -> Tuple[int, Tuple[int, ...], int]:
     """(D = lcm(w, b), the values below 1 of the spectrum at infinity as
     sorted numerators over D, one per unit of multiplicity, and the
@@ -231,14 +228,14 @@ def _infinity_numerators(curve: CurveType) -> Tuple[int, Tuple[int, ...], int]:
 
 
 def _scan(
-    curve: CurveType, config: CuspConfiguration
+    infinity: Tuple[int, Tuple[int, ...], int], config: CuspConfiguration
 ) -> Tuple[
     int,
     Set[int],
     Callable[[], Iterator[int]],
     Iterator[Tuple[int, int, int, int, int]],
 ]:
-    """The folded scan (module docstring).
+    """The folded scan (module docstring) of a configuration with cusps.
 
     Returns L; the values below 1 of the spectrum at infinity, as a set of
     numerators over L; a function listing the folded points, the scan points
@@ -246,10 +243,7 @@ def _scan(
     failing one as (y, cusp inside, infinity inside, cusp outside, infinity
     outside).
     """
-    config.require_genus_compatible(curve)
-    if not config:  # genus 0: both cusp counts are 0, so no point can fail
-        return 2, set(), lambda: iter(()), iter(())
-    denominator, infinity_low, mult_one = _infinity_numerators(curve)
+    denominator, infinity_low, mult_one = infinity
     scale = 2 * math.lcm(denominator, *(cusp.r * cusp.s for cusp in config))
     half = scale // 2
     cusps: List[int] = []
@@ -309,7 +303,10 @@ def semicontinuity_check(
     is not a value at infinity (module docstring).  No cusps (genus 0): no
     point can fail, and `checked_points` is 0.
     """
-    scale, at_infinity, points, failing = _scan(curve, config)
+    config.require_genus_compatible(curve)
+    if not config:
+        return SemicontinuityReport((), 0)
+    scale, at_infinity, points, failing = _scan(_infinity_numerators(curve), config)
     half = scale // 2
 
     def mirrored(y: int) -> bool:
@@ -337,4 +334,7 @@ def semicontinuity_check(
 def semicontinuity_obstructed(curve: CurveType, config: CuspConfiguration) -> bool:
     """Whether some scan point fails an interval inequality: the verdict of
     `semicontinuity_check`, decided at the first failing folded point."""
-    return next(_scan(curve, config)[3], None) is not None
+    config.require_genus_compatible(curve)
+    if not config:  # genus 0: no point can fail
+        return False
+    return next(_scan(_infinity_numerators(curve), config)[3], None) is not None

@@ -10,8 +10,8 @@
 - `dfs_configurations` is the depth-first enumeration that
   `enumerate_configurations` replaced: it lists every cusp of delta at most
   g and, with one slot left, jumps to the first cusp of the missing delta.
-- `group_dispatch` is `cli.main` as it was when every call parsed its whole
-  argv with the group parser of every command.
+- `group_dispatch` parses the whole argv with the group parser of every
+  command, which `cli.main` parses with the parser of the command it names.
 """
 
 import math
@@ -120,13 +120,20 @@ def dfs_configurations(curve, max_cusps):
 
 
 def group_dispatch(argv):
-    """`cli.main` before per-command parsers: the group parser of every command
-    parses the whole argv, with the values of the options of the command that
-    argv names first joined (of every command if it names none).  Without
-    `main`'s closed-stdout handling."""
+    """`cli.main` without per-command parsers: the group parser of every
+    command parses the whole argv, with the values of the options under the
+    command or group that argv's leading command words name first joined (of
+    every command if they name none).  Without `main`'s closed-stdout
+    handling."""
     parser = cli._parser(())[0]
-    top = argv[0] if argv and argv[0] in cli._COMMANDS else None
-    valued = cli._parser((top,) if top else ())[1]
+    path = []
+    node = cli._COMMANDS
+    for word in argv:
+        if not isinstance(node, dict) or word not in node:
+            break
+        path.append(word)
+        node = node[word]
+    valued = cli._parser(tuple(path))[1]
     try:
         options = vars(parser.parse_args(cli._joined(argv, valued)))
         code = options.pop("run")(**options)

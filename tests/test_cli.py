@@ -882,6 +882,8 @@ _COMMAND_PATHS = [
         ["dedekind", "x"],
         ["dedekind", "s"],
         ["dedekind", "s", "--", "3", "4"],
+        ["dedekind", "s", "--tol", "3", "4"],
+        ["dedekind", "d", "--b", "-1", "2", "3"],
         ["--x", "check"],
         ["--help", "check"],
         ["check", "dedekind"],
@@ -920,19 +922,28 @@ def test_module_entry_point_matches_main(argv, monkeypatch):
     assert (result.returncode, result.stdout, result.stderr) == (code, out, "")
 
 
-def test_genus_zero_check_builds_no_spectrum_at_infinity():
-    # The empty configuration can fail no inequality, so the scan stops
-    # before the spectrum at infinity, whose size grows with a.
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (["check", "--a", str(10**20), "--b", "1"], "cusps []: survives\n"),
+        (["enumerate", "--a", str(10**20 - 1), "--b", "1", "--json"], '"count": 0,'),
+    ],
+    ids=["check", "enumerate"],
+)
+def test_genus_zero_check_builds_no_spectrum_at_infinity(argv, expected):
+    # A genus-0 curve has no cusp, and the empty configuration can fail no
+    # inequality, so neither command builds the spectrum at infinity, whose
+    # size grows with a.
     src = Path(cli_module.__file__).resolve().parents[1]
     result = subprocess.run(
-        [sys.executable, "-m", "cuspidal.cli", "check", "--a", str(10**20), "--b", "1"],
+        [sys.executable, "-m", "cuspidal.cli", *argv],
         env={**os.environ, "PYTHONPATH": str(src)},
         capture_output=True,
         text=True,
         timeout=10,
     )
     assert result.returncode == 0
-    assert result.stdout.endswith("cusps []: survives\n")
+    assert expected in result.stdout
 
 
 @pytest.mark.parametrize(
@@ -952,13 +963,15 @@ def test_option_values_may_begin_with_a_dash(argv, message):
 @pytest.mark.parametrize(
     "argv, message",
     [
-        (["s", "--tol", "3", "4"], "the following arguments are required: q"),
-        (["d", "--b", "-1", "2", "3"], "the following arguments are required: r"),
+        (["s", "--tol", "3", "4"], "unrecognized arguments: --tol"),
+        (["d", "--b", "-1", "2", "3"], "unrecognized arguments: --b"),
         (["s", "--x", "3", "4"], "unrecognized arguments: --x"),
     ],
 )
 def test_sums_join_the_values_of_every_dedekind_option(argv, message):
-    # `--tol 3` joins to `--tol=3` after `s` too, as the `limits` option it is.
+    # Only the options of the sum that argv names take a value: `--tol` and
+    # `--b` belong to `limits`, so after `s` and `d` they are unknown options
+    # and the numbers after them are the sum's arguments.
     assert run(["dedekind", *argv]) == (1, f"error: {message}\n")
 
 

@@ -32,6 +32,7 @@ import math
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -287,7 +288,7 @@ def test_kernels_match_oracles_on_every_configuration(curve):
         _assert_kernels_match(curve, config)
 
 
-MEMOS = (hf._p_max_line, semigroups._cusp_elements, spectra._infinity_numerators)
+MEMOS = (semigroups._cusp_elements,)
 
 
 @pytest.fixture
@@ -328,19 +329,15 @@ def test_memos_follow_the_curve_when_curves_interleave(max_plus_calls):
             assert hf_report == _brute_hf(curve, config)
             assert spectrum_report == _brute_semicontinuity(curve, config)
 
-    # The curve-level memos hold one curve, so every switch evicts.  The
-    # curves differ in genus, so no pass shares a prefix with the pass before
-    # it, and each pass folds every prefix of its curve once.
+    # No fold outlives a call, so each `hf_check` folds its configuration
+    # whole, and `semicontinuity_check` folds nothing.
     for memo in MEMOS:
         memo.cache_clear()
     max_plus_calls.clear()
     for curve in (curves[0], curves[1], curves[0]):
         assert _reports(curve, configs[curve]) == alone[curve]
-    assert hf._p_max_line.cache_info().misses == 3
-    assert spectra._infinity_numerators.cache_info().misses == 3
-    assert len(max_plus_calls) == (
-        2 * len(_prefixes(configs[curves[0]])) + len(_prefixes(configs[curves[1]]))
-    )
+    folds = {curve: sum(len(c) - 1 for c in configs[curve]) for curve in curves}
+    assert len(max_plus_calls) == 2 * folds[curves[0]] + folds[curves[1]]
 
     # Alternate the two checks between the curves call by call.
     for first, second in zip(alone[curves[0]], alone[curves[1]]):
@@ -451,8 +448,7 @@ def test_enumerate_builds_no_witness_and_no_fraction(monkeypatch, max_plus_calls
         memo.cache_clear()
     max_plus_calls.clear()
     assert enumerate_json() == expected
-    # The last configuration of the first run is a single cusp, so the second
-    # run folds every prefix once.
+    # The walk folds every prefix once.
     assert len(max_plus_calls) == len(
         _prefixes(enumerate_configurations(CurveType(6, 6, 0), 3))
     )
@@ -479,14 +475,12 @@ def test_dinv_all_m_folds_once(max_plus_calls):
     )
     assert config.is_genus_compatible(curve)
     d = curve.d
-    # The empty configuration leaves no prefix held, so the first m folds.
-    curve_elements(CurveType(1, 1, 0), CuspConfiguration())
     rows = cli._dinv_rows(curve, config, range(-(d // 2), (d + 1) // 2))
     assert len(rows) == d
     assert len(max_plus_calls) == 2
 
 
-def test_deep_configuration_through_both_filters(max_plus_calls):
+def test_deep_configuration_through_both_filters():
     # 1,199 cusps, more than Python's default recursion limit of 1,000.
     curve = CurveType(2, 1200, 0)
     config = CuspConfiguration((PuiseuxCusp(2, 3),) * 1199)
@@ -501,9 +495,6 @@ def test_deep_configuration_through_both_filters(max_plus_calls):
     assert (results["hf"], results["spectrum"]) == ("passes", "obstructed")
     elements = curve_elements(curve, config)
     assert len(elements) == 1200 and elements[-1] == 2398
-    max_plus_calls.clear()
-    assert curve_elements(curve, config) is elements
-    assert max_plus_calls == []
 
 
 def _curve_or_none(a, b, e):
@@ -519,6 +510,36 @@ small_curves = st.builds(
     st.integers(min_value=1, max_value=6),
     st.integers(min_value=0, max_value=3),
 ).filter(lambda c: c is not None and c.g <= 12)
+
+
+@given(curves=st.lists(small_curves, min_size=1, max_size=2), data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_elements_along_folds_only_past_the_shared_prefix(curves, data):
+    # The configurations of small curves and the empty one, in any order and
+    # with repeats: each list is the fold of its cusps, and the walk folds
+    # only the cusps past the prefix it shares with the configuration before,
+    # not counting a configuration's first cusp.
+    pool = [CuspConfiguration()]
+    pool += (config for curve in curves for config in enumerate_configurations(curve, 3))
+    configs = data.draw(st.lists(st.sampled_from(pool), max_size=12))
+    calls = []
+
+    def counted(e1, e2):
+        calls.append((e1, e2))
+        return _max_plus(e1, e2)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(semigroups, "_max_plus", counted)
+        folds = list(semigroups._elements_along(configs))
+    assert folds == [reduce(_max_plus, map(_cusp_elements, c), (0,)) for c in configs]
+    expected = 0
+    for previous, config in zip([()] + configs, configs):
+        shared = max(
+            k for k in range(min(len(previous), len(config)) + 1)
+            if previous[:k] == config[:k]
+        )
+        expected += max(len(config) - max(shared, 1), 0)
+    assert len(calls) == expected
 
 
 @given(curve=small_curves, data=st.data())
