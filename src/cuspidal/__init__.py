@@ -17,7 +17,6 @@ from .hf import (
     HfWitness,
     d_invariant,
     hf_check,
-    hf_obstructed,
     max_p_over_presentations,
     multiplicity_bound_check,
     p_bound,
@@ -27,7 +26,6 @@ from .spectra import (
     SemicontinuityWitness,
     alexander_order,
     semicontinuity_check,
-    semicontinuity_obstructed,
     signature_profile,
     spectrum_at_infinity_derived,
     spectrum_at_infinity_table,
@@ -36,6 +34,7 @@ from .enumeration import (
     CandidateCapExceededError,
     enumerate_configurations,
     enumerate_unicuspidal,
+    filter_verdicts,
 )
 
 __all__ = [
@@ -55,15 +54,14 @@ __all__ = [
     "dedekind_sum",
     "enumerate_configurations",
     "enumerate_unicuspidal",
+    "filter_verdicts",
     "hf_check",
-    "hf_obstructed",
     "max_p_over_presentations",
     "multiplicity_bound_check",
     "p_bound",
     "rademacher_sum",
     "section_sums",
     "semicontinuity_check",
-    "semicontinuity_obstructed",
     "signature_profile",
     "spectrum_at_infinity_derived",
     "spectrum_at_infinity_table",

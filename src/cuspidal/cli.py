@@ -27,22 +27,10 @@ from itertools import chain
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .core import CurveType, CuspConfiguration, PuiseuxCusp
-from .enumeration import DEFAULT_CANDIDATE_CAP, enumerate_configurations
-from .hf import (
-    HfWitness,
-    _d_invariant,
-    _p_max_line,
-    _violations,
-    hf_check,
-    multiplicity_bound_check,
-)
-from .semigroups import _elements_along, curve_elements
-from .spectra import (
-    SemicontinuityWitness,
-    _infinity_numerators,
-    _scan,
-    semicontinuity_check,
-)
+from .enumeration import DEFAULT_CANDIDATE_CAP, enumerate_configurations, filter_verdicts
+from .hf import HfWitness, _d_invariant, hf_check
+from .semigroups import curve_elements
+from .spectra import SemicontinuityWitness, semicontinuity_check
 
 SCHEMA_VERSION = "1"
 CAP_ENV_VAR = "CUSPIDAL_CANDIDATE_CAP"
@@ -210,28 +198,22 @@ def _check(a, b, e, cusps, only, fmt) -> int:
 
 
 _CANDIDATE_FIELDS = ("cusps", "genus_ok", "multiplicity_ok", "hf", "spectrum", "survives")
-_VERDICTS = ("passes", "obstructed")
+_VERDICTS = ("obstructed", "passes")
 
 
 def _candidate_rows(curve: CurveType, configs: Sequence[CuspConfiguration]) -> List[Dict]:
-    """One row of filter verdicts per configuration, from the verdict-only
-    scans, which build no witness, on the curve's data and prefix folds."""
-    if not configs:  # genus 0, whose spectrum at infinity can be vast
-        return []
-    g, line, infinity = curve.g, _p_max_line(curve), _infinity_numerators(curve)
+    """One row of filter verdicts per configuration, from `filter_verdicts`."""
     rows = []
-    for config, elements in zip(configs, _elements_along(configs)):
-        multiplicity_ok = all(multiplicity_bound_check(curve, cusp) for cusp in config)
-        hf = _VERDICTS[next(_violations(line, g, elements), None) is not None]
-        spectrum = _VERDICTS[next(_scan(infinity, config)[3], None) is not None]
+    for config, verdicts in zip(configs, filter_verdicts(curve, configs)):
+        multiplicity_ok, hf_ok, spectrum_ok = verdicts
         values = (
             " ".join(f"{c.r}:{c.s}" for c in config),
             # enumerate_configurations yields only genus-compatible configurations.
             True,
             multiplicity_ok,
-            hf,
-            spectrum,
-            multiplicity_ok and hf == "passes" and spectrum == "passes",
+            _VERDICTS[hf_ok],
+            _VERDICTS[spectrum_ok],
+            all(verdicts),
         )
         rows.append(dict(zip(_CANDIDATE_FIELDS, values)))
     return rows

@@ -10,14 +10,20 @@ from the cusps of delta <= g/2, and the last takes one of exactly the
 missing delta, at or after its predecessor.  The cusps of delta <= g/2 are
 built one delta at a time as the search reaches it (none with one cusp
 allowed), so the cap trips at the first configurations however large g is.
+
+`filter_verdicts` runs both filters over a listing, the one verdict-only
+path: it builds no witness, and folds each prefix once.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Tuple
+from typing import Dict, Iterator, List, Sequence, Tuple
 
 from .core import CurveType, CuspConfiguration, PuiseuxCusp
+from .hf import _p_max_line, _violations, multiplicity_bound_check
+from .semigroups import _elements_along
+from .spectra import _infinity_numerators, _scan
 
 DEFAULT_CANDIDATE_CAP = 10**6
 
@@ -106,3 +112,29 @@ def enumerate_configurations(
         if partial:
             partial.pop()
     return results
+
+
+def filter_verdicts(
+    curve: CurveType, configs: Sequence[CuspConfiguration]
+) -> Iterator[Tuple[bool, bool, bool]]:
+    """For each configuration in turn, whether it passes (every cusp has
+    r <= b, HF, the spectrum), the columns of `enumerate`; each scan stops at
+    its first violation and builds no witness.
+
+    Builds `_p_max_line` once, and `_infinity_numerators` at the first
+    configuration with cusps, so never at genus 0, whose spectrum at infinity
+    can be vast.  Raises `GenusMismatchError` at a configuration whose total
+    delta is not g.
+    """
+    g, line, infinity = curve.g, _p_max_line(curve), None
+    for config, elements in zip(configs, _elements_along(configs)):
+        if len(elements) != g + 1:  # a fold has total delta + 1 elements
+            config.require_genus_compatible(curve)
+        if config and infinity is None:
+            infinity = _infinity_numerators(curve)
+        yield (
+            all(multiplicity_bound_check(curve, cusp) for cusp in config),
+            next(_violations(line, g, elements), None) is None,
+            # No cusps: no point can fail.
+            not config or next(_scan(infinity, config)[3], None) is None,
+        )

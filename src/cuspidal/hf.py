@@ -20,8 +20,8 @@ R(t) is read off the configuration's semigroup element list
 and t - g beyond.
 
 One scan, `_violations`, has two kinds of consumer: `hf_check` collects
-every violated presentation as an `HfWitness`, and `hf_obstructed` and
-`enumerate`'s verdicts stop at the first and build no witness.
+every violated presentation as an `HfWitness`, and
+`enumeration.filter_verdicts` stops at the first and builds no witness.
 
 Two maps of the type keep every m, R(m + g) and maximal P.  (a + b, b, e - 2)
 has the same d, g and c and w - b for w, so (s1, s2) maps to (s1 + s2, s2),
@@ -29,7 +29,7 @@ and P keeps its value as s2(s2 + 1) moves from the e-term to the first.  On
 X_0, swapping a and b swaps s1 and s2, and P = (s1 + 1)(s2 + 1) is symmetric.
 
 The maximal presentations of all m in [-g, g], `_p_max_line`, depend only
-on the curve: a check builds them per call, and `enumerate` per curve.
+on the curve: a check builds them per call, and `filter_verdicts` per curve.
 """
 
 from __future__ import annotations
@@ -120,13 +120,6 @@ def hf_check(curve: CurveType, config: CuspConfiguration) -> HfReport:
     elements = curve_elements(curve, config)
     violations = _violations(_p_max_line(curve), curve.g, elements)
     return HfReport(tuple(map(HfWitness._make, violations)))
-
-
-def hf_obstructed(curve: CurveType, config: CuspConfiguration) -> bool:
-    """Whether some m in [-g, g] violates its maximal presentation: the
-    verdict of `hf_check`, decided at the first violation."""
-    elements = curve_elements(curve, config)
-    return next(_violations(_p_max_line(curve), curve.g, elements), None) is not None
 
 
 def multiplicity_bound_check(curve: CurveType, cusp: PuiseuxCusp) -> bool:

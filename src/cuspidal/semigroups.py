@@ -32,8 +32,8 @@ filter reads the cusp's values below 1, (r + s + e)/(r*s) for the delta
 elements e below 2*delta, off the same list (see `spectra`).  No fold
 outlives a call: `_elements_along` keeps a configuration's prefix folds as
 locals and folds only the cusps past the k it shares with the one before,
-one `_max_plus` per cusp past the first max(k, 1), so the depth-first
-leaves of `enumerate` fold each prefix once.
+one `_max_plus` per cusp past the first max(k, 1): `enumeration.filter_verdicts`
+folds each prefix of a depth-first listing once.
 """
 
 from __future__ import annotations

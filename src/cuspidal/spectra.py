@@ -70,12 +70,12 @@ multiples of 1/L, and counts are bisections of sorted int lists.  Cusp
 counts add up, so all cusps share one list: the values (r + s + e)/(r*s)
 below 1, read off the element lists.  One scan, `_scan`, has two
 kinds of consumer: `semicontinuity_check` unfolds every failing point into
-its witnesses, and `semicontinuity_obstructed` and `enumerate`'s verdicts
-stop at the first and build no witness and no `Fraction`.
+its witnesses, and `enumeration.filter_verdicts` stops at the first and
+builds no witness and no `Fraction`.
 
 The scan reads the spectrum at infinity's values below 1, as numerators
 over lcm(w, b), and its multiplicity of 1 off `_infinity_numerators`, built
-per check and per curve in `enumerate`; and each cusp's element list off
+per check and per curve in `filter_verdicts`; and each cusp's element list off
 `semigroups._cusp_elements`, the one per-cusp memo, which the HF check reads
 too.  Neither construction of the spectrum at infinity is memoised.
 """
@@ -330,11 +330,3 @@ def semicontinuity_check(
     ]
     return SemicontinuityReport(tuple(witnesses), checked)
 
-
-def semicontinuity_obstructed(curve: CurveType, config: CuspConfiguration) -> bool:
-    """Whether some scan point fails an interval inequality: the verdict of
-    `semicontinuity_check`, decided at the first failing folded point."""
-    config.require_genus_compatible(curve)
-    if not config:  # genus 0: no point can fail
-        return False
-    return next(_scan(_infinity_numerators(curve), config)[3], None) is not None

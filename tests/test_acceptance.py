@@ -20,20 +20,18 @@ from cuspidal import (
     curve_elements,
     dedekind_sum,
     enumerate_unicuspidal,
+    filter_verdicts,
     hf_check,
-    hf_obstructed,
     max_p_over_presentations,
     p_bound,
     rademacher_sum,
     section_sums,
     semicontinuity_check,
-    semicontinuity_obstructed,
     signature_profile,
     spectrum_at_infinity_derived,
     spectrum_at_infinity_table,
     verify_limits,
 )
-from cuspidal.hf import multiplicity_bound_check
 from cuspidal.semigroups import _cusp_elements, _max_plus
 from oracles import (
     count_open,
@@ -228,9 +226,8 @@ def test_criterion_10_existing_curves_never_obstructed():
     for curve, cusps in cases:
         config = CuspConfiguration(sorted(PuiseuxCusp(r, s) for r, s in cusps))
         ok = ok and config.is_genus_compatible(curve)
-        ok = ok and all(multiplicity_bound_check(curve, cusp) for cusp in config)
-        ok = ok and not hf_obstructed(curve, config)
-        ok = ok and not semicontinuity_obstructed(curve, config)
+        # r <= b for every cusp, HF and the spectrum.
+        ok = ok and all(next(filter_verdicts(curve, [config])))
     _verdict(10, "blown-up plane cuspidal curves survive all filters", ok)
 
 

@@ -16,7 +16,8 @@ their identities over s and D replaced (for widths no loop reaches), and
 both constructions of the spectrum at infinity (from each value's p and q,
 taken from the loops that make the values) and the cusp spectrum over
 `Fraction` values.  The fast kernels must agree with them exactly: R pointwise, whole `SemicontinuityReport`s, witnesses and checked
-points, the verdicts `enumerate` prints, every sawtooth sum as a
+points, the verdicts of `filter_verdicts` over a listing in any order,
+with a genus mismatch raised wherever it comes, every sawtooth sum as a
 `Fraction`, every spectrum entry (each construction's (lcm(w, b), entries)
 pair, compared as numerators), and every row of `enumerate --json`,
 rebuilt from the oracle reports.  The report serializer `cli._dumps`, which
@@ -40,6 +41,7 @@ from hypothesis import example, given, settings, strategies as st
 from cuspidal import (
     CurveType,
     CuspConfiguration,
+    GenusMismatchError,
     HfReport,
     HfWitness,
     PuiseuxCusp,
@@ -49,19 +51,18 @@ from cuspidal import (
     d_invariant,
     dedekind_sum,
     enumerate_configurations,
+    filter_verdicts,
     hf_check,
-    hf_obstructed,
     max_p_over_presentations,
     rademacher_sum,
     section_sums,
     semicontinuity_check,
-    semicontinuity_obstructed,
     signature_profile,
     spectrum_at_infinity_derived,
     spectrum_at_infinity_table,
     verify_limits,
 )
-from cuspidal import cli, hf, p_bound, semigroups, spectra
+from cuspidal import cli, enumeration, hf, p_bound, semigroups, spectra
 from cuspidal.semigroups import _cusp_elements, _max_plus
 from oracles import (
     count_open,
@@ -260,7 +261,17 @@ def test_max_p_closed_form_matches_search():
     assert pairs == 204_402
 
 
+def _verdicts(curve, config, hf_report, spectrum_report):
+    """The `filter_verdicts` triple of the oracle reports."""
+    return (
+        all(cusp.r <= curve.b for cusp in config),
+        not hf_report.obstructed,
+        not spectrum_report.obstructed,
+    )
+
+
 def _assert_kernels_match(curve, config):
+    """Assert the kernels match the oracles; return the oracle verdicts."""
     g = curve.g
     brute = _brute_r(config, 2 * g + 10)
     assert [_fast_r(curve, config, t) for t in range(-3, 2 * g + 11)] == [
@@ -268,13 +279,12 @@ def _assert_kernels_match(curve, config):
     ]
     hf_report = _brute_hf(curve, config)
     assert hf_check(curve, config) == hf_report
-    assert hf_obstructed(curve, config) == hf_report.obstructed
     spectrum_report = _brute_semicontinuity(curve, config)
     assert _integer_scan(curve, config) == spectrum_report
     if not config:  # genus 0: no cusp value, so the scan checks no point
         spectrum_report = spectrum_report._replace(checked_points=0)
     assert semicontinuity_check(curve, config) == spectrum_report
-    assert semicontinuity_obstructed(curve, config) == spectrum_report.obstructed
+    return _verdicts(curve, config, hf_report, spectrum_report)
 
 
 @pytest.mark.parametrize(
@@ -284,8 +294,45 @@ def _assert_kernels_match(curve, config):
 def test_kernels_match_oracles_on_every_configuration(curve):
     configs = enumerate_configurations(curve, 3)
     assert configs
-    for config in configs:
-        _assert_kernels_match(curve, config)
+    expected = [_assert_kernels_match(curve, config) for config in configs]
+    assert list(filter_verdicts(curve, configs)) == expected
+
+
+@pytest.mark.parametrize("before", [0, 1], ids=["first", "after_a_valid_one"])
+@pytest.mark.parametrize("cusp", [PuiseuxCusp(2, 3), PuiseuxCusp(2, 53)])
+def test_filter_verdicts_raise_a_genus_mismatch_anywhere(before, cusp):
+    # g = 25: (2, 3) has too small a delta, (2, 53) too large a one.
+    curve = CurveType(6, 6, 0)
+    valid = CuspConfiguration((PuiseuxCusp(2, 51),))
+    wrong = CuspConfiguration((cusp,))
+    with pytest.raises(GenusMismatchError) as expected:
+        curve_elements(curve, wrong)
+    walk = filter_verdicts(curve, [valid] * before + [wrong, valid])
+    assert [next(walk) for _ in range(before)] == [(True, True, False)] * before
+    with pytest.raises(GenusMismatchError) as raised:
+        next(walk)
+    assert str(raised.value) == str(expected.value)
+
+
+def test_filter_verdicts_build_the_curve_data_once_per_listing(monkeypatch):
+    calls = Counter()
+
+    def count(name):
+        original = getattr(enumeration, name)
+
+        def counted(curve):
+            calls[name] += 1
+            return original(curve)
+
+        monkeypatch.setattr(enumeration, name, counted)
+
+    count("_p_max_line")
+    count("_infinity_numerators")
+    for curve in (CurveType(6, 6, 0), CurveType(5, 4, 1)):
+        calls.clear()
+        configs = enumerate_configurations(curve, 3)
+        assert len(list(filter_verdicts(curve, configs))) == len(configs) > 1
+        assert calls == {"_p_max_line": 1, "_infinity_numerators": 1}
 
 
 MEMOS = (semigroups._cusp_elements,)
@@ -548,7 +595,23 @@ def test_kernels_match_oracles_on_small_curves(curve, data):
     # g = 0 has no cusps: the empty configuration is its only candidate.
     configs = enumerate_configurations(curve, 3) or [CuspConfiguration()]
     config = data.draw(st.sampled_from(configs))
-    _assert_kernels_match(curve, config)
+    assert next(filter_verdicts(curve, [config])) == _assert_kernels_match(curve, config)
+
+
+@given(curve=small_curves, data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_filter_verdicts_walk_a_listing_in_any_order(curve, data):
+    # The curve's configurations in any order and with repeats, so the walk
+    # keeps moving its shared prefix; at g = 0 the empty one is the only one.
+    pool = enumerate_configurations(curve, 3) or [CuspConfiguration()]
+    configs = data.draw(st.lists(st.sampled_from(pool), max_size=12))
+    expected = {
+        config: _verdicts(
+            curve, config, _brute_hf(curve, config), _brute_semicontinuity(curve, config)
+        )
+        for config in configs
+    }
+    assert list(filter_verdicts(curve, configs)) == [expected[c] for c in configs]
 
 
 coprime_pairs = st.tuples(
