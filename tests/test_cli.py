@@ -232,13 +232,52 @@ def test_enumerate_negative_cap_rejected(argv, env, capsys, monkeypatch):
 
 def test_enumerate_deep_configurations_hit_the_cap(capsys):
     # g = 1199: the first configuration is 1199 cusps (2,3), deeper than
-    # Python's recursion limit.
+    # Python's recursion limit.  The cap error comes before any output, in
+    # every format, though the rows stream.
+    argv = ["enumerate", "--a", "2", "--b", "1200", "--max-cusps", "1200", "--cap", "5"]
+    for fmt in ([], ["--json"], ["--csv"]):
+        with pytest.raises(SystemExit) as excinfo:
+            main([*argv, *fmt])
+        assert excinfo.value.code == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: more than 5 genus-compatible configurations\n"
+        assert "Traceback" not in captured.out + captured.err
+        assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "fmt, marker",
+    [([], " multiplicity="), (["--json"], '"genus_ok": true'), (["--csv"], ",True,")],
+    ids=["text", "json", "csv"],
+)
+def test_enumerate_writes_rows_as_their_verdicts_come(fmt, marker, monkeypatch):
+    # With two rows to a JSON chunk, the first row of (6,4,0) <= 3 is written
+    # after at most two of its 117 verdicts, in each format.
+    verdicts, writes = [], []
+    walk = cli_module.filter_verdicts
+
+    def counted(curve, configs):
+        for verdict in walk(curve, configs):
+            verdicts.append(verdict)
+            yield verdict
+
+    class Recorder(io.StringIO):
+        def write(self, text):
+            writes.append((len(verdicts), text))
+            return super().write(text)
+
+        def writelines(self, texts):
+            for text in texts:
+                self.write(text)
+
+    monkeypatch.setattr(cli_module, "_CHUNK_ROWS", 2)
+    monkeypatch.setattr(cli_module, "filter_verdicts", counted)
+    monkeypatch.setattr(sys, "stdout", Recorder())
     with pytest.raises(SystemExit) as excinfo:
-        main(["enumerate", "--a", "2", "--b", "1200", "--max-cusps", "1200", "--cap", "5"])
-    assert excinfo.value.code == 1
-    captured = capsys.readouterr()
-    assert captured.err == "error: more than 5 genus-compatible configurations\n"
-    assert "Traceback" not in captured.out + captured.err
+        main(["enumerate", "--a", "6", "--b", "4", "--max-cusps", "3", *fmt])
+    assert excinfo.value.code == 0
+    assert next(made for made, text in writes if marker in text) <= 2
+    assert len(verdicts) == 117
 
 
 def test_enumerate_genus_zero_empty_table():
@@ -1065,6 +1104,25 @@ def test_closed_stdout_exits_one_quietly(unbuffered):
     child.stdout.close()
     assert child.stderr.read() == b""
     assert child.wait(timeout=60) == 1
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"])
+def test_reader_that_leaves_mid_report_exits_one_quietly(unbuffered):
+    # The report of (8,8,0) <= 3 is larger than a pipe buffer, so the writer
+    # still has rows to write when the reader goes.
+    src = Path(cli_module.__file__).resolve().parents[1]
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    env.update(PYTHONPATH=str(src), **({"PYTHONUNBUFFERED": "1"} if unbuffered else {}))
+    argv = ["enumerate", "--a", "8", "--b", "8", "--max-cusps", "3", "--json"]
+    code = f"from cuspidal.cli import main; main({argv!r})"
+    pipe = subprocess.PIPE
+    child = subprocess.Popen(
+        [sys.executable, "-c", code], env=env, stdout=pipe, stderr=pipe
+    )
+    assert child.stdout.read(1024).startswith(b'{\n  "command": "enumerate"')
+    child.stdout.close()
+    assert child.stderr.read() == b""
+    assert child.wait(timeout=120) == 1
 
 
 def _ints(lo, hi):

@@ -20,10 +20,12 @@ points, the verdicts of `filter_verdicts` over a listing in any order,
 with a genus mismatch raised wherever it comes, every sawtooth sum as a
 `Fraction`, every spectrum entry (each construction's (lcm(w, b), entries)
 pair, compared as numerators), and every row of `enumerate --json`,
-rebuilt from the oracle reports.  The report serializer `cli._dumps`, which
-splices one C-encoded row list into a stdlib-written envelope, must write
-the bytes of the stdlib's `json.dumps(sort_keys=True, indent=2)`, which runs
-its pure-Python encoder, on every report shape.
+rebuilt from the oracle reports.  The streaming report writer `cli._dumps`,
+which splices C-encoded chunks of rows into a stdlib-written envelope, must
+write the bytes of the stdlib's `json.dumps(sort_keys=True, indent=2)`,
+which runs its pure-Python encoder, and a newline, on every report shape,
+with the rows as a list or as an iterator and with chunk boundaries
+anywhere between them.
 """
 import contextlib
 import fractions
@@ -34,6 +36,7 @@ from bisect import bisect_left, bisect_right
 from collections import Counter
 from fractions import Fraction
 from functools import reduce
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -1004,7 +1007,14 @@ _ROWS = st.lists(
 @example("dinv", {}, {"values": 0}, [], "values")
 @settings(max_examples=600, deadline=None)
 def test_dumps_matches_stdlib_indent_encoder(command, inputs, results, rows, place):
-    if place != "witnesses":
-        results = {**results, place: rows}
-    report = cli._report(command, inputs, results, rows if place == "witnesses" else [])
-    assert cli._dumps(report, rows) == json.dumps(report, sort_keys=True, indent=2)
+    def report(rows):
+        at_place = results if place == "witnesses" else {**results, place: rows}
+        return cli._report(command, inputs, at_place, rows if place == "witnesses" else [])
+
+    expected = json.dumps(report(rows), sort_keys=True, indent=2) + "\n"
+    # Chunks of 1 to 3 rows put chunk boundaries between the drawn rows; the
+    # rows come as the report's list and as a one-shot iterator.
+    for chunk_rows in (1, 2, 3, cli._CHUNK_ROWS):
+        with mock.patch.object(cli, "_CHUNK_ROWS", chunk_rows):
+            for stream in (rows, iter(rows)):
+                assert "".join(cli._dumps(report(stream), stream)) == expected
