@@ -31,14 +31,12 @@ from .spectra import (
     spectrum_at_infinity_table,
 )
 from .enumeration import (
-    CandidateCapExceededError,
-    enumerate_configurations,
+    configurations,
     enumerate_unicuspidal,
     filter_verdicts,
 )
 
 __all__ = [
-    "CandidateCapExceededError",
     "CurveType",
     "CuspConfiguration",
     "GenusMismatchError",
@@ -49,10 +47,10 @@ __all__ = [
     "SemicontinuityReport",
     "SemicontinuityWitness",
     "alexander_order",
+    "configurations",
     "curve_elements",
     "d_invariant",
     "dedekind_sum",
-    "enumerate_configurations",
     "enumerate_unicuspidal",
     "filter_verdicts",
     "hf_check",

@@ -13,7 +13,9 @@ Here live parsing, dispatch, output and the filter commands `check`,
 it names (`_parser`); `spectrum`, `dedekind` and `repro` live in
 `cuspidal.reference`, which `enumerate`, and `check` of a survivor, never
 import, nor `fractions`.  Under `python -m cuspidal.cli` a reference command
-loads this file twice, with a second `_parser` cache.
+loads this file twice, with a second `_parser` cache.  `enumerate` walks its
+listing, `configurations(g, max_cusps)`, once to count it against the cap
+before any output and once more for its rows, and never holds it.
 """
 
 from __future__ import annotations
@@ -23,17 +25,18 @@ import functools
 import json
 import os
 import sys
-from itertools import chain, islice
+from itertools import chain, islice, tee
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from .core import CurveType, CuspConfiguration, PuiseuxCusp
-from .enumeration import DEFAULT_CANDIDATE_CAP, enumerate_configurations, filter_verdicts
+from .enumeration import configurations, filter_verdicts
 from .hf import HfWitness, _d_invariant, hf_check
 from .semigroups import curve_elements
 from .spectra import SemicontinuityWitness, semicontinuity_check
 
 SCHEMA_VERSION = "1"
 CAP_ENV_VAR = "CUSPIDAL_CANDIDATE_CAP"
+DEFAULT_CANDIDATE_CAP = 10**6
 _CHUNK_ROWS = 1024
 
 EXIT_OK = 0
@@ -202,13 +205,15 @@ _CANDIDATE_FIELDS = ("cusps", "genus_ok", "multiplicity_ok", "hf", "spectrum", "
 _VERDICTS = ("obstructed", "passes")
 
 
-def _candidate_rows(curve: CurveType, configs: Sequence[CuspConfiguration]) -> Iterator[Dict]:
-    """One row of filter verdicts per configuration, from `filter_verdicts`."""
-    for config, verdicts in zip(configs, filter_verdicts(curve, configs)):
+def _candidate_rows(curve: CurveType, configs: Iterable[CuspConfiguration]) -> Iterator[Dict]:
+    """One row of filter verdicts per configuration, from `filter_verdicts`,
+    reading `configs` once."""
+    configs, walk = tee(configs)
+    for config, verdicts in zip(configs, filter_verdicts(curve, walk)):
         multiplicity_ok, hf_ok, spectrum_ok = verdicts
         values = (
             " ".join(f"{c.r}:{c.s}" for c in config),
-            # enumerate_configurations yields only genus-compatible configurations.
+            # `configurations` yields only genus-compatible configurations.
             True,
             multiplicity_ok,
             _VERDICTS[hf_ok],
@@ -227,16 +232,21 @@ def _enumerate(a, b, e, max_cusps, cap, fmt) -> int:
             cap = DEFAULT_CANDIDATE_CAP if text is None else int(text)
         except ValueError as exc:
             raise ValueError(f"{CAP_ENV_VAR} must be an integer, got {text!r}") from exc
-    configs = enumerate_configurations(curve, max_cusps, cap=cap)
-    rows = _candidate_rows(curve, configs)
+    if cap < 0:
+        raise ValueError(f"candidate cap must be >= 0, got {cap}")
+    # One walk counts, before any output; a second one gives the rows.
+    count = sum(1 for _ in islice(configurations(curve.g, max_cusps), cap + 1))
+    if count > cap:
+        raise ValueError(f"more than {cap} genus-compatible configurations")
+    rows = _candidate_rows(curve, configurations(curve.g, max_cusps))
     report = _report(
         "enumerate",
         {"a": a, "b": b, "e": e, "max_cusps": max_cusps, "cap": cap},
-        {"g": curve.g, "count": len(configs)},
+        {"g": curve.g, "count": count},
         rows,
     )
     lines = chain(
-        [f"curve {curve}: {len(configs)} genus-compatible configuration(s)"],
+        [f"curve {curve}: {count} genus-compatible configuration(s)"],
         (
             f"  [{row['cusps']}] multiplicity={row['multiplicity_ok']} "
             f"hf={row['hf']} spectrum={row['spectrum']} -> "

@@ -1,35 +1,31 @@
 """Generation of genus-compatible cusp configurations.
 
-`enumerate_configurations` lists every multiset of cusps whose delta
-invariants sum to the genus by an iterative depth-first search over the
-cusps in (delta, r, s) order, so each configuration comes out once, sorted.
+`configurations(g, max_cusps)` yields every multiset of cusps whose delta
+invariants sum to g by an iterative depth-first search over the cusps in
+(delta, r, s) order, so each configuration comes out once, sorted.  It is a
+walk that nothing holds: a caller that needs the count walks it twice.
 
 Every cusp after a slot has at least its delta, so only the last slot can
 take a cusp of more than half the delta still missing: the others draw
 from the cusps of delta <= g/2, and the last takes one of exactly the
 missing delta, at or after its predecessor.  The cusps of delta <= g/2 are
 built one delta at a time as the search reaches it (none with one cusp
-allowed), so the cap trips at the first configurations however large g is.
+allowed), so the first configuration comes at once however large g is.
 
 `filter_verdicts` runs both filters over a listing, the one verdict-only
-path: it builds no witness, and folds each prefix once.
+path: it reads the listing once, builds no witness, and folds each prefix
+once.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterator, List, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Tuple
 
 from .core import CurveType, CuspConfiguration, PuiseuxCusp
 from .hf import _p_max_line, _violations, multiplicity_bound_check
 from .semigroups import _elements_along
 from .spectra import _infinity_numerators, _scan
-
-DEFAULT_CANDIDATE_CAP = 10**6
-
-
-class CandidateCapExceededError(ValueError):
-    """The enumeration produced more configurations than the configured cap."""
 
 
 def cusps_with_delta(delta: int) -> List[PuiseuxCusp]:
@@ -57,32 +53,25 @@ def enumerate_unicuspidal(curve: CurveType) -> List[PuiseuxCusp]:
     return cusps_with_delta(curve.g)
 
 
-def enumerate_configurations(
-    curve: CurveType,
-    max_cusps: int,
-    cap: int = DEFAULT_CANDIDATE_CAP,
-) -> List[CuspConfiguration]:
+def configurations(g: int, max_cusps: int) -> Iterator[CuspConfiguration]:
     """All multisets of at most max_cusps cusps with total delta equal to g.
 
     Cusps within a configuration are listed in nondecreasing (delta, r, s)
     order, which makes the enumeration duplicate-free and deterministic.
-    Only configurations with at least one cusp are returned; for g = 0 the
-    list is empty.
+    Only configurations with at least one cusp are yielded; for g = 0 there
+    are none.
     """
     if max_cusps < 1:
         raise ValueError(f"max_cusps must be >= 1, got {max_cusps}")
-    if cap < 0:
-        raise ValueError(f"candidate cap must be >= 0, got {cap}")
     # The cusps that fit before the last slot so far, in (delta, r, s) order.
     choices: List[Tuple[int, PuiseuxCusp]] = []
     next_delta = 1
     completions: Dict[int, List[PuiseuxCusp]] = {}
-    results: List[CuspConfiguration] = []
     partial: List[PuiseuxCusp] = []
     # Depth-first search without recursion, so a configuration may have more
     # cusps than Python has stack frames.  stack[k] holds, for the prefix
     # partial[:k], the next index into `choices` and the delta still missing.
-    stack = [[0, curve.g]]
+    stack = [[0, g]]
     while stack:
         frame = stack[-1]
         j, remaining = frame
@@ -102,24 +91,19 @@ def enumerate_configurations(
             completions[remaining] = cusps_with_delta(remaining)
         last = (partial[-1].delta, partial[-1]) if partial else (0,)
         for cusp in completions[remaining]:
-            if (remaining, cusp) < last:
-                continue
-            if len(results) >= cap:
-                raise CandidateCapExceededError(
-                    f"more than {cap} genus-compatible configurations"
-                )
-            results.append(CuspConfiguration([*partial, cusp]))
+            if (remaining, cusp) >= last:
+                yield CuspConfiguration([*partial, cusp])
         if partial:
             partial.pop()
-    return results
 
 
 def filter_verdicts(
-    curve: CurveType, configs: Sequence[CuspConfiguration]
+    curve: CurveType, configs: Iterable[CuspConfiguration]
 ) -> Iterator[Tuple[bool, bool, bool]]:
     """For each configuration in turn, whether it passes (every cusp has
     r <= b, HF, the spectrum), the columns of `enumerate`; each scan stops at
-    its first violation and builds no witness.
+    its first violation and builds no witness.  Reads `configs` once, so it
+    may be any iterable.
 
     Builds `_p_max_line` once, and `_infinity_numerators` at the first
     configuration with cusps, so never at genus 0, whose spectrum at infinity
@@ -127,7 +111,7 @@ def filter_verdicts(
     delta is not g.
     """
     g, line, infinity = curve.g, _p_max_line(curve), None
-    for config, elements in zip(configs, _elements_along(configs)):
+    for config, elements in _elements_along(configs):
         if len(elements) != g + 1:  # a fold has total delta + 1 elements
             config.require_genus_compatible(curve)
         if config and infinity is None:

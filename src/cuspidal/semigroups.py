@@ -30,10 +30,11 @@ Memoised: the element list of each cusp by cusp value (`_cusp_elements`,
 the last 1024 cusps), the one per-cusp memo of both filters: the spectrum
 filter reads the cusp's values below 1, (r + s + e)/(r*s) for the delta
 elements e below 2*delta, off the same list (see `spectra`).  No fold
-outlives a call: `_elements_along` keeps a configuration's prefix folds as
-locals and folds only the cusps past the k it shares with the one before,
-one `_max_plus` per cusp past the first max(k, 1): `enumeration.filter_verdicts`
-folds each prefix of a depth-first listing once.
+outlives a call: `_elements_along` reads a listing once, yields each
+configuration with its fold, keeps the prefix folds as locals and folds only
+the cusps past the k it shares with the one before, one `_max_plus` per cusp
+past the first max(k, 1): `enumeration.filter_verdicts` folds each prefix of
+a depth-first listing once.
 """
 
 from __future__ import annotations
@@ -77,9 +78,11 @@ def _max_plus(e1: Tuple[int, ...], e2: Tuple[int, ...]) -> Tuple[int, ...]:
     )
 
 
-def _elements_along(configs: Iterable[CuspConfiguration]) -> Iterator[Tuple[int, ...]]:
-    """The element list of each configuration in turn, folding only the cusps
-    past the prefix it shares with the configuration before it."""
+def _elements_along(
+    configs: Iterable[CuspConfiguration],
+) -> Iterator[Tuple[CuspConfiguration, Tuple[int, ...]]]:
+    """Each configuration in turn with its element list, folding only the
+    cusps past the prefix it shares with the configuration before it."""
     cusps: List[PuiseuxCusp] = []
     folds: List[Tuple[int, ...]] = [(0,)]  # folds[k] folds cusps[:k]
     for config in configs:
@@ -89,7 +92,7 @@ def _elements_along(configs: Iterable[CuspConfiguration]) -> Iterator[Tuple[int,
             elements = _cusp_elements(cusp)
             folds.append(_max_plus(folds[-1], elements) if cusps else elements)
             cusps.append(cusp)
-        yield folds[-1]
+        yield config, folds[-1]
 
 
 def curve_elements(curve: CurveType, config: CuspConfiguration) -> Tuple[int, ...]:
@@ -98,4 +101,4 @@ def curve_elements(curve: CurveType, config: CuspConfiguration) -> Tuple[int, ..
     R(t) is the number of elements below t for t <= 2g and t - g beyond.
     """
     config.require_genus_compatible(curve)
-    return next(_elements_along((config,)))
+    return next(_elements_along((config,)))[1]

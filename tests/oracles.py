@@ -8,8 +8,9 @@
 - `sawtooth` and the reciprocity right-hand sides state the laws that the
   Dedekind kernels obey.
 - `dfs_configurations` is the depth-first enumeration that
-  `enumerate_configurations` replaced: it lists every cusp of delta at most
-  g and, with one slot left, jumps to the first cusp of the missing delta.
+  `enumeration.configurations` replaced: it lists every cusp of delta at
+  most g and, with one slot left, jumps to the first cusp of the missing
+  delta.  `count_configurations` counts that listing without walking it.
 - `group_dispatch` parses the whole argv with the group parser of every
   command, which `cli.main` parses with the parser of the command it names.
 """
@@ -117,6 +118,21 @@ def dfs_configurations(curve, max_cusps):
         results.append(CuspConfiguration(partial))
         partial.pop()
     return results
+
+
+def count_configurations(g, max_cusps):
+    """The number of configurations of total delta g with at most max_cusps
+    cusps, by a dynamic programme over (cusps used, total delta)."""
+    # ways[c][t]: the multisets of c cusps of total delta t among the cusps
+    # added so far.  c and t go up, so ways[c - 1] already counts the cusp
+    # being added, which may therefore repeat.
+    ways = [[1] + [0] * g] + [[0] * (g + 1) for _ in range(max_cusps)]
+    for delta in range(1, g + 1):
+        for _ in cusps_with_delta(delta):
+            for c in range(1, max_cusps + 1):
+                for t in range(delta, g + 1):
+                    ways[c][t] += ways[c - 1][t - delta]
+    return sum(ways[c][g] for c in range(1, max_cusps + 1))
 
 
 def group_dispatch(argv):

@@ -191,7 +191,24 @@ def test_enumerate_json():
     assert survivors == ["3:26", "6:11"]
 
 
+def _recorded_walks(monkeypatch):
+    """The configurations each `configurations` walk of `cli` has yielded so far."""
+    walks = []
+    listing = cli_module.configurations
+
+    def recorded(g, max_cusps):
+        walk = []
+        walks.append(walk)
+        for config in listing(g, max_cusps):
+            walk.append(config)
+            yield config
+
+    monkeypatch.setattr(cli_module, "configurations", recorded)
+    return walks
+
+
 def test_enumerate_cap_from_environment(monkeypatch):
+    walks = _recorded_walks(monkeypatch)
     monkeypatch.setenv("CUSPIDAL_CANDIDATE_CAP", "1")
     code, output = run(["enumerate", "--a", "6", "--b", "6", "--max-cusps", "2"])
     assert code == 1
@@ -200,6 +217,8 @@ def test_enumerate_cap_from_environment(monkeypatch):
         ["enumerate", "--a", "6", "--b", "6", "--max-cusps", "2", "--cap", "100"]
     )
     assert code == 0
+    # The count stops one past the cap; then the rows walk all 69.
+    assert list(map(len, walks)) == [2, 69, 69]
 
 
 @pytest.mark.parametrize("value", ["abc", "", "1.5"])
@@ -230,10 +249,12 @@ def test_enumerate_negative_cap_rejected(argv, env, capsys, monkeypatch):
     ) + "\n"
 
 
-def test_enumerate_deep_configurations_hit_the_cap(capsys):
+def test_enumerate_deep_configurations_hit_the_cap(capsys, monkeypatch):
     # g = 1199: the first configuration is 1199 cusps (2,3), deeper than
     # Python's recursion limit.  The cap error comes before any output, in
-    # every format, though the rows stream.
+    # every format, though the rows stream: one walk reads cap + 1
+    # configurations and no row walk starts.
+    walks = _recorded_walks(monkeypatch)
     argv = ["enumerate", "--a", "2", "--b", "1200", "--max-cusps", "1200", "--cap", "5"]
     for fmt in ([], ["--json"], ["--csv"]):
         with pytest.raises(SystemExit) as excinfo:
@@ -243,6 +264,7 @@ def test_enumerate_deep_configurations_hit_the_cap(capsys):
         assert captured.err == "error: more than 5 genus-compatible configurations\n"
         assert "Traceback" not in captured.out + captured.err
         assert captured.out == ""
+    assert list(map(len, walks)) == [6, 6, 6]
 
 
 @pytest.mark.parametrize(
@@ -251,9 +273,12 @@ def test_enumerate_deep_configurations_hit_the_cap(capsys):
     ids=["text", "json", "csv"],
 )
 def test_enumerate_writes_rows_as_their_verdicts_come(fmt, marker, monkeypatch):
-    # With two rows to a JSON chunk, the first row of (6,4,0) <= 3 is written
-    # after at most two of its 117 verdicts, in each format.
+    # One walk counts the 117 configurations of (6,4,0) <= 3 before any
+    # output.  With two rows to a JSON chunk, the first row is then written
+    # after at most two verdicts and 3 configurations of a second walk, in
+    # each format.
     verdicts, writes = [], []
+    walks = _recorded_walks(monkeypatch)
     walk = cli_module.filter_verdicts
 
     def counted(curve, configs):
@@ -263,7 +288,7 @@ def test_enumerate_writes_rows_as_their_verdicts_come(fmt, marker, monkeypatch):
 
     class Recorder(io.StringIO):
         def write(self, text):
-            writes.append((len(verdicts), text))
+            writes.append((len(verdicts), list(map(len, walks)), text))
             return super().write(text)
 
         def writelines(self, texts):
@@ -276,8 +301,11 @@ def test_enumerate_writes_rows_as_their_verdicts_come(fmt, marker, monkeypatch):
     with pytest.raises(SystemExit) as excinfo:
         main(["enumerate", "--a", "6", "--b", "4", "--max-cusps", "3", *fmt])
     assert excinfo.value.code == 0
-    assert next(made for made, text in writes if marker in text) <= 2
-    assert len(verdicts) == 117
+    assert writes[0][1][0] == 117
+    made, walked = next((made, walked) for made, walked, text in writes if marker in text)
+    assert made <= 2 and walked[1] <= 3
+    assert len(verdicts) == 117 and list(map(len, walks)) == [117, 117]
+    assert sys.stdout.getvalue().count(marker) == 117
 
 
 def test_enumerate_genus_zero_empty_table():

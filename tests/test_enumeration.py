@@ -1,15 +1,17 @@
+from itertools import islice
+
 import pytest
 
 from cuspidal import (
-    CandidateCapExceededError,
     CurveType,
     CuspConfiguration,
-    enumerate_configurations,
+    PuiseuxCusp,
+    configurations,
     enumerate_unicuspidal,
 )
 from cuspidal import enumeration
 from cuspidal.enumeration import cusps_with_delta
-from oracles import dfs_configurations
+from oracles import count_configurations, dfs_configurations
 
 
 def test_cusps_with_delta_known_values():
@@ -38,9 +40,9 @@ def test_enumerate_unicuspidal_needs_positive_genus():
 
 def test_enumerate_configurations_counts():
     curve = CurveType(6, 6, 0)
-    singles = enumerate_configurations(curve, 1)
+    singles = list(configurations(curve.g, 1))
     assert len(singles) == 3
-    pairs = enumerate_configurations(curve, 2)
+    pairs = list(configurations(curve.g, 2))
     assert len(pairs) == 69
     # every configuration is genus-compatible and sorted canonically
     for config in pairs:
@@ -52,16 +54,15 @@ def test_enumerate_configurations_counts():
 
 
 def test_enumerate_configurations_genus_zero_is_empty():
-    assert enumerate_configurations(CurveType(1, 1, 0), 3) == []
+    assert list(configurations(CurveType(1, 1, 0).g, 3)) == []
 
 
-def test_enumerate_configurations_cap():
-    with pytest.raises(CandidateCapExceededError):
-        enumerate_configurations(CurveType(6, 6, 0), 2, cap=10)
-    with pytest.raises(ValueError):
-        enumerate_configurations(CurveType(6, 6, 0), 0)
-    with pytest.raises(ValueError):
-        enumerate_configurations(CurveType(1, 1, 0), 1, cap=-1)
+def test_configurations_have_no_cap_and_need_a_cusp():
+    # The cap lives in `enumerate`, where `--cap 10` stops (6,6,0) <= 2: the
+    # listing yields all 69 of its configurations.
+    assert sum(1 for _ in configurations(CurveType(6, 6, 0).g, 2)) == 69
+    with pytest.raises(ValueError, match="max_cusps must be >= 1, got 0"):
+        next(configurations(CurveType(6, 6, 0).g, 0))
 
 
 def _recursive_configurations(curve, max_cusps):
@@ -89,15 +90,18 @@ def _recursive_configurations(curve, max_cusps):
 )
 def test_enumerate_configurations_matches_recursive_order(curve):
     for max_cusps in (1, 2, 3, curve.g):
-        assert enumerate_configurations(curve, max_cusps) == _recursive_configurations(
+        assert list(configurations(curve.g, max_cusps)) == _recursive_configurations(
             curve, max_cusps
         )
 
 
 def test_enumerate_configurations_deeper_than_recursion_limit():
     # g = 1199, so the first configuration is 1199 cusps (2,3).
-    with pytest.raises(CandidateCapExceededError):
-        enumerate_configurations(CurveType(2, 1200), 1200, cap=5)
+    g = CurveType(2, 1200).g
+    first = list(islice(configurations(g, 1200), 6))
+    assert first[0] == CuspConfiguration((PuiseuxCusp(2, 3),) * 1199)
+    assert len(set(first)) == 6
+    assert all(config.total_delta == g for config in first)
 
 
 def test_enumerate_configurations_matches_dfs_oracle():
@@ -114,9 +118,20 @@ def test_enumerate_configurations_matches_dfs_oracle():
                     curves.add(curve)
     for curve in sorted(curves):
         for max_cusps in range(1, 5):
-            assert enumerate_configurations(curve, max_cusps) == dfs_configurations(
+            assert list(configurations(curve.g, max_cusps)) == dfs_configurations(
                 curve, max_cusps
             )
+
+
+def test_configurations_count_matches_the_counting_oracle():
+    for g in range(41):
+        for max_cusps in range(1, 6):
+            count = sum(1 for _ in configurations(g, max_cusps))
+            assert count == count_configurations(g, max_cusps), (g, max_cusps)
+    # (10,10,0) <= 4 and (12,12,0) <= 4, the counts that CI pins, with no
+    # listing.
+    assert count_configurations(CurveType(10, 10).g, 4) == 145_690
+    assert count_configurations(CurveType(12, 12).g, 4) == 692_913
 
 
 def test_one_cusp_builds_only_the_cusps_of_delta_g(monkeypatch):
@@ -128,17 +143,18 @@ def test_one_cusp_builds_only_the_cusps_of_delta_g(monkeypatch):
 
     monkeypatch.setattr(enumeration, "cusps_with_delta", recorded)
     curve = CurveType(300, 300)
-    configs = enumerate_configurations(curve, 1)
+    configs = list(configurations(curve.g, 1))
     assert calls == [curve.g]
     assert configs == [CuspConfiguration((cusp,)) for cusp in cusps_with_delta(curve.g)]
     calls.clear()
-    # g = 99999^2: the cap trips on the first configuration.
-    with pytest.raises(CandidateCapExceededError):
-        enumerate_configurations(CurveType(100000, 100000), 1, cap=0)
+    # g = 99999^2: the first configuration comes at once.
+    assert len(next(configurations(99999**2, 1))) == 1
     assert calls == [99999**2]
 
 
-def test_cap_trips_before_the_cusps_of_small_delta_are_all_built(monkeypatch):
+def test_first_configuration_comes_before_the_cusps_of_small_delta_are_all_built(
+    monkeypatch,
+):
     calls = []
 
     def recorded(delta):
@@ -149,6 +165,6 @@ def test_cap_trips_before_the_cusps_of_small_delta_are_all_built(monkeypatch):
     curve = CurveType(3000, 3000)
     # The first configuration is (2, 3) and a cusp of delta g - 1, so only
     # those two deltas are built, not the cusps of every delta <= g/2.
-    with pytest.raises(CandidateCapExceededError):
-        enumerate_configurations(curve, 2, cap=0)
+    first = next(configurations(curve.g, 2))
+    assert [cusp.delta for cusp in first] == [1, curve.g - 1]
     assert calls == [1, curve.g - 1]

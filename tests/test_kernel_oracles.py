@@ -17,7 +17,8 @@ both constructions of the spectrum at infinity (from each value's p and q,
 taken from the loops that make the values) and the cusp spectrum over
 `Fraction` values.  The fast kernels must agree with them exactly: R pointwise, whole `SemicontinuityReport`s, witnesses and checked
 points, the verdicts of `filter_verdicts` over a listing in any order,
-with a genus mismatch raised wherever it comes, every sawtooth sum as a
+read once from a list or a one-shot iterator alike, with a genus mismatch
+raised wherever it comes, every sawtooth sum as a
 `Fraction`, every spectrum entry (each construction's (lcm(w, b), entries)
 pair, compared as numerators), and every row of `enumerate --json`,
 rebuilt from the oracle reports.  The streaming report writer `cli._dumps`,
@@ -50,10 +51,10 @@ from cuspidal import (
     PuiseuxCusp,
     SemicontinuityReport,
     SemicontinuityWitness,
+    configurations,
     curve_elements,
     d_invariant,
     dedekind_sum,
-    enumerate_configurations,
     filter_verdicts,
     hf_check,
     max_p_over_presentations,
@@ -295,7 +296,7 @@ def _assert_kernels_match(curve, config):
     [CurveType(6, 4, 0), CurveType(4, 4, 2), CurveType(5, 4, 1), CurveType(0, 5, 2)],
 )
 def test_kernels_match_oracles_on_every_configuration(curve):
-    configs = enumerate_configurations(curve, 3)
+    configs = list(configurations(curve.g, 3))
     assert configs
     expected = [_assert_kernels_match(curve, config) for config in configs]
     assert list(filter_verdicts(curve, configs)) == expected
@@ -333,7 +334,7 @@ def test_filter_verdicts_build_the_curve_data_once_per_listing(monkeypatch):
     count("_infinity_numerators")
     for curve in (CurveType(6, 6, 0), CurveType(5, 4, 1)):
         calls.clear()
-        configs = enumerate_configurations(curve, 3)
+        configs = list(configurations(curve.g, 3))
         assert len(list(filter_verdicts(curve, configs))) == len(configs) > 1
         assert calls == {"_p_max_line": 1, "_infinity_numerators": 1}
 
@@ -369,7 +370,7 @@ def _reports(curve, configs):
 
 def test_memos_follow_the_curve_when_curves_interleave(max_plus_calls):
     curves = (CurveType(6, 4, 0), CurveType(4, 4, 2))
-    configs = {curve: enumerate_configurations(curve, 3) for curve in curves}
+    configs = {curve: list(configurations(curve.g, 3)) for curve in curves}
     alone = {}
     for curve in curves:
         for memo in MEMOS:
@@ -408,7 +409,7 @@ def test_enumerate_rows_match_oracle_rows(curve):
     assert excinfo.value.code == 0
     rows = json.loads(stdout.getvalue())["witnesses"]
     expected = []
-    for config in enumerate_configurations(curve, 3):
+    for config in configurations(curve.g, 3):
         multiplicity_ok = all(cusp.r <= curve.b for cusp in config)
         hf_report = _brute_hf(curve, config)
         spectrum_report = _brute_semicontinuity(curve, config)
@@ -455,7 +456,7 @@ def test_witness_sets_need_not_be_symmetric():
     assert Fraction(4, 5) in infinity and Fraction(1, 5) not in infinity
     asymmetric = [
         config
-        for config in enumerate_configurations(curve, 3)
+        for config in configurations(curve.g, 3)
         if (xs := {w.x for w in semicontinuity_check(curve, config).witnesses})
         != {1 - x for x in xs}
     ]
@@ -500,7 +501,7 @@ def test_enumerate_builds_no_witness_and_no_fraction(monkeypatch, max_plus_calls
     assert enumerate_json() == expected
     # The walk folds every prefix once.
     assert len(max_plus_calls) == len(
-        _prefixes(enumerate_configurations(CurveType(6, 6, 0), 3))
+        _prefixes(configurations(CurveType(6, 6, 0).g, 3))
     )
 
 
@@ -510,7 +511,7 @@ def test_enumerate_builds_no_witness_and_no_fraction(monkeypatch, max_plus_calls
 def test_d_invariant_matches_formula_on_brute_r(curve):
     d, g = curve.d, curve.g
     ms = range(-(d // 2), (d + 1) // 2)
-    for config in enumerate_configurations(curve, 3):
+    for config in configurations(curve.g, 3):
         r_values = _brute_r(config, ms[-1] + g)
         for m in ms:
             r_value = r_values[m + g] if m + g >= 0 else 0
@@ -566,11 +567,11 @@ small_curves = st.builds(
 @settings(max_examples=40, deadline=None)
 def test_elements_along_folds_only_past_the_shared_prefix(curves, data):
     # The configurations of small curves and the empty one, in any order and
-    # with repeats: each list is the fold of its cusps, and the walk folds
-    # only the cusps past the prefix it shares with the configuration before,
-    # not counting a configuration's first cusp.
+    # with repeats, read once: each comes with the fold of its cusps, and the
+    # walk folds only the cusps past the prefix it shares with the
+    # configuration before, not counting a configuration's first cusp.
     pool = [CuspConfiguration()]
-    pool += (config for curve in curves for config in enumerate_configurations(curve, 3))
+    pool += (config for curve in curves for config in configurations(curve.g, 3))
     configs = data.draw(st.lists(st.sampled_from(pool), max_size=12))
     calls = []
 
@@ -580,8 +581,10 @@ def test_elements_along_folds_only_past_the_shared_prefix(curves, data):
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(semigroups, "_max_plus", counted)
-        folds = list(semigroups._elements_along(configs))
-    assert folds == [reduce(_max_plus, map(_cusp_elements, c), (0,)) for c in configs]
+        pairs = list(semigroups._elements_along(iter(configs)))
+    assert pairs == [
+        (c, reduce(_max_plus, map(_cusp_elements, c), (0,))) for c in configs
+    ]
     expected = 0
     for previous, config in zip([()] + configs, configs):
         shared = max(
@@ -596,7 +599,7 @@ def test_elements_along_folds_only_past_the_shared_prefix(curves, data):
 @settings(max_examples=40, deadline=None)
 def test_kernels_match_oracles_on_small_curves(curve, data):
     # g = 0 has no cusps: the empty configuration is its only candidate.
-    configs = enumerate_configurations(curve, 3) or [CuspConfiguration()]
+    configs = list(configurations(curve.g, 3)) or [CuspConfiguration()]
     config = data.draw(st.sampled_from(configs))
     assert next(filter_verdicts(curve, [config])) == _assert_kernels_match(curve, config)
 
@@ -606,7 +609,8 @@ def test_kernels_match_oracles_on_small_curves(curve, data):
 def test_filter_verdicts_walk_a_listing_in_any_order(curve, data):
     # The curve's configurations in any order and with repeats, so the walk
     # keeps moving its shared prefix; at g = 0 the empty one is the only one.
-    pool = enumerate_configurations(curve, 3) or [CuspConfiguration()]
+    # A one-shot iterator over them gives the verdicts of the list.
+    pool = list(configurations(curve.g, 3)) or [CuspConfiguration()]
     configs = data.draw(st.lists(st.sampled_from(pool), max_size=12))
     expected = {
         config: _verdicts(
@@ -615,6 +619,18 @@ def test_filter_verdicts_walk_a_listing_in_any_order(curve, data):
         for config in configs
     }
     assert list(filter_verdicts(curve, configs)) == [expected[c] for c in configs]
+    assert list(filter_verdicts(curve, iter(configs))) == [expected[c] for c in configs]
+
+
+def test_filter_verdicts_read_a_stream_once():
+    # A one-shot iterator gives the verdicts of the list, one per
+    # configuration: 117 on (6,4,0) <= 3.
+    curve = CurveType(6, 4, 0)
+    configs = list(configurations(curve.g, 3))
+    verdicts = list(filter_verdicts(curve, configs))
+    assert len(verdicts) == len(configs) == 117
+    assert list(filter_verdicts(curve, iter(configs))) == verdicts
+    assert list(filter_verdicts(curve, configurations(curve.g, 3))) == verdicts
 
 
 coprime_pairs = st.tuples(

@@ -12,8 +12,8 @@ from cuspidal import (
     CuspConfiguration,
     GenusMismatchError,
     PuiseuxCusp,
+    configurations,
     curve_elements,
-    enumerate_configurations,
 )
 from cuspidal.semigroups import _cusp_elements, _max_plus
 
@@ -147,7 +147,7 @@ def test_curve_elements_is_thread_safe():
     # Two threads walk the multi-cusp configurations of (6,6,0) in opposite
     # orders, so each keeps replacing the prefix the other is folding onto.
     curve = CurveType(6, 6, 0)
-    configs = [c for c in enumerate_configurations(curve, 3) if len(c) > 1]
+    configs = [c for c in configurations(curve.g, 3) if len(c) > 1]
     expected = [reduce(_max_plus, map(_cusp_elements, c)) for c in configs]
     wrong, finished = [], []
 
