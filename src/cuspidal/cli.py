@@ -26,6 +26,7 @@ import json
 import os
 import sys
 from itertools import chain, islice, tee
+from numbers import Rational
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from .core import CurveType, CuspConfiguration, PuiseuxCusp
@@ -45,7 +46,7 @@ EXIT_OBSTRUCTED = 2
 EXIT_MISMATCH = 3
 
 
-def _fr(x: Fraction) -> str:
+def _fr(x: Rational) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 

@@ -13,8 +13,8 @@ built one delta at a time as the search reaches it (none with one cusp
 allowed), so the first configuration comes at once however large g is.
 
 `filter_verdicts` runs both filters over a listing, the one verdict-only
-path: it reads the listing once, builds no witness, and folds each prefix
-once.
+path: it reads the listing once, folds each prefix once, and reads each
+scan's failures (`spectra._scan`) only up to the first, building no witness.
 """
 
 from __future__ import annotations
@@ -120,5 +120,5 @@ def filter_verdicts(
             all(multiplicity_bound_check(curve, cusp) for cusp in config),
             next(_violations(line, g, elements), None) is None,
             # No cusps: no point can fail.
-            not config or next(_scan(infinity, config)[3], None) is None,
+            not config or next(_scan(infinity, config)[2], None) is None,
         )

@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
+from numbers import Rational
 from typing import Iterator, NamedTuple, Optional, Tuple
 
 from .core import CurveType, CuspConfiguration, PuiseuxCusp
@@ -131,7 +132,7 @@ def multiplicity_bound_check(curve: CurveType, cusp: PuiseuxCusp) -> bool:
     return cusp.r <= curve.b
 
 
-def d_invariant(curve: CurveType, config: CuspConfiguration, m: int) -> Fraction:
+def d_invariant(curve: CurveType, config: CuspConfiguration, m: int) -> Rational:
     """The correction term of the boundary of the curve neighbourhood.
 
     d = -[((d - 2m)^2 - d) / (4d) - 2(R(m + g) - m)], exact, for
@@ -140,7 +141,7 @@ def d_invariant(curve: CurveType, config: CuspConfiguration, m: int) -> Fraction
     return _d_invariant(curve, curve_elements(curve, config), m)
 
 
-def _d_invariant(curve: CurveType, elements: Tuple[int, ...], m: int) -> Fraction:
+def _d_invariant(curve: CurveType, elements: Tuple[int, ...], m: int) -> Rational:
     """`d_invariant` given the configuration's fold."""
     d, g = curve.d, curve.g
     if not (-d <= 2 * m < d):

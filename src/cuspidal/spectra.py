@@ -64,14 +64,20 @@ the scan points in (0, 1/2].  A folded point y stands for y, and for 1 - y
 too if that is not a value at infinity.  (A midpoint never is one, since
 every value below 1 is critical.)
 
+Count.  The folded critical points hold each pair {x, 1 - x} once, so there
+are C = 2k - [1/2 is critical] critical points in (0, 1) for k folded ones.
+They cut (0, 1) into C + 1 open stretches, one midpoint each, and every one
+of the A distinct values at infinity below 1 is critical, so C - A of them
+are scan points: 2C + 1 - A in all, and the scan counts no point to know it.
+
 The scan runs on integers: with L = 2 * lcm(w, b, r_1*s_1, ...) all
 values, the scan points and the midpoints between them are integer
 multiples of 1/L, and counts are bisections of sorted int lists.  Cusp
 counts add up, so all cusps share one list: the values (r + s + e)/(r*s)
-below 1, read off the element lists.  One scan, `_scan`, has two
-kinds of consumer: `semicontinuity_check` unfolds every failing point into
-its witnesses, and `enumeration.filter_verdicts` stops at the first and
-builds no witness and no `Fraction`.
+below 1, read off the element lists.  `_scan` yields its failing points
+unfolded, and has two kinds of consumer: `semicontinuity_check` sorts them
+into its witnesses, and `enumeration.filter_verdicts` stops at the first
+and builds no witness and no `Fraction`.
 
 The scan reads the spectrum at infinity's values below 1, as numerators
 over lcm(w, b), and its multiplicity of 1 off `_infinity_numerators`, built
@@ -85,8 +91,9 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from itertools import repeat
+from numbers import Rational
 from operator import add, mul
-from typing import Callable, Dict, Iterator, List, NamedTuple, Set, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Tuple
 
 from .core import CurveType, CuspConfiguration
 from .semigroups import _cusp_elements
@@ -192,7 +199,7 @@ def spectrum_at_infinity_derived(curve: CurveType) -> Spectrum:
 class SemicontinuityWitness(NamedTuple):
     """A point x where one of the two interval inequalities fails."""
 
-    x: Fraction
+    x: Rational
     cusp_inside: int
     infinity_inside: int
     cusp_outside: int
@@ -229,19 +236,13 @@ def _infinity_numerators(curve: CurveType) -> Tuple[int, Tuple[int, ...], int]:
 
 def _scan(
     infinity: Tuple[int, Tuple[int, ...], int], config: CuspConfiguration
-) -> Tuple[
-    int,
-    Set[int],
-    Callable[[], Iterator[int]],
-    Iterator[Tuple[int, int, int, int, int]],
-]:
+) -> Tuple[int, int, Iterator[Tuple[int, int, int, int, int]]]:
     """The folded scan (module docstring) of a configuration with cusps.
 
-    Returns L; the values below 1 of the spectrum at infinity, as a set of
-    numerators over L; a function listing the folded points, the scan points
-    y in (0, L/2], in decreasing order; and, lazily in the same order, every
-    failing one as (y, cusp inside, infinity inside, cusp outside, infinity
-    outside).
+    Returns L; the number of scan points in (0, 1); and, lazily, every
+    failing scan point as (numerator over L, cusp inside, infinity inside,
+    cusp outside, infinity outside): each failing folded point y from 1/2
+    down, then L - y with the same counts if that is a scan point too.
     """
     denominator, infinity_low, mult_one = infinity
     scale = 2 * math.lcm(denominator, *(cusp.r * cusp.s for cusp in config))
@@ -258,19 +259,21 @@ def _scan(
     critical = sorted(
         {v if v <= half else scale - v for v in (*cusps, *at_infinity)}, reverse=True
     )
+    # C, then 2C + 1 - A (module docstring, "Count").
+    in_unit = 2 * len(critical) - (critical[0] == half)
+    checked = 2 * in_unit + 1 - len(at_infinity)
+    cusp_total = 2 * len(cusps)
+    infinity_total = 2 * len(infinity) + mult_one
 
     def points() -> Iterator[int]:
-        if critical[:1] != [half]:
+        if critical[0] != half:
             yield half  # the midpoint of the two critical points nearest 1/2
         for right, left in zip(critical, [*critical[1:], 0]):
             if right not in at_infinity:
                 yield right
             yield (left + right) // 2
 
-    cusp_total = 2 * len(cusps)
-    infinity_total = 2 * len(infinity) + mult_one
-
-    def failing() -> Iterator[Tuple[int, int, int, int, int]]:
+    def failures() -> Iterator[Tuple[int, int, int, int, int]]:
         for y in points():
             mirror = scale - y
             cusp_inside = (
@@ -284,9 +287,12 @@ def _scan(
             cusp_outside = cusp_total - cusp_inside
             infinity_outside = infinity_total - infinity_inside
             if cusp_inside > infinity_inside or cusp_outside > infinity_outside:
-                yield y, cusp_inside, infinity_inside, cusp_outside, infinity_outside
+                counts = cusp_inside, infinity_inside, cusp_outside, infinity_outside
+                yield (y, *counts)
+                if y != half and mirror not in at_infinity:
+                    yield (mirror, *counts)
 
-    return scale, at_infinity, points, failing()
+    return scale, checked, failures()
 
 
 def semicontinuity_check(
@@ -295,38 +301,18 @@ def semicontinuity_check(
     """Evaluate both interval inequalities at every scan point in (0, 1).
 
     The scan points are the critical points off the spectrum at infinity and
-    the midpoints of consecutive critical points, where the critical points
-    are the v and v - 1 in (0, 1) for v a value of any spectrum involved.
-    Both interval counts are step functions of x changing only at critical
-    points, so the midpoints represent every open interval between changes.
-    Each folded point y of the scan stands for y, and for 1 - y too if that
-    is not a value at infinity (module docstring).  No cusps (genus 0): no
-    point can fail, and `checked_points` is 0.
+    the midpoints of consecutive critical points (module docstring).  The
+    witnesses are `_scan`'s unfolded failing points, sorted by x.  No cusps
+    (genus 0): no point can fail, and `checked_points` is 0.
     """
     config.require_genus_compatible(curve)
     if not config:
         return SemicontinuityReport((), 0)
-    scale, at_infinity, points, failing = _scan(_infinity_numerators(curve), config)
-    half = scale // 2
-
-    def mirrored(y: int) -> bool:
-        """Whether 1 - y is a scan point other than y."""
-        return y != half and scale - y not in at_infinity
-
-    checked = sum(1 + mirrored(y) for y in points())
-    found = list(failing)
+    scale, checked, failures = _scan(_infinity_numerators(curve), config)
+    found = sorted(failures)
     if not found:  # no witness, so no `fractions` import
         return SemicontinuityReport((), checked)
     from fractions import Fraction
 
-    witnesses = [
-        SemicontinuityWitness(Fraction(y, scale), *counts)
-        for y, *counts in reversed(found)
-    ]
-    witnesses += [
-        SemicontinuityWitness(Fraction(scale - y, scale), *counts)
-        for y, *counts in found
-        if mirrored(y)
-    ]
+    witnesses = [SemicontinuityWitness(Fraction(x, scale), *c) for x, *c in found]
     return SemicontinuityReport(tuple(witnesses), checked)
-

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import typing
 from pathlib import Path
 from unittest import mock
 
@@ -1108,6 +1109,18 @@ def test_filter_commands_load_no_reference_code_and_no_fractions(argv, code):
     # `enumerate` or `check` on a survivor (which builds no `Fraction`)
     # compiles no reference command and imports no fractions or decimal.
     assert _fresh_modules(argv, _REFERENCE_ONLY) == (code, [])
+
+
+def test_annotations_resolve_without_the_reference_imports():
+    # `get_type_hints` evaluates the string annotations in each module's
+    # globals, so a name imported only inside a function (as `Fraction` is on
+    # the filter paths) must not appear in them.
+    import cuspidal
+
+    for name in cuspidal.__all__:
+        if callable(value := getattr(cuspidal, name)):
+            typing.get_type_hints(value)
+    typing.get_type_hints(cli_module._fr)
 
 
 @pytest.mark.parametrize(
