@@ -4,9 +4,10 @@ Exit codes: 0 = not obstructed / success, 1 = usage or domain error,
 2 = obstructed, 3 = cross-validation mismatch between the two spectrum
 constructions.  `main` prints every `ValueError` as `error: <message>` on
 stderr and exits 1, whether it comes from argparse (which would exit 2), the
-CLI or the library.  A `--json` report is a small envelope plus at most one
-long list of flat rows, streamed byte-identical to `json.dumps(report,
-sort_keys=True, indent=2)` by the writer `_dumps`, every rational as "num/den".
+CLI or the library, and a `MemoryError` as `error: out of memory`.  A `--json`
+report is a small envelope plus at most one long list of flat rows, streamed
+byte-identical to `json.dumps(report, sort_keys=True, indent=2)` by the writer
+`_dumps`, every rational as "num/den".
 
 Here live parsing, dispatch, output and the filter commands `check`,
 `enumerate` and `dinv`.  `main` parses argv with the parser of the command
@@ -72,13 +73,16 @@ def _dumps(report: Dict, rows: Iterable[Dict]) -> Iterator[str]:
     C-encoder call, whose fixed cost is under 1 % of encoding 1,024 rows.  The
     encoder escapes every control character in strings, so a newline in its
     output always separates items: only the brackets between rows get re-indented.
+    Rows are flat dicts of scalars, so the encoder skips its circular check.
     """
     envelope = {**report, "results": dict(report["results"])}
     owner = envelope if report["witnesses"] is rows else envelope["results"]
     key = next(key for key, value in owner.items() if value is rows)
     pad = "  " if owner is envelope else "    "
     inner, row = pad + "  ", pad + "    "
-    encode = json.JSONEncoder(sort_keys=True, separators=(",\n" + row, ": ")).encode
+    encode = json.JSONEncoder(
+        sort_keys=True, separators=(",\n" + row, ": "), check_circular=False
+    ).encode
     texts = []
     for owner[key] in (0, 1):
         texts.append(json.dumps(envelope, sort_keys=True, indent=2))
@@ -395,6 +399,9 @@ def main(argv: Optional[Sequence[str]] = None) -> None:
         sys.stdout.flush()
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        code = EXIT_ERROR
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         code = EXIT_ERROR
     except BrokenPipeError:
         # The reader of stdout went away: exit 1, with stdout on devnull so

@@ -7,8 +7,14 @@ return the pair (D, entries): the denominator D = lcm(w, b), and the
 without zero multiplicities.  The values below 1 lie on two progressions:
 x = p/w at the numerators range(D/w, D, D/w) and x = q/b at
 range(D/b, D, D/b).  Each construction zips its p-row and its q-row onto
-them and combines the two where they meet.  No construction makes a
-`Fraction`; error messages and reported witness points do.
+them, combines the two where they meet, and sorts the values below 1.  No
+construction makes a `Fraction`; error messages and reported witness points do.
+
+Root orders.  At x = n/D in (0, 1), v = D/gcd(n, D) > 1, and v | w iff
+D | w*gcd(n, D) iff D/w divides gcd(n, D), that is n; likewise v | b iff
+D/b | n.  So `alexander_order(curve, v)`, (b - 1)[v | w] + (a - 1)[v | b], is
+b - 1 on the p-row, a - 1 on the q-row and their sum where they meet: the
+derived route takes the order from the rows, and `src` never calls it.
 
 The cusp spectrum is read off the semigroup <r, s>, and only inside `_scan`.
 A cusp (r, s) has the values (i*s + j*r)/(r*s), 1 <= i < r, 1 <= j < s.
@@ -20,13 +26,16 @@ e + r + s <= r*s forces j < s and excludes r*s itself; conversely
 i*s + j*r - r - s < 2*delta is an element.  The symmetry
 (i, j) -> (r - i, s - j) maps the rest onto 2*r*s - n.
 
-The spectrum at infinity is symmetric about 1 too: mult(2 - x) = mult(x)
-for x in (0, 1) in the table below.  At x = p/w alone (w does not divide
-p*b, or x would be q/b), 2 - x has p' = w - p and multiplicity
-b - 1 - floor(p'*b/w) = ceil(p*b/w) - 1 = floor(p*b/w).  At x = q/b alone,
-b does not divide q*a (or x = (q*a/b + q*e)/w), and the same steps give
-floor(q*a/b).  At x = p/w = q/b, p = q*a/b + q*e makes q*a/b an integer,
-and both multiplicities are q + q*a/b - 1.
+The table gives 1 the multiplicity a + b - 1, x = p/w alone (w does not divide
+p*b, or x would be q/b) floor(p*b/w), x = q/b alone floor(q*a/b), x on both
+their sum - 1, and each 1 + x the order at x less mult(x).  It is symmetric
+about 1 too: mult(2 - x) = mult(x) for x in (0, 1).  At x = p/w alone, 2 - x
+has p' = w - p and multiplicity b - 1 - floor(p'*b/w) = ceil(p*b/w) - 1 =
+floor(p*b/w).  At x = q/b alone, b does not divide q*a, or x would be
+(q*a/b + q*e)/w, and the same steps give floor(q*a/b).  At x = p/w = q/b,
+p = q*a/b + q*e makes q*a/b an integer; both multiplicities are q + q*a/b - 1.
+So the table computes the values below 1 and mirrors them; the derived route
+works out each 1 + x on its own, and `--method both` checks the mirror.
 
 The semicontinuity check compares the cusp spectra against the spectrum at
 infinity on the open unit intervals (x, x + 1), x in (0, 1): it fails at x
@@ -92,8 +101,8 @@ import math
 from bisect import bisect_right
 from itertools import repeat
 from numbers import Rational
-from operator import add, mul
-from typing import Dict, Iterator, List, NamedTuple, Tuple
+from operator import add, itemgetter, mul
+from typing import Iterator, List, NamedTuple, Tuple
 
 from .core import CurveType, CuspConfiguration
 from .semigroups import _cusp_elements
@@ -117,83 +126,68 @@ def signature_profile(curve: CurveType) -> Tuple[Tuple[int, ...], Tuple[int, ...
                   with delta' = 1 iff b | q*a.
     """
     a, b, w = curve.a, curve.b, curve.w
-    sigma1 = tuple(
-        2 * (p * b // w) - (b - 1) - (1 if p * b % w == 0 else 0)
-        for p in range(1, w)
-    )
-    sigma2 = tuple(
-        2 * (q * a // b) - (a - 1) - (1 if q * a % b == 0 else 0)
-        for q in range(1, b)
-    )
+    sigma1 = tuple(2 * (p * b // w) - (b - 1) - (p * b % w == 0) for p in range(1, w))
+    sigma2 = tuple(2 * (q * a // b) - (a - 1) - (q * a % b == 0) for q in range(1, b))
     return sigma1, sigma2
 
 
 def alexander_order(curve: CurveType, v: int) -> int:
     """Order of (t-1)(t^w-1)^(b-1)(t^b-1)^(a-1) at a primitive v-th root of
     unity (t^n - 1 has simple roots, and vanishes there iff v divides n)."""
-    return (
-        (v == 1)
-        + (curve.b - 1) * (curve.w % v == 0)
-        + (curve.a - 1) * (curve.b % v == 0)
-    )
+    b, w = curve.b, curve.w
+    return (v == 1) + (b - 1) * (w % v == 0) + (curve.a - 1) * (b % v == 0)
 
 
 def spectrum_at_infinity_table(curve: CurveType) -> Spectrum:
-    """The spectrum at infinity by the closed-form multiplicity table."""
+    """The spectrum at infinity by the closed-form multiplicity table: its
+    values below 1, then 1, then their mirror images 2 - x."""
     a, b, w = curve.a, curve.b, curve.w
     denominator = math.lcm(w, b)
-    entries: Dict[int, int] = {denominator: a + b - 1}
     step = denominator // w
-    for n, p in zip(range(step, denominator, step), range(1, w)):
-        entries[n] = p * b // w
-        entries[n + denominator] = b - 1 - p * b // w
+    below = dict(zip(range(step, denominator, step), [p * b // w for p in range(1, w)]))
     step = denominator // b
     for n, q in zip(range(step, denominator, step), range(1, b)):
-        low, high = q * a // b, a - 1 - q * a // b
-        if n in entries:  # x = p/w = q/b: (sum - 1, a + b - 1 - sum)
-            low += entries[n] - 1
-            high += entries[n + denominator] + 1
-        entries[n] = low
-        entries[n + denominator] = high
-    return denominator, tuple(sorted(item for item in entries.items() if item[1]))
+        below[n] = below.get(n, 1) - 1 + q * a // b  # x = p/w = q/b: the sum - 1
+    low = list(filter(itemgetter(1), sorted(below.items())))
+    one = [(denominator, a + b - 1)] if a + b > 1 else []  # (0, 1, e) has none
+    top = 2 * denominator
+    return denominator, (*low, *one, *[(top - n, mult) for n, mult in reversed(low)])
 
 
 def spectrum_at_infinity_derived(curve: CurveType) -> Spectrum:
     """The spectrum at infinity recovered from signatures and root orders.
 
     For x in (0, 1) with exp(2*pi*i*x) a root, the multiplicity of x is
-    (order + sigma)/2 and that of 1 + x is (order - sigma)/2, where sigma is
-    the total equivariant signature at x.  1 itself has multiplicity a+b-1.
+    (order + sigma)/2 and that of 1 + x is (order - sigma)/2, for the root
+    order and the total equivariant signature at x.  1 has multiplicity a+b-1.
     """
     a, b, w = curve.a, curve.b, curve.w
     sigma1, sigma2 = signature_profile(curve)
     denominator = math.lcm(w, b)
     step = denominator // w
-    sigmas = dict(zip(range(step, denominator, step), sigma1))
+    below = dict(zip(range(step, denominator, step), zip(repeat(b - 1), sigma1)))
     step = denominator // b
     for n, sigma in zip(range(step, denominator, step), sigma2):
-        sigmas[n] = sigmas.get(n, 0) + sigma  # x = p/w = q/b: the two add
-    entries: Dict[int, int] = {denominator: a + b - 1}
-    for n, sigma in sigmas.items():
-        # x = n/D reduces to a fraction with denominator D / gcd(n, D).
-        order = alexander_order(curve, denominator // math.gcd(n, denominator))
-        if (order + sigma) % 2 != 0:
+        order, other = below.get(n, (0, 0))  # x = p/w = q/b: the two add
+        below[n] = (order + a - 1, other + sigma)
+    low: List[Tuple[int, int]] = []
+    high: List[Tuple[int, int]] = []
+    for n, (order, sigma) in sorted(below.items()):
+        mult, mirror = (order + sigma) // 2, (order - sigma) // 2
+        if (order + sigma) % 2 or mult < 0 or mirror < 0:
             from fractions import Fraction
+            x = Fraction(n, denominator)
             raise InternalConsistencyError(
-                f"order {order} and signature {sigma} at "
-                f"x = {Fraction(n, denominator)} have different parity"
+                f"order {order} and signature {sigma} at x = {x} have different parity"
+                if (order + sigma) % 2
+                else f"negative multiplicity at x = {x}: low={mult}, high={mirror}"
             )
-        low = (order + sigma) // 2
-        high = (order - sigma) // 2
-        if low < 0 or high < 0:
-            from fractions import Fraction
-            raise InternalConsistencyError(
-                f"negative multiplicity at x = {Fraction(n, denominator)}: "
-                f"low={low}, high={high}"
-            )
-        entries[n] = low
-        entries[n + denominator] = high
-    return denominator, tuple(sorted(item for item in entries.items() if item[1]))
+        if mult:
+            low.append((n, mult))
+        if mirror:
+            high.append((n + denominator, mirror))
+    one = [(denominator, a + b - 1)] if a + b > 1 else []
+    return denominator, (*low, *one, *high)
 
 
 class SemicontinuityWitness(NamedTuple):
@@ -229,8 +223,7 @@ def _infinity_numerators(curve: CurveType) -> Tuple[int, Tuple[int, ...], int]:
         if n >= denominator:
             break
         low += [n] * mult
-    # The values above 1 mirror those below it (module docstring), and 1 is on
-    # neither progression, so its multiplicity is the table's a + b - 1.
+    # The table mirrors these above 1; 1 is on neither row and has a + b - 1.
     return denominator, tuple(low), curve.a + curve.b - 1
 
 

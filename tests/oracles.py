@@ -5,6 +5,11 @@
   that both constructions of the spectrum at infinity return.
 - `cusp_spectrum` reads the spectrum of a one-pair cusp off its semigroup,
   as `spectra._scan` does for the values below 1, and returns that pair.
+- `dict_table` and `dict_derived` are the two constructions of the spectrum
+  at infinity before the table mirrored its values below 1 and the derived
+  route read its root orders off the progressions: each fills a dict with
+  the values x and 1 + x of every numerator and sorts its items, and the
+  derived one calls `alexander_order` once per numerator.
 - `sawtooth` and the reciprocity right-hand sides state the laws that the
   Dedekind kernels obey.
 - `dfs_configurations` is the depth-first enumeration that
@@ -19,10 +24,12 @@ import math
 import sys
 from bisect import bisect_left
 from fractions import Fraction
+from typing import Dict
 
-from cuspidal import CuspConfiguration, cli
+from cuspidal import CuspConfiguration, alexander_order, cli, signature_profile
 from cuspidal.enumeration import cusps_with_delta
 from cuspidal.semigroups import _cusp_elements
+from cuspidal.spectra import InternalConsistencyError
 
 
 def entries(spectrum):
@@ -62,6 +69,64 @@ def cusp_numerators(cusp):
 def cusp_spectrum(cusp):
     """The spectrum {i/r + j/s : 1 <= i < r, 1 <= j < s} of a one-pair cusp."""
     return cusp.r * cusp.s, tuple((n, 1) for n in cusp_numerators(cusp))
+
+
+def dict_table(curve):
+    """The spectrum at infinity by the closed-form multiplicity table."""
+    a, b, w = curve.a, curve.b, curve.w
+    denominator = math.lcm(w, b)
+    entries: Dict[int, int] = {denominator: a + b - 1}
+    step = denominator // w
+    for n, p in zip(range(step, denominator, step), range(1, w)):
+        entries[n] = p * b // w
+        entries[n + denominator] = b - 1 - p * b // w
+    step = denominator // b
+    for n, q in zip(range(step, denominator, step), range(1, b)):
+        low, high = q * a // b, a - 1 - q * a // b
+        if n in entries:  # x = p/w = q/b: (sum - 1, a + b - 1 - sum)
+            low += entries[n] - 1
+            high += entries[n + denominator] + 1
+        entries[n] = low
+        entries[n + denominator] = high
+    return denominator, tuple(sorted(item for item in entries.items() if item[1]))
+
+
+def dict_derived(curve):
+    """The spectrum at infinity recovered from signatures and root orders.
+
+    For x in (0, 1) with exp(2*pi*i*x) a root, the multiplicity of x is
+    (order + sigma)/2 and that of 1 + x is (order - sigma)/2, where sigma is
+    the total equivariant signature at x.  1 itself has multiplicity a+b-1.
+    """
+    a, b, w = curve.a, curve.b, curve.w
+    sigma1, sigma2 = signature_profile(curve)
+    denominator = math.lcm(w, b)
+    step = denominator // w
+    sigmas = dict(zip(range(step, denominator, step), sigma1))
+    step = denominator // b
+    for n, sigma in zip(range(step, denominator, step), sigma2):
+        sigmas[n] = sigmas.get(n, 0) + sigma  # x = p/w = q/b: the two add
+    entries: Dict[int, int] = {denominator: a + b - 1}
+    for n, sigma in sigmas.items():
+        # x = n/D reduces to a fraction with denominator D / gcd(n, D).
+        order = alexander_order(curve, denominator // math.gcd(n, denominator))
+        if (order + sigma) % 2 != 0:
+            from fractions import Fraction
+            raise InternalConsistencyError(
+                f"order {order} and signature {sigma} at "
+                f"x = {Fraction(n, denominator)} have different parity"
+            )
+        low = (order + sigma) // 2
+        high = (order - sigma) // 2
+        if low < 0 or high < 0:
+            from fractions import Fraction
+            raise InternalConsistencyError(
+                f"negative multiplicity at x = {Fraction(n, denominator)}: "
+                f"low={low}, high={high}"
+            )
+        entries[n] = low
+        entries[n + denominator] = high
+    return denominator, tuple(sorted(item for item in entries.items() if item[1]))
 
 
 def sawtooth(x):

@@ -330,24 +330,26 @@ def test_spectrum_both_methods_agree():
 
 
 @pytest.mark.parametrize(
-    "x, shift, line",
+    "n, shift, line",
     [
-        pytest.param(4, 1, "1/4: table 1 != derived 2", id="1-2"),
-        pytest.param(4, -1, "1/4: table 1 != derived 0", id="-1-0"),
-        pytest.param(12, 1, "1/12: table 0 != derived 1", id="1-1"),
+        pytest.param(3, 1, "1/4: table 1 != derived 2", id="1-2"),
+        pytest.param(3, -1, "1/4: table 1 != derived 0", id="-1-0"),
+        pytest.param(1, 1, "1/12: table 0 != derived 1", id="1-1"),
+        pytest.param(21, 1, "7/4: table 1 != derived 2", id="mirror-1-2"),
     ],
 )
-def test_spectrum_mismatch_exits_three(x, shift, line, capsys, monkeypatch):
-    # Shift the derived multiplicity of 1/x in (6, 4, 0), over 12: 1/4 has 1
-    # in both constructions, and a shift to 0 leaves it in the table only;
-    # 1/12 is in neither, and a shift to 1 puts it in the derived one only.
-    # Each id is the shift and the derived multiplicity.
+def test_spectrum_mismatch_exits_three(n, shift, line, capsys, monkeypatch):
+    # Shift the derived multiplicity of n/12 in (6, 4, 0): 1/4 has 1 in both
+    # constructions, and a shift to 0 leaves it in the table only; 1/12 is in
+    # neither, and a shift to 1 puts it in the derived one only.  7/4 is in
+    # the half above 1 that the table mirrors from 1/4 and the derived route
+    # works out on its own.  Each id is the shift and the derived multiplicity.
     derived = reference.spectrum_at_infinity_derived
 
     def shifted(curve):
         denominator, pairs = derived(curve)
+        assert denominator == 12
         mults = dict(pairs)
-        n = denominator // x
         mults[n] = mults.get(n, 0) + shift
         return denominator, tuple(sorted(item for item in mults.items() if item[1]))
 
@@ -358,6 +360,19 @@ def test_spectrum_mismatch_exits_three(x, shift, line, capsys, monkeypatch):
     out, err = capsys.readouterr()
     assert json.loads(out)["results"]["methods_agree"] is False
     assert err == f"mismatch between table and derived constructions:\n  {line}\n"
+
+
+def test_out_of_memory_exits_one_without_traceback(capsys, monkeypatch):
+    # For b = 1 the table still makes a row of w zeros, so (0, 1, 10^8) runs
+    # out of memory under a 400 MB address-space limit.
+    def exhausted(curve):
+        raise MemoryError
+
+    monkeypatch.setattr(reference, "spectrum_at_infinity_table", exhausted)
+    with pytest.raises(SystemExit) as excinfo:
+        main(["spectrum", "--a", "0", "--b", "1", "--e", "100000000"])
+    assert excinfo.value.code == 1
+    assert capsys.readouterr() == ("", "error: out of memory\n")
 
 
 def test_spectrum_csv():

@@ -14,7 +14,8 @@ loops of the sawtooth sums (O(q) for s(p, q), O(r) for D(p, q, r), O(w) for
 the section sums), the Euclidean floor-sum route to the section sums that
 their identities over s and D replaced (for widths no loop reaches), and
 both constructions of the spectrum at infinity (from each value's p and q,
-taken from the loops that make the values) and the cusp spectrum over
+taken from the loops that make the values, and as they were before the
+table mirrored its values below 1) and the cusp spectrum over
 `Fraction` values.  The fast kernels must agree with them exactly: R pointwise, whole `SemicontinuityReport`s, witnesses and checked
 points, the verdicts of `filter_verdicts` over a listing in any order,
 read once from a list or a one-shot iterator alike, with a genus mismatch
@@ -73,6 +74,8 @@ from oracles import (
     cusp_numerators,
     cusp_spectrum,
     dedekind_reciprocity_rhs,
+    dict_derived,
+    dict_table,
     entries,
     rademacher_reciprocity_rhs,
     total,
@@ -727,17 +730,18 @@ def _brute_cusp_spectrum(cusp):
 
 def _assert_spectra_match(curve):
     # Compared as numerators over lcm(w, b): the same entries, without
-    # building and hashing a Fraction view of every value.
+    # building and hashing a Fraction view of every value.  Each construction
+    # also equals the one that filled a dict of both halves.
     denominator = math.lcm(curve.w, curve.b)
-    for construction, oracle in (
-        (spectrum_at_infinity_table, _brute_table),
-        (spectrum_at_infinity_derived, _brute_derived),
+    for construction, oracle, before in (
+        (spectrum_at_infinity_table, _brute_table, dict_table),
+        (spectrum_at_infinity_derived, _brute_derived, dict_derived),
     ):
         expected = sorted(
             (x.numerator * (denominator // x.denominator), mult)
             for x, mult in oracle(curve)
         )
-        assert construction(curve) == (denominator, tuple(expected))
+        assert construction(curve) == (denominator, tuple(expected)) == before(curve)
 
 
 def test_spectra_match_oracles_on_grid():
