@@ -134,7 +134,7 @@ def _parse_cusps(specs: Sequence[str]) -> CuspConfiguration:
 def _check_rows(
     curve: CurveType, config: CuspConfiguration, only: Optional[str]
 ) -> Tuple[Dict, List[Dict]]:
-    """The per-filter verdicts and the witness rows of `check`."""
+    """`check`'s verdicts and witness rows; each filter checks the genus first."""
     verdicts: Dict = {}
     witnesses: List[Dict] = []
     if only in (None, "hf"):
@@ -162,8 +162,6 @@ def _check(a, b, e, cusps, only, fmt) -> int:
     """Decide whether a prescribed cusp configuration is obstructed."""
     curve = CurveType(a, b, e)
     config = _parse_cusps(cusps)
-    config.require_genus_compatible(curve)
-
     verdicts, witnesses = _check_rows(curve, config, only)
     results: Dict = {"g": curve.g, "total_delta": config.total_delta, **verdicts}
     obstructed = bool(witnesses)
@@ -267,7 +265,6 @@ def _dinv(a, b, e, cusps, m, all_m, fmt) -> int:
     """Exact correction terms for one m or the whole range [-d/2, d/2)."""
     curve = CurveType(a, b, e)
     config = _parse_cusps(cusps)
-    config.require_genus_compatible(curve)
     d = curve.d
     ms = range(-(d // 2), (d + 1) // 2) if all_m else [m]
     values = _dinv_rows(curve, config, ms)

@@ -61,8 +61,10 @@ class CurveType(namedtuple("CurveType", "a b e")):
       c = gcd(a, b)
       g = (a-1)(b-1) + b(b-1)e/2   (arithmetic genus)
 
-    Accepts a >= 0, b >= 1, e >= 0 with d > 0 and g >= 0.  b = 0 is
-    rejected outright: the signature and spectrum formulas divide by b.
+    Accepts a >= 0, b >= 1, e >= 0 with d > 0.  b = 0 is rejected outright:
+    the signature and spectrum formulas divide by b.  These force g >= 0: for
+    a >= 1 both terms of g are, and for a = 0, d = b^2 e > 0 forces e >= 1,
+    so g = (b-1)(be-2)/2 >= 0.
     """
 
     __slots__ = ()
@@ -77,8 +79,6 @@ class CurveType(namedtuple("CurveType", "a b e")):
         self = super().__new__(cls, a, b, e)
         if self.d <= 0:
             raise ValueError(f"self-intersection must be positive, got {self.d}")
-        if self.g < 0:
-            raise ValueError(f"arithmetic genus must be nonnegative, got {self.g}")
         return self
 
     _make = classmethod(lambda cls, fields: cls(*fields))

@@ -11,8 +11,8 @@ rationals.  One Euclid loop does the work, O(log modulus) integer steps:
 - ``rademacher_sum(p, q, r)`` reduces p and q mod r.  With g = gcd(q, r)
   and h = gcd(p, g), the distribution relation
   sum_{t < n} <x + t/n> = <nx> folds the sum over i mod r onto i mod r/g:
-  D(p, q, r) = h * s((p/h) * (q/g)^-1 mod r/g, r/g), and D = 0 when
-  r/g = 1.
+  D(p, q, r) = h * s((p/h) * (q/g)^-1 mod r/g, r/g).  When r/g = 1, every
+  residue mod 1, the inverse too, is 0, and s(0, 1) = 0 gives D = 0.
 - ``section_sums(b, w)`` reads the four sums over p in [0, w) off s and D:
   - d_w = 0.  With n = w/gcd(b, w), pb/w mod 1 runs gcd(b, w) times over
     k/n for k in [0, n), and <k/n> + <(n-k)/n> = 0.
@@ -52,13 +52,11 @@ def dedekind_sum(p: int, q: int) -> Fraction:
 
 
 def rademacher_sum(p: int, q: int, r: int) -> Fraction:
-    """D(p, q, r) = sum over i in [0, r) of <p*i/r><q*i/r>."""
+    """D(p, q, r) = sum over i in [0, r) of <p*i/r><q*i/r>; 0 via s(0, 1) if r | q."""
     if r < 1:
         raise ValueError(f"modulus r must be >= 1, got {r}")
     p, q = p % r, q % r
     g = math.gcd(q, r)
-    if g == r:
-        return Fraction(0)
     h = math.gcd(p, g)
     modulus = r // g
     return h * dedekind_sum(p // h * pow(q // g, -1, modulus), modulus)

@@ -35,13 +35,9 @@ def cusps_with_delta(delta: int) -> List[PuiseuxCusp]:
     mu = 2 * delta
     cusps = []
     for d1 in range(1, math.isqrt(mu) + 1):
-        if mu % d1 != 0:
-            continue
-        d2 = mu // d1
-        if d1 >= d2:
-            continue
-        r, s = d1 + 1, d2 + 1
-        if math.gcd(r, s) == 1:
+        # d1 <= mu/d1, and d1 = mu/d1 gives r = s, which gcd(r, s) = r rejects.
+        r, s = d1 + 1, mu // d1 + 1
+        if mu % d1 == 0 and math.gcd(r, s) == 1:
             cusps.append(PuiseuxCusp(r, s))
     return cusps
 

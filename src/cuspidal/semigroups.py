@@ -61,21 +61,17 @@ def _cusp_elements(cusp: PuiseuxCusp) -> Tuple[int, ...]:
 
 def _max_plus(e1: Tuple[int, ...], e2: Tuple[int, ...]) -> Tuple[int, ...]:
     """v -> max_{p + q = v} e1[p] + e2[q] over the splits inside both lists."""
-    if len(e1) < len(e2):
+    if len(e1) < len(e2):  # for speed only: no slice is longer than e2
         e1, e2 = e2, e1
-    d1, d2 = len(e1) - 1, len(e2) - 1
-    # e2 reversed: e2[v - p] for p = lo .. hi is a slice of it.  The splits
-    # are p in [0, v] while v < d2, then [v - d2, v] up to v = d1, then
-    # [v - d2, d1].
+    d2 = len(e2) - 1
+    # e2 reversed: e2[v - p] is r2[d2 - v + p].  The splits start at
+    # p = max(v - d2, 0), where r2 starts at max(d2 - v, 0), and `map` stops
+    # at the shorter slice, at p = min(v, len(e1) - 1).
     r2 = e2[::-1]
-    return (
-        *[max(map(add, e1[: v + 1], r2[d2 - v :])) for v in range(d2)],
-        *[max(map(add, e1[v - d2 : v + 1], r2)) for v in range(d2, d1 + 1)],
-        *[
-            max(map(add, e1[v - d2 :], r2[: d1 + d2 + 1 - v]))
-            for v in range(d1 + 1, d1 + d2 + 1)
-        ],
-    )
+    return tuple([
+        max(map(add, e1[v - d2 if v > d2 else 0 : v + 1], r2[d2 - v if v < d2 else 0 :]))
+        for v in range(len(e1) + d2)
+    ])
 
 
 def _elements_along(

@@ -6,7 +6,7 @@ return the pair (D, entries): the denominator D = lcm(w, b), and the
 (numerator n, multiplicity) of each value n/D in increasing order of n,
 without zero multiplicities.  The values below 1 lie on two progressions:
 x = p/w at the numerators range(D/w, D, D/w) and x = q/b at
-range(D/b, D, D/b).  Each construction zips its p-row and its q-row onto
+range(D/b, D, D/b).  Each construction lays its p-row and its q-row onto
 them, combines the two where they meet, and sorts the values below 1.  No
 construction makes a `Fraction`; error messages and reported witness points do.
 
@@ -139,12 +139,13 @@ def alexander_order(curve: CurveType, v: int) -> int:
 
 
 def spectrum_at_infinity_table(curve: CurveType) -> Spectrum:
-    """The spectrum at infinity by the closed-form multiplicity table: its
-    values below 1, then 1, then their mirror images 2 - x."""
+    """The spectrum at infinity by the closed-form table: its values below 1,
+    then 1, then their mirrors 2 - x.  The p-row starts at ceil(w/b): below
+    it floor(p*b/w) is 0, and the rows meet only where it is q >= 1."""
     a, b, w = curve.a, curve.b, curve.w
     denominator = math.lcm(w, b)
     step = denominator // w
-    below = dict(zip(range(step, denominator, step), [p * b // w for p in range(1, w)]))
+    below = {p * step: p * b // w for p in range(-(-w // b), w)}
     step = denominator // b
     for n, q in zip(range(step, denominator, step), range(1, b)):
         below[n] = below.get(n, 1) - 1 + q * a // b  # x = p/w = q/b: the sum - 1

@@ -444,6 +444,10 @@ def test_cusp_syntax_errors_name_the_form(spec):
     "argv",
     [
         ["check", "--a", "6", "--b", "6", "--cusp", "2:3", "--only", "spectrum"],
+        pytest.param(
+            ["check", "--a", "6", "--b", "6", "--cusp", "2:3", "--only", "hf"],
+            id="check_only_hf",
+        ),
         ["dinv", "--a", "6", "--b", "6", "--cusp", "2:3", "--m", "0"],
     ],
     ids=lambda argv: argv[0],

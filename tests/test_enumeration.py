@@ -1,3 +1,4 @@
+import math
 from itertools import islice
 
 import pytest
@@ -26,6 +27,20 @@ def test_cusps_with_delta_respects_coprimality():
     # 2*delta = 9 would need (r-1)(s-1) odd times... delta=9 -> mu=18:
     # factor pairs (1,18)->(2,19), (2,9)->(3,10), (3,6)->(4,7)
     assert [(c.r, c.s) for c in cusps_with_delta(9)] == [(2, 19), (3, 10), (4, 7)]
+
+
+def test_cusps_with_delta_matches_every_coprime_pair():
+    # At delta = 2, 8, 18, ... 2*delta is a square, and its root gives r = s.
+    for delta in range(-3, 201):
+        mu = 2 * delta
+        expected = [
+            (r, s)
+            for r in range(2, mu + 2)
+            if mu % (r - 1) == 0
+            for s in [mu // (r - 1) + 1]
+            if r < s and math.gcd(r, s) == 1
+        ]
+        assert [(c.r, c.s) for c in cusps_with_delta(delta)] == expected
 
 
 def test_enumerate_unicuspidal_degree_six():

@@ -920,6 +920,12 @@ def test_dedekind_sum_matches_loop(p, q, factor):
     scaled=st.tuples(st.booleans(), st.booleans(), st.booleans()),
 )
 @settings(max_examples=300, deadline=None)
+# r | q, where r/g = 1; r = 1; p = 0.
+@example(p=3, q=7, r=7, factor=1, scaled=(False, False, False))
+@example(p=5, q=14, r=7, factor=1, scaled=(False, False, False))
+@example(p=0, q=0, r=1, factor=1, scaled=(False, False, False))
+@example(p=-9, q=4, r=1, factor=1, scaled=(False, False, False))
+@example(p=0, q=5, r=12, factor=1, scaled=(False, False, False))
 def test_rademacher_sum_matches_loop(p, q, r, factor, scaled):
     # Scaling a chosen subset of (p, q, r) by one factor makes non-coprime
     # triples common, including q or p sharing the whole modulus.

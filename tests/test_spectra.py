@@ -2,6 +2,7 @@ import fractions
 import math
 import re
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -122,6 +123,17 @@ def test_table_spectrum_degree_six():
         F(11, 6): 1,
     }
     assert dict(entries(spectrum)) == expected
+
+
+def test_table_skips_the_zero_start_of_its_p_row():
+    # b = 1: floor(p*b/w) = 0 for every p < w, so no row of w entries is built.
+    tracemalloc.start()
+    try:
+        assert spectrum_at_infinity_table(CurveType(0, 1, 10**5)) == (10**5, ())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 @given(
