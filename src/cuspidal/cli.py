@@ -37,7 +37,6 @@ from .semigroups import curve_elements
 from .spectra import SemicontinuityWitness, semicontinuity_check
 
 SCHEMA_VERSION = "1"
-CAP_ENV_VAR = "CUSPIDAL_CANDIDATE_CAP"
 DEFAULT_CANDIDATE_CAP = 10**6
 _CHUNK_ROWS = 1024
 
@@ -153,9 +152,11 @@ def _check_rows(
 
 def _dinv_rows(
     curve: CurveType, config: CuspConfiguration, ms: Sequence[int]
-) -> List[Dict]:
+) -> Iterator[Dict]:
+    """The rows, streamed; the fold and the first row raise before any output."""
     elements = curve_elements(curve, config)
-    return [{"m": m, "d_invariant": _fr(_d_invariant(curve, elements, m))} for m in ms]
+    rows = ({"m": m, "d_invariant": _fr(_d_invariant(curve, elements, m))} for m in ms)
+    return chain([next(rows)], rows)
 
 
 def _check(a, b, e, cusps, only, fmt) -> int:
@@ -229,12 +230,6 @@ def _candidate_rows(curve: CurveType, configs: Iterable[CuspConfiguration]) -> I
 def _enumerate(a, b, e, max_cusps, cap, fmt) -> int:
     """List all genus-compatible configurations with per-filter verdicts."""
     curve = CurveType(a, b, e)
-    if cap is None:
-        text = os.environ.get(CAP_ENV_VAR)
-        try:
-            cap = DEFAULT_CANDIDATE_CAP if text is None else int(text)
-        except ValueError as exc:
-            raise ValueError(f"{CAP_ENV_VAR} must be an integer, got {text!r}") from exc
     if cap < 0:
         raise ValueError(f"candidate cap must be >= 0, got {cap}")
     # One walk counts, before any output; a second one gives the rows.
@@ -265,8 +260,7 @@ def _dinv(a, b, e, cusps, m, all_m, fmt) -> int:
     """Exact correction terms for one m or the whole range [-d/2, d/2)."""
     curve = CurveType(a, b, e)
     config = _parse_cusps(cusps)
-    d = curve.d
-    ms = range(-(d // 2), (d + 1) // 2) if all_m else [m]
+    ms = range(-(curve.d // 2), (curve.d + 1) // 2) if all_m else [m]
     values = _dinv_rows(curve, config, ms)
     report = _report(
         "dinv",
@@ -301,7 +295,7 @@ _JSON = ("--json", {**_FMT, "const": "json"})
 _FORMATS = ({}, _JSON, ("--csv", {**_FMT, "const": "csv"}))
 _ONLY = ("--only", {"choices": ["hf", "spectrum"]})
 _MAX_CUSPS = ("--max-cusps", {**_INT, "default": 1, "help": _DEFAULT})
-_CAP = ("--cap", {**_INT, "help": "candidate cap override"})
+_CAP = ("--cap", {**_INT, "default": DEFAULT_CANDIDATE_CAP, "help": "candidate cap override"})
 _METHODS = ["table", "derived", "both"]
 _METHOD = ("--method", {"choices": _METHODS, "default": "table", "help": _DEFAULT})
 _TOL = ("--tol", {"default": "1/200", "help": _DEFAULT})
