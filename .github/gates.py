@@ -71,6 +71,9 @@ GATES = [
          runs={"json": "59ad288218a7f96c6ab845304478f01c365880ab64b83c0e502967c65d4259d3",
                "txt": "477ce30544cc700e0d375626e0307a3501400c3a0d827182acd73758e7013072",
                "csv": "19fddc1be8e8ad47e41107c2b391be028c3454e3791d60e44473cb45671f5ca6"}),
+    # 327,784 spectrum witnesses, 62 MB of JSON, streamed in order as they are found.
+    Gate(10, "check --a 300 --b 300 --cusp 2:178803 --only spectrum", code=2, rss_mb=58,
+         runs={"json": "11eaa81ae783c16916f906e487ce0ea56b4de82388805fa1e9ac7ca39fb76533"}),
     Gate(20, "dinv --a 6 --b 6 --cusp 6:11 --all-m",
          runs={"json": "864978f07174ed784e92c47d49aa04b88800562bea968dfe9c22351ac62d4ab0"}),
     # A round-1 target.

@@ -12,11 +12,13 @@ byte-identical to `json.dumps(report, sort_keys=True, indent=2)` by the writer
 Here live parsing, dispatch, output and the filter commands `check`,
 `enumerate` and `dinv`.  `main` parses argv with the parser of the command
 it names (`_parser`); `spectrum`, `dedekind` and `repro` live in
-`cuspidal.reference`, which `enumerate`, and `check` of a survivor, never
-import, nor `fractions`.  Under `python -m cuspidal.cli` a reference command
-loads this file twice, with a second `_parser` cache.  `enumerate` walks its
-listing, `configurations(g, max_cusps)`, once to count it against the cap
-before any output and once more for its rows, and never holds it.
+`cuspidal.reference`, which `enumerate` and `check` never import, nor
+`fractions`.  Under `python -m cuspidal.cli` a reference command loads this
+file twice, with a second `_parser` cache.  `enumerate` walks its listing,
+`configurations(g, max_cusps)`, once to count it against the cap before any
+output and once more for its rows, and never holds it.  `check` holds no
+witness: it reads each filter's first for the verdicts, the CSV columns and
+the exit code, then writes them all in order as the scans go.
 """
 
 from __future__ import annotations
@@ -24,21 +26,24 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import sys
-from itertools import chain, islice, tee
+from itertools import chain, islice, repeat, tee
 from numbers import Rational
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from .core import CurveType, CuspConfiguration, PuiseuxCusp
 from .enumeration import configurations, filter_verdicts
-from .hf import HfWitness, _d_invariant, hf_check
+from .hf import HfWitness, _d_invariant, _p_max_line, _violations
 from .semigroups import curve_elements
-from .spectra import SemicontinuityWitness, semicontinuity_check
+from .spectra import SemicontinuityWitness, _witnesses
 
 SCHEMA_VERSION = "1"
 DEFAULT_CANDIDATE_CAP = 10**6
 _CHUNK_ROWS = 1024
+_VERDICTS = ("obstructed", "passes")
+_WITNESSES = {"hf": HfWitness, "spectrum": SemicontinuityWitness}
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -48,6 +53,11 @@ EXIT_MISMATCH = 3
 
 def _fr(x: Rational) -> str:
     return f"{x.numerator}/{x.denominator}"
+
+
+def _ratio(n: int, d: int) -> str:
+    g = math.gcd(n, d)
+    return f"{n // g}/{d // g}"
 
 
 def _report(command: str, inputs: Dict, results: Dict, witnesses: Iterable[Dict]) -> Dict:
@@ -66,12 +76,12 @@ def _dumps(report: Dict, rows: Iterable[Dict]) -> Iterator[str]:
     dicts) is the report's `witnesses`, `results.entries` or `results.values`.
 
     The stdlib (its pure-Python encoder, as `indent` is set) writes the
-    envelope twice, with 0 and with 1 for `rows`; the texts first differ where
-    `rows` goes, whatever strings they hold.  The other order took 80 kB more
-    peak memory.  Each `_CHUNK_ROWS` rows, all it holds at once, take one
-    C-encoder call, whose fixed cost is under 1 % of encoding 1,024 rows.  The
-    encoder escapes every control character in strings, so a newline in its
-    output always separates items: only the brackets between rows get re-indented.
+    envelope once, with NaN for `rows`, and splits it at `"<key>": NaN`:
+    reports hold no floats, and in a string that `"` after <key> is escaped.
+    Each `_CHUNK_ROWS` rows, all it holds at once, take one C-encoder call,
+    whose fixed cost is under 1 % of encoding 1,024 rows.  The encoder
+    escapes every control character in strings, so a newline in its output
+    always separates items: only the brackets between rows get re-indented.
     Rows are flat dicts of scalars, so the encoder skips its circular check.
     """
     envelope = {**report, "results": dict(report["results"])}
@@ -82,16 +92,14 @@ def _dumps(report: Dict, rows: Iterable[Dict]) -> Iterator[str]:
     encode = json.JSONEncoder(
         sort_keys=True, separators=(",\n" + row, ": "), check_circular=False
     ).encode
-    texts = []
-    for owner[key] in (0, 1):
-        texts.append(json.dumps(envelope, sort_keys=True, indent=2))
-    head = os.path.commonprefix(texts)
-    rows, sep, close = iter(rows), f"{head}[\n{inner}", f"{head}[]"
+    owner[key] = math.nan
+    head, tail = json.dumps(envelope, sort_keys=True, indent=2).split(f'"{key}": NaN')
+    rows, sep, close = iter(rows), f'{head}"{key}": [\n{inner}', f'{head}"{key}": []'
     while chunk := list(islice(rows, _CHUNK_ROWS)):
         text = encode(chunk).replace(f"}},\n{row}{{", f"\n{inner}}},\n{inner}{{\n{row}")
         yield f"{sep}{{\n{row}{text[2:-2]}\n{inner}}}"
         sep, close = f",\n{inner}", f"\n{pad}]"
-    yield close + texts[0][len(head) + 1:] + "\n"
+    yield f"{close}{tail}\n"
 
 
 def _emit(
@@ -132,22 +140,27 @@ def _parse_cusps(specs: Sequence[str]) -> CuspConfiguration:
 
 def _check_rows(
     curve: CurveType, config: CuspConfiguration, only: Optional[str]
-) -> Tuple[Dict, List[Dict]]:
-    """`check`'s verdicts and witness rows; each filter checks the genus first."""
-    verdicts: Dict = {}
-    witnesses: List[Dict] = []
+) -> Tuple[Dict, Iterator[Dict]]:
+    """`check`'s verdicts and its witness rows, lazily, HF's by m and then the
+    spectrum's by x; each filter checks the genus and finds its first witness
+    here, before any output."""
+    scans = {}
     if only in (None, "hf"):
-        hf_report = hf_check(curve, config)
-        verdicts["hf"] = hf_report.verdict
-        witnesses += [{"check": "hf", **w._asdict()} for w in hf_report.witnesses]
+        elements = curve_elements(curve, config)
+        violations = _violations(_p_max_line(curve), curve.g, elements)
+        scans["hf"] = (("hf", *v) for v in violations)
     if only in (None, "spectrum"):
-        sp_report = semicontinuity_check(curve, config)
-        verdicts["spectrum"] = sp_report.verdict
-        witnesses += [
-            {"check": "spectrum", **w._asdict(), "x": _fr(w.x)}
-            for w in sp_report.witnesses
-        ]
-    return verdicts, witnesses
+        scale, _, failures = _witnesses(curve, config)
+        scans["spectrum"] = (("spectrum", _ratio(x, scale), *c) for x, *c in failures)
+    verdicts: Dict = {}
+    found = []
+    for kind, scan in scans.items():
+        first = next(scan, None)
+        verdicts[kind] = _VERDICTS[first is None]
+        if first is not None:
+            keys = repeat(("check", *_WITNESSES[kind]._fields))
+            found.append(map(dict, map(zip, keys, chain([first], scan))))
+    return verdicts, chain.from_iterable(found)
 
 
 def _dinv_rows(
@@ -164,22 +177,12 @@ def _check(a, b, e, cusps, only, fmt) -> int:
     curve = CurveType(a, b, e)
     config = _parse_cusps(cusps)
     verdicts, witnesses = _check_rows(curve, config, only)
-    results: Dict = {"g": curve.g, "total_delta": config.total_delta, **verdicts}
-    obstructed = bool(witnesses)
-    results["verdict"] = "obstructed" if obstructed else "survives"
-
-    report = _report(
-        "check",
-        {
-            "a": a,
-            "b": b,
-            "e": e,
-            "cusps": [f"{c.r}:{c.s}" for c in config],
-            "only": only or "all",
-        },
-        results,
-        witnesses,
-    )
+    kinds = [kind for kind, verdict in verdicts.items() if verdict == "obstructed"]
+    results = {"g": curve.g, "total_delta": config.total_delta, **verdicts}
+    results["verdict"] = "obstructed" if kinds else "survives"
+    cusp_specs = [f"{c.r}:{c.s}" for c in config]
+    inputs = {"a": a, "b": b, "e": e, "cusps": cusp_specs, "only": only or "all"}
+    report = _report("check", inputs, results, witnesses)
     lines = chain(
         [f"curve {curve}, cusps {config}: {results['verdict']}"],
         (
@@ -197,16 +200,13 @@ def _check(a, b, e, cusps, only, fmt) -> int:
             for wit in witnesses
         ),
     )
-    # The columns of the witness kinds present, or of every filter that ran.
-    kinds = {wit["check"] for wit in witnesses} or verdicts
-    fields = {"hf": HfWitness._fields, "spectrum": SemicontinuityWitness._fields}
-    header = ["check", *chain.from_iterable(fields[k] for k in verdicts if k in kinds)]
-    _emit(fmt, report, lines, witnesses, header)
-    return EXIT_OBSTRUCTED if obstructed else EXIT_OK
+    # The witness kinds present, or every filter that ran, give the columns.
+    fields = (_WITNESSES[kind]._fields for kind in kinds or verdicts)
+    _emit(fmt, report, lines, witnesses, ["check", *chain.from_iterable(fields)])
+    return EXIT_OBSTRUCTED if kinds else EXIT_OK
 
 
 _CANDIDATE_FIELDS = ("cusps", "genus_ok", "multiplicity_ok", "hf", "spectrum", "survives")
-_VERDICTS = ("obstructed", "passes")
 
 
 def _candidate_rows(curve: CurveType, configs: Iterable[CuspConfiguration]) -> Iterator[Dict]:

@@ -19,9 +19,9 @@ R(t) is read off the configuration's semigroup element list
 (`semigroups.curve_elements`): the number of elements below t for t <= 2g,
 and t - g beyond.
 
-One scan, `_violations`, has two kinds of consumer: `hf_check` collects
-every violated presentation as an `HfWitness`, and
-`enumeration.filter_verdicts` stops at the first and builds no witness.
+One scan, `_violations`, in increasing m: `hf_check` collects every
+violated presentation as an `HfWitness`, the CLI's `check` writes them as
+rows as they come, and `enumeration.filter_verdicts` stops at the first.
 
 Two maps of the type keep every m, R(m + g) and maximal P.  (a + b, b, e - 2)
 has the same d, g and c and w - b for w, so (s1, s2) maps to (s1 + s2, s2),

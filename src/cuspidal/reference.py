@@ -5,7 +5,6 @@
 from __future__ import annotations
 
 import json
-import math
 import os
 import sys
 from fractions import Fraction
@@ -14,7 +13,7 @@ from typing import Dict, List, Tuple
 
 from .cli import (
     EXIT_ERROR, EXIT_MISMATCH, EXIT_OBSTRUCTED, EXIT_OK,
-    _check_rows, _dinv_rows, _emit, _fr, _report,
+    _check_rows, _dinv_rows, _emit, _fr, _ratio, _report,
 )
 from .core import CurveType, CuspConfiguration, PuiseuxCusp
 from .dedekind import dedekind_sum, rademacher_sum, verify_limits
@@ -23,10 +22,7 @@ from .spectra import Spectrum, spectrum_at_infinity_derived, spectrum_at_infinit
 
 def _spectrum_rows(spectrum: Spectrum) -> List[Dict]:
     d, entries = spectrum
-    return [
-        {"value": f"{n // (g := math.gcd(n, d))}/{d // g}", "multiplicity": mult}
-        for n, mult in entries
-    ]
+    return [{"value": _ratio(n, d), "multiplicity": mult} for n, mult in entries]
 
 
 def _spectrum(a, b, e, method, fmt) -> int:
@@ -56,8 +52,7 @@ def _spectrum(a, b, e, method, fmt) -> int:
         for n in sorted(table_mults.keys() | derived_mults.keys()):
             t, dv = table_mults.get(n, 0), derived_mults.get(n, 0)
             if t != dv:
-                value = _fr(Fraction(n, d))
-                print(f"  {value}: table {t} != derived {dv}", file=sys.stderr)
+                print(f"  {_ratio(n, d)}: table {t} != derived {dv}", file=sys.stderr)
         return EXIT_MISMATCH
     return EXIT_OK
 
@@ -120,12 +115,11 @@ def _repro_scenarios() -> List[Tuple[str, Dict]]:
     for a, b, e, r, s in checks:
         config = CuspConfiguration((PuiseuxCusp(r, s),))
         verdicts, witnesses = _check_rows(CurveType(a, b, e), config, None)
-        for check in ("hf", "spectrum"):
-            # The payload key names the check, so rows drop their first column.
-            verdicts[f"{check}_witnesses"] = [
-                list(row.values())[1:] for row in witnesses if row["check"] == check
-            ]
-        scenarios.append((f"check_{a}_{b}_{e}_cusp_{r}_{s}", verdicts))
+        payload = {**verdicts, "hf_witnesses": [], "spectrum_witnesses": []}
+        # The payload key names the check, so rows drop their first column.
+        for check, *values in map(dict.values, witnesses):
+            payload[f"{check}_witnesses"].append(values)
+        scenarios.append((f"check_{a}_{b}_{e}_cusp_{r}_{s}", payload))
 
     for a, b, e in ((6, 4, 0), (6, 6, 0)):
         spectrum = spectrum_at_infinity_table(CurveType(a, b, e))

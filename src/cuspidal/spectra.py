@@ -56,9 +56,7 @@ the same at x and at 1 - x, and so is the count outside, the total minus
 it.  Every spectrum here is symmetric, so whether x fails depends on
 min(x, 1 - x) only, and the scan evaluates the counts at the folded points
 min(x, 1 - x) in (0, 1/2] of its scan points, with four bisections of the
-sorted values below 1 each.  It runs from 1/2 down: failures crowd towards
-1/2, and most obstructed configurations fail at one of the first three
-points.
+sorted values below 1 each.
 
 The critical points are symmetric under x -> 1 - x, and so are the
 midpoints, but the scan points need not be.  For x <= 1/2 the multiplicity
@@ -73,6 +71,14 @@ the scan points in (0, 1/2].  A folded point y stands for y, and for 1 - y
 too if that is not a value at infinity.  (A midpoint never is one, since
 every value below 1 is critical.)
 
+Order.  So the witnesses in increasing order are the failing folded points
+y from 0 up, then the 1 - y > 1/2 they stand for from 1/2 down.  `_scan`
+walks the folded points both ways with one counting loop, for
+`semicontinuity_check` and the CLI's `check`, and holds no witness.
+`enumeration.filter_verdicts` reads the first failing y from 1/2 down, where
+failures crowd (most obstructed configurations fail at one of the first
+three points), and builds no witness and no `Fraction`.
+
 Count.  The folded critical points hold each pair {x, 1 - x} once, so there
 are C = 2k - [1/2 is critical] critical points in (0, 1) for k folded ones.
 They cut (0, 1) into C + 1 open stretches, one midpoint each, and every one
@@ -83,10 +89,7 @@ The scan runs on integers: with L = 2 * lcm(w, b, r_1*s_1, ...) all
 values, the scan points and the midpoints between them are integer
 multiples of 1/L, and counts are bisections of sorted int lists.  Cusp
 counts add up, so all cusps share one list: the values (r + s + e)/(r*s)
-below 1, read off the element lists.  `_scan` yields its failing points
-unfolded, and has two kinds of consumer: `semicontinuity_check` sorts them
-into its witnesses, and `enumeration.filter_verdicts` stops at the first
-and builds no witness and no `Fraction`.
+below 1, read off the element lists.
 
 The scan reads the spectrum at infinity's values below 1, as numerators
 over lcm(w, b), and its multiplicity of 1 off `_infinity_numerators`, built
@@ -102,7 +105,7 @@ from bisect import bisect_right
 from itertools import repeat
 from numbers import Rational
 from operator import add, itemgetter, mul
-from typing import Iterator, List, NamedTuple, Tuple
+from typing import Iterable, Iterator, List, NamedTuple, Tuple
 
 from .core import CurveType, CuspConfiguration
 from .semigroups import _cusp_elements
@@ -230,14 +233,12 @@ def _infinity_numerators(curve: CurveType) -> Tuple[int, Tuple[int, ...], int]:
 
 def _scan(
     infinity: Tuple[int, Tuple[int, ...], int], config: CuspConfiguration
-) -> Tuple[int, int, Iterator[Tuple[int, int, int, int, int]]]:
-    """The folded scan (module docstring) of a configuration with cusps.
-
-    Returns L; the number of scan points in (0, 1); and, lazily, every
-    failing scan point as (numerator over L, cusp inside, infinity inside,
-    cusp outside, infinity outside): each failing folded point y from 1/2
-    down, then L - y with the same counts if that is a scan point too.
-    """
+) -> Tuple[int, int, Iterator[Tuple[int, ...]], Iterator[Tuple[int, ...]]]:
+    """The folded scan (module docstring) of a configuration with cusps: L,
+    the number of scan points in (0, 1), and two lazy streams of failing
+    points as (numerator over L, cusp inside, infinity inside, cusp outside,
+    infinity outside): every failing scan point in increasing order
+    ("Order"), and the failing folded points from 1/2 down."""
     denominator, infinity_low, mult_one = infinity
     scale = 2 * math.lcm(denominator, *(cusp.r * cusp.s for cusp in config))
     half = scale // 2
@@ -249,26 +250,28 @@ def _scan(
     cusps.sort()
     infinity = list(map(mul, infinity_low, repeat(scale // denominator)))
     at_infinity = set(infinity)
-    # The critical points in (0, 1/2], from the top; the others mirror them.
-    critical = sorted(
-        {v if v <= half else scale - v for v in (*cusps, *at_infinity)}, reverse=True
-    )
+    # 0 and the critical points in (0, 1/2], increasing; the others mirror them.
+    ends = sorted({0, *(v if v <= half else scale - v for v in (*cusps, *at_infinity))})
     # C, then 2C + 1 - A (module docstring, "Count").
-    in_unit = 2 * len(critical) - (critical[0] == half)
+    in_unit = 2 * (len(ends) - 1) - (ends[-1] == half)
     checked = 2 * in_unit + 1 - len(at_infinity)
+    if ends[-1] != half:
+        ends.append(scale - ends[-1])  # their midpoint is 1/2
     cusp_total = 2 * len(cusps)
     infinity_total = 2 * len(infinity) + mult_one
 
-    def points() -> Iterator[int]:
-        if critical[0] != half:
-            yield half  # the midpoint of the two critical points nearest 1/2
-        for right, left in zip(critical, [*critical[1:], 0]):
-            if right not in at_infinity:
-                yield right
-            yield (left + right) // 2
+    def points(walk: Iterable[int]) -> Iterator[int]:
+        # Along `walk`: each midpoint between ends, and each critical end off infinity.
+        near = None
+        for end in walk:
+            if near is not None:
+                yield (near + end) // 2
+            if 0 < end <= half and end not in at_infinity:
+                yield end
+            near = end
 
-    def failures() -> Iterator[Tuple[int, int, int, int, int]]:
-        for y in points():
+    def failing(walk: Iterable[int]) -> Iterator[Tuple[int, ...]]:
+        for y in points(walk):
             mirror = scale - y
             cusp_inside = (
                 cusp_total - bisect_right(cusps, y) - bisect_right(cusps, mirror)
@@ -281,32 +284,35 @@ def _scan(
             cusp_outside = cusp_total - cusp_inside
             infinity_outside = infinity_total - infinity_inside
             if cusp_inside > infinity_inside or cusp_outside > infinity_outside:
-                counts = cusp_inside, infinity_inside, cusp_outside, infinity_outside
-                yield (y, *counts)
-                if y != half and mirror not in at_infinity:
-                    yield (mirror, *counts)
+                yield y, cusp_inside, infinity_inside, cusp_outside, infinity_outside
 
-    return scale, checked, failures()
+    def ordered() -> Iterator[Tuple[int, ...]]:
+        yield from failing(ends)
+        for y, *counts in failing(reversed(ends)):
+            if y != half and scale - y not in at_infinity:
+                yield scale - y, *counts
+
+    return scale, checked, ordered(), failing(reversed(ends))
+
+
+def _witnesses(
+    curve: CurveType, config: CuspConfiguration
+) -> Tuple[int, int, Iterator[Tuple[int, ...]]]:
+    """The genus check, then L, the count and the ordered failures of `_scan`."""
+    config.require_genus_compatible(curve)
+    if not config:
+        return 1, 0, iter(())
+    return _scan(_infinity_numerators(curve), config)[:3]
 
 
 def semicontinuity_check(
     curve: CurveType, config: CuspConfiguration
 ) -> SemicontinuityReport:
-    """Evaluate both interval inequalities at every scan point in (0, 1).
-
-    The scan points are the critical points off the spectrum at infinity and
-    the midpoints of consecutive critical points (module docstring).  The
-    witnesses are `_scan`'s unfolded failing points, sorted by x.  No cusps
-    (genus 0): no point can fail, and `checked_points` is 0.
-    """
-    config.require_genus_compatible(curve)
-    if not config:
-        return SemicontinuityReport((), 0)
-    scale, checked, failures = _scan(_infinity_numerators(curve), config)
-    found = sorted(failures)
-    if not found:  # no witness, so no `fractions` import
-        return SemicontinuityReport((), checked)
+    """Evaluate both interval inequalities at every scan point in (0, 1)
+    (module docstring); the witnesses are the failing ones in increasing
+    order.  No cusps (genus 0): no point can fail, and `checked_points` is 0."""
+    scale, checked, failures = _witnesses(curve, config)
     from fractions import Fraction
 
-    witnesses = [SemicontinuityWitness(Fraction(x, scale), *c) for x, *c in found]
+    witnesses = (SemicontinuityWitness(Fraction(x, scale), *c) for x, *c in failures)
     return SemicontinuityReport(tuple(witnesses), checked)

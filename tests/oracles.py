@@ -5,6 +5,9 @@
   that both constructions of the spectrum at infinity return.
 - `cusp_spectrum` reads the spectrum of a one-pair cusp off its semigroup,
   as `spectra._scan` does for the values below 1, and returns that pair.
+- `sorted_failures` is the folded scan before it ordered its failures: one
+  pass from 1/2 down yields each failing folded point and then its mirror,
+  and `sorted` puts them in order.
 - `dict_table` and `dict_derived` are the two constructions of the spectrum
   at infinity before the table mirrored its values below 1 and the derived
   route read its root orders off the progressions: each fills a dict with
@@ -22,7 +25,7 @@
 
 import math
 import sys
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from typing import Dict
 
@@ -69,6 +72,51 @@ def cusp_numerators(cusp):
 def cusp_spectrum(cusp):
     """The spectrum {i/r + j/s : 1 <= i < r, 1 <= j < s} of a one-pair cusp."""
     return cusp.r * cusp.s, tuple((n, 1) for n in cusp_numerators(cusp))
+
+
+def sorted_failures(infinity, config):
+    """(L, the number of scan points in (0, 1), every failing scan point as
+    (numerator over L, cusp inside, infinity inside, cusp outside, infinity
+    outside), sorted), for `spectra._infinity_numerators`' `infinity` and a
+    configuration with cusps."""
+    denominator, infinity_low, mult_one = infinity
+    scale = 2 * math.lcm(denominator, *(cusp.r * cusp.s for cusp in config))
+    half = scale // 2
+    cusps = sorted(
+        (cusp.r + cusp.s + e) * (scale // (cusp.r * cusp.s))
+        for cusp in config
+        for e in _cusp_elements(cusp)[:-1]
+    )
+    infinity = [n * (scale // denominator) for n in infinity_low]
+    at_infinity = set(infinity)
+    # The critical points in (0, 1/2], from the top; the others mirror them.
+    critical = sorted(
+        {v if v <= half else scale - v for v in (*cusps, *at_infinity)}, reverse=True
+    )
+    in_unit = 2 * len(critical) - (critical[0] == half)
+    checked = 2 * in_unit + 1 - len(at_infinity)
+    points = [] if critical[0] == half else [half]
+    for right, left in zip(critical, [*critical[1:], 0]):
+        if right not in at_infinity:
+            points.append(right)
+        points.append((left + right) // 2)
+    failures = []
+    for y in points:
+        mirror = scale - y
+        cusp_inside = 2 * len(cusps) - bisect_right(cusps, y) - bisect_right(cusps, mirror)
+        infinity_inside = (
+            2 * len(infinity) + mult_one
+            - bisect_right(infinity, y)
+            - bisect_right(infinity, mirror)
+        )
+        cusp_outside = 2 * len(cusps) - cusp_inside
+        infinity_outside = 2 * len(infinity) + mult_one - infinity_inside
+        if cusp_inside > infinity_inside or cusp_outside > infinity_outside:
+            counts = cusp_inside, infinity_inside, cusp_outside, infinity_outside
+            failures.append((y, *counts))
+            if y != half and mirror not in at_infinity:
+                failures.append((mirror, *counts))
+    return scale, checked, sorted(failures)
 
 
 def dict_table(curve):

@@ -17,7 +17,9 @@ both constructions of the spectrum at infinity (from each value's p and q,
 taken from the loops that make the values, and as they were before the
 table mirrored its values below 1) and the cusp spectrum over
 `Fraction` values.  The fast kernels must agree with them exactly: R pointwise, whole `SemicontinuityReport`s, witnesses and checked
-points, the verdicts of `filter_verdicts` over a listing in any order,
+points, the folded scan's failures in increasing x against the sorted
+failures of its one-pass form (`oracles.sorted_failures`), the verdicts
+of `filter_verdicts` over a listing in any order,
 read once from a list or a one-shot iterator alike, with a genus mismatch
 raised wherever it comes, every sawtooth sum as a
 `Fraction`, every spectrum entry (each construction's (lcm(w, b), entries)
@@ -78,6 +80,7 @@ from oracles import (
     dict_table,
     entries,
     rademacher_reciprocity_rhs,
+    sorted_failures,
     total,
 )
 
@@ -290,6 +293,10 @@ def _assert_kernels_match(curve, config):
     assert _integer_scan(curve, config) == spectrum_report
     if not config:  # genus 0: no cusp value, so the scan checks no point
         spectrum_report = spectrum_report._replace(checked_points=0)
+    else:  # the failures come in the order that sorting them gives
+        infinity = spectra._infinity_numerators(curve)
+        scale, checked, ordered, _ = spectra._scan(infinity, config)
+        assert (scale, checked, list(ordered)) == sorted_failures(infinity, config)
     assert semicontinuity_check(curve, config) == spectrum_report
     return _verdicts(curve, config, hf_report, spectrum_report)
 
@@ -1031,6 +1038,8 @@ _ROWS = st.lists(
 @example("check", {"cusps": ["2:3"]}, {}, [{"a": "},\n    {"}, {"b": None}], "witnesses")
 @example("spectrum", {"a": 'x"\x00rows'}, {"z": "\x00rows"}, [{"a": 1}], "entries")
 @example("dinv", {}, {"values": 0}, [], "values")
+@example("NaN", {"NaN": ": NaN"}, {'"entries": NaN': "NaN"}, [{"a": '"entries": NaN'}], "entries")
+@example('"witnesses": NaN', {}, {"witnesses": ": NaN"}, [{"b": "NaN"}], "witnesses")
 @settings(max_examples=600, deadline=None)
 def test_dumps_matches_stdlib_indent_encoder(command, inputs, results, rows, place):
     def report(rows):
