@@ -60,8 +60,11 @@ GATES = [
     # b = 1 and w = 10^8 + 7: the table walks no p-row of zeros.
     Gate(10, "spectrum --a 7 --b 1 --e 100000000",
          runs={"json": "59ce5ec24e11227176ae3e70e9777041e38c349de73fc3e3ac0f4e4c87277a96"}),
+    # a = 1 and b = 10^7: the table walks no q-row of zeros.
+    Gate(10, "spectrum --a 1 --b 10000000", rss_mb=25,
+         runs={"json": "7ea3d9ceaabe57b60b69d92b847b2f5bb478f36714e353a5e690e367af2be1ab"}),
     # With one cusp, (300,300,0) builds only the cusps of delta g.
-    Gate(20, "enumerate --a 300 --b 300", tally=(8, 2, 1, 5, 1),
+    Gate(20, "enumerate --a 300 --b 300", tally=(8, 2, 1, 5, 1), rss_mb=45,
          runs={"json": "08158ce9d8bddf548881628ee6c65107fd7c5db1aaf28a5c6b62d235cd1aa88e"}),
     # (3000,3000,0) with two cusps trips the cap at its first configuration.
     Gate(10, "enumerate --a 3000 --b 3000 --max-cusps 2 --cap 0", {"txt": None}, code=1,

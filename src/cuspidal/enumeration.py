@@ -102,9 +102,8 @@ def filter_verdicts(
     may be any iterable.
 
     Builds `_p_max_line` once, and `_infinity_numerators` at the first
-    configuration with cusps, so never at genus 0, whose spectrum at infinity
-    can be vast.  Raises `GenusMismatchError` at a configuration whose total
-    delta is not g.
+    configuration with cusps, so never at genus 0.  Raises
+    `GenusMismatchError` at a configuration whose total delta is not g.
     """
     g, line, infinity = curve.g, _p_max_line(curve), None
     for config, elements in _elements_along(configs):

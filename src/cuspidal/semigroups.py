@@ -1,10 +1,9 @@
 """Cusp semigroups as element lists, and the combined counting function R.
 
-Every cusp here has one Puiseux pair (r, s), so its semigroup is <r, s> and
-is built in closed form: t is a member iff t - j*s is a nonnegative multiple
-of r for some j < r.  Its conductor is 2*delta = (r - 1)(s - 1): the delta
-gaps all lie below it, so [0, 2*delta] holds delta + 1 elements and the
-semigroup contains every t >= 2*delta.
+Every cusp here has one Puiseux pair (r, s), so its semigroup is <r, s>,
+whose members are the j*s + k*r with j < r and k >= 0.  Its conductor is
+2*delta = (r - 1)(s - 1): the delta gaps all lie below it, so [0, 2*delta]
+holds delta + 1 elements and the semigroup contains every t >= 2*delta.
 
 The counting function R_S(t) = #(S intersect [0, t)) has unit steps, so it
 is fixed by the increasing list e of the elements of S: R_S(t) is the number
@@ -26,37 +25,31 @@ t <= 2g and t - g beyond.
 The fold starts from the first cusp's list, not from (0,), so a cusp on
 its own costs no convolution.
 
-Memoised: the element list of each cusp by cusp value (`_cusp_elements`,
-the last 1024 cusps), the one per-cusp memo of both filters: the spectrum
-filter reads the cusp's values below 1, (r + s + e)/(r*s) for the delta
-elements e below 2*delta, off the same list (see `spectra`).  No fold
-outlives a call: `_elements_along` reads a listing once, yields each
-configuration with its fold, keeps the prefix folds as locals and folds only
-the cusps past the k it shares with the one before, one `_max_plus` per cusp
-past the first max(k, 1): `enumeration.filter_verdicts` folds each prefix of
-a depth-first listing once.
+No per-cusp data and no fold outlives a call: `_elements_along` reads a
+listing once, builds each cusp's list as the cusp joins its path, yields
+each configuration with its fold, keeps the prefix folds as locals and folds
+only the cusps past the k it shares with the one before, one `_max_plus` per
+cusp past the first max(k, 1): `enumeration.filter_verdicts` folds each
+prefix of a depth-first listing once.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
-from itertools import takewhile
+from itertools import chain, takewhile
 from operator import add, eq
 from typing import Iterable, Iterator, List, Tuple
 
 from .core import CurveType, CuspConfiguration, PuiseuxCusp
 
 
-@lru_cache(maxsize=1024)
 def _cusp_elements(cusp: PuiseuxCusp) -> Tuple[int, ...]:
-    """The delta + 1 elements of <r, s> in [0, 2*delta], in closed form.
+    """The delta + 1 elements of <r, s> in [0, 2*delta], in increasing order.
 
-    The only j < r with t - j*s divisible by r is j = t * s^-1 mod r, so t
-    is a member iff that j has j*s <= t.
+    They are the r progressions range(j*s, 2*delta + 1, r), j < r, merged:
+    the j*s are distinct mod r, so no element is in two of them.
     """
-    r, s = cusp.r, cusp.s
-    inverse = pow(s, -1, r)
-    return tuple(t for t in range(2 * cusp.delta + 1) if t * inverse % r * s <= t)
+    r, s, top = cusp.r, cusp.s, 2 * cusp.delta + 1
+    return tuple(sorted(chain.from_iterable(range(j * s, top, r) for j in range(r))))
 
 
 def _max_plus(e1: Tuple[int, ...], e2: Tuple[int, ...]) -> Tuple[int, ...]:

@@ -16,15 +16,11 @@ D/b | n.  So `alexander_order(curve, v)`, (b - 1)[v | w] + (a - 1)[v | b], is
 b - 1 on the p-row, a - 1 on the q-row and their sum where they meet: the
 derived route takes the order from the rows, and `src` never calls it.
 
-The cusp spectrum is read off the semigroup <r, s>, and only inside `_scan`.
-A cusp (r, s) has the values (i*s + j*r)/(r*s), 1 <= i < r, 1 <= j < s.
-These numerators are distinct, since r divides (i - i')*s only for i = i',
-so every multiplicity is 1.  Those below r*s are exactly e + r + s for the
-delta elements e of <r, s> below the conductor 2*delta = r*s - r - s + 1:
-such an e is (i - 1)*s + (j - 1)*r with i < r and j >= 1, and
-e + r + s <= r*s forces j < s and excludes r*s itself; conversely
-i*s + j*r - r - s < 2*delta is an element.  The symmetry
-(i, j) -> (r - i, s - j) maps the rest onto 2*r*s - n.
+The cusp spectrum is read off (r, s), and only inside `_scan`.  A cusp
+(r, s) has the values (i*s + j*r)/(r*s), 1 <= i < r, 1 <= j < s.  These
+numerators are distinct, since r divides (i - i')*s only for i = i', so
+every multiplicity is 1, and (i, j) -> (r - i, s - j) maps the values below
+1 onto those above.
 
 The table gives 1 the multiplicity a + b - 1, x = p/w alone (w does not divide
 p*b, or x would be q/b) floor(p*b/w), x = q/b alone floor(q*a/b), x on both
@@ -88,14 +84,12 @@ are scan points: 2C + 1 - A in all, and the scan counts no point to know it.
 The scan runs on integers: with L = 2 * lcm(w, b, r_1*s_1, ...) all
 values, the scan points and the midpoints between them are integer
 multiples of 1/L, and counts are bisections of sorted int lists.  Cusp
-counts add up, so all cusps share one list: the values (r + s + e)/(r*s)
-below 1, read off the element lists.
+counts add up, so all cusps share one list: for each cusp and each i, the
+values (i*s + j*r)/(r*s) for j = 1, 2, ... while they stay below 1.
 
 The scan reads the spectrum at infinity's values below 1, as numerators
 over lcm(w, b), and its multiplicity of 1 off `_infinity_numerators`, built
-per check and per curve in `filter_verdicts`; and each cusp's element list off
-`semigroups._cusp_elements`, the one per-cusp memo, which the HF check reads
-too.  Neither construction of the spectrum at infinity is memoised.
+per check and per curve in `filter_verdicts`.  Nothing here is memoised.
 """
 
 from __future__ import annotations
@@ -104,11 +98,10 @@ import math
 from bisect import bisect_right
 from itertools import repeat
 from numbers import Rational
-from operator import add, itemgetter, mul
+from operator import itemgetter, mul
 from typing import Iterable, Iterator, List, NamedTuple, Tuple
 
 from .core import CurveType, CuspConfiguration
-from .semigroups import _cusp_elements
 
 
 class InternalConsistencyError(RuntimeError):
@@ -144,14 +137,17 @@ def alexander_order(curve: CurveType, v: int) -> int:
 def spectrum_at_infinity_table(curve: CurveType) -> Spectrum:
     """The spectrum at infinity by the closed-form table: its values below 1,
     then 1, then their mirrors 2 - x.  The p-row starts at ceil(w/b): below
-    it floor(p*b/w) is 0, and the rows meet only where it is q >= 1."""
+    it floor(p*b/w) is 0, and the rows meet only where it is q >= 1.  For
+    a >= 1 the q-row starts at ceil(b/a): below it floor(q*a/b) is 0, and
+    the rows meet only where q*a/b is a positive integer.  For a = 0 every
+    q/b is on the p-row, which the q-row lowers by 1 from q = 1."""
     a, b, w = curve.a, curve.b, curve.w
     denominator = math.lcm(w, b)
     step = denominator // w
     below = {p * step: p * b // w for p in range(-(-w // b), w)}
     step = denominator // b
-    for n, q in zip(range(step, denominator, step), range(1, b)):
-        below[n] = below.get(n, 1) - 1 + q * a // b  # x = p/w = q/b: the sum - 1
+    for q in range(-(-b // a) if a else 1, b):  # x = p/w = q/b: the sum - 1
+        below[q * step] = below.get(q * step, 1) - 1 + q * a // b
     low = list(filter(itemgetter(1), sorted(below.items())))
     one = [(denominator, a + b - 1)] if a + b > 1 else []  # (0, 1, e) has none
     top = 2 * denominator
@@ -245,8 +241,9 @@ def _scan(
     cusps: List[int] = []
     for cusp in config:
         r, s = cusp.r, cusp.s
-        low = _cusp_elements(cusp)[:-1]
-        cusps += map(mul, map(add, low, repeat(r + s)), repeat(scale // (r * s)))
+        k = scale // (r * s)
+        for i in range(1, r):
+            cusps += range((i * s + r) * k, r * s * k, r * k)
     cusps.sort()
     infinity = list(map(mul, infinity_low, repeat(scale // denominator)))
     at_infinity = set(infinity)

@@ -4,7 +4,9 @@
   spectrum, the pair (denominator, sorted (numerator, multiplicity) pairs)
   that both constructions of the spectrum at infinity return.
 - `cusp_spectrum` reads the spectrum of a one-pair cusp off its semigroup,
-  as `spectra._scan` does for the values below 1, and returns that pair.
+  not off (r, s) as `spectra._scan` does, and returns that pair.
+- `closed_form_elements` is the membership test that built the element
+  lists of `semigroups._cusp_elements` before they merged progressions.
 - `sorted_failures` is the folded scan before it ordered its failures: one
   pass from 1/2 down yields each failing folded point and then its mirror,
   and `sorted` puts them in order.
@@ -61,9 +63,24 @@ def is_symmetric_about_one(spectrum):
     return pairs == tuple((2 * denominator - n, mult) for n, mult in reversed(pairs))
 
 
+def closed_form_elements(r, s):
+    """The elements of <r, s> in [0, (r - 1)(s - 1)].  The only j < r with
+    t - j*s divisible by r is j = t * s^-1 mod r, so t is a member iff that
+    j has j*s <= t."""
+    inverse = pow(s, -1, r)
+    return tuple(t for t in range((r - 1) * (s - 1) + 1) if t * inverse % r * s <= t)
+
+
 def cusp_numerators(cusp):
-    """The spectrum of `cusp` as sorted numerators over r*s, one per value,
-    read off its semigroup (the `spectra` module docstring)."""
+    """The spectrum {(i*s + j*r)/(r*s) : 1 <= i < r, 1 <= j < s} of `cusp` as
+    sorted numerators over r*s, one per value, read off its semigroup.
+
+    Those below r*s are exactly e + r + s for the delta elements e of <r, s>
+    below the conductor 2*delta = r*s - r - s + 1: such an e is
+    (i - 1)*s + (j - 1)*r with i < r and j >= 1, and e + r + s <= r*s forces
+    j < s and excludes r*s itself; conversely i*s + j*r - r - s < 2*delta is
+    an element.  The symmetry (i, j) -> (r - i, s - j) maps the rest onto
+    2*r*s - n."""
     r, s = cusp.r, cusp.s
     low = [r + s + e for e in _cusp_elements(cusp)[:-1]]
     return low + [2 * r * s - n for n in reversed(low)]

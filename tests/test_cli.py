@@ -1062,8 +1062,7 @@ def test_module_entry_point_matches_main(argv, monkeypatch):
 )
 def test_genus_zero_check_builds_no_spectrum_at_infinity(argv, expected):
     # A genus-0 curve has no cusp, and the empty configuration can fail no
-    # inequality, so neither command builds the spectrum at infinity, whose
-    # size grows with a.
+    # inequality, so neither command builds the spectrum at infinity.
     src = Path(cli_module.__file__).resolve().parents[1]
     result = subprocess.run(
         [sys.executable, "-m", "cuspidal.cli", *argv],
@@ -1321,6 +1320,9 @@ def test_ci_gate_table_is_well_formed():
     for gate in gates.GATES:
         assert gate.code in (0, 1, 2, 3), gate
         assert gate.tally == () or [type(n) for n in gate.tally] == [int] * 5, gate
+        # Only the `--json` run checks the bound on peak memory.
+        assert type(gate.rss_mb) is int and gate.rss_mb >= 0, gate
+        assert gate.rss_mb == 0 or "json" in gate.runs, gate
         for fmt, digest in gate.runs.items():
             assert fmt in ("json", "txt", "csv"), gate
             assert digest is None or re.fullmatch("[0-9a-f]{64}", digest), gate

@@ -36,6 +36,7 @@ import fractions
 import io
 import json
 import math
+import tracemalloc
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from fractions import Fraction
@@ -349,9 +350,6 @@ def test_filter_verdicts_build_the_curve_data_once_per_listing(monkeypatch):
         assert calls == {"_p_max_line": 1, "_infinity_numerators": 1}
 
 
-MEMOS = (semigroups._cusp_elements,)
-
-
 @pytest.fixture
 def max_plus_calls(monkeypatch):
     """The list of `_max_plus` calls from here on: the prefix folds made."""
@@ -383,8 +381,6 @@ def test_memos_follow_the_curve_when_curves_interleave(max_plus_calls):
     configs = {curve: list(configurations(curve.g, 3)) for curve in curves}
     alone = {}
     for curve in curves:
-        for memo in MEMOS:
-            memo.cache_clear()
         alone[curve] = _reports(curve, configs[curve])
         for config, hf_report, spectrum_report in alone[curve]:
             assert hf_report == _brute_hf(curve, config)
@@ -392,8 +388,6 @@ def test_memos_follow_the_curve_when_curves_interleave(max_plus_calls):
 
     # No fold outlives a call, so each `hf_check` folds its configuration
     # whole, and `semicontinuity_check` folds nothing.
-    for memo in MEMOS:
-        memo.cache_clear()
     max_plus_calls.clear()
     for curve in (curves[0], curves[1], curves[0]):
         assert _reports(curve, configs[curve]) == alone[curve]
@@ -406,6 +400,25 @@ def test_memos_follow_the_curve_when_curves_interleave(max_plus_calls):
             assert hf_check(curve, config) == hf_report
         for curve, (config, _, spectrum_report) in ((curves[1], second), (curves[0], first)):
             assert semicontinuity_check(curve, config) == spectrum_report
+
+
+def test_no_per_cusp_data_outlives_a_call():
+    # (1, 36, 2) has 22 cusps of delta g = 1260, each a list of g + 1 ints;
+    # a per-cusp memo would keep about 1.2 MB of them after the calls.
+    curve = CurveType(1, 36, 2)
+    configs = list(configurations(curve.g, 1))
+    assert len(configs) == 22
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        assert len(list(filter_verdicts(curve, configs))) == 22
+        hf_check(curve, configs[0])
+        semicontinuity_check(curve, configs[0])
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    # What is left is the interpreter's free lists of small tuples.
+    assert held < 2**19
 
 
 @pytest.mark.parametrize(
@@ -505,8 +518,6 @@ def test_enumerate_builds_no_witness_and_no_fraction(monkeypatch, max_plus_calls
     monkeypatch.setattr(fractions, "Fraction", refuse)
     monkeypatch.setattr(hf, "HfWitness", refuse)
     monkeypatch.setattr(spectra, "SemicontinuityWitness", refuse)
-    for memo in MEMOS:
-        memo.cache_clear()
     max_plus_calls.clear()
     assert enumerate_json() == expected
     # The walk folds every prefix once.

@@ -16,6 +16,7 @@ from cuspidal import (
     curve_elements,
 )
 from cuspidal.semigroups import _cusp_elements, _max_plus
+from oracles import closed_form_elements
 
 coprime_pairs = st.tuples(
     st.integers(min_value=2, max_value=12), st.integers(min_value=3, max_value=40)
@@ -81,6 +82,7 @@ def test_membership_matches_brute_force():
         }
         elements = _cusp_elements(PuiseuxCusp(r, s))
         assert elements == tuple(t for t in range(conductor + 1) if t in members)
+        assert elements == closed_form_elements(r, s)
         assert len(elements) == conductor // 2 + 1
         assert elements[-1] == conductor
 

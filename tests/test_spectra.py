@@ -136,6 +136,18 @@ def test_table_skips_the_zero_start_of_its_p_row():
     assert peak < 2**20
 
 
+def test_table_skips_the_zero_start_of_its_q_row():
+    # a = 1: floor(q*a/b) = 0 for every q < b, so no row of b entries is built.
+    tracemalloc.start()
+    try:
+        table = spectrum_at_infinity_table(CurveType(1, 10**6, 0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert table == (10**6, ((10**6, 10**6),))
+    assert peak < 2**20
+
+
 @given(
     a=st.integers(min_value=1, max_value=8),
     b=st.integers(min_value=1, max_value=8),
