@@ -77,6 +77,12 @@ GATES = [
     # 327,784 spectrum witnesses, 62 MB of JSON, streamed in order as they are found.
     Gate(10, "check --a 300 --b 300 --cusp 2:178803 --only spectrum", code=2, rss_mb=58,
          runs={"json": "11eaa81ae783c16916f906e487ce0ea56b4de82388805fa1e9ac7ca39fb76533"}),
+    # The rational plane curve y^299 z = x^300, blown up at a point off it, has
+    # one cusp (299,300) of g = 44,551 and must pass both filters.
+    Gate(10, "check --a 0 --b 300 --e 1 --cusp 299:300", rss_mb=40,
+         results={"verdict": "survives"},
+         runs={"json": "0b77e23b9a96409b3233b52c872ecdc3d4dd0b66a2faffe8550acfe48deb21b3",
+               "txt": "a420a14a07ebe9db46b9f461dbaabc782b8122b7149fc7361c72ddd3b2c3cac7"}),
     Gate(20, "dinv --a 6 --b 6 --cusp 6:11 --all-m",
          runs={"json": "864978f07174ed784e92c47d49aa04b88800562bea968dfe9c22351ac62d4ab0"}),
     # A round-1 target.

@@ -11,10 +11,10 @@ from .core import (
     GenusMismatchError,
     PuiseuxCusp,
 )
-from .semigroups import curve_elements
 from .hf import (
     HfReport,
     HfWitness,
+    curve_elements,
     d_invariant,
     hf_check,
     max_p_over_presentations,

@@ -30,14 +30,13 @@ import math
 import os
 import sys
 from itertools import chain, islice, repeat, tee
-from numbers import Rational
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
+from . import hf, spectra
 from .core import CurveType, CuspConfiguration, PuiseuxCusp
 from .enumeration import configurations, filter_verdicts
-from .hf import HfWitness, _d_invariant, _p_max_line, _violations
-from .semigroups import curve_elements
-from .spectra import SemicontinuityWitness, _witnesses
+from .hf import HfWitness, _d_invariant, curve_elements
+from .spectra import SemicontinuityWitness
 
 SCHEMA_VERSION = "1"
 DEFAULT_CANDIDATE_CAP = 10**6
@@ -49,10 +48,6 @@ EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_OBSTRUCTED = 2
 EXIT_MISMATCH = 3
-
-
-def _fr(x: Rational) -> str:
-    return f"{x.numerator}/{x.denominator}"
 
 
 def _ratio(n: int, d: int) -> str:
@@ -146,11 +141,9 @@ def _check_rows(
     here, before any output."""
     scans = {}
     if only in (None, "hf"):
-        elements = curve_elements(curve, config)
-        violations = _violations(_p_max_line(curve), curve.g, elements)
-        scans["hf"] = (("hf", *v) for v in violations)
+        scans["hf"] = (("hf", *v) for v in hf._witnesses(curve, config))
     if only in (None, "spectrum"):
-        scale, _, failures = _witnesses(curve, config)
+        scale, _, failures = spectra._witnesses(curve, config)
         scans["spectrum"] = (("spectrum", _ratio(x, scale), *c) for x, *c in failures)
     verdicts: Dict = {}
     found = []
@@ -168,7 +161,8 @@ def _dinv_rows(
 ) -> Iterator[Dict]:
     """The rows, streamed; the fold and the first row raise before any output."""
     elements = curve_elements(curve, config)
-    rows = ({"m": m, "d_invariant": _fr(_d_invariant(curve, elements, m))} for m in ms)
+    ratios = (_d_invariant(curve, elements, m).as_integer_ratio() for m in ms)
+    rows = ({"m": m, "d_invariant": _ratio(*nd)} for m, nd in zip(ms, ratios))
     return chain([next(rows)], rows)
 
 

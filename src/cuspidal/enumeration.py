@@ -23,8 +23,7 @@ import math
 from typing import Dict, Iterable, Iterator, List, Tuple
 
 from .core import CurveType, CuspConfiguration, PuiseuxCusp
-from .hf import _p_max_line, _violations, multiplicity_bound_check
-from .semigroups import _elements_along
+from .hf import _elements_along, _p_max_line, _violations, multiplicity_bound_check
 from .spectra import _infinity_numerators, _scan
 
 

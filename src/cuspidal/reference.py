@@ -13,7 +13,7 @@ from typing import Dict, List, Tuple
 
 from .cli import (
     EXIT_ERROR, EXIT_MISMATCH, EXIT_OBSTRUCTED, EXIT_OK,
-    _check_rows, _dinv_rows, _emit, _fr, _ratio, _report,
+    _check_rows, _dinv_rows, _emit, _ratio, _report,
 )
 from .core import CurveType, CuspConfiguration, PuiseuxCusp
 from .dedekind import dedekind_sum, rademacher_sum, verify_limits
@@ -59,13 +59,13 @@ def _spectrum(a, b, e, method, fmt) -> int:
 
 def _dedekind_s(p, q) -> int:
     """Print s(p, q) as num/den."""
-    print(_fr(dedekind_sum(p, q)))
+    print(_ratio(*dedekind_sum(p, q).as_integer_ratio()))
     return EXIT_OK
 
 
 def _dedekind_d(p, q, r) -> int:
     """Print D(p, q, r) as num/den."""
-    print(_fr(rademacher_sum(p, q, r)))
+    print(_ratio(*rademacher_sum(p, q, r).as_integer_ratio()))
     return EXIT_OK
 
 
@@ -81,16 +81,16 @@ def _dedekind_limits(b, max_w, tol, fmt) -> int:
         {
             "name": entry.name,
             "w": entry.w,
-            "value": _fr(entry.value),
-            "limit": _fr(entry.limit),
-            "deviation": _fr(entry.deviation),
+            "value": _ratio(*entry.value.as_integer_ratio()),
+            "limit": _ratio(*entry.limit.as_integer_ratio()),
+            "deviation": _ratio(*entry.deviation.as_integer_ratio()),
             "within_tol": entry.deviation <= report.tol,
         }
         for entry in report.entries
     ]
     doc = _report(
         "dedekind limits",
-        {"b": b, "max_w": max_w, "tol": _fr(report.tol)},
+        {"b": b, "max_w": max_w, "tol": _ratio(*report.tol.as_integer_ratio())},
         {"all_within_tol": report.all_within_tol, "entries": entries},
         [],
     )

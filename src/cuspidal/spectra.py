@@ -70,7 +70,9 @@ every value below 1 is critical.)
 Order.  So the witnesses in increasing order are the failing folded points
 y from 0 up, then the 1 - y > 1/2 they stand for from 1/2 down.  `_scan`
 walks the folded points both ways with one counting loop, for
-`semicontinuity_check` and the CLI's `check`, and holds no witness.
+`semicontinuity_check` and the CLI's `check`, and holds no witness.  The
+walk down fails at the same points, so it stops below the lowest failing y,
+at once if none failed.
 `enumeration.filter_verdicts` reads the first failing y from 1/2 down, where
 failures crowd (most obstructed configurations fail at one of the first
 three points), and builds no witness and no `Fraction`.
@@ -96,7 +98,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from itertools import repeat
+from itertools import repeat, takewhile
 from numbers import Rational
 from operator import itemgetter, mul
 from typing import Iterable, Iterator, List, NamedTuple, Tuple
@@ -267,8 +269,8 @@ def _scan(
                 yield end
             near = end
 
-    def failing(walk: Iterable[int]) -> Iterator[Tuple[int, ...]]:
-        for y in points(walk):
+    def failing(ys: Iterable[int]) -> Iterator[Tuple[int, ...]]:
+        for y in ys:
             mirror = scale - y
             cusp_inside = (
                 cusp_total - bisect_right(cusps, y) - bisect_right(cusps, mirror)
@@ -284,12 +286,15 @@ def _scan(
                 yield y, cusp_inside, infinity_inside, cusp_outside, infinity_outside
 
     def ordered() -> Iterator[Tuple[int, ...]]:
-        yield from failing(ends)
-        for y, *counts in failing(reversed(ends)):
+        low = scale  # the walk down fails where the walk up did: nowhere below low
+        for failure in failing(points(ends)):
+            low = min(low, failure[0])
+            yield failure
+        for y, *counts in failing(takewhile(low.__le__, points(reversed(ends)))):
             if y != half and scale - y not in at_infinity:
                 yield scale - y, *counts
 
-    return scale, checked, ordered(), failing(reversed(ends))
+    return scale, checked, ordered(), failing(points(reversed(ends)))
 
 
 def _witnesses(

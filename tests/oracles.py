@@ -6,7 +6,7 @@
 - `cusp_spectrum` reads the spectrum of a one-pair cusp off its semigroup,
   not off (r, s) as `spectra._scan` does, and returns that pair.
 - `closed_form_elements` is the membership test that built the element
-  lists of `semigroups._cusp_elements` before they merged progressions.
+  lists of `hf._cusp_elements` before they merged progressions.
 - `sorted_failures` is the folded scan before it ordered its failures: one
   pass from 1/2 down yields each failing folded point and then its mirror,
   and `sorted` puts them in order.
@@ -33,7 +33,7 @@ from typing import Dict
 
 from cuspidal import CuspConfiguration, alexander_order, cli, signature_profile
 from cuspidal.enumeration import cusps_with_delta
-from cuspidal.semigroups import _cusp_elements
+from cuspidal.hf import _cusp_elements
 from cuspidal.spectra import InternalConsistencyError
 
 

@@ -32,7 +32,7 @@ from cuspidal import (
     spectrum_at_infinity_table,
     verify_limits,
 )
-from cuspidal.semigroups import _cusp_elements, _max_plus
+from cuspidal.hf import _cusp_elements, _max_plus
 from oracles import (
     count_open,
     cusp_spectrum,

@@ -70,8 +70,8 @@ from cuspidal import (
     spectrum_at_infinity_table,
     verify_limits,
 )
-from cuspidal import cli, enumeration, hf, p_bound, semigroups, spectra
-from cuspidal.semigroups import _cusp_elements, _max_plus
+from cuspidal import cli, enumeration, hf, p_bound, spectra
+from cuspidal.hf import _cusp_elements, _max_plus
 from oracles import (
     count_open,
     cusp_numerators,
@@ -359,7 +359,7 @@ def max_plus_calls(monkeypatch):
         calls.append((e1, e2))
         return _max_plus(e1, e2)
 
-    monkeypatch.setattr(semigroups, "_max_plus", counted)
+    monkeypatch.setattr(hf, "_max_plus", counted)
     return calls
 
 
@@ -601,8 +601,8 @@ def test_elements_along_folds_only_past_the_shared_prefix(curves, data):
         return _max_plus(e1, e2)
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(semigroups, "_max_plus", counted)
-        pairs = list(semigroups._elements_along(iter(configs)))
+        patch.setattr(hf, "_max_plus", counted)
+        pairs = list(hf._elements_along(iter(configs)))
     assert pairs == [
         (c, reduce(_max_plus, map(_cusp_elements, c), (0,))) for c in configs
     ]

@@ -15,7 +15,7 @@ from cuspidal import (
     configurations,
     curve_elements,
 )
-from cuspidal.semigroups import _cusp_elements, _max_plus
+from cuspidal.hf import _cusp_elements, _max_plus
 from oracles import closed_form_elements
 
 coprime_pairs = st.tuples(

@@ -3,6 +3,7 @@ import math
 import re
 import sys
 import tracemalloc
+from bisect import bisect_right
 from fractions import Fraction
 
 import pytest
@@ -183,12 +184,33 @@ def test_semicontinuity_passes_other_candidates(r, s):
     assert report.checked_points > 0
 
 
+@pytest.mark.parametrize("a, b, e, r, s", [(6, 6, 0, 6, 11), (0, 30, 1, 29, 30)])
+def test_ordered_scan_of_a_survivor_walks_its_points_once(monkeypatch, a, b, e, r, s):
+    # The walk down fails where the walk up does, so when the walk up finds
+    # nothing the ordered stream skips it: as many bisections as the walk down.
+    calls = []
+
+    def counted(values, x):
+        calls.append(x)
+        return bisect_right(values, x)
+
+    monkeypatch.setattr(spectra, "bisect_right", counted)
+    infinity = spectra._infinity_numerators(CurveType(a, b, e))
+    config = CuspConfiguration([PuiseuxCusp(r, s)])
+    _, checked, ordered, down = spectra._scan(infinity, config)
+    assert list(down) == []
+    walked_down = len(calls)
+    calls.clear()
+    assert list(ordered) == []
+    assert len(calls) == walked_down >= checked > 0
+
+
 @pytest.mark.parametrize("a, b", [(10**20, 1), (1, 10**20)])
 def test_empty_configuration_passes_without_the_spectrum_at_infinity(
     monkeypatch, a, b
 ):
     # At genus 0 both cusp counts are 0 everywhere, so no point can fail;
-    # the spectrum at infinity, whose size grows with a and b, is not built.
+    # the spectrum at infinity is not built.
     def refuse(curve):
         raise AssertionError("built the spectrum at infinity at genus 0")
 
