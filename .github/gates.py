@@ -69,6 +69,9 @@ GATES = [
     # (3000,3000,0) with two cusps trips the cap at its first configuration.
     Gate(10, "enumerate --a 3000 --b 3000 --max-cusps 2 --cap 0", {"txt": None}, code=1,
          stderr="more than 0 genus-compatible configurations"),
+    # A cusp of the wrong genus is refused before the HF line of m in [-g, g].
+    Gate(10, "check --a 2000 --b 1999 --cusp 2:3", {"txt": None}, code=1,
+         stderr="genus mismatch: expected sum(mu/2) = g = 3994002, got 1"),
     # Mixed witness kinds; rows under results.values; 2,302 witnesses.
     Gate(20, "check --a 0 --b 5 --e 2 --cusp 2:3 --cusp 3:4 --cusp 4:9", code=2,
          runs={"json": "59ad288218a7f96c6ab845304478f01c365880ab64b83c0e502967c65d4259d3",

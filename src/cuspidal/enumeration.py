@@ -100,19 +100,14 @@ def filter_verdicts(
     its first violation and builds no witness.  Reads `configs` once, so it
     may be any iterable.
 
-    Builds `_p_max_line` once, and `_infinity_numerators` at the first
-    configuration with cusps, so never at genus 0.  Raises
+    Builds `_p_max_line` and `_infinity_numerators` once.  Raises
     `GenusMismatchError` at a configuration whose total delta is not g.
     """
-    g, line, infinity = curve.g, _p_max_line(curve), None
+    g, line, infinity = curve.g, _p_max_line(curve), _infinity_numerators(curve)
     for config, elements in _elements_along(configs):
-        if len(elements) != g + 1:  # a fold has total delta + 1 elements
-            config.require_genus_compatible(curve)
-        if config and infinity is None:
-            infinity = _infinity_numerators(curve)
+        config.require_genus_compatible(curve)
         yield (
             all(multiplicity_bound_check(curve, cusp) for cusp in config),
             next(_violations(line, g, elements), None) is None,
-            # No cusps: no point can fail.
-            not config or next(_scan(infinity, config)[3], None) is None,
+            next(_scan(infinity, config)[3], None) is None,
         )

@@ -67,7 +67,6 @@ on the curve: `_witnesses` builds them per call, `filter_verdicts` per curve.
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_left
 from itertools import chain, takewhile
 from numbers import Rational
@@ -163,8 +162,7 @@ def max_p_over_presentations(
     Of the two solutions next to the vertex of P (see the module docstring),
     ties go to the one with the larger s1.
     """
-    b, w, e = curve.b, curve.w, curve.e
-    c = math.gcd(b, w)
+    b, w, e, c = curve.b, curve.w, curve.e, curve.c
     if n % c != 0:
         return None
     step = b // c
@@ -206,7 +204,8 @@ def _witnesses(
 ) -> Iterator[Tuple[int, int, int, int, int]]:
     """The genus check and the fold, then `_violations` of the curve's
     `_p_max_line`, lazily."""
-    return _violations(_p_max_line(curve), curve.g, curve_elements(curve, config))
+    elements = curve_elements(curve, config)
+    return _violations(_p_max_line(curve), curve.g, elements)
 
 
 def hf_check(curve: CurveType, config: CuspConfiguration) -> HfReport:

@@ -218,25 +218,24 @@ class SemicontinuityReport(NamedTuple):
 def _infinity_numerators(curve: CurveType) -> Tuple[int, Tuple[int, ...], int]:
     """(D = lcm(w, b), the values below 1 of the spectrum at infinity as
     sorted numerators over D, one per unit of multiplicity, and the
-    multiplicity of 1)."""
+    multiplicity of 1), all read off the table."""
     denominator, entries = spectrum_at_infinity_table(curve)
     low: List[int] = []
     for n, mult in entries:
         if n >= denominator:
-            break
+            return denominator, tuple(low), mult if n == denominator else 0
         low += [n] * mult
-    # The table mirrors these above 1; 1 is on neither row and has a + b - 1.
-    return denominator, tuple(low), curve.a + curve.b - 1
+    return denominator, tuple(low), 0
 
 
 def _scan(
     infinity: Tuple[int, Tuple[int, ...], int], config: CuspConfiguration
 ) -> Tuple[int, int, Iterator[Tuple[int, ...]], Iterator[Tuple[int, ...]]]:
-    """The folded scan (module docstring) of a configuration with cusps: L,
-    the number of scan points in (0, 1), and two lazy streams of failing
-    points as (numerator over L, cusp inside, infinity inside, cusp outside,
-    infinity outside): every failing scan point in increasing order
-    ("Order"), and the failing folded points from 1/2 down."""
+    """The folded scan (module docstring) of a configuration: L, the number
+    of scan points in (0, 1), and two lazy streams of failing points as
+    (numerator over L, cusp inside, infinity inside, cusp outside, infinity
+    outside): every failing scan point in increasing order ("Order"), and
+    the failing folded points from 1/2 down."""
     denominator, infinity_low, mult_one = infinity
     scale = 2 * math.lcm(denominator, *(cusp.r * cusp.s for cusp in config))
     half = scale // 2
@@ -302,8 +301,6 @@ def _witnesses(
 ) -> Tuple[int, int, Iterator[Tuple[int, ...]]]:
     """The genus check, then L, the count and the ordered failures of `_scan`."""
     config.require_genus_compatible(curve)
-    if not config:
-        return 1, 0, iter(())
     return _scan(_infinity_numerators(curve), config)[:3]
 
 
@@ -312,7 +309,8 @@ def semicontinuity_check(
 ) -> SemicontinuityReport:
     """Evaluate both interval inequalities at every scan point in (0, 1)
     (module docstring); the witnesses are the failing ones in increasing
-    order.  No cusps (genus 0): no point can fail, and `checked_points` is 0."""
+    order.  No cusps (genus 0): no genus-0 table has a value below 1, so
+    1/2 is the only scan point, `checked_points` is 1, and it cannot fail."""
     scale, checked, failures = _witnesses(curve, config)
     from fractions import Fraction
 

@@ -14,7 +14,16 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from cuspidal import cli as cli_module, reference
+from cuspidal import (
+    CurveType,
+    CuspConfiguration,
+    GenusMismatchError,
+    PuiseuxCusp,
+    cli as cli_module,
+    hf,
+    hf_check,
+    reference,
+)
 from cuspidal.cli import main
 from oracles import group_dispatch
 
@@ -465,6 +474,22 @@ def test_cusp_syntax_errors_name_the_form(spec):
 def test_genus_mismatch_message(argv):
     message = "genus mismatch: expected sum(mu/2) = g = 25, got 1"
     assert run(argv) == (1, f"error: {message}\n")
+
+
+def test_genus_check_comes_before_the_hf_line(monkeypatch):
+    # The HF line has an entry for every m in [-g, g]: a configuration of the
+    # wrong genus is refused before it is built.
+    def refuse(curve):
+        raise AssertionError("built the HF line before the genus check")
+
+    monkeypatch.setattr(hf, "_p_max_line", refuse)
+    message = "genus mismatch: expected sum(mu/2) = g = 25, got 1"
+    assert run(["check", "--a", "6", "--b", "6", "--cusp", "2:3"]) == (
+        1,
+        f"error: {message}\n",
+    )
+    with pytest.raises(GenusMismatchError, match=re.escape(message)):
+        hf_check(CurveType(6, 6, 0), CuspConfiguration([PuiseuxCusp(2, 3)]))
 
 
 @pytest.mark.parametrize(
@@ -1071,9 +1096,10 @@ def test_module_entry_point_matches_main(argv, monkeypatch):
     ],
     ids=["check", "enumerate"],
 )
-def test_genus_zero_check_builds_no_spectrum_at_infinity(argv, expected):
-    # A genus-0 curve has no cusp, and the empty configuration can fail no
-    # inequality, so neither command builds the spectrum at infinity.
+def test_genus_zero_requests_on_huge_curves_finish_at_once(argv, expected):
+    # A genus-0 curve has no cusp, its HF line has one entry and its spectrum
+    # at infinity no value below 1, so however large a or b is, each
+    # command does O(1) work.
     src = Path(cli_module.__file__).resolve().parents[1]
     result = subprocess.run(
         [sys.executable, "-m", "cuspidal.cli", *argv],

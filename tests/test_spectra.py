@@ -20,7 +20,7 @@ from cuspidal import (
     spectrum_at_infinity_derived,
     spectrum_at_infinity_table,
 )
-from cuspidal import enumeration, spectra
+from cuspidal import spectra
 from cuspidal.spectra import InternalConsistencyError, SemicontinuityReport
 from oracles import count_open, cusp_spectrum, entries, is_symmetric_about_one, total
 
@@ -206,19 +206,20 @@ def test_ordered_scan_of_a_survivor_walks_its_points_once(monkeypatch, a, b, e, 
 
 
 @pytest.mark.parametrize("a, b", [(10**20, 1), (1, 10**20)])
-def test_empty_configuration_passes_without_the_spectrum_at_infinity(
-    monkeypatch, a, b
-):
-    # At genus 0 both cusp counts are 0 everywhere, so no point can fail;
-    # the spectrum at infinity is not built.
-    def refuse(curve):
-        raise AssertionError("built the spectrum at infinity at genus 0")
-
-    monkeypatch.setattr(spectra, "_infinity_numerators", refuse)
-    monkeypatch.setattr(enumeration, "_infinity_numerators", refuse)
+def test_empty_configuration_takes_the_general_scan(a, b):
+    # No genus-0 table has a value below 1, so the scan checks 1/2 alone,
+    # where both cusp counts are 0 and no inequality can fail.
     curve, config = CurveType(a, b, 0), CuspConfiguration(())
-    assert semicontinuity_check(curve, config) == SemicontinuityReport((), 0)
-    assert list(filter_verdicts(curve, [config])) == [(True, True, True)]
+    tracemalloc.start()
+    try:
+        report = semicontinuity_check(curve, config)
+        verdicts = list(filter_verdicts(curve, [config]))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report == SemicontinuityReport((), 1)
+    assert verdicts == [(True, True, True)]
+    assert peak < 64 * 1024
 
 
 def test_constructions_make_no_fraction():
