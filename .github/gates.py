@@ -14,6 +14,7 @@ import sys
 import tempfile
 import time
 from collections import namedtuple
+from itertools import chain
 from pathlib import Path
 
 FLAGS = {"json": ["--json"], "txt": [], "csv": ["--csv"]}
@@ -41,6 +42,11 @@ GATES = [
     Gate(20, "spectrum --a 1000 --b 999 --method both", results={"methods_agree": True},
          runs={"json": "b67ac7cb043f3bcdb6137482ce817209a2661d03073ee1ba2fa02c7ce1f8cce7",
                "txt": "d7e2e365f1926f7f738df95dd2782ee335ccbfad001435aa11a82bf51003660a",
+               "csv": "efa910633092f86d71220853234ebc63260069419c121d66ef1ad41cb1aef67e"}),
+    # The signature route's own entries at that size.
+    Gate(20, "spectrum --a 1000 --b 999 --method derived",
+         runs={"json": "786d9745ce8e64a40afd9e52238c6c1617743bc972ec43bcfc6c8bdf3c17d682",
+               "txt": "4b53859f341b9efc43b89d76374c4180d6c3047c015851dde4c8bc98a5aa01a7",
                "csv": "efa910633092f86d71220853234ebc63260069419c121d66ef1ad41cb1aef67e"}),
     Gate(20, "spectrum --a 240 --b 60 --method both",
          runs={"json": "1b5fe66b52a35d9d4cf45b2284c8661f17dda0f23fc783906b340235be58692c",
@@ -72,6 +78,9 @@ GATES = [
     # A cusp of the wrong genus is refused before the HF line of m in [-g, g].
     Gate(10, "check --a 2000 --b 1999 --cusp 2:3", {"txt": None}, code=1,
          stderr="genus mismatch: expected sum(mu/2) = g = 3994002, got 1"),
+    # An m out of range is refused before the fold of g = 9,801.
+    Gate(10, "dinv --a 100 --b 100 --cusp 3:4901 --cusp 2:9803 --m 100000", {"txt": None},
+         code=1, stderr="m must lie in [-20000/2, 20000/2), got 100000"),
     # Mixed witness kinds; rows under results.values; 2,302 witnesses.
     Gate(20, "check --a 0 --b 5 --e 2 --cusp 2:3 --cusp 3:4 --cusp 4:9", code=2,
          runs={"json": "59ad288218a7f96c6ab845304478f01c365880ab64b83c0e502967c65d4259d3",
@@ -132,6 +141,19 @@ def tally(report):
     )
 
 
+def canonical(stdout, report):
+    """Whether `stdout` is `json.dumps(report, sort_keys=True, indent=2)` and a
+    newline, compared piece by piece, so that neither the text of `stdout` nor
+    the whole re-encoding is ever held: a report can run to tens of MB."""
+    pieces = json.JSONEncoder(sort_keys=True, indent=2).iterencode(report)
+    at = 0
+    for piece in map(str.encode, chain(pieces, ["\n"])):
+        if not stdout.startswith(piece, at):
+            return False
+        at += len(piece)
+    return at == len(stdout)
+
+
 def failures(gate, fmt, run, kb):
     """What one run of `gate` in `fmt` showed that its row does not expect."""
     if run is None:
@@ -153,7 +175,7 @@ def failures(gate, fmt, run, kb):
     except (ValueError, KeyError, TypeError) as exc:
         yield f"no report: {exc!r}"
         return
-    if run.stdout.decode() != json.dumps(report, sort_keys=True, indent=2) + "\n":
+    if not canonical(run.stdout, report):
         yield "not in the canonical JSON form"
     if found != gate.tally:
         yield f"tally {found}, expected {gate.tally}"

@@ -7,7 +7,11 @@ stderr and exits 1, whether it comes from argparse (which would exit 2), the
 CLI or the library, and a `MemoryError` as `error: out of memory`.  A `--json`
 report is a small envelope plus at most one long list of flat rows, streamed
 byte-identical to `json.dumps(report, sort_keys=True, indent=2)` by the writer
-`_dumps`, every rational as "num/den".
+`_dumps`, every rational as "num/den".  `_dumps` turns the rows into text
+1,024 at a time: flat dicts, the rows of every report but one, by one
+C-encoder call (`_encoded`); the `spectrum` entries, (numerator,
+multiplicity) int pairs over one denominator, by one f-string each
+(`reference._entry_rows`).
 
 Here live parsing, dispatch, output and the filter commands `check`,
 `enumerate` and `dinv`.  `main` parses argv with the parser of the command
@@ -30,7 +34,9 @@ import math
 import os
 import sys
 from itertools import chain, islice, repeat, tee
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import (
+    Callable, Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple,
+)
 
 from . import hf, spectra
 from .core import CurveType, CuspConfiguration, PuiseuxCusp
@@ -65,34 +71,48 @@ def _report(command: str, inputs: Dict, results: Dict, witnesses: Iterable[Dict]
     }
 
 
-def _dumps(report: Dict, rows: Iterable[Dict]) -> Iterator[str]:
+def _encoded(chunk: List[Dict], inner: str) -> str:
+    """Flat dict rows as the items of an `indent=2` list whose items sit at
+    `inner`, by one C-encoder call: its fixed cost is under 1 % of encoding
+    1,024 rows.  The encoder escapes every control character in strings, so
+    a newline in its output always separates items: only the brackets
+    between rows get re-indented.  Rows hold only scalars, so the encoder
+    skips its circular check."""
+    row = inner + "  "
+    text = json.JSONEncoder(
+        sort_keys=True, separators=(",\n" + row, ": "), check_circular=False
+    ).encode(chunk)
+    text = text.replace(f"}},\n{row}{{", f"\n{inner}}},\n{inner}{{\n{row}")
+    return f"{{\n{row}{text[2:-2]}\n{inner}}}"
+
+
+def _dumps(
+    report: Dict, rows: Iterable, render: Callable[[List, str], str] = _encoded
+) -> Iterator[str]:
     """`json.dumps(report, sort_keys=True, indent=2)` and a newline, byte for
-    byte, in pieces, where `rows` (a list or an iterator of non-empty flat
-    dicts) is the report's `witnesses`, `results.entries` or `results.values`.
+    byte, in pieces, where `rows` (a list or an iterator) is the report's
+    `witnesses`, `results.entries` or `results.values`.
 
     The stdlib (its pure-Python encoder, as `indent` is set) writes the
     envelope once, with NaN for `rows`, and splits it at `"<key>": NaN`:
     reports hold no floats, and in a string that `"` after <key> is escaped.
-    Each `_CHUNK_ROWS` rows, all it holds at once, take one C-encoder call,
-    whose fixed cost is under 1 % of encoding 1,024 rows.  The encoder
-    escapes every control character in strings, so a newline in its output
-    always separates items: only the brackets between rows get re-indented.
-    Rows are flat dicts of scalars, so the encoder skips its circular check.
+    Each `_CHUNK_ROWS` rows, all it holds at once, become text in one
+    `render(chunk, inner)` call, the rows as the list's items at the indent
+    `inner`, joined by `,\n<inner>`.  Every report's rows are non-empty flat
+    dicts, which `_encoded` renders, except the `spectrum` entries: those
+    are the spectrum's (numerator, multiplicity) int pairs, which
+    `reference._entry_rows` writes straight into one f-string per row.
     """
     envelope = {**report, "results": dict(report["results"])}
     owner = envelope if report["witnesses"] is rows else envelope["results"]
     key = next(key for key, value in owner.items() if value is rows)
     pad = "  " if owner is envelope else "    "
-    inner, row = pad + "  ", pad + "    "
-    encode = json.JSONEncoder(
-        sort_keys=True, separators=(",\n" + row, ": "), check_circular=False
-    ).encode
+    inner = pad + "  "
     owner[key] = math.nan
     head, tail = json.dumps(envelope, sort_keys=True, indent=2).split(f'"{key}": NaN')
     rows, sep, close = iter(rows), f'{head}"{key}": [\n{inner}', f'{head}"{key}": []'
     while chunk := list(islice(rows, _CHUNK_ROWS)):
-        text = encode(chunk).replace(f"}},\n{row}{{", f"\n{inner}}},\n{inner}{{\n{row}")
-        yield f"{sep}{{\n{row}{text[2:-2]}\n{inner}}}"
+        yield f"{sep}{render(chunk, inner)}"
         sep, close = f",\n{inner}", f"\n{pad}]"
     yield f"{close}{tail}\n"
 
@@ -101,13 +121,15 @@ def _emit(
     fmt: str,
     report: Dict,
     lines: Iterable[str],
-    rows: Iterable[Dict],
+    rows: Iterable,
     header: Sequence[str] = (),
+    render: Callable[[List, str], str] = _encoded,
 ) -> None:
-    """Print `report` as JSON, `rows` as CSV under `header` (its columns a
-    row lacks stay empty), or the text `lines`, which only this path reads."""
+    """Print `report` as JSON, its rows rendered by `render` (see `_dumps`),
+    `rows` as CSV under `header` (its columns a row lacks stay empty), or
+    the text `lines`, which only this path reads."""
     if fmt == "json":
-        sys.stdout.writelines(_dumps(report, rows))
+        sys.stdout.writelines(_dumps(report, rows, render))
     elif fmt == "csv":
         import csv
 
@@ -159,7 +181,9 @@ def _check_rows(
 def _dinv_rows(
     curve: CurveType, config: CuspConfiguration, ms: Sequence[int]
 ) -> Iterator[Dict]:
-    """The rows, streamed; the fold and the first row raise before any output."""
+    """The rows, streamed; the first m's range, the fold and the first row
+    raise before any output, the range first, as the fold can take seconds."""
+    hf._check_m(curve, ms[0])
     elements = curve_elements(curve, config)
     ratios = (_d_invariant(curve, elements, m).as_integer_ratio() for m in ms)
     rows = ({"m": m, "d_invariant": _ratio(*nd)} for m, nd in zip(ms, ratios))

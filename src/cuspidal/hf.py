@@ -231,11 +231,17 @@ def d_invariant(curve: CurveType, config: CuspConfiguration, m: int) -> Rational
     return _d_invariant(curve, curve_elements(curve, config), m)
 
 
-def _d_invariant(curve: CurveType, elements: Tuple[int, ...], m: int) -> Rational:
-    """`d_invariant` given the configuration's fold."""
-    d, g = curve.d, curve.g
+def _check_m(curve: CurveType, m: int) -> None:
+    """Raise unless m lies in [-d/2, d/2), the range of `d_invariant`."""
+    d = curve.d
     if not (-d <= 2 * m < d):
         raise ValueError(f"m must lie in [-{d}/2, {d}/2), got {m}")
+
+
+def _d_invariant(curve: CurveType, elements: Tuple[int, ...], m: int) -> Rational:
+    """`d_invariant` given the configuration's fold."""
+    _check_m(curve, m)
+    d, g = curve.d, curve.g
     t = m + g
     r_value = bisect_left(elements, t) if t <= 2 * g else t - g
     from fractions import Fraction

@@ -4,7 +4,9 @@
 
 from __future__ import annotations
 
+import functools
 import json
+import math
 import os
 import sys
 from fractions import Fraction
@@ -17,12 +19,19 @@ from .cli import (
 )
 from .core import CurveType, CuspConfiguration, PuiseuxCusp
 from .dedekind import dedekind_sum, rademacher_sum, verify_limits
-from .spectra import Spectrum, spectrum_at_infinity_derived, spectrum_at_infinity_table
+from .spectra import spectrum_at_infinity_derived, spectrum_at_infinity_table
 
 
-def _spectrum_rows(spectrum: Spectrum) -> List[Dict]:
-    d, entries = spectrum
-    return [{"value": _ratio(n, d), "multiplicity": mult} for n, mult in entries]
+def _entry_rows(d: int, chunk: List[Tuple[int, int]], inner: str) -> str:
+    """`_dumps`' render of spectrum entries: each (n, mult) pair over the
+    denominator d as the row {"multiplicity": mult, "value": "n/d"} in
+    lowest terms, written straight into one f-string."""
+    row = inner + "  "
+    head, mid, end = f'{{\n{row}"multiplicity": ', f',\n{row}"value": "', f'"\n{inner}}}'
+    gcd = math.gcd
+    return f",\n{inner}".join(
+        f"{head}{mult}{mid}{n // (g := gcd(n, d))}/{d // g}{end}" for n, mult in chunk
+    )
 
 
 def _spectrum(a, b, e, method, fmt) -> int:
@@ -33,22 +42,26 @@ def _spectrum(a, b, e, method, fmt) -> int:
         spectrum_at_infinity_derived(curve) if method in ("derived", "both") else None
     )
     mismatch = method == "both" and table != derived
-    spectrum = table if table is not None else derived
-    rows = _spectrum_rows(spectrum)
-    total = sum(mult for _, mult in spectrum[1])
+    d, pairs = table if table is not None else derived
+    total = sum(mult for _, mult in pairs)
+    # JSON renders the (n, mult) pairs themselves; CSV reads one dict per entry.
+    rows = pairs if fmt != "csv" else (
+        {"value": _ratio(n, d), "multiplicity": mult} for n, mult in pairs
+    )
     results: Dict = {"method": method, "total": total, "entries": rows}
     if method == "both":
         results["methods_agree"] = not mismatch
     report = _report("spectrum", {"a": a, "b": b, "e": e}, results, [])
     lines = chain(
-        (f"{row['value']} {row['multiplicity']}" for row in rows),
+        (f"{_ratio(n, d)} {mult}" for n, mult in pairs),
         [f"methods agree: {not mismatch}"] if method == "both" else [],
     )
-    _emit(fmt, report, lines, rows, ("value", "multiplicity"))
+    header = ("value", "multiplicity")
+    _emit(fmt, report, lines, rows, header, functools.partial(_entry_rows, d))
     if mismatch:
         print("mismatch between table and derived constructions:", file=sys.stderr)
         # Both constructions use the denominator lcm(w, b).
-        d, table_mults, derived_mults = table[0], dict(table[1]), dict(derived[1])
+        table_mults, derived_mults = dict(table[1]), dict(derived[1])
         for n in sorted(table_mults.keys() | derived_mults.keys()):
             t, dv = table_mults.get(n, 0), derived_mults.get(n, 0)
             if t != dv:
@@ -122,9 +135,9 @@ def _repro_scenarios() -> List[Tuple[str, Dict]]:
         scenarios.append((f"check_{a}_{b}_{e}_cusp_{r}_{s}", payload))
 
     for a, b, e in ((6, 4, 0), (6, 6, 0)):
-        spectrum = spectrum_at_infinity_table(CurveType(a, b, e))
-        total = sum(mult for _, mult in spectrum[1])
-        entries = [list(row.values()) for row in _spectrum_rows(spectrum)]
+        d, pairs = spectrum_at_infinity_table(CurveType(a, b, e))
+        total = sum(mult for _, mult in pairs)
+        entries = [[_ratio(n, d), mult] for n, mult in pairs]
         scenarios.append(
             (f"spectrum_{a}_{b}_{e}", {"total": total, "entries": entries})
         )

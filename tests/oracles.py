@@ -1,8 +1,9 @@
 """Views and kernels that only the tests use.
 
-- `entries`, `total`, `count_open` and `is_symmetric_about_one` read a
-  spectrum, the pair (denominator, sorted (numerator, multiplicity) pairs)
-  that both constructions of the spectrum at infinity return.
+- `entries`, `spectrum_rows`, `total`, `count_open` and
+  `is_symmetric_about_one` read a spectrum, the pair (denominator, sorted
+  (numerator, multiplicity) pairs) that both constructions of the spectrum
+  at infinity return.
 - `cusp_spectrum` reads the spectrum of a one-pair cusp off its semigroup,
   not off (r, s) as `spectra._scan` does, and returns that pair.
 - `closed_form_elements` is the membership test that built the element
@@ -41,6 +42,15 @@ def entries(spectrum):
     """(value as a `Fraction`, multiplicity), in increasing order."""
     denominator, pairs = spectrum
     return tuple((Fraction(n, denominator), mult) for n, mult in pairs)
+
+
+def spectrum_rows(spectrum):
+    """The rows of a `spectrum --json` report's `entries`, one dict per entry
+    as the report held them before it rendered the pairs straight to text."""
+    return [
+        {"value": f"{x.numerator}/{x.denominator}", "multiplicity": mult}
+        for x, mult in entries(spectrum)
+    ]
 
 
 def total(spectrum):

@@ -492,6 +492,17 @@ def test_genus_check_comes_before_the_hf_line(monkeypatch):
         hf_check(CurveType(6, 6, 0), CuspConfiguration([PuiseuxCusp(2, 3)]))
 
 
+def test_dinv_checks_m_before_the_fold(monkeypatch):
+    # The fold of a large configuration takes seconds: an m out of range is
+    # refused before it starts.
+    def refuse(curve, config):
+        raise AssertionError("folded the configuration before checking m")
+
+    monkeypatch.setattr(cli_module, "curve_elements", refuse)
+    argv = ["dinv", "--a", "6", "--b", "6", "--cusp", "6:11", "--m", "36"]
+    assert run(argv) == (1, "error: m must lie in [-72/2, 72/2), got 36\n")
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -1347,12 +1358,17 @@ def test_main_parses_as_the_group_parser(argv):
     assert _outcome(main, argv) == _outcome(group_dispatch, argv)
 
 
-def test_ci_gate_table_is_well_formed():
-    # A typo in a row of CI's table fails here, without running the row.
+def _gates():
     path = Path(__file__).resolve().parents[1] / ".github" / "gates.py"
     spec = importlib.util.spec_from_file_location("gates", path)
     gates = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(gates)
+    return gates
+
+
+def test_ci_gate_table_is_well_formed():
+    # A typo in a row of CI's table fails here, without running the row.
+    gates = _gates()
     for gate in gates.GATES:
         assert gate.code in (0, 1, 2, 3), gate
         assert gate.tally == () or [type(n) for n in gate.tally] == [int] * 5, gate
@@ -1369,3 +1385,21 @@ def test_ci_gate_table_is_well_formed():
             parser, valued = cli_module._parser(tuple(argv[:k]))
             options = parser.parse_args(cli_module._joined(argv[k:], valued))
             assert getattr(options, "fmt", "text") == {"txt": "text"}.get(fmt, fmt), gate
+
+
+def test_ci_canonical_check_takes_only_the_canonical_bytes():
+    # CI compares a report with its canonical form piece by piece: every
+    # byte counts, the final newline included.
+    canonical = _gates().canonical
+    report = {"b": [{"m": 1, "v": "1/2"}, {"m": 2, "v": "é"}], "a": [], "c": {}}
+    text = (json.dumps(report, sort_keys=True, indent=2) + "\n").encode()
+    assert canonical(text, report)
+    for other in (
+        text[:-1],
+        text + b"\n",
+        text.replace(b'  "a"', b' "a"'),
+        text.replace(b'"m": 1,\n      "v": "1/2"', b'"v": "1/2",\n      "m": 1'),
+        json.dumps(report, sort_keys=True, indent=2, ensure_ascii=False).encode() + b"\n",
+        b"",
+    ):
+        assert not canonical(other, report), other

@@ -29,7 +29,9 @@ which splices C-encoded chunks of rows into a stdlib-written envelope, must
 write the bytes of the stdlib's `json.dumps(sort_keys=True, indent=2)`,
 which runs its pure-Python encoder, and a newline, on every report shape,
 with the rows as a list or as an iterator and with chunk boundaries
-anywhere between them.
+anywhere between them; `spectrum --json`, whose entries it renders straight
+from the spectrum's int pairs, must print the report that holds the dict
+rows of `oracles.spectrum_rows`.
 """
 import contextlib
 import fractions
@@ -82,6 +84,7 @@ from oracles import (
     entries,
     rademacher_reciprocity_rhs,
     sorted_failures,
+    spectrum_rows,
     total,
 )
 
@@ -1062,3 +1065,45 @@ def test_dumps_matches_stdlib_indent_encoder(command, inputs, results, rows, pla
         with mock.patch.object(cli, "_CHUNK_ROWS", chunk_rows):
             for stream in (rows, iter(rows)):
                 assert "".join(cli._dumps(report(stream), stream)) == expected
+
+
+# `spectrum --json` renders its entries straight from the (n, mult) pairs;
+# the report must be the one that holds the oracle's dict rows.  Curves from
+# the benchmark's box (a, b <= 120, e <= 2, d > 0) and CI's edges: no value
+# at all, b = 1, a = 0, and e = 2.
+@given(
+    st.tuples(st.integers(0, 120), st.integers(1, 120), st.integers(0, 2)).filter(
+        lambda curve: curve[0] or curve[2]
+    )
+)
+@example((0, 1, 1))
+@example((300, 1, 0))
+@example((0, 300, 1))
+@example((7, 7, 2))
+@settings(deadline=None)
+def test_spectrum_json_matches_the_dict_row_oracle(curve):
+    a, b, e = curve
+    table = spectrum_at_infinity_table(CurveType(a, b, e))
+    derived = spectrum_at_infinity_derived(CurveType(a, b, e))
+    for method, spectrum in (("table", table), ("derived", derived), ("both", table)):
+        results = {"method": method, "total": total(spectrum)}
+        results["entries"] = spectrum_rows(spectrum)
+        if method == "both":
+            results["methods_agree"] = table == derived
+        report = {
+            "schema_version": "1",
+            "command": "spectrum",
+            "inputs": {"a": a, "b": b, "e": e},
+            "results": results,
+            "witnesses": [],
+        }
+        expected = json.dumps(report, sort_keys=True, indent=2) + "\n"
+        argv = ["spectrum", "--a", str(a), "--b", str(b), "--e", str(e), "--method", method]
+        for chunk_rows in (1, 2, 3, 1024):
+            stdout = io.StringIO()
+            with mock.patch.object(cli, "_CHUNK_ROWS", chunk_rows):
+                with contextlib.redirect_stdout(stdout), pytest.raises(SystemExit) as exit:
+                    cli.main([*argv, "--json"])
+            assert exit.value.code == 0
+            # Lines, so that a failure names its first wrong line at once.
+            assert stdout.getvalue().splitlines(True) == expected.splitlines(True)
