@@ -72,6 +72,9 @@ GATES = [
     # With one cusp, (300,300,0) builds only the cusps of delta g.
     Gate(20, "enumerate --a 300 --b 300", tally=(8, 2, 1, 5, 1), rss_mb=45,
          runs={"json": "08158ce9d8bddf548881628ee6c65107fd7c5db1aaf28a5c6b62d235cd1aa88e"}),
+    # One cusp at g = 998,001; c = 1000, so the HF line has 1,997 entries.
+    Gate(90, "enumerate --a 1000 --b 1000", tally=(18, 2, 3, 13, 1), rss_mb=270,
+         runs={"json": "78ab22bcf75b0b5f99c1fef2ea14e6da9b33983b40dd393aae9119ccd086747e"}),
     # (3000,3000,0) with two cusps trips the cap at its first configuration.
     Gate(10, "enumerate --a 3000 --b 3000 --max-cusps 2 --cap 0", {"txt": None}, code=1,
          stderr="more than 0 genus-compatible configurations"),
@@ -86,6 +89,9 @@ GATES = [
          runs={"json": "59ad288218a7f96c6ab845304478f01c365880ab64b83c0e502967c65d4259d3",
                "txt": "477ce30544cc700e0d375626e0307a3501400c3a0d827182acd73758e7013072",
                "csv": "19fddc1be8e8ad47e41107c2b391be028c3454e3791d60e44473cb45671f5ca6"}),
+    # c = 1: the HF line's 178,205 entries are read as they are walked, not held.
+    Gate(10, "check --a 300 --b 299 --cusp 2:178205 --only hf", rss_mb=30,
+         runs={"json": "9e2d2e7b5331f62cb3698219d5daf91561e31f40913ce6e25d24a64141cb962d"}),
     # 327,784 spectrum witnesses, 62 MB of JSON, streamed in order as they are found.
     Gate(10, "check --a 300 --b 300 --cusp 2:178803 --only spectrum", code=2, rss_mb=58,
          runs={"json": "11eaa81ae783c16916f906e487ce0ea56b4de82388805fa1e9ac7ca39fb76533"}),

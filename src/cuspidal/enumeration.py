@@ -13,17 +13,21 @@ built one delta at a time as the search reaches it (none with one cusp
 allowed), so the first configuration comes at once however large g is.
 
 `filter_verdicts` runs both filters over a listing, the one verdict-only
-path: it reads the listing once, folds each prefix once, and reads each
-scan (`hf._violations`, `spectra._scan`) only up to its first failure.
+path: it reads the listing once, keeps the one stack of prefix folds, so it
+folds only the cusps past the prefix shared with the configuration before,
+and reads each scan (`hf._violations`, `spectra._scan`) only up to its
+first failure.
 """
 
 from __future__ import annotations
 
 import math
+from itertools import accumulate, takewhile
+from operator import eq
 from typing import Dict, Iterable, Iterator, List, Tuple
 
 from .core import CurveType, CuspConfiguration, PuiseuxCusp
-from .hf import _elements_along, _p_max_line, _violations, multiplicity_bound_check
+from .hf import _fold, _p_max_line, _violations, multiplicity_bound_check
 from .spectra import _infinity_numerators, _scan
 
 
@@ -103,11 +107,15 @@ def filter_verdicts(
     Builds `_p_max_line` and `_infinity_numerators` once.  Raises
     `GenusMismatchError` at a configuration whose total delta is not g.
     """
-    g, line, infinity = curve.g, _p_max_line(curve), _infinity_numerators(curve)
-    for config, elements in _elements_along(configs):
+    g, line, infinity = curve.g, tuple(_p_max_line(curve)), _infinity_numerators(curve)
+    previous, folds = CuspConfiguration(), [(0,)]  # folds[k] folds previous[:k]
+    for config in configs:
         config.require_genus_compatible(curve)
+        shared = len(list(takewhile(bool, map(eq, previous, config))))
+        folds[shared:] = accumulate(config[shared:], _fold, initial=folds[shared])
+        previous = config
         yield (
             all(multiplicity_bound_check(curve, cusp) for cusp in config),
-            next(_violations(line, g, elements), None) is None,
+            next(_violations(line, g, folds[-1]), None) is None,
             next(_scan(infinity, config)[3], None) is None,
         )

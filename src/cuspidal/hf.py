@@ -40,38 +40,37 @@ p in [max(0, v - delta2), min(v, delta1)] suffice, and the result ends at
 g + 1 elements ending at 2g, and R(t) is `bisect_left(elements, t)` for
 t <= 2g and t - g beyond.
 
-The fold starts from the first cusp's list, not from (0,), so a cusp on
-its own costs no convolution.
-
-No per-cusp data and no fold outlives a call: `_elements_along` reads a
-listing once, builds each cusp's list as the cusp joins its path, yields
-each configuration with its fold, keeps the prefix folds as locals and folds
-only the cusps past the k it shares with the one before, one `_max_plus` per
-cusp past the first max(k, 1): `enumeration.filter_verdicts` folds each
-prefix of a depth-first listing once.
+`_fold` adds one cusp to a fold.  Folding into (0,), the neutral element,
+is the cusp's own list, so a cusp on its own costs no convolution.
+`curve_elements` folds a configuration from (0,); no per-cusp data and no
+fold outlives a call.  `enumeration.filter_verdicts` keeps the one stack of
+prefix folds: over a listing, it folds only the cusps past the prefix that
+a configuration shares with the one before.
 
 One scan, `_violations`, in increasing m.  `_witnesses` checks the genus,
-folds the configuration and hands back the scan over its `_p_max_line`:
+folds the configuration and hands back the scan over `_p_max_line`:
 `hf_check` collects every violated presentation as an `HfWitness`, and the
 CLI's `check` writes them as rows as they come.  `enumeration.filter_verdicts`
-scans each fold of `_elements_along` and stops at the first.
+scans each of its folds and stops at the first.
 
 Two maps of the type keep every m, R(m + g) and maximal P.  (a + b, b, e - 2)
 has the same d, g and c and w - b for w, so (s1, s2) maps to (s1 + s2, s2),
 and P keeps its value as s2(s2 + 1) moves from the e-term to the first.  On
 X_0, swapping a and b swaps s1 and s2, and P = (s1 + 1)(s2 + 1) is symmetric.
 
-The maximal presentations of all m in [-g, g], `_p_max_line`, depend only
-on the curve: `_witnesses` builds them per call, `filter_verdicts` per curve.
+`_p_max_line` walks only the m with c | m + g - 1, lazily: `_witnesses`
+reads it once per call and never holds it; `filter_verdicts` holds it once
+per curve.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from itertools import chain, takewhile
+from functools import reduce
+from itertools import chain
 from numbers import Rational
-from operator import add, eq
-from typing import Iterable, Iterator, List, NamedTuple, Optional, Tuple
+from operator import add
+from typing import Iterable, Iterator, NamedTuple, Optional, Tuple
 
 from .core import CurveType, CuspConfiguration, PuiseuxCusp
 
@@ -101,21 +100,11 @@ def _max_plus(e1: Tuple[int, ...], e2: Tuple[int, ...]) -> Tuple[int, ...]:
     ])
 
 
-def _elements_along(
-    configs: Iterable[CuspConfiguration],
-) -> Iterator[Tuple[CuspConfiguration, Tuple[int, ...]]]:
-    """Each configuration in turn with its element list, folding only the
-    cusps past the prefix it shares with the configuration before it."""
-    cusps: List[PuiseuxCusp] = []
-    folds: List[Tuple[int, ...]] = [(0,)]  # folds[k] folds cusps[:k]
-    for config in configs:
-        shared = len(list(takewhile(bool, map(eq, cusps, config))))
-        del cusps[shared:], folds[shared + 1 :]
-        for cusp in config[shared:]:
-            elements = _cusp_elements(cusp)
-            folds.append(_max_plus(folds[-1], elements) if cusps else elements)
-            cusps.append(cusp)
-        yield config, folds[-1]
+def _fold(elements: Tuple[int, ...], cusp: PuiseuxCusp) -> Tuple[int, ...]:
+    """`elements` with `cusp` folded in: into (0,), the neutral element, the
+    cusp's own list, so a cusp on its own costs no convolution."""
+    own = _cusp_elements(cusp)
+    return _max_plus(elements, own) if elements != (0,) else own
 
 
 def curve_elements(curve: CurveType, config: CuspConfiguration) -> Tuple[int, ...]:
@@ -124,7 +113,7 @@ def curve_elements(curve: CurveType, config: CuspConfiguration) -> Tuple[int, ..
     R(t) is the number of elements below t for t <= 2g and t - g beyond.
     """
     config.require_genus_compatible(curve)
-    return next(_elements_along((config,)))[1]
+    return reduce(_fold, config, (0,))
 
 
 class HfWitness(NamedTuple):
@@ -178,21 +167,19 @@ def max_p_over_presentations(
     return s1, s2, p_bound(s1, s2, e)
 
 
-def _p_max_line(curve: CurveType) -> Tuple[Tuple[int, int, int, int], ...]:
-    """(m, s1, s2, P) of the maximal presentation of every m in [-g, g] that has one."""
+def _p_max_line(curve: CurveType) -> Iterator[Tuple[int, int, int, int]]:
+    """(m, s1, s2, P) of the maximal presentation of every m in [-g, g] that
+    has one, the m with c | m + g - 1, in increasing m, lazily."""
     g = curve.g
-    return tuple(
-        (m, *best)
-        for m in range(-g, g + 1)
-        if (best := max_p_over_presentations(curve, m + g - 1)) is not None
-    )
+    for m in range(1 % curve.c - g, g + 1, curve.c):
+        yield (m, *max_p_over_presentations(curve, m + g - 1))
 
 
 def _violations(
-    line: Tuple[Tuple[int, int, int, int], ...], g: int, elements: Tuple[int, ...]
+    line: Iterable[Tuple[int, int, int, int]], g: int, elements: Tuple[int, ...]
 ) -> Iterator[Tuple[int, int, int, int, int]]:
-    """(m, s1, s2, R(m + g), P) of every violated entry of the curve's
-    `_p_max_line`, given the configuration's fold, in increasing m, lazily."""
+    """(m, s1, s2, R(m + g), P) of every violated entry of `_p_max_line`,
+    given the configuration's fold, in increasing m, lazily."""
     for m, s1, s2, p in line:
         r_value = bisect_left(elements, m + g)
         if r_value < p:

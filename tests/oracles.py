@@ -6,6 +6,8 @@
   at infinity return.
 - `cusp_spectrum` reads the spectrum of a one-pair cusp off its semigroup,
   not off (r, s) as `spectra._scan` does, and returns that pair.
+- `per_m_line` is `hf._p_max_line` before it walked only its lattice: it
+  solves every m in [-g, g] and drops the m that have no presentation.
 - `closed_form_elements` is the membership test that built the element
   lists of `hf._cusp_elements` before they merged progressions.
 - `sorted_failures` is the folded scan before it ordered its failures: one
@@ -32,7 +34,13 @@ from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from typing import Dict
 
-from cuspidal import CuspConfiguration, alexander_order, cli, signature_profile
+from cuspidal import (
+    CuspConfiguration,
+    alexander_order,
+    cli,
+    max_p_over_presentations,
+    signature_profile,
+)
 from cuspidal.enumeration import cusps_with_delta
 from cuspidal.hf import _cusp_elements
 from cuspidal.spectra import InternalConsistencyError
@@ -71,6 +79,17 @@ def is_symmetric_about_one(spectrum):
     """mult(x) = mult(2 - x) for all x."""
     denominator, pairs = spectrum
     return pairs == tuple((2 * denominator - n, mult) for n, mult in reversed(pairs))
+
+
+def per_m_line(curve):
+    """(m, s1, s2, P) of the maximal presentation of every m in [-g, g] that
+    has one, from one `max_p_over_presentations` call per m."""
+    g = curve.g
+    return tuple(
+        (m, *best)
+        for m in range(-g, g + 1)
+        if (best := max_p_over_presentations(curve, m + g - 1)) is not None
+    )
 
 
 def closed_form_elements(r, s):

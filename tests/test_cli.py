@@ -215,6 +215,24 @@ def test_check_streams_its_witnesses():
     assert peak < 3.5 * 2**20
 
 
+def test_check_only_hf_holds_no_line():
+    # The HF line of (60,59,0) has an entry for each of the 6,845 m in
+    # [-g, g]: held as a tuple, it peaked at 1,267 KiB on Python 3.11; read
+    # as it is walked, next to the fold, at 332 KiB.
+    argv = ["check", "--a", "60", "--b", "59", "--cusp", "2:6845", "--only", "hf", "--json"]
+    sink = _Sink()
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(sink), pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert excinfo.value.code == 0
+    assert sink.written == 286
+    assert peak < 512 * 2**10
+
+
 def test_enumerate_human_output():
     code, output = run(["enumerate", "--a", "6", "--b", "6"])
     assert code == 0

@@ -16,7 +16,9 @@ from cuspidal import (
     p_bound,
     semicontinuity_check,
 )
+from cuspidal import hf
 from cuspidal.hf import _p_max_line
+from oracles import per_m_line
 
 
 @pytest.mark.parametrize(
@@ -201,6 +203,45 @@ def test_max_p_is_an_actual_presentation(a, b, e):
             assert p == p_bound(s1, s2, e)
 
 
+def test_p_max_line_matches_the_per_m_line(monkeypatch):
+    # Every curve with a, b <= 40 and e <= 3: the line on its lattice of m is
+    # the line of every m in [-g, g] with the m off the lattice dropped.  The
+    # line reads each presentation off the oracle's, so each is solved once,
+    # and an n off the lattice raises a KeyError.
+    solved = {}
+    monkeypatch.setattr(hf, "max_p_over_presentations", lambda curve, n: solved[n])
+    curves = 0
+    for a in range(41):
+        for b in range(1, 41):
+            for e in range(4):
+                try:
+                    curve = CurveType(a, b, e)
+                except ValueError:
+                    continue  # d <= 0
+                expected = per_m_line(curve)
+                solved = {m + curve.g - 1: best for m, *best in expected}
+                assert tuple(_p_max_line(curve)) == expected, curve
+                curves += 1
+    assert curves == 6520
+
+
+def test_p_max_line_solves_only_its_lattice(monkeypatch):
+    # (40,30,0) has c = 10, so 227 of the 2,263 m in [-g, g] have a
+    # presentation, and only those are solved.
+    calls = []
+
+    def counted(curve, n):
+        calls.append(n)
+        return max_p_over_presentations(curve, n)
+
+    monkeypatch.setattr(hf, "max_p_over_presentations", counted)
+    curve = CurveType(40, 30, 0)
+    line = tuple(_p_max_line(curve))
+    assert 2 * curve.g + 1 == 2263
+    assert len(line) == len(calls) == 227
+    assert all(n % curve.c == 0 for n in calls)
+
+
 GENUS_40_CURVES = [curve for curve in _curves_up_to_genus(40, 40) if curve.g >= 1]
 
 
@@ -219,7 +260,9 @@ def test_hf_keeps_its_values_from_x_e_to_x_e_minus_2(curve, data):
     twin = CurveType(curve.a + curve.b, curve.b, curve.e - 2)
     assert (twin.d, twin.g, twin.c) == (curve.d, curve.g, curve.c)
     line = _p_max_line(curve)
-    assert _p_max_line(twin) == tuple((m, s1 + s2, s2, p) for m, s1, s2, p in line)
+    assert tuple(_p_max_line(twin)) == tuple(
+        (m, s1 + s2, s2, p) for m, s1, s2, p in line
+    )
     config = data.draw(st.sampled_from(list(configurations(curve.g, 3))))
     assert _hf_values(twin, config) == _hf_values(curve, config)
     hf_ok = next(filter_verdicts(twin, [config]))[1]

@@ -42,7 +42,6 @@ import tracemalloc
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from fractions import Fraction
-from functools import reduce
 from unittest import mock
 
 import pytest
@@ -585,28 +584,34 @@ small_curves = st.builds(
 ).filter(lambda c: c is not None and c.g <= 12)
 
 
-@given(curves=st.lists(small_curves, min_size=1, max_size=2), data=st.data())
+@given(curve=small_curves, data=st.data())
 @settings(max_examples=40, deadline=None)
-def test_elements_along_folds_only_past_the_shared_prefix(curves, data):
-    # The configurations of small curves and the empty one, in any order and
-    # with repeats, read once: each comes with the fold of its cusps, and the
-    # walk folds only the cusps past the prefix it shares with the
-    # configuration before, not counting a configuration's first cusp.
-    pool = [CuspConfiguration()]
-    pool += (config for curve in curves for config in configurations(curve.g, 3))
+def test_filter_verdicts_fold_only_past_the_shared_prefix(curve, data):
+    # A small curve's configurations in any order and with repeats, read
+    # once: each is scanned with its own fold and gets the verdicts it gets
+    # alone, and the walk folds only the cusps past the prefix it shares with
+    # the configuration before, not counting a configuration's first cusp.
+    # At g = 0 the empty one is the only configuration.
+    pool = list(configurations(curve.g, 3)) or [CuspConfiguration()]
     configs = data.draw(st.lists(st.sampled_from(pool), max_size=12))
-    calls = []
+    alone = [next(filter_verdicts(curve, [config])) for config in configs]
+    calls, folds = [], []
 
     def counted(e1, e2):
         calls.append((e1, e2))
         return _max_plus(e1, e2)
 
+    def scanned(line, g, elements):
+        folds.append(elements)
+        return violations(line, g, elements)
+
+    violations = enumeration._violations
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(hf, "_max_plus", counted)
-        pairs = list(hf._elements_along(iter(configs)))
-    assert pairs == [
-        (c, reduce(_max_plus, map(_cusp_elements, c), (0,))) for c in configs
-    ]
+        patch.setattr(enumeration, "_violations", scanned)
+        verdicts = list(filter_verdicts(curve, iter(configs)))
+    assert verdicts == alone
+    assert folds == [curve_elements(curve, config) for config in configs]
     expected = 0
     for previous, config in zip([()] + configs, configs):
         shared = max(

@@ -120,7 +120,7 @@ def test_convolution_commutes(pair):
     assert _max_plus(f, g) == _max_plus(g, f)
 
 
-def test_curve_r_function_tail_law():
+def test_curve_elements_tail_law():
     curve = CurveType(6, 6, 0)
     elements = curve_elements(curve, CuspConfiguration((PuiseuxCusp(6, 11),)))
     g = curve.g
@@ -131,7 +131,7 @@ def test_curve_r_function_tail_law():
     assert r_value(elements, -3) == 0
 
 
-def test_curve_r_function_multi_cusp():
+def test_curve_elements_multi_cusp():
     # three unit-delta cusps on a genus-3 curve
     curve = CurveType(4, 2, 0)
     elements = curve_elements(curve, CuspConfiguration((PuiseuxCusp(2, 3),) * 3))
@@ -140,7 +140,7 @@ def test_curve_r_function_multi_cusp():
     assert curve_elements(CurveType(1, 1, 0), CuspConfiguration()) == (0,)
 
 
-def test_curve_r_function_rejects_genus_mismatch():
+def test_curve_elements_rejects_genus_mismatch():
     with pytest.raises(GenusMismatchError):
         curve_elements(CurveType(6, 6, 0), CuspConfiguration((PuiseuxCusp(2, 3),)))
 
