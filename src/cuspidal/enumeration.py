@@ -13,10 +13,11 @@ built one delta at a time as the search reaches it (none with one cusp
 allowed), so the first configuration comes at once however large g is.
 
 `filter_verdicts` runs both filters over a listing, the one verdict-only
-path: it reads the listing once, keeps the one stack of prefix folds, so it
-folds only the cusps past the prefix shared with the configuration before,
-and reads each scan (`hf._violations`, `spectra._scan`) only up to its
-first failure.
+path: it reads the listing once, checks each configuration's genus first,
+builds the curve's data at the first configuration that passes that check,
+keeps the one stack of prefix folds, so it folds only the cusps past the
+prefix shared with the configuration before, and reads each scan
+(`hf._violations`, `spectra._scan`) only up to its first failure.
 """
 
 from __future__ import annotations
@@ -104,13 +105,17 @@ def filter_verdicts(
     its first violation and builds no witness.  Reads `configs` once, so it
     may be any iterable.
 
-    Builds `_p_max_line` and `_infinity_numerators` once.  Raises
-    `GenusMismatchError` at a configuration whose total delta is not g.
+    Raises `GenusMismatchError` at a configuration whose total delta is not
+    g.  Builds `_p_max_line` and `_infinity_numerators` once, after the first
+    configuration's genus check, so an empty listing or a wrong first genus
+    builds neither.
     """
-    g, line, infinity = curve.g, tuple(_p_max_line(curve)), _infinity_numerators(curve)
+    g, line, infinity = curve.g, None, None
     previous, folds = CuspConfiguration(), [(0,)]  # folds[k] folds previous[:k]
     for config in configs:
         config.require_genus_compatible(curve)
+        if line is None:
+            line, infinity = tuple(_p_max_line(curve)), _infinity_numerators(curve)
         shared = len(list(takewhile(bool, map(eq, previous, config))))
         folds[shared:] = accumulate(config[shared:], _fold, initial=folds[shared])
         previous = config

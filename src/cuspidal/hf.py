@@ -213,8 +213,10 @@ def d_invariant(curve: CurveType, config: CuspConfiguration, m: int) -> Rational
     """The correction term of the boundary of the curve neighbourhood.
 
     d = -[((d - 2m)^2 - d) / (4d) - 2(R(m + g) - m)], exact, for
-    m in [-d/2, d/2).
+    m in [-d/2, d/2).  Checks m's range before the fold, which can take
+    seconds.
     """
+    _check_m(curve, m)
     return _d_invariant(curve, curve_elements(curve, config), m)
 
 

@@ -1,5 +1,20 @@
 """Views and kernels that only the tests use.
 
+The brute-force facts that several test files check a kernel against are
+each written once here:
+- `r_at` reads R(t) off an element list ending at 2g.
+- `member_counts` counts the members of <r, s> below each t, from every sum
+  i*r + j*s.
+- `min_split_r` is R of a configuration as the minimum over every split,
+  cusp by cusp, for any number of cusps.
+- `unit_extended` continues an element list past its end by unit steps,
+  and `split_max_plus` is the max-plus over every split of two such lists.
+- `sawtooth_numerator` and `dedekind_loop` give s(p, q) by its defining
+  loop, on int numerators.
+- `curve_or_none` is the curve of a type, or None where d <= 0, and
+  `curves` lists every curve in a box of (a, b, e).
+
+The views and the earlier kernels:
 - `entries`, `spectrum_rows`, `total`, `count_open` and
   `is_symmetric_about_one` read a spectrum, the pair (denominator, sorted
   (numerator, multiplicity) pairs) that both constructions of the spectrum
@@ -35,6 +50,7 @@ from fractions import Fraction
 from typing import Dict
 
 from cuspidal import (
+    CurveType,
     CuspConfiguration,
     alexander_order,
     cli,
@@ -79,6 +95,71 @@ def is_symmetric_about_one(spectrum):
     """mult(x) = mult(2 - x) for all x."""
     denominator, pairs = spectrum
     return pairs == tuple((2 * denominator - n, mult) for n, mult in reversed(pairs))
+
+
+def r_at(elements, t):
+    """R(t) read off an element list ending at 2g, with g = len - 1: the
+    number of elements below t for t <= 2g, and t - g beyond."""
+    g = len(elements) - 1
+    return bisect_left(elements, t) if t <= 2 * g else t - g
+
+
+def member_counts(cusp, end):
+    """[#(<r, s> intersect [0, t)) for t in 0 .. end], from all sums i*r + j*s."""
+    r, s = cusp.r, cusp.s
+    members = {i * r + j * s for i in range(end // r + 1) for j in range(end // s + 1)}
+    counts = [0]
+    for t in range(end):
+        counts.append(counts[-1] + (t in members))
+    return counts
+
+
+def min_split_r(config, end):
+    """R on [0, end]: the min over every split k in [0, t], cusp by cusp.
+
+    With no cusps R(t) = t, the counting function of all t >= 0.
+    """
+    values = list(range(end + 1))
+    for cusp in config:
+        counts = member_counts(cusp, end)
+        values = [
+            min(counts[k] + values[t - k] for k in range(t + 1)) for t in range(end + 1)
+        ]
+    return values
+
+
+def unit_extended(elements, length):
+    """The element list continued past its end by unit steps to `length`
+    entries."""
+    last = elements[-1]
+    return [*elements, *range(last + 1, last + 1 + length - len(elements))]
+
+
+def split_max_plus(e1, e2, length):
+    """max over every split p + q = v, v < length, of the lists continued by
+    unit steps."""
+    x1, x2 = unit_extended(e1, length), unit_extended(e2, length)
+    return [max(x1[p] + x2[v - p] for p in range(v + 1)) for v in range(length)]
+
+
+def curve_or_none(a, b, e):
+    """The curve of type (a, b, e), or None where `CurveType` refuses it."""
+    try:
+        return CurveType(a, b, e)
+    except ValueError:  # d <= 0
+        return None
+
+
+def curves(a_max, b_max, e_max):
+    """Every curve with 0 <= a <= a_max, 1 <= b <= b_max and 0 <= e <= e_max,
+    in increasing (a, b, e)."""
+    grid = (
+        curve_or_none(a, b, e)
+        for a in range(a_max + 1)
+        for b in range(1, b_max + 1)
+        for e in range(e_max + 1)
+    )
+    return [curve for curve in grid if curve is not None]
 
 
 def per_m_line(curve):
@@ -229,6 +310,22 @@ def sawtooth(x):
     if x.denominator == 1:
         return Fraction(0)
     return x - math.floor(x) - Fraction(1, 2)
+
+
+def sawtooth_numerator(value, modulus):
+    """2*modulus times sawtooth(value / modulus)."""
+    rem = value % modulus
+    if rem == 0:
+        return 0
+    return 2 * rem - modulus
+
+
+def dedekind_loop(p, q):
+    """s(p, q), the sum over i in [0, q) of sawtooth(i/q) * sawtooth(p*i/q)."""
+    total = 0
+    for i in range(q):
+        total += sawtooth_numerator(i, q) * sawtooth_numerator(p * i, q)
+    return Fraction(total, 4 * q * q)
 
 
 def dedekind_reciprocity_rhs(p, q):

@@ -7,7 +7,6 @@ comparisons are exact except where a tolerance is stated inline.
 
 import math
 import random
-from bisect import bisect_left
 from fractions import Fraction
 
 import pytest
@@ -39,8 +38,12 @@ from oracles import (
     dedekind_reciprocity_rhs,
     entries,
     is_symmetric_about_one,
+    min_split_r,
+    r_at,
     rademacher_reciprocity_rhs,
+    split_max_plus,
     total,
+    unit_extended,
 )
 
 F = Fraction
@@ -231,40 +234,6 @@ def test_criterion_10_existing_curves_never_obstructed():
     _verdict(10, "blown-up plane cuspidal curves survive all filters", ok)
 
 
-def _brute_counts(cusp, end):
-    """#(<r, s> intersect [0, t)) for t in 0 .. end, from all sums i*r + j*s."""
-    members = {
-        i * cusp.r + j * cusp.s
-        for i in range(end // cusp.r + 1)
-        for j in range(end // cusp.s + 1)
-    }
-    return [sum(1 for x in members if x < t) for t in range(end + 1)]
-
-
-def _brute_combined_r(cusps, t):
-    counts = [_brute_counts(c, t) for c in cusps]
-    if len(counts) == 1:
-        return counts[0][t]
-    if len(counts) == 2:
-        return min(counts[0][k] + counts[1][t - k] for k in range(t + 1))
-    return min(
-        counts[0][k1] + counts[1][k2] + counts[2][t - k1 - k2]
-        for k1 in range(t + 1)
-        for k2 in range(t - k1 + 1)
-    )
-
-
-def _r(elements, t):
-    g = len(elements) - 1
-    return bisect_left(elements, t) if t <= 2 * g else t - g
-
-
-def _extended(elements, length):
-    """The element list continued past its end by unit steps."""
-    last = elements[-1]
-    return [*elements, *range(last + 1, last + 1 + length - len(elements))]
-
-
 def test_criterion_8_property_suites():
     ok = True
 
@@ -280,17 +249,16 @@ def test_criterion_8_property_suites():
         cusps = [PuiseuxCusp(r, s) for r, s in cusp_list]
         elements = curve_elements(curve, CuspConfiguration(tuple(cusps)))
         g = curve.g
-        steps = [_r(elements, t + 1) - _r(elements, t) for t in range(2 * g + 5)]
+        steps = [r_at(elements, t + 1) - r_at(elements, t) for t in range(2 * g + 5)]
         ok = ok and set(steps) <= {0, 1}
         ok = ok and len(elements) == g + 1 and elements[-1] == 2 * g
         # R(2g + m) = g + m: the full max-plus fold of the lists continued
         # past their conductors continues the folded list by unit steps.
         length = g + 8
-        full = _extended((0,), length)
+        full = (0,)
         for cusp in cusps:
-            e = _extended(_cusp_elements(cusp), length)
-            full = [max(full[p] + e[v - p] for p in range(v + 1)) for v in range(length)]
-        ok = ok and full == _extended(elements, length)
+            full = split_max_plus(full, _cusp_elements(cusp), length)
+        ok = ok and full == unit_extended(elements, length)
 
     # max-plus convolution: commutativity, associativity, brute-force agreement
     f = _cusp_elements(PuiseuxCusp(2, 5))
@@ -305,10 +273,8 @@ def test_criterion_8_property_suites():
             continue
         cusps = tuple(PuiseuxCusp(r, s) for r, s in cusp_list)
         combined = curve_elements(curve, CuspConfiguration(cusps))
-        ok = ok and all(
-            _r(combined, t) == _brute_combined_r(cusps, t)
-            for t in range(2 * curve.g + 2)
-        )
+        brute = min_split_r(cusps, 2 * curve.g + 1)
+        ok = ok and all(r_at(combined, t) == brute[t] for t in range(2 * curve.g + 2))
 
     # spectrum symmetry about 1
     for r, s in [(2, 51), (3, 26), (6, 11), (3, 22), (2, 3)]:

@@ -12,7 +12,7 @@ from cuspidal import (
 )
 from cuspidal import enumeration
 from cuspidal.enumeration import cusps_with_delta
-from oracles import count_configurations, dfs_configurations
+from oracles import count_configurations, curves, dfs_configurations
 
 
 def test_cusps_with_delta_known_values():
@@ -53,7 +53,7 @@ def test_enumerate_unicuspidal_needs_positive_genus():
         enumerate_unicuspidal(CurveType(1, 1, 0))
 
 
-def test_enumerate_configurations_counts():
+def test_configurations_counts():
     curve = CurveType(6, 6, 0)
     singles = list(configurations(curve.g, 1))
     assert len(singles) == 3
@@ -68,7 +68,7 @@ def test_enumerate_configurations_counts():
     assert set(singles) <= set(pairs)
 
 
-def test_enumerate_configurations_genus_zero_is_empty():
+def test_configurations_genus_zero_is_empty():
     assert list(configurations(CurveType(1, 1, 0).g, 3)) == []
 
 
@@ -103,14 +103,14 @@ def _recursive_configurations(curve, max_cusps):
 @pytest.mark.parametrize(
     "curve", [CurveType(6, 6, 0), CurveType(6, 4, 0), CurveType(4, 4, 2), CurveType(3, 3, 1)]
 )
-def test_enumerate_configurations_matches_recursive_order(curve):
+def test_configurations_matches_recursive_order(curve):
     for max_cusps in (1, 2, 3, curve.g):
         assert list(configurations(curve.g, max_cusps)) == _recursive_configurations(
             curve, max_cusps
         )
 
 
-def test_enumerate_configurations_deeper_than_recursion_limit():
+def test_configurations_deeper_than_recursion_limit():
     # g = 1199, so the first configuration is 1199 cusps (2,3).
     g = CurveType(2, 1200).g
     first = list(islice(configurations(g, 1200), 6))
@@ -119,19 +119,10 @@ def test_enumerate_configurations_deeper_than_recursion_limit():
     assert all(config.total_delta == g for config in first)
 
 
-def test_enumerate_configurations_matches_dfs_oracle():
+def test_configurations_matches_dfs_oracle():
     # Every curve with a <= 13, b <= 8, e <= 2 and 1 <= g <= 40.
-    curves = set()
-    for a in range(14):
-        for b in range(1, 9):
-            for e in range(3):
-                try:
-                    curve = CurveType(a, b, e)
-                except ValueError:
-                    continue
-                if 1 <= curve.g <= 40:
-                    curves.add(curve)
-    for curve in sorted(curves):
+    grid = [curve for curve in curves(13, 8, 2) if 1 <= curve.g <= 40]
+    for curve in grid:
         for max_cusps in range(1, 5):
             assert list(configurations(curve.g, max_cusps)) == dfs_configurations(
                 curve, max_cusps

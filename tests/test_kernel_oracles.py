@@ -1,7 +1,7 @@
 """The fast kernels against the direct kernels they replaced.
 
-The oracles below are the direct definitions and the earlier
-implementations: R as the minimum over every split k in [0, t] of
+The oracles below and in `oracles.py` are the direct definitions and the
+earlier implementations: R as the minimum over every split k in [0, t] of
 brute-force member counts of the cusp semigroups, max-plus convolution over
 every split of element lists continued past their conductors, the
 semicontinuity scan over `Fraction` values with interval counts on each
@@ -75,46 +75,25 @@ from cuspidal import cli, enumeration, hf, p_bound, spectra
 from cuspidal.hf import _cusp_elements, _max_plus
 from oracles import (
     count_open,
+    curve_or_none,
+    curves,
     cusp_numerators,
     cusp_spectrum,
+    dedekind_loop,
     dedekind_reciprocity_rhs,
     dict_derived,
     dict_table,
     entries,
+    min_split_r,
+    r_at,
     rademacher_reciprocity_rhs,
+    sawtooth_numerator,
     sorted_failures,
     spectrum_rows,
+    split_max_plus,
     total,
+    unit_extended,
 )
-
-
-def _brute_member_counts(cusp, end):
-    """[#(<r, s> intersect [0, t)) for t in 0 .. end], from all sums i*r + j*s."""
-    r, s = cusp.r, cusp.s
-    members = {i * r + j * s for i in range(end // r + 1) for j in range(end // s + 1)}
-    counts = [0]
-    for t in range(end):
-        counts.append(counts[-1] + (t in members))
-    return counts
-
-
-def _brute_r(config, end):
-    """R on [0, end]: the min over every split k in [0, t], cusp by cusp.
-
-    With no cusps R(t) = t, the counting function of all t >= 0.
-    """
-    values = list(range(end + 1))
-    for cusp in config:
-        counts = _brute_member_counts(cusp, end)
-        values = [
-            min(counts[k] + values[t - k] for k in range(t + 1)) for t in range(end + 1)
-        ]
-    return values
-
-
-def _fast_r(curve, config, t):
-    elements = curve_elements(curve, config)
-    return bisect_left(elements, t) if t <= 2 * curve.g else t - curve.g
 
 
 def _brute_scan_points(infinity, cusp_spectra):
@@ -216,7 +195,7 @@ def _integer_scan(curve, config):
 
 def _brute_hf(curve, config):
     g = curve.g
-    r_values = _brute_r(config, 2 * g)
+    r_values = min_split_r(config, 2 * g)
     witnesses = []
     for m in range(-g, g + 1):
         best = max_p_over_presentations(curve, m + g - 1)
@@ -259,18 +238,11 @@ def _fit_max_p(curve, n):
 def test_max_p_closed_form_matches_search():
     # Wider than the HF scan's n in [-g - 1, 2g - 1] on both sides.
     pairs = 0
-    for a in range(13):
-        for b in range(1, 13):
-            for e in range(4):
-                curve = _curve_or_none(a, b, e)
-                if curve is None:
-                    continue
-                g = curve.g
-                for n in range(-2 * g - 5, 3 * g + 6):
-                    assert max_p_over_presentations(curve, n) == _fit_max_p(curve, n), (
-                        curve, n
-                    )
-                    pairs += 1
+    for curve in curves(12, 12, 3):
+        g = curve.g
+        for n in range(-2 * g - 5, 3 * g + 6):
+            assert max_p_over_presentations(curve, n) == _fit_max_p(curve, n), (curve, n)
+            pairs += 1
     assert pairs == 204_402
 
 
@@ -286,10 +258,9 @@ def _verdicts(curve, config, hf_report, spectrum_report):
 def _assert_kernels_match(curve, config):
     """Assert the kernels match the oracles; return the oracle verdicts."""
     g = curve.g
-    brute = _brute_r(config, 2 * g + 10)
-    assert [_fast_r(curve, config, t) for t in range(-3, 2 * g + 11)] == [
-        0, 0, 0, *brute
-    ]
+    brute = min_split_r(config, 2 * g + 10)
+    elements = curve_elements(curve, config)
+    assert [r_at(elements, t) for t in range(-3, 2 * g + 11)] == [0, 0, 0, *brute]
     hf_report = _brute_hf(curve, config)
     assert hf_check(curve, config) == hf_report
     spectrum_report = _brute_semicontinuity(curve, config)
@@ -348,6 +319,14 @@ def test_filter_verdicts_build_the_curve_data_once_per_listing(monkeypatch):
         configs = list(configurations(curve.g, 3))
         assert len(list(filter_verdicts(curve, configs))) == len(configs) > 1
         assert calls == {"_p_max_line": 1, "_infinity_numerators": 1}
+    # An empty listing, and one whose first genus is wrong, build neither.
+    calls.clear()
+    assert list(filter_verdicts(CurveType(6, 6, 0), [])) == []
+    assert calls == {}
+    wrong = CuspConfiguration((PuiseuxCusp(2, 3),))  # delta 1, g = 25
+    with pytest.raises(GenusMismatchError):
+        next(filter_verdicts(CurveType(6, 6, 0), [wrong]))
+    assert calls == {}
 
 
 @pytest.fixture
@@ -452,16 +431,11 @@ def test_enumerate_rows_match_oracle_rows(curve):
 def test_multiplicity_at_infinity_grows_from_x_to_one_minus_x():
     # The folded scan rests on this: for x <= 1/2, x is a value at infinity
     # only if 1 - x is one, so every scan point above 1/2 mirrors into one.
-    for a in range(41):
-        for b in range(1, 41):
-            for e in range(4):
-                curve = _curve_or_none(a, b, e)
-                if curve is None:
-                    continue
-                denominator, pairs = spectrum_at_infinity_table(curve)
-                mults = dict(pairs)
-                for n in range(1, denominator // 2 + 1):
-                    assert mults.get(n, 0) <= mults.get(denominator - n, 0)
+    for curve in curves(40, 40, 3):
+        denominator, pairs = spectrum_at_infinity_table(curve)
+        mults = dict(pairs)
+        for n in range(1, denominator // 2 + 1):
+            assert mults.get(n, 0) <= mults.get(denominator - n, 0)
 
 
 def test_witness_sets_need_not_be_symmetric():
@@ -533,7 +507,7 @@ def test_d_invariant_matches_formula_on_brute_r(curve):
     d, g = curve.d, curve.g
     ms = range(-(d // 2), (d + 1) // 2)
     for config in configurations(curve.g, 3):
-        r_values = _brute_r(config, ms[-1] + g)
+        r_values = min_split_r(config, ms[-1] + g)
         for m in ms:
             r_value = r_values[m + g] if m + g >= 0 else 0
             expected = -(Fraction((d - 2 * m) ** 2 - d, 4 * d) - 2 * (r_value - m))
@@ -569,15 +543,8 @@ def test_deep_configuration_through_both_filters():
     assert len(elements) == 1200 and elements[-1] == 2398
 
 
-def _curve_or_none(a, b, e):
-    try:
-        return CurveType(a, b, e)
-    except ValueError:
-        return None
-
-
 small_curves = st.builds(
-    _curve_or_none,
+    curve_or_none,
     st.integers(min_value=0, max_value=8),
     st.integers(min_value=1, max_value=6),
     st.integers(min_value=0, max_value=3),
@@ -665,15 +632,6 @@ coprime_pairs = st.tuples(
 ).filter(lambda rs: rs[0] < rs[1] and math.gcd(*rs) == 1)
 
 
-def _brute_max_plus(e1, e2, length):
-    """max over every split p + q = v of the lists extended by unit steps."""
-    def extend(e):
-        return [*e, *range(e[-1] + 1, e[-1] + 1 + length - len(e))]
-
-    x1, x2 = extend(e1), extend(e2)
-    return [max(x1[p] + x2[v - p] for p in range(v + 1)) for v in range(length)]
-
-
 @given(first=coprime_pairs, second=coprime_pairs, extra=st.integers(0, 20))
 @settings(max_examples=40, deadline=None)
 def test_clipped_convolution_matches_full_scan(first, second, extra):
@@ -681,9 +639,7 @@ def test_clipped_convolution_matches_full_scan(first, second, extra):
     g = _cusp_elements(PuiseuxCusp(*second))
     fast = _max_plus(f, g)
     length = len(fast) + extra
-    assert [*fast, *range(fast[-1] + 1, fast[-1] + 1 + extra)] == _brute_max_plus(
-        f, g, length
-    )
+    assert unit_extended(fast, length) == split_max_plus(f, g, length)
 
 
 def _brute_support(curve):
@@ -769,12 +725,8 @@ def _assert_spectra_match(curve):
 
 
 def test_spectra_match_oracles_on_grid():
-    for a in range(41):
-        for b in range(1, 41):
-            for e in range(4):
-                curve = _curve_or_none(a, b, e)
-                if curve is not None:
-                    _assert_spectra_match(curve)
+    for curve in curves(40, 40, 3):
+        _assert_spectra_match(curve)
 
 
 @pytest.mark.parametrize(
@@ -804,7 +756,7 @@ def test_spectra_match_oracles_on_edges(a, b, e):
 )
 @settings(max_examples=30, deadline=None)
 def test_spectra_match_oracles_on_large_curves(a, b, e):
-    curve = _curve_or_none(a, b, e)
+    curve = curve_or_none(a, b, e)
     if curve is not None:
         _assert_spectra_match(curve)
 
@@ -819,25 +771,10 @@ def test_cusp_spectrum_matches_oracle():
         assert dict(entries(cusp_spectrum(cusp))) == _brute_cusp_spectrum(cusp)
 
 
-def _sawtooth_numerator(value, modulus):
-    """2*modulus times sawtooth(value / modulus)."""
-    rem = value % modulus
-    if rem == 0:
-        return 0
-    return 2 * rem - modulus
-
-
-def _brute_dedekind_sum(p, q):
-    total = 0
-    for i in range(q):
-        total += _sawtooth_numerator(i, q) * _sawtooth_numerator(p * i, q)
-    return Fraction(total, 4 * q * q)
-
-
 def _brute_rademacher_sum(p, q, r):
     total = 0
     for i in range(r):
-        total += _sawtooth_numerator(p * i, r) * _sawtooth_numerator(q * i, r)
+        total += sawtooth_numerator(p * i, r) * sawtooth_numerator(q * i, r)
     return Fraction(total, 4 * r * r)
 
 
@@ -845,11 +782,11 @@ def _brute_section_sums(b, w):
     a_num = b_num = c_num = d_num = 0
     half_start = (w + 1) // 2
     for p in range(w):
-        saw_b = _sawtooth_numerator(p * b, w)
+        saw_b = sawtooth_numerator(p * b, w)
         if p >= half_start:
             a_num += saw_b
         b_num += saw_b * 2 * p
-        c_num += saw_b * _sawtooth_numerator(2 * p, w)
+        c_num += saw_b * sawtooth_numerator(2 * p, w)
         d_num += saw_b
     return (
         Fraction(a_num, 2 * w),
@@ -929,9 +866,9 @@ residues = st.integers(min_value=-2000, max_value=2000)  # any sign, 0 included
 @given(p=residues, q=moduli, factor=st.integers(min_value=1, max_value=6))
 @settings(max_examples=300, deadline=None)
 def test_dedekind_sum_matches_loop(p, q, factor):
-    assert dedekind_sum(p, q) == _brute_dedekind_sum(p, q)
+    assert dedekind_sum(p, q) == dedekind_loop(p, q)
     # Non-coprime arguments: s(cp, cq) = s(p, q).
-    assert dedekind_sum(factor * p, factor * q) == _brute_dedekind_sum(
+    assert dedekind_sum(factor * p, factor * q) == dedekind_loop(
         factor * p, factor * q
     )
 
