@@ -92,6 +92,9 @@ GATES = [
     # c = 1: the HF line's 178,205 entries are read as they are walked, not held.
     Gate(10, "check --a 300 --b 299 --cusp 2:178205 --only hf", rss_mb=30,
          runs={"json": "9e2d2e7b5331f62cb3698219d5daf91561e31f40913ce6e25d24a64141cb962d"}),
+    # c = 1 at g = 997,002: the HF line's 1,994,005 entries, each one floor division.
+    Gate(10, "check --a 1000 --b 999 --cusp 2:1994005 --only hf", rss_mb=100,
+         runs={"json": "ff1378fa0806c1774d653dd1f5d2031d30672a3d6aa0617600217b45796ad1f5"}),
     # 327,784 spectrum witnesses, 62 MB of JSON, streamed in order as they are found.
     Gate(10, "check --a 300 --b 300 --cusp 2:178803 --only spectrum", code=2, rss_mb=58,
          runs={"json": "11eaa81ae783c16916f906e487ce0ea56b4de82388805fa1e9ac7ca39fb76533"}),

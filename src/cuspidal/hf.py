@@ -12,8 +12,14 @@ s1 + 1 = (n + b - s2*w)/b with 2w - b*e = 2a + b*e = q = d/b, so
 
 `CurveType` rejects d <= 0, so q > 0: P is a downward parabola in s2 with
 its vertex midway between the roots -1 and 2(n + b)/q, at
-(2(n + b) - q)/(2q), and the maximum is at the solution at or below the
-vertex or at the next one up.
+v = (2(n + b) - q)/(2q), so the maximum is at the solution nearest v; of
+two equally near, which have equal P, the lower s2 (the larger s1) is kept.
+The solutions are s2 = rho + k*step with step = b/c and
+rho = (n/c)(w/c)^-1 mod step; the nearest, ties down, has
+k = -floor((rho - v)/step + 1/2).  So `_presentations` solves the curve's
+constants once, then each n with one floor division:
+
+    s2 = rho - floor((q(2rho + step + 1) - 2(n + b)) / (2q*step)) * step.
 
 R, the counting function of the cusps' semigroups, is read off one list,
 the fold of the configuration (`curve_elements`).
@@ -58,9 +64,9 @@ has the same d, g and c and w - b for w, so (s1, s2) maps to (s1 + s2, s2),
 and P keeps its value as s2(s2 + 1) moves from the e-term to the first.  On
 X_0, swapping a and b swaps s1 and s2, and P = (s1 + 1)(s2 + 1) is symmetric.
 
-`_p_max_line` walks only the m with c | m + g - 1, lazily: `_witnesses`
-reads it once per call and never holds it; `filter_verdicts` holds it once
-per curve.
+`_p_max_line` is `_presentations` over the m with c | m + g - 1, lazily:
+`_witnesses` reads it once per call and never holds it; `filter_verdicts`
+holds it once per curve.  `max_p_over_presentations` reads one entry.
 """
 
 from __future__ import annotations
@@ -143,36 +149,31 @@ def p_bound(s1: int, s2: int, e: int) -> int:
     return (s1 + 1) * (s2 + 1) + s2 * (s2 + 1) // 2 * e
 
 
-def max_p_over_presentations(
-    curve: CurveType, n: int
-) -> Optional[Tuple[int, int, int]]:
-    """The presentation s1*b + s2*w = n maximizing P, or None if c does not divide n.
+def _presentations(curve: CurveType, ms: Iterable[int]) -> Iterator[Tuple[int, int, int, int]]:
+    """(m, s1, s2, P) of the maximal presentation of n = m + g - 1, c | n, for
+    each m of `ms`, lazily, from the curve's constants solved once (module docstring)."""
+    b, w, e, c, g = curve.b, curve.w, curve.e, curve.c, curve.g
+    step, q = b // c, curve.d // b
+    inverse, span = pow(w // c, -1, step), 2 * q * step
+    for m in ms:
+        n = m + g - 1
+        residue = n // c * inverse % step
+        s2 = residue - (q * (2 * residue + step + 1) - 2 * (n + b)) // span * step
+        s1 = (n - s2 * w) // b
+        yield m, s1, s2, p_bound(s1, s2, e)
 
-    Of the two solutions next to the vertex of P (see the module docstring),
-    ties go to the one with the larger s1.
-    """
-    b, w, e, c = curve.b, curve.w, curve.e, curve.c
-    if n % c != 0:
-        return None
-    step = b // c
-    residue = n // c * pow(w // c, -1, step) % step
-    q = curve.d // b
-    num, den = 2 * (n + b) - q, 2 * q  # the vertex is num/den
-    below = residue + (num - residue * den) // (step * den) * step
-    # max keeps the first of equal P: the lower s2, so the larger s1.
-    s1, s2 = max(
-        [((n - s2 * w) // b, s2) for s2 in (below, below + step)],
-        key=lambda s1_s2: p_bound(*s1_s2, e),
-    )
-    return s1, s2, p_bound(s1, s2, e)
+
+def max_p_over_presentations(curve: CurveType, n: int) -> Optional[Tuple[int, int, int]]:
+    """The presentation s1*b + s2*w = n maximizing P, or None if c does not divide n:
+    the one nearest the vertex of P, of two equally near the larger s1."""
+    return None if n % curve.c else next(_presentations(curve, [n - curve.g + 1]))[1:]
 
 
 def _p_max_line(curve: CurveType) -> Iterator[Tuple[int, int, int, int]]:
-    """(m, s1, s2, P) of the maximal presentation of every m in [-g, g] that
-    has one, the m with c | m + g - 1, in increasing m, lazily."""
+    """`_presentations` of every m in [-g, g] that has a presentation, the m
+    with c | m + g - 1, in increasing m, lazily."""
     g = curve.g
-    for m in range(1 % curve.c - g, g + 1, curve.c):
-        yield (m, *max_p_over_presentations(curve, m + g - 1))
+    return _presentations(curve, range(1 % curve.c - g, g + 1, curve.c))
 
 
 def _violations(
@@ -228,8 +229,7 @@ def _check_m(curve: CurveType, m: int) -> None:
 
 
 def _d_invariant(curve: CurveType, elements: Tuple[int, ...], m: int) -> Rational:
-    """`d_invariant` given the configuration's fold."""
-    _check_m(curve, m)
+    """`d_invariant` given the configuration's fold, for an m its caller checked."""
     d, g = curve.d, curve.g
     t = m + g
     r_value = bisect_left(elements, t) if t <= 2 * g else t - g

@@ -98,7 +98,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from itertools import repeat, takewhile
+from itertools import chain, repeat, starmap, takewhile
 from numbers import Rational
 from operator import itemgetter, mul
 from typing import Iterable, Iterator, List, NamedTuple, Tuple
@@ -136,10 +136,10 @@ def alexander_order(curve: CurveType, v: int) -> int:
     return (v == 1) + (b - 1) * (w % v == 0) + (curve.a - 1) * (b % v == 0)
 
 
-def spectrum_at_infinity_table(curve: CurveType) -> Spectrum:
-    """The spectrum at infinity by the closed-form table: its values below 1,
-    then 1, then their mirrors 2 - x.  The p-row starts at ceil(w/b): below
-    it floor(p*b/w) is 0, and the rows meet only where it is q >= 1.  For
+def _table_below_one(curve: CurveType) -> Tuple[int, List[Tuple[int, int]]]:
+    """(D, the table's sorted (numerator over D, multiplicity) pairs below 1,
+    none of multiplicity 0).  The p-row starts at ceil(w/b): below it
+    floor(p*b/w) is 0, and the rows meet only where it is q >= 1.  For
     a >= 1 the q-row starts at ceil(b/a): below it floor(q*a/b) is 0, and
     the rows meet only where q*a/b is a positive integer.  For a = 0 every
     q/b is on the p-row, which the q-row lowers by 1 from q = 1."""
@@ -150,10 +150,15 @@ def spectrum_at_infinity_table(curve: CurveType) -> Spectrum:
     step = denominator // b
     for q in range(-(-b // a) if a else 1, b):  # x = p/w = q/b: the sum - 1
         below[q * step] = below.get(q * step, 1) - 1 + q * a // b
-    low = list(filter(itemgetter(1), sorted(below.items())))
-    one = [(denominator, a + b - 1)] if a + b > 1 else []  # (0, 1, e) has none
-    top = 2 * denominator
-    return denominator, (*low, *one, *[(top - n, mult) for n, mult in reversed(low)])
+    return denominator, list(filter(itemgetter(1), sorted(below.items())))
+
+
+def spectrum_at_infinity_table(curve: CurveType) -> Spectrum:
+    """The spectrum at infinity by the closed-form table: its values below 1
+    (`_table_below_one`), then 1 unless (a, b) = (0, 1), then their mirrors."""
+    denominator, low = _table_below_one(curve)
+    one = [(denominator, curve.a + curve.b - 1)] if curve.a + curve.b > 1 else []
+    return denominator, (*low, *one, *[(2 * denominator - n, m) for n, m in reversed(low)])
 
 
 def spectrum_at_infinity_derived(curve: CurveType) -> Spectrum:
@@ -216,16 +221,11 @@ class SemicontinuityReport(NamedTuple):
 
 
 def _infinity_numerators(curve: CurveType) -> Tuple[int, Tuple[int, ...], int]:
-    """(D = lcm(w, b), the values below 1 of the spectrum at infinity as
-    sorted numerators over D, one per unit of multiplicity, and the
-    multiplicity of 1), all read off the table."""
-    denominator, entries = spectrum_at_infinity_table(curve)
-    low: List[int] = []
-    for n, mult in entries:
-        if n >= denominator:
-            return denominator, tuple(low), mult if n == denominator else 0
-        low += [n] * mult
-    return denominator, tuple(low), 0
+    """(D = lcm(w, b), the table's values below 1 as sorted numerators over D,
+    one per unit of multiplicity, and the multiplicity of 1, a + b - 1, which
+    is 0 only for (0, 1, e)), from `_table_below_one`: no mirror is built."""
+    denominator, low = _table_below_one(curve)
+    return denominator, tuple(chain.from_iterable(starmap(repeat, low))), curve.a + curve.b - 1
 
 
 def _scan(

@@ -13,6 +13,8 @@ each written once here:
   loop, on int numerators.
 - `curve_or_none` is the curve of a type, or None where d <= 0, and
   `curves` lists every curve in a box of (a, b, e).
+- `brute_max_p` is the maximal presentation of n by a walk of a wide window
+  of its solution line, ties to the larger s1.
 
 The views and the earlier kernels:
 - `entries`, `spectrum_rows`, `total`, `count_open` and
@@ -55,6 +57,7 @@ from cuspidal import (
     alexander_order,
     cli,
     max_p_over_presentations,
+    p_bound,
     signature_profile,
 )
 from cuspidal.enumeration import cusps_with_delta
@@ -171,6 +174,33 @@ def per_m_line(curve):
         for m in range(-g, g + 1)
         if (best := max_p_over_presentations(curve, m + g - 1)) is not None
     )
+
+
+def brute_max_p(curve, n, k_range=1000):
+    """(s1, s2, P) maximizing P over the solutions s1*b + s2*w = n that lie
+    within `k_range` steps of the one with 0 <= s2 < b/c, ties to the larger
+    s1, or None if c does not divide n."""
+    b, w = curve.b, curve.w
+    c = math.gcd(b, w)
+    if n % c != 0:
+        return None
+    # one particular solution with 0 <= s2 < b/c; the line steps by b/c in s2
+    base = None
+    for s2 in range(b // c):
+        rem = n - s2 * w
+        if rem % b == 0:
+            base = (rem // b, s2)
+            break
+    assert base is not None
+    s1_0, s2_0 = base
+    best = None
+    for k in range(-k_range, k_range + 1):
+        s1 = s1_0 + k * (w // c)
+        s2 = s2_0 - k * (b // c)
+        p = p_bound(s1, s2, curve.e)
+        if best is None or (p, s1) > (best[2], best[0]):
+            best = (s1, s2, p)
+    return best
 
 
 def closed_form_elements(r, s):

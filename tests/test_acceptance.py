@@ -22,7 +22,6 @@ from cuspidal import (
     filter_verdicts,
     hf_check,
     max_p_over_presentations,
-    p_bound,
     rademacher_sum,
     section_sums,
     semicontinuity_check,
@@ -33,6 +32,7 @@ from cuspidal import (
 )
 from cuspidal.hf import _cusp_elements, _max_plus
 from oracles import (
+    brute_max_p,
     count_open,
     cusp_spectrum,
     dedekind_reciprocity_rhs,
@@ -292,24 +292,10 @@ def test_criterion_8_property_suites():
         ok = ok and all(sigma1[p - 1] == -sigma1[w - p - 1] for p in range(1, w))
         ok = ok and all(sigma2[q - 1] == -sigma2[b - q - 1] for q in range(1, b))
 
-    # vertex-scan maximization vs a wide brute-force window
+    # vertex-scan maximization vs a wide brute-force window, None off the lattice
     for curve in [CurveType(6, 6, 0), CurveType(4, 4, 2), CurveType(5, 3, 1)]:
-        b, w, e, c = curve.b, curve.w, curve.e, curve.c
-        step1, step2 = w // c, b // c
         for n in range(0, 2 * curve.g + 2):
-            if n % c != 0:
-                ok = ok and max_p_over_presentations(curve, n) is None
-                continue
-            s2_0 = next(s2 for s2 in range(step2) if (n - s2 * w) % b == 0)
-            s1_0 = (n - s2_0 * w) // b
-            brute = max(
-                (
-                    (p_bound(s1_0 + k * step1, s2_0 - k * step2, e), s1_0 + k * step1)
-                    for k in range(-1000, 1001)
-                ),
-            )
-            found = max_p_over_presentations(curve, n)
-            ok = ok and found is not None and (found[2], found[0]) == brute
+            ok = ok and max_p_over_presentations(curve, n) == brute_max_p(curve, n)
 
     # semicontinuity critical-point scan vs a dense rational grid
     curve = CurveType(6, 6, 0)

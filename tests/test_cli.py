@@ -9,6 +9,7 @@ import subprocess
 import sys
 import tracemalloc
 import typing
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -519,6 +520,25 @@ def test_dinv_checks_m_before_the_fold(monkeypatch):
     monkeypatch.setattr(cli_module, "curve_elements", refuse)
     argv = ["dinv", "--a", "6", "--b", "6", "--cusp", "6:11", "--m", "36"]
     assert run(argv) == (1, "error: m must lie in [-72/2, 72/2), got 36\n")
+
+
+def test_m_is_checked_once_per_request(monkeypatch):
+    # `d_invariant` checks its m once, and `dinv --all-m` only its first of
+    # 72: the others are in range by construction.
+    calls = []
+    check_m = hf._check_m
+
+    def counted(curve, m):
+        calls.append(m)
+        return check_m(curve, m)
+
+    monkeypatch.setattr(hf, "_check_m", counted)
+    config = CuspConfiguration((PuiseuxCusp(6, 11),))
+    assert hf.d_invariant(CurveType(6, 6, 0), config, 25) == Fraction(-103, 72)
+    assert calls == [25]
+    calls.clear()
+    code, output = run(["dinv", "--a", "6", "--b", "6", "--cusp", "6:11", "--all-m"])
+    assert (code, output.count("\n"), calls) == (0, 72, [-36])
 
 
 @pytest.mark.parametrize(

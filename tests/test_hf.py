@@ -24,7 +24,7 @@ from cuspidal import (
 )
 from cuspidal import hf
 from cuspidal.hf import _cusp_elements, _max_plus, _p_max_line
-from oracles import closed_form_elements, curves, per_m_line, r_at
+from oracles import brute_max_p, closed_form_elements, curves, per_m_line, r_at
 
 coprime_pairs = st.tuples(
     st.integers(min_value=2, max_value=12), st.integers(min_value=3, max_value=40)
@@ -193,31 +193,6 @@ def test_p_bound_values(s1, s2, e, expected):
     assert p_bound(s1, s2, e) == expected
 
 
-def brute_max_p(curve, n, k_range=1000):
-    # walk the full solution line of s1*b + s2*w = n within a wide k window
-    b, w = curve.b, curve.w
-    c = math.gcd(b, w)
-    if n % c != 0:
-        return None
-    # one particular solution with 0 <= s2 < b/c; the line steps by b/c in s2
-    base = None
-    for s2 in range(b // c):
-        rem = n - s2 * w
-        if rem % b == 0:
-            base = (rem // b, s2)
-            break
-    assert base is not None
-    s1_0, s2_0 = base
-    best = None
-    for k in range(-k_range, k_range + 1):
-        s1 = s1_0 + k * (w // c)
-        s2 = s2_0 - k * (b // c)
-        p = p_bound(s1, s2, curve.e)
-        if best is None or (p, s1) > (best[2], best[0]):
-            best = (s1, s2, p)
-    return best
-
-
 def test_max_p_reproduces_known_presentation():
     assert max_p_over_presentations(CurveType(4, 4, 2), 20) == (2, 1, 8)
 
@@ -366,36 +341,33 @@ def test_max_p_is_an_actual_presentation(a, b, e):
             assert p == p_bound(s1, s2, e)
 
 
-def test_p_max_line_matches_the_per_m_line(monkeypatch):
-    # Every curve with a, b <= 40 and e <= 3: the line on its lattice of m is
-    # the line of every m in [-g, g] with the m off the lattice dropped.  The
-    # line reads each presentation off the oracle's, so each is solved once,
-    # and an n off the lattice raises a KeyError.
-    solved = {}
-    monkeypatch.setattr(hf, "max_p_over_presentations", lambda curve, n: solved[n])
+def test_p_max_line_matches_the_per_m_line():
+    # Every curve with a, b <= 40 and e <= 3: the line on its lattice of m,
+    # one walk of the kernel, is the line of every m in [-g, g], each solved
+    # on its own, with the m off the lattice dropped.
     grid = curves(40, 40, 3)
     for curve in grid:
-        expected = per_m_line(curve)
-        solved = {m + curve.g - 1: best for m, *best in expected}
-        assert tuple(_p_max_line(curve)) == expected, curve
+        assert tuple(_p_max_line(curve)) == per_m_line(curve), curve
     assert len(grid) == 6520
 
 
 def test_p_max_line_solves_only_its_lattice(monkeypatch):
     # (40,30,0) has c = 10, so 227 of the 2,263 m in [-g, g] have a
-    # presentation, and only those are solved.
-    calls = []
+    # presentation, and the kernel is asked for only those.
+    asked = []
+    solve = hf._presentations
 
-    def counted(curve, n):
-        calls.append(n)
-        return max_p_over_presentations(curve, n)
+    def recorded(curve, ms):
+        for m in ms:
+            asked.append(m)
+            yield from solve(curve, [m])
 
-    monkeypatch.setattr(hf, "max_p_over_presentations", counted)
+    monkeypatch.setattr(hf, "_presentations", recorded)
     curve = CurveType(40, 30, 0)
     line = tuple(_p_max_line(curve))
     assert 2 * curve.g + 1 == 2263
-    assert len(line) == len(calls) == 227
-    assert all(n % curve.c == 0 for n in calls)
+    assert len(line) == len(asked) == 227
+    assert all((m + curve.g - 1) % curve.c == 0 for m in asked)
 
 
 GENUS_40_CURVES = [curve for curve in _curves_up_to_genus(40, 40) if curve.g >= 1]
