@@ -95,6 +95,10 @@ GATES = [
     # c = 1 at g = 997,002: the HF line's 1,994,005 entries, each one floor division.
     Gate(10, "check --a 1000 --b 999 --cusp 2:1994005 --only hf", rss_mb=100,
          runs={"json": "ff1378fa0806c1774d653dd1f5d2031d30672a3d6aa0617600217b45796ad1f5"}),
+    # A spectrum survivor at g = 998,001: check's ordered stream walks every
+    # scan point up, and down not at all.
+    Gate(20, "check --a 1000 --b 1000 --cusp 730:2739 --only spectrum", rss_mb=200,
+         runs={"json": "bf69d5d8c93c774114d79e30dab3d5dc9238e8c529dae35fadcb9530467b3103"}),
     # 327,784 spectrum witnesses, 62 MB of JSON, streamed in order as they are found.
     Gate(10, "check --a 300 --b 300 --cusp 2:178803 --only spectrum", code=2, rss_mb=58,
          runs={"json": "11eaa81ae783c16916f906e487ce0ea56b4de82388805fa1e9ac7ca39fb76533"}),

@@ -51,8 +51,7 @@ v -> 2 - v maps onto (1 - x, 1).  So the count inside is
 the same at x and at 1 - x, and so is the count outside, the total minus
 it.  Every spectrum here is symmetric, so whether x fails depends on
 min(x, 1 - x) only, and the scan evaluates the counts at the folded points
-min(x, 1 - x) in (0, 1/2] of its scan points, with four bisections of the
-sorted values below 1 each.
+min(x, 1 - x) in (0, 1/2] of its scan points.
 
 The critical points are symmetric under x -> 1 - x, and so are the
 midpoints, but the scan points need not be.  For x <= 1/2 the multiplicity
@@ -67,12 +66,27 @@ the scan points in (0, 1/2].  A folded point y stands for y, and for 1 - y
 too if that is not a value at infinity.  (A midpoint never is one, since
 every value below 1 is critical.)
 
+Sweep.  With L = 2 * lcm(w, b, r_1*s_1, ...) all values, scan points and
+midpoints are integer multiples of 1/L.  A value v below 1 is one code
+4f + kind, f = min(v, L - v): kind 0 for a cusp value and 1 for a value at
+infinity v <= L/2, 2 for one at infinity and 3 for a cusp value above; one
+sorted list holds them all, two `range`s per cusp and i.  As v > L/2 lies
+above L - y just when f < y, with n cusp values and n' at infinity below 1
+the counts inside at y are n - #{kind 0, f <= y} + #{kind 3, f < y} and
+n' + mult(1) - #{kind 1, f <= y} + #{kind 2, f < y}.  A walk up the codes
+keeps both running, a walk down from 1/2 undoes them, and each tests a gap
+between neighbouring codes once: the counts there hold at each y whose
+code 4y + 1 lies strictly inside, their midpoint if their f differ (no f
+equals it, so <= and < agree), and an f with kind 0 below, 2 and 3 above.
+So a value at infinity f, at 4f + 1, leaves no point f; 4f + 2 right above
+marks 1 - f as one, which f does not stand for.  The ends, as values at
+infinity: 1 (f = 0), and L - f for the highest f, their midpoint 1/2.
+
 Order.  So the witnesses in increasing order are the failing folded points
 y from 0 up, then the 1 - y > 1/2 they stand for from 1/2 down.  `_scan`
-walks the folded points both ways with one counting loop, for
-`semicontinuity_check` and the CLI's `check`, and holds no witness.  The
-walk down fails at the same points, so it stops below the lowest failing y,
-at once if none failed.
+walks the codes up and then down, for `semicontinuity_check` and the CLI's
+`check`, and holds no witness.  The walk down fails at the same points, so
+it stops at the gap of the lowest failing y, at once if none failed.
 `enumeration.filter_verdicts` reads the first failing y from 1/2 down, where
 failures crowd (most obstructed configurations fail at one of the first
 three points), and builds no witness and no `Fraction`.
@@ -83,12 +97,6 @@ They cut (0, 1) into C + 1 open stretches, one midpoint each, and every one
 of the A distinct values at infinity below 1 is critical, so C - A of them
 are scan points: 2C + 1 - A in all, and the scan counts no point to know it.
 
-The scan runs on integers: with L = 2 * lcm(w, b, r_1*s_1, ...) all
-values, the scan points and the midpoints between them are integer
-multiples of 1/L, and counts are bisections of sorted int lists.  Cusp
-counts add up, so all cusps share one list: for each cusp and each i, the
-values (i*s + j*r)/(r*s) for j = 1, 2, ... while they stay below 1.
-
 The scan reads the spectrum at infinity's values below 1, as numerators
 over lcm(w, b), and its multiplicity of 1 off `_infinity_numerators`, built
 per check and per curve in `filter_verdicts`.  Nothing here is memoised.
@@ -97,11 +105,10 @@ per check and per curve in `filter_verdicts`.  Nothing here is memoised.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
-from itertools import chain, repeat, starmap, takewhile
+from itertools import chain, groupby, pairwise, repeat, starmap, takewhile
 from numbers import Rational
-from operator import itemgetter, mul
-from typing import Iterable, Iterator, List, NamedTuple, Tuple
+from operator import itemgetter, rshift
+from typing import Callable, Iterable, Iterator, List, NamedTuple, Tuple
 
 from .core import CurveType, CuspConfiguration
 
@@ -230,75 +237,68 @@ def _infinity_numerators(curve: CurveType) -> Tuple[int, Tuple[int, ...], int]:
 
 def _scan(
     infinity: Tuple[int, Tuple[int, ...], int], config: CuspConfiguration
-) -> Tuple[int, int, Iterator[Tuple[int, ...]], Iterator[Tuple[int, ...]]]:
-    """The folded scan (module docstring) of a configuration: L, the number
-    of scan points in (0, 1), and two lazy streams of failing points as
-    (numerator over L, cusp inside, infinity inside, cusp outside, infinity
-    outside): every failing scan point in increasing order ("Order"), and
-    the failing folded points from 1/2 down."""
+) -> Tuple[int, Callable[[], int], Iterator[Tuple[int, ...]], Iterator[Tuple[int, ...]]]:
+    """The folded scan (module docstring) of a configuration: L, a function
+    that counts the scan points in (0, 1), and two lazy streams of failing
+    points (numerator over L, cusp and infinity inside, cusp and infinity
+    outside): all in increasing order ("Order"), the folded ones from 1/2 down."""
     denominator, infinity_low, mult_one = infinity
-    scale = 2 * math.lcm(denominator, *(cusp.r * cusp.s for cusp in config))
-    half = scale // 2
-    cusps: List[int] = []
-    for cusp in config:
-        r, s = cusp.r, cusp.s
-        k = scale // (r * s)
+    scale = 2 * math.lcm(denominator, *(r * s for r, s in config))
+    half, unit = scale // 2, scale // denominator
+    codes, above = [1], 0  # 0 opens the walk up as a value at infinity would
+    for r, s in config:
+        k = scale // (r * s)  # so L = r*s*k
         for i in range(1, r):
-            cusps += range((i * s + r) * k, r * s * k, r * k)
-    cusps.sort()
-    infinity = list(map(mul, infinity_low, repeat(scale // denominator)))
-    at_infinity = set(infinity)
-    # 0 and the critical points in (0, 1/2], increasing; the others mirror them.
-    ends = sorted({0, *(v if v <= half else scale - v for v in (*cusps, *at_infinity))})
-    # C, then 2C + 1 - A (module docstring, "Count").
-    in_unit = 2 * (len(ends) - 1) - (ends[-1] == half)
-    checked = 2 * in_unit + 1 - len(at_infinity)
-    if ends[-1] != half:
-        ends.append(scale - ends[-1])  # their midpoint is 1/2
-    cusp_total = 2 * len(cusps)
-    infinity_total = 2 * len(infinity) + mult_one
+            values = range((i * s + r) * k, scale, r * k)
+            high = values[len(range(values.start, half + 1, r * k)) :]  # above 1/2
+            codes += range(4 * values.start, 4 * high.start, 4 * r * k)
+            codes += range(4 * (scale - high.start) + 3, 3, -4 * r * k)
+            above += len(high)
+    cut = sum(map((denominator // 2).__ge__, infinity_low))  # the values up to 1/2
+    codes += [4 * unit * v + 1 for v in infinity_low[:cut]]
+    codes += [4 * (scale - unit * v) + 2 for v in infinity_low[cut:]]
+    codes.sort()
+    codes.append(4 * (scale - (codes[-1] >> 2)) + 1)  # their midpoint is 1/2
+    bottom = config.total_delta, len(infinity_low) + mult_one  # the counts at 0
+    cusp_total, infinity_total = 2 * config.total_delta, 2 * len(infinity_low) + mult_one
+    top = 2 * above, infinity_total - 2 * cut  # the counts at 1/2
 
-    def points(walk: Iterable[int]) -> Iterator[int]:
-        # Along `walk`: each midpoint between ends, and each critical end off infinity.
-        near = None
-        for end in walk:
-            if near is not None:
-                yield (near + end) // 2
-            if 0 < end <= half and end not in at_infinity:
-                yield end
-            near = end
+    def sweep(walk: Iterable[int], cusp: int, inf: int, sign: int) -> Iterator[Tuple]:
+        # Along `walk`: each point of a failing gap of unequal codes, its codes, the counts.
+        for near, code in pairwise(walk):
+            if (cusp > inf or cusp_total - cusp > infinity_total - inf) and near != code:
+                low, high = sorted((near, code))
+                f, g = low >> 2, high >> 2
+                for y in sorted({f, (f + g) // 2, g}, reverse=sign < 0):
+                    if low < 4 * y + 1 < high:  # a scan point ("Sweep")
+                        yield y, low, high, cusp, inf, cusp_total - cusp, infinity_total - inf
+            if code & 3 in (1, 2):
+                inf += sign * ((code & 2) - 1)
+            else:
+                cusp += sign * ((code & 2) - 1)
 
-    def failing(ys: Iterable[int]) -> Iterator[Tuple[int, ...]]:
-        for y in ys:
-            mirror = scale - y
-            cusp_inside = (
-                cusp_total - bisect_right(cusps, y) - bisect_right(cusps, mirror)
-            )
-            infinity_inside = (
-                infinity_total
-                - bisect_right(infinity, y)
-                - bisect_right(infinity, mirror)
-            )
-            cusp_outside = cusp_total - cusp_inside
-            infinity_outside = infinity_total - infinity_inside
-            if cusp_inside > infinity_inside or cusp_outside > infinity_outside:
-                yield y, cusp_inside, infinity_inside, cusp_outside, infinity_outside
+    def count() -> int:
+        # C, then 2C + 1 - A ("Count"); equal folded values are neighbours.
+        folded = sum(1 for _ in groupby(map(rshift, codes[1:-1], repeat(2))))
+        critical = 2 * folded - (codes[-2] >> 2 == half)
+        return 2 * critical + 1 - sum(1 for _ in groupby(infinity_low))
 
     def ordered() -> Iterator[Tuple[int, ...]]:
-        low = scale  # the walk down fails where the walk up did: nowhere below low
-        for failure in failing(points(ends)):
-            low = min(low, failure[0])
-            yield failure
-        for y, *counts in failing(takewhile(low.__le__, points(reversed(ends)))):
-            if y != half and scale - y not in at_infinity:
+        lowest = codes[-1] + 1  # the walk down fails where the walk up did
+        for y, low, _, *counts in sweep(codes, *bottom, 1):
+            lowest = min(lowest, low)
+            yield y, *counts
+        for y, _, high, *counts in sweep(takewhile(lowest.__le__, reversed(codes)), *top, -1):
+            if y < half and high != 4 * y + 2:
                 yield scale - y, *counts
 
-    return scale, checked, ordered(), failing(points(reversed(ends)))
+    down = sweep(reversed(codes), *top, -1)
+    return scale, count, ordered(), ((y, *counts) for y, _, _, *counts in down)
 
 
 def _witnesses(
     curve: CurveType, config: CuspConfiguration
-) -> Tuple[int, int, Iterator[Tuple[int, ...]]]:
+) -> Tuple[int, Callable[[], int], Iterator[Tuple[int, ...]]]:
     """The genus check, then L, the count and the ordered failures of `_scan`."""
     config.require_genus_compatible(curve)
     return _scan(_infinity_numerators(curve), config)[:3]
@@ -311,8 +311,8 @@ def semicontinuity_check(
     (module docstring); the witnesses are the failing ones in increasing
     order.  No cusps (genus 0): no genus-0 table has a value below 1, so
     1/2 is the only scan point, `checked_points` is 1, and it cannot fail."""
-    scale, checked, failures = _witnesses(curve, config)
+    scale, count, failures = _witnesses(curve, config)
     from fractions import Fraction
 
     witnesses = (SemicontinuityWitness(Fraction(x, scale), *c) for x, *c in failures)
-    return SemicontinuityReport(tuple(witnesses), checked)
+    return SemicontinuityReport(tuple(witnesses), count())

@@ -27,9 +27,10 @@ The views and the earlier kernels:
   solves every m in [-g, g] and drops the m that have no presentation.
 - `closed_form_elements` is the membership test that built the element
   lists of `hf._cusp_elements` before they merged progressions.
-- `sorted_failures` is the folded scan before it ordered its failures: one
-  pass from 1/2 down yields each failing folded point and then its mirror,
-  and `sorted` puts them in order.
+- `sorted_failures` is the bisecting scan that `spectra._scan`'s sweep
+  replaced, in its one-pass form: from 1/2 down, four bisections of the
+  sorted cusp and infinity values count each folded point, a failing one
+  yields itself and then its mirror, and `sorted` puts them in order.
 - `dict_table` and `dict_derived` are the two constructions of the spectrum
   at infinity before the table mirrored its values below 1 and the derived
   route read its root orders off the progressions: each fills a dict with

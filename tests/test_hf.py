@@ -24,7 +24,14 @@ from cuspidal import (
 )
 from cuspidal import hf
 from cuspidal.hf import _cusp_elements, _max_plus, _p_max_line
-from oracles import brute_max_p, closed_form_elements, curves, per_m_line, r_at
+from oracles import (
+    brute_max_p,
+    closed_form_elements,
+    curve_or_none,
+    curves,
+    per_m_line,
+    r_at,
+)
 
 coprime_pairs = st.tuples(
     st.integers(min_value=2, max_value=12), st.integers(min_value=3, max_value=40)
@@ -218,9 +225,8 @@ def _curves_up_to_genus(max_genus, bound):
     for b in range(1, bound + 1):
         for e in range(bound + 1):
             for a in range(bound + 1):
-                try:
-                    curve = CurveType(a, b, e)
-                except ValueError:
+                curve = curve_or_none(a, b, e)
+                if curve is None:
                     continue
                 if curve.g > max_genus:
                     break  # g does not decrease as a grows

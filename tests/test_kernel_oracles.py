@@ -17,10 +17,11 @@ both constructions of the spectrum at infinity (from each value's p and q,
 taken from the loops that make the values, and as they were before the
 table mirrored its values below 1) and the cusp spectrum over
 `Fraction` values.  The fast kernels must agree with them exactly: R pointwise, whole `SemicontinuityReport`s, witnesses and checked
-points, the folded scan's failures in increasing x against the sorted
-failures of its one-pass form (`oracles.sorted_failures`), the verdicts
-of `filter_verdicts` over a listing in any order,
-read once from a list or a one-shot iterator alike, with a genus mismatch
+points, the sweep's failures in increasing x and from 1/2 down against
+the sorted failures of the bisecting scan it replaced
+(`oracles.sorted_failures`), the verdicts of `filter_verdicts` over a
+listing in any order, read once from a list or a one-shot iterator
+alike, with a genus mismatch
 raised wherever it comes, every sawtooth sum as a
 `Fraction`, every spectrum entry (each construction's (lcm(w, b), entries)
 pair, compared as numerators), and every row of `enumerate --json`,
@@ -267,8 +268,8 @@ def _assert_kernels_match(curve, config):
     assert _integer_scan(curve, config) == spectrum_report
     if config:  # the failures come in the order that sorting them gives
         infinity = spectra._infinity_numerators(curve)
-        scale, checked, ordered, _ = spectra._scan(infinity, config)
-        assert (scale, checked, list(ordered)) == sorted_failures(infinity, config)
+        scale, count, ordered, _ = spectra._scan(infinity, config)
+        assert (scale, count(), list(ordered)) == sorted_failures(infinity, config)
     assert semicontinuity_check(curve, config) == spectrum_report
     return _verdicts(curve, config, hf_report, spectrum_report)
 
@@ -282,6 +283,22 @@ def test_kernels_match_oracles_on_every_configuration(curve):
     assert configs
     expected = [_assert_kernels_match(curve, config) for config in configs]
     assert list(filter_verdicts(curve, configs)) == expected
+
+
+@pytest.mark.parametrize(
+    "a, b, e, r, s", [(30, 30, 0, 3, 842), (50, 50, 0, 2, 4803), (0, 300, 1, 299, 300)]
+)
+def test_sweep_matches_the_bisecting_scan_on_one_large_cusp(a, b, e, r, s):
+    # Folded values here carry values at infinity on both sides of 1/2, some
+    # a cusp value too, and (0, 300, 1) has a value at infinity above 1/2
+    # whose mirror is not one: the kinds the sweep orders around a point.
+    infinity = spectra._infinity_numerators(CurveType(a, b, e))
+    config = CuspConfiguration([PuiseuxCusp(r, s)])
+    scale, count, ordered, down = spectra._scan(infinity, config)
+    expected = sorted_failures(infinity, config)
+    assert (scale, count(), list(ordered)) == expected
+    folded = [failure for failure in expected[2] if failure[0] <= scale // 2]
+    assert list(down) == folded[::-1]
 
 
 @pytest.mark.parametrize("before", [0, 1], ids=["first", "after_a_valid_one"])

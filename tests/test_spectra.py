@@ -3,8 +3,8 @@ import math
 import re
 import sys
 import tracemalloc
-from bisect import bisect_right
 from fractions import Fraction
+from itertools import pairwise
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -187,22 +187,29 @@ def test_semicontinuity_passes_other_candidates(r, s):
 @pytest.mark.parametrize("a, b, e, r, s", [(6, 6, 0, 6, 11), (0, 30, 1, 29, 30)])
 def test_ordered_scan_of_a_survivor_walks_its_points_once(monkeypatch, a, b, e, r, s):
     # The walk down fails where the walk up does, so when the walk up finds
-    # nothing the ordered stream skips it: as many bisections as the walk down.
-    calls = []
+    # nothing the ordered stream stops its walk down at once: it evaluates as
+    # many scan points as the walk down alone.  A walk tests each gap between
+    # neighbouring codes once, for the points y with low < 4y + 1 < high.
+    walks = []
 
-    def counted(values, x):
-        calls.append(x)
-        return bisect_right(values, x)
+    def counted(codes):
+        walks.append(0)
+        for pair in pairwise(codes):
+            low, high = sorted(pair)
+            f, g = low >> 2, high >> 2
+            walks[-1] += sum(low < 4 * y + 1 < high for y in {f, (f + g) // 2, g})
+            yield pair
 
-    monkeypatch.setattr(spectra, "bisect_right", counted)
+    monkeypatch.setattr(spectra, "pairwise", counted)
     infinity = spectra._infinity_numerators(CurveType(a, b, e))
     config = CuspConfiguration([PuiseuxCusp(r, s)])
-    _, checked, ordered, down = spectra._scan(infinity, config)
+    _, count, ordered, down = spectra._scan(infinity, config)
     assert list(down) == []
-    walked_down = len(calls)
-    calls.clear()
     assert list(ordered) == []
-    assert len(calls) == walked_down >= checked > 0
+    walked_down, *walked_ordered = walks
+    assert sum(walked_ordered) == walked_down > 0
+    # Each folded point stands for one or two scan points ("Count").
+    assert walked_down <= count() <= 2 * walked_down
 
 
 @pytest.mark.parametrize("a, b", [(10**20, 1), (1, 10**20)])
