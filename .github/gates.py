@@ -73,7 +73,7 @@ GATES = [
     Gate(20, "enumerate --a 300 --b 300", tally=(8, 2, 1, 5, 1), rss_mb=45,
          runs={"json": "08158ce9d8bddf548881628ee6c65107fd7c5db1aaf28a5c6b62d235cd1aa88e"}),
     # One cusp at g = 998,001; c = 1000, so the HF line has 1,997 entries.
-    Gate(90, "enumerate --a 1000 --b 1000", tally=(18, 2, 3, 13, 1), rss_mb=270,
+    Gate(90, "enumerate --a 1000 --b 1000", tally=(18, 2, 3, 13, 1), rss_mb=190,
          runs={"json": "78ab22bcf75b0b5f99c1fef2ea14e6da9b33983b40dd393aae9119ccd086747e"}),
     # (3000,3000,0) with two cusps trips the cap at its first configuration.
     Gate(10, "enumerate --a 3000 --b 3000 --max-cusps 2 --cap 0", {"txt": None}, code=1,
@@ -97,7 +97,7 @@ GATES = [
          runs={"json": "ff1378fa0806c1774d653dd1f5d2031d30672a3d6aa0617600217b45796ad1f5"}),
     # A spectrum survivor at g = 998,001: check's ordered stream walks every
     # scan point up, and down not at all.
-    Gate(20, "check --a 1000 --b 1000 --cusp 730:2739 --only spectrum", rss_mb=200,
+    Gate(20, "check --a 1000 --b 1000 --cusp 730:2739 --only spectrum", rss_mb=110,
          runs={"json": "bf69d5d8c93c774114d79e30dab3d5dc9238e8c529dae35fadcb9530467b3103"}),
     # 327,784 spectrum witnesses, 62 MB of JSON, streamed in order as they are found.
     Gate(10, "check --a 300 --b 300 --cusp 2:178803 --only spectrum", code=2, rss_mb=58,

@@ -29,7 +29,7 @@ from typing import Dict, Iterable, Iterator, List, Tuple
 
 from .core import CurveType, CuspConfiguration, PuiseuxCusp
 from .hf import _fold, _p_max_line, _violations, multiplicity_bound_check
-from .spectra import _infinity_numerators, _scan
+from .spectra import _scan, _table_below_one
 
 
 def cusps_with_delta(delta: int) -> List[PuiseuxCusp]:
@@ -106,16 +106,16 @@ def filter_verdicts(
     may be any iterable.
 
     Raises `GenusMismatchError` at a configuration whose total delta is not
-    g.  Builds `_p_max_line` and `_infinity_numerators` once, after the first
-    configuration's genus check, so an empty listing or a wrong first genus
-    builds neither.
+    g.  Builds `_p_max_line` and `_table_below_one` (the pairs below 1 and
+    mult(1) that `_scan` reads) once, after the first configuration's genus
+    check, so an empty listing or a wrong first genus builds neither.
     """
     g, line, infinity = curve.g, None, None
     previous, folds = CuspConfiguration(), [(0,)]  # folds[k] folds previous[:k]
     for config in configs:
         config.require_genus_compatible(curve)
         if line is None:
-            line, infinity = tuple(_p_max_line(curve)), _infinity_numerators(curve)
+            line, infinity = tuple(_p_max_line(curve)), _table_below_one(curve)
         shared = len(list(takewhile(bool, map(eq, previous, config))))
         folds[shared:] = accumulate(config[shared:], _fold, initial=folds[shared])
         previous = config

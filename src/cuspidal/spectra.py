@@ -97,15 +97,16 @@ They cut (0, 1) into C + 1 open stretches, one midpoint each, and every one
 of the A distinct values at infinity below 1 is critical, so C - A of them
 are scan points: 2C + 1 - A in all, and the scan counts no point to know it.
 
-The scan reads the spectrum at infinity's values below 1, as numerators
-over lcm(w, b), and its multiplicity of 1 off `_infinity_numerators`, built
-per check and per curve in `filter_verdicts`.  Nothing here is memoised.
+The scan reads `_table_below_one`, built per check and per curve in
+`filter_verdicts`: the sorted (numerator over lcm(w, b), multiplicity)
+pairs below 1, one code each repeated mult times, and mult(1).  Nothing
+here is memoised.
 """
 
 from __future__ import annotations
 
 import math
-from itertools import chain, groupby, pairwise, repeat, starmap, takewhile
+from itertools import groupby, pairwise, repeat, takewhile
 from numbers import Rational
 from operator import itemgetter, rshift
 from typing import Callable, Iterable, Iterator, List, NamedTuple, Tuple
@@ -143,9 +144,10 @@ def alexander_order(curve: CurveType, v: int) -> int:
     return (v == 1) + (b - 1) * (w % v == 0) + (curve.a - 1) * (b % v == 0)
 
 
-def _table_below_one(curve: CurveType) -> Tuple[int, List[Tuple[int, int]]]:
+def _table_below_one(curve: CurveType) -> Tuple[int, List[Tuple[int, int]], int]:
     """(D, the table's sorted (numerator over D, multiplicity) pairs below 1,
-    none of multiplicity 0).  The p-row starts at ceil(w/b): below it
+    none of multiplicity 0, the multiplicity of 1, a + b - 1, which is 0
+    only for (0, 1, e)).  The p-row starts at ceil(w/b): below it
     floor(p*b/w) is 0, and the rows meet only where it is q >= 1.  For
     a >= 1 the q-row starts at ceil(b/a): below it floor(q*a/b) is 0, and
     the rows meet only where q*a/b is a positive integer.  For a = 0 every
@@ -157,14 +159,14 @@ def _table_below_one(curve: CurveType) -> Tuple[int, List[Tuple[int, int]]]:
     step = denominator // b
     for q in range(-(-b // a) if a else 1, b):  # x = p/w = q/b: the sum - 1
         below[q * step] = below.get(q * step, 1) - 1 + q * a // b
-    return denominator, list(filter(itemgetter(1), sorted(below.items())))
+    return denominator, list(filter(itemgetter(1), sorted(below.items()))), a + b - 1
 
 
 def spectrum_at_infinity_table(curve: CurveType) -> Spectrum:
     """The spectrum at infinity by the closed-form table: its values below 1
     (`_table_below_one`), then 1 unless (a, b) = (0, 1), then their mirrors."""
-    denominator, low = _table_below_one(curve)
-    one = [(denominator, curve.a + curve.b - 1)] if curve.a + curve.b > 1 else []
+    denominator, low, mult_one = _table_below_one(curve)
+    one = [(denominator, mult_one)] if mult_one else []
     return denominator, (*low, *one, *[(2 * denominator - n, m) for n, m in reversed(low)])
 
 
@@ -227,22 +229,14 @@ class SemicontinuityReport(NamedTuple):
         return "obstructed" if self.obstructed else "passes"
 
 
-def _infinity_numerators(curve: CurveType) -> Tuple[int, Tuple[int, ...], int]:
-    """(D = lcm(w, b), the table's values below 1 as sorted numerators over D,
-    one per unit of multiplicity, and the multiplicity of 1, a + b - 1, which
-    is 0 only for (0, 1, e)), from `_table_below_one`: no mirror is built."""
-    denominator, low = _table_below_one(curve)
-    return denominator, tuple(chain.from_iterable(starmap(repeat, low))), curve.a + curve.b - 1
-
-
 def _scan(
-    infinity: Tuple[int, Tuple[int, ...], int], config: CuspConfiguration
+    infinity: Tuple[int, List[Tuple[int, int]], int], config: CuspConfiguration
 ) -> Tuple[int, Callable[[], int], Iterator[Tuple[int, ...]], Iterator[Tuple[int, ...]]]:
     """The folded scan (module docstring) of a configuration: L, a function
     that counts the scan points in (0, 1), and two lazy streams of failing
     points (numerator over L, cusp and infinity inside, cusp and infinity
     outside): all in increasing order ("Order"), the folded ones from 1/2 down."""
-    denominator, infinity_low, mult_one = infinity
+    denominator, pairs, mult_one = infinity
     scale = 2 * math.lcm(denominator, *(r * s for r, s in config))
     half, unit = scale // 2, scale // denominator
     codes, above = [1], 0  # 0 opens the walk up as a value at infinity would
@@ -254,13 +248,15 @@ def _scan(
             codes += range(4 * values.start, 4 * high.start, 4 * r * k)
             codes += range(4 * (scale - high.start) + 3, 3, -4 * r * k)
             above += len(high)
-    cut = sum(map((denominator // 2).__ge__, infinity_low))  # the values up to 1/2
-    codes += [4 * unit * v + 1 for v in infinity_low[:cut]]
-    codes += [4 * (scale - unit * v) + 2 for v in infinity_low[cut:]]
+    cut = below = 0  # the values at infinity up to 1/2, and below 1
+    for n, mult in pairs:
+        up_to_half = 2 * n <= denominator
+        codes += repeat(4 * unit * n + 1 if up_to_half else 4 * (scale - unit * n) + 2, mult)
+        cut, below = cut + up_to_half * mult, below + mult
     codes.sort()
     codes.append(4 * (scale - (codes[-1] >> 2)) + 1)  # their midpoint is 1/2
-    bottom = config.total_delta, len(infinity_low) + mult_one  # the counts at 0
-    cusp_total, infinity_total = 2 * config.total_delta, 2 * len(infinity_low) + mult_one
+    bottom = config.total_delta, below + mult_one  # the counts at 0
+    cusp_total, infinity_total = 2 * config.total_delta, 2 * below + mult_one
     top = 2 * above, infinity_total - 2 * cut  # the counts at 1/2
 
     def sweep(walk: Iterable[int], cusp: int, inf: int, sign: int) -> Iterator[Tuple]:
@@ -281,7 +277,7 @@ def _scan(
         # C, then 2C + 1 - A ("Count"); equal folded values are neighbours.
         folded = sum(1 for _ in groupby(map(rshift, codes[1:-1], repeat(2))))
         critical = 2 * folded - (codes[-2] >> 2 == half)
-        return 2 * critical + 1 - sum(1 for _ in groupby(infinity_low))
+        return 2 * critical + 1 - len(pairs)
 
     def ordered() -> Iterator[Tuple[int, ...]]:
         lowest = codes[-1] + 1  # the walk down fails where the walk up did
@@ -301,7 +297,7 @@ def _witnesses(
 ) -> Tuple[int, Callable[[], int], Iterator[Tuple[int, ...]]]:
     """The genus check, then L, the count and the ordered failures of `_scan`."""
     config.require_genus_compatible(curve)
-    return _scan(_infinity_numerators(curve), config)[:3]
+    return _scan(_table_below_one(curve), config)[:3]
 
 
 def semicontinuity_check(

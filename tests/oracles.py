@@ -23,8 +23,6 @@ The views and the earlier kernels:
   at infinity return.
 - `cusp_spectrum` reads the spectrum of a one-pair cusp off its semigroup,
   not off (r, s) as `spectra._scan` does, and returns that pair.
-- `per_m_line` is `hf._p_max_line` before it walked only its lattice: it
-  solves every m in [-g, g] and drops the m that have no presentation.
 - `closed_form_elements` is the membership test that built the element
   lists of `hf._cusp_elements` before they merged progressions.
 - `sorted_failures` is the bisecting scan that `spectra._scan`'s sweep
@@ -57,7 +55,6 @@ from cuspidal import (
     CuspConfiguration,
     alexander_order,
     cli,
-    max_p_over_presentations,
     p_bound,
     signature_profile,
 )
@@ -166,17 +163,6 @@ def curves(a_max, b_max, e_max):
     return [curve for curve in grid if curve is not None]
 
 
-def per_m_line(curve):
-    """(m, s1, s2, P) of the maximal presentation of every m in [-g, g] that
-    has one, from one `max_p_over_presentations` call per m."""
-    g = curve.g
-    return tuple(
-        (m, *best)
-        for m in range(-g, g + 1)
-        if (best := max_p_over_presentations(curve, m + g - 1)) is not None
-    )
-
-
 def brute_max_p(curve, n, k_range=1000):
     """(s1, s2, P) maximizing P over the solutions s1*b + s2*w = n that lie
     within `k_range` steps of the one with 0 <= s2 < b/c, ties to the larger
@@ -235,9 +221,10 @@ def cusp_spectrum(cusp):
 def sorted_failures(infinity, config):
     """(L, the number of scan points in (0, 1), every failing scan point as
     (numerator over L, cusp inside, infinity inside, cusp outside, infinity
-    outside), sorted), for `spectra._infinity_numerators`' `infinity` and a
-    configuration with cusps."""
-    denominator, infinity_low, mult_one = infinity
+    outside), sorted), for `spectra._table_below_one`'s `infinity` and a
+    configuration with cusps.  It expands the (numerator, multiplicity)
+    pairs below 1 into one numerator per unit of multiplicity."""
+    denominator, pairs, mult_one = infinity
     scale = 2 * math.lcm(denominator, *(cusp.r * cusp.s for cusp in config))
     half = scale // 2
     cusps = sorted(
@@ -245,7 +232,7 @@ def sorted_failures(infinity, config):
         for cusp in config
         for e in _cusp_elements(cusp)[:-1]
     )
-    infinity = [n * (scale // denominator) for n in infinity_low]
+    infinity = [n * (scale // denominator) for n, mult in pairs for _ in range(mult)]
     at_infinity = set(infinity)
     # The critical points in (0, 1/2], from the top; the others mirror them.
     critical = sorted(

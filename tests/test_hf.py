@@ -29,7 +29,6 @@ from oracles import (
     closed_form_elements,
     curve_or_none,
     curves,
-    per_m_line,
     r_at,
 )
 
@@ -347,13 +346,25 @@ def test_max_p_is_an_actual_presentation(a, b, e):
             assert p == p_bound(s1, s2, e)
 
 
-def test_p_max_line_matches_the_per_m_line():
-    # Every curve with a, b <= 40 and e <= 3: the line on its lattice of m,
-    # one walk of the kernel, is the line of every m in [-g, g], each solved
-    # on its own, with the m off the lattice dropped.
+def test_p_max_line_entries_are_maxima_on_their_lattice():
+    # Every curve with a, b <= 40 and e <= 3: the line holds exactly the m in
+    # [-g, g] with c | m + g - 1, in increasing order, each with a solution
+    # of s1*b + s2*w = n = m + g - 1 and its P.  Along that solution line,
+    # 2bP = (s2 + 1)(2(n + b) - q*s2) with q = d/b > 0 is concave in s2, so
+    # the differences of P between neighbours never grow in either direction.
+    # So if the neighbour of larger s1 has a strictly smaller P and the other
+    # neighbour no larger a P, the entry is the maximum, the one of largest
+    # s1 among equal maxima.
     grid = curves(40, 40, 3)
     for curve in grid:
-        assert tuple(_p_max_line(curve)) == per_m_line(curve), curve
+        b, w, e, c, g = curve.b, curve.w, curve.e, curve.c, curve.g
+        line = tuple(_p_max_line(curve))
+        assert [m for m, *_ in line] == [m for m in range(-g, g + 1) if (m + g - 1) % c == 0], curve
+        up, down = w // c, b // c  # one step along the line: s1 + up, s2 - down
+        for m, s1, s2, p in line:
+            assert s1 * b + s2 * w == m + g - 1 and p == p_bound(s1, s2, e), (curve, m)
+            assert p_bound(s1 + up, s2 - down, e) < p, (curve, m)
+            assert p_bound(s1 - up, s2 + down, e) <= p, (curve, m)
     assert len(grid) == 6520
 
 

@@ -267,7 +267,7 @@ def _assert_kernels_match(curve, config):
     spectrum_report = _brute_semicontinuity(curve, config)
     assert _integer_scan(curve, config) == spectrum_report
     if config:  # the failures come in the order that sorting them gives
-        infinity = spectra._infinity_numerators(curve)
+        infinity = spectra._table_below_one(curve)
         scale, count, ordered, _ = spectra._scan(infinity, config)
         assert (scale, count(), list(ordered)) == sorted_failures(infinity, config)
     assert semicontinuity_check(curve, config) == spectrum_report
@@ -286,13 +286,24 @@ def test_kernels_match_oracles_on_every_configuration(curve):
 
 
 @pytest.mark.parametrize(
-    "a, b, e, r, s", [(30, 30, 0, 3, 842), (50, 50, 0, 2, 4803), (0, 300, 1, 299, 300)]
+    "a, b, e, r, s",
+    [
+        (30, 30, 0, 3, 842),
+        (50, 50, 0, 2, 4803),
+        (0, 300, 1, 299, 300),
+        (0, 27, 1, 2, 651),
+        (5, 16, 2, 2, 601),
+    ],
 )
 def test_sweep_matches_the_bisecting_scan_on_one_large_cusp(a, b, e, r, s):
     # Folded values here carry values at infinity on both sides of 1/2, some
     # a cusp value too, and (0, 300, 1) has a value at infinity above 1/2
     # whose mirror is not one: the kinds the sweep orders around a point.
-    infinity = spectra._infinity_numerators(CurveType(a, b, e))
+    # For (0, 27, 1), 1/2 is no value at infinity and is a witness: the
+    # sweep reaches it as the midpoint of its ends.  (5, 16, 2) fails at a
+    # folded point whose mirror is a value at infinity, so that mirror is
+    # no witness.
+    infinity = spectra._table_below_one(CurveType(a, b, e))
     config = CuspConfiguration([PuiseuxCusp(r, s)])
     scale, count, ordered, down = spectra._scan(infinity, config)
     expected = sorted_failures(infinity, config)
@@ -330,12 +341,12 @@ def test_filter_verdicts_build_the_curve_data_once_per_listing(monkeypatch):
         monkeypatch.setattr(enumeration, name, counted)
 
     count("_p_max_line")
-    count("_infinity_numerators")
+    count("_table_below_one")
     for curve in (CurveType(6, 6, 0), CurveType(5, 4, 1)):
         calls.clear()
         configs = list(configurations(curve.g, 3))
         assert len(list(filter_verdicts(curve, configs))) == len(configs) > 1
-        assert calls == {"_p_max_line": 1, "_infinity_numerators": 1}
+        assert calls == {"_p_max_line": 1, "_table_below_one": 1}
     # An empty listing, and one whose first genus is wrong, build neither.
     calls.clear()
     assert list(filter_verdicts(CurveType(6, 6, 0), [])) == []

@@ -201,7 +201,7 @@ def test_ordered_scan_of_a_survivor_walks_its_points_once(monkeypatch, a, b, e, 
             yield pair
 
     monkeypatch.setattr(spectra, "pairwise", counted)
-    infinity = spectra._infinity_numerators(CurveType(a, b, e))
+    infinity = spectra._table_below_one(CurveType(a, b, e))
     config = CuspConfiguration([PuiseuxCusp(r, s)])
     _, count, ordered, down = spectra._scan(infinity, config)
     assert list(down) == []
