@@ -4,9 +4,14 @@
 
 runs every request in a fresh interpreter through `peak_rss.py`, prints one
 line per run, ok or FAIL, with its wall time, peak RSS and request, and
-exits 1 if any run failed.
+exits 1 if any run failed.  `--only TEXT` keeps the rows whose argv contains
+TEXT and `--repeat K` runs each of their requests K times, every check as
+strict, to time a few rows:
+
+    python3 .github/gates.py --only "enumerate --a 10 --b 10" --repeat 3
 """
 
+import argparse
 import hashlib
 import json
 import subprocess
@@ -198,11 +203,21 @@ def failures(gate, fmt, run, kb):
         yield f"peak RSS {kb} kB, bound {gate.rss_mb} MB"
 
 
-def main():
+def main(argv=None):
+    parser = argparse.ArgumentParser(description="Run CI's pinned CLI requests.")
+    parser.add_argument("--only", default="", metavar="TEXT",
+                        help="run only the rows whose argv contains TEXT")
+    parser.add_argument("--repeat", type=int, default=1, metavar="K",
+                        help="run each request K times")
+    options = parser.parse_args(argv)
+    runs = [(gate, fmt) for gate in GATES if options.only in gate.argv
+            for fmt in gate.runs for _ in range(options.repeat)]
+    if not runs:
+        parser.error("no run selected")
     failed = 0
     with tempfile.TemporaryDirectory() as tmp:
         kb_file = Path(tmp, "peak_kb")
-        for gate, fmt in ((gate, fmt) for gate in GATES for fmt in gate.runs):
+        for gate, fmt in runs:
             argv = [*gate.argv.split(), *FLAGS[fmt]]
             kb_file.write_text("0")
             start = time.perf_counter()
@@ -217,7 +232,7 @@ def main():
             request = " | ".join([" ".join(["cuspidal", *argv]), *found])
             status = "FAIL" if found else "ok"
             print(f"{status:4} {wall:6.2f} s {kb / 1024:6.1f} MB  {request}", flush=True)
-    print(f"{sum(len(gate.runs) for gate in GATES)} runs, {failed} failed")
+    print(f"{len(runs)} runs, {failed} failed")
     return int(failed > 0)
 
 

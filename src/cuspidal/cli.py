@@ -16,13 +16,12 @@ multiplicity) int pairs over one denominator, by one f-string each
 Here live parsing, dispatch, output and the filter commands `check`,
 `enumerate` and `dinv`.  `main` parses argv with the parser of the command
 it names (`_parser`); `spectrum`, `dedekind` and `repro` live in
-`cuspidal.reference`, which `enumerate` and `check` never import, nor
-`fractions`.  Under `python -m cuspidal.cli` a reference command loads this
-file twice, with a second `_parser` cache.  `enumerate` walks its listing,
-`configurations(g, max_cusps)`, once to count it against the cap before any
-output and once more for its rows, and never holds it.  `check` holds no
-witness: it reads each filter's first for the verdicts, the CSV columns and
-the exit code, then writes them all in order as the scans go.
+`cuspidal.reference`, which `enumerate`, `check` and `dinv` never import,
+nor `fractions`.  `enumerate` walks its listing, `configurations(g,
+max_cusps)`, once to count it against the cap before any output and once
+more for its rows, and never holds it.  `check` holds no witness: it reads
+each filter's first for the verdicts, the CSV columns and the exit code,
+then writes them all in order as the scans go.
 """
 
 from __future__ import annotations
@@ -185,8 +184,8 @@ def _dinv_rows(
     raise before any output, the range first, as the fold can take seconds."""
     hf._check_m(curve, ms[0])
     elements = curve_elements(curve, config)
-    ratios = (_d_invariant(curve, elements, m).as_integer_ratio() for m in ms)
-    rows = ({"m": m, "d_invariant": _ratio(*nd)} for m, nd in zip(ms, ratios))
+    nums = (_d_invariant(curve, elements, m) for m in ms)
+    rows = ({"m": m, "d_invariant": _ratio(n, 4 * curve.d)} for m, n in zip(ms, nums))
     return chain([next(rows)], rows)
 
 
@@ -421,4 +420,6 @@ def main(argv: Optional[Sequence[str]] = None) -> None:
 
 
 if __name__ == "__main__":
+    # `python -m cuspidal.cli`: `cuspidal.reference` imports this module, not a copy.
+    sys.modules["cuspidal.cli"] = sys.modules[__name__]
     main()

@@ -21,6 +21,14 @@ constants once, then each n with one floor division:
 
     s2 = rho - floor((q(2rho + step + 1) - 2(n + b)) / (2q*step)) * step.
 
+The same line, read on the lattice of X_e: H2(X_e) = <E, F> with E^2 = -e,
+F^2 = 0 and E.F = 1, the curve is C = bE + wF, K = -2E - (e + 2)F, and the
+classes are c = K + 2(xE + yF).  A class with c.C = d - 2m exists exactly
+when gcd(a, b) divides m + g - 1.  Each presentation (s1, s2) is one such
+class, with x = b - s2 and y = (d - 2m - (2x - 2)a + (e + 2)b)/(2b), and
+each such class gives a presentation.  As c^2/8 = P(s1, s2) - m, the line
+holds the maximal c^2/8 + m.
+
 R, the counting function of the cusps' semigroups, is read off one list,
 the fold of the configuration (`curve_elements`).
 
@@ -218,7 +226,9 @@ def d_invariant(curve: CurveType, config: CuspConfiguration, m: int) -> Rational
     seconds.
     """
     _check_m(curve, m)
-    return _d_invariant(curve, curve_elements(curve, config), m)
+    from fractions import Fraction
+
+    return Fraction(_d_invariant(curve, curve_elements(curve, config), m), 4 * curve.d)
 
 
 def _check_m(curve: CurveType, m: int) -> None:
@@ -228,12 +238,10 @@ def _check_m(curve: CurveType, m: int) -> None:
         raise ValueError(f"m must lie in [-{d}/2, {d}/2), got {m}")
 
 
-def _d_invariant(curve: CurveType, elements: Tuple[int, ...], m: int) -> Rational:
-    """`d_invariant` given the configuration's fold, for an m its caller checked."""
+def _d_invariant(curve: CurveType, elements: Tuple[int, ...], m: int) -> int:
+    """`d_invariant` scaled by 4d, the integer 8d(R(m + g) - m) - (d - 2m)^2 + d,
+    given the configuration's fold, for an m its caller checked."""
     d, g = curve.d, curve.g
     t = m + g
     r_value = bisect_left(elements, t) if t <= 2 * g else t - g
-    from fractions import Fraction
-
-    square_term = Fraction((d - 2 * m) ** 2 - d, 4 * d)
-    return -(square_term - 2 * (r_value - m))
+    return 8 * d * (r_value - m) - (d - 2 * m) ** 2 + d

@@ -1122,8 +1122,8 @@ def test_main_parses_as_the_group_parser_on_group_argv(argv, monkeypatch):
     ids=["dedekind-s", "spectrum", "enumerate", "help"],
 )
 def test_module_entry_point_matches_main(argv, monkeypatch):
-    # Under `python -m cuspidal.cli` this file runs as `__main__`, and a
-    # reference command loads it a second time as `cuspidal.cli`.
+    # Under `python -m cuspidal.cli` this file runs as `__main__`, which it
+    # registers as `cuspidal.cli` for the reference commands to import.
     monkeypatch.setenv("COLUMNS", "80")
     src = Path(cli_module.__file__).resolve().parents[1]
     result = subprocess.run(
@@ -1239,6 +1239,46 @@ def test_cli_imports_neither_click_nor_dataclasses():
     assert _fresh_modules([], absent) == (None, [])
 
 
+def test_package_import_loads_no_submodule():
+    # Each public name loads its module on first use, not on `import cuspidal`.
+    src = Path(cli_module.__file__).resolve().parents[1]
+    code = "import sys, cuspidal; print(sorted(m for m in sys.modules if 'cuspidal.' in m))"
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert result.stdout == "[]\n"
+
+
+_PUBLIC = {
+    "core": ["CurveType", "CuspConfiguration", "GenusMismatchError", "PuiseuxCusp"],
+    "hf": ["HfReport", "HfWitness", "curve_elements", "d_invariant", "hf_check",
+           "max_p_over_presentations", "multiplicity_bound_check", "p_bound"],
+    "spectra": ["SemicontinuityReport", "SemicontinuityWitness", "alexander_order",
+                "semicontinuity_check", "signature_profile",
+                "spectrum_at_infinity_derived", "spectrum_at_infinity_table"],
+    "enumeration": ["configurations", "enumerate_unicuspidal", "filter_verdicts"],
+    "dedekind": ["LimitReport", "dedekind_sum", "rademacher_sum", "section_sums",
+                 "verify_limits"],
+}
+
+
+def test_package_exports_each_public_name_from_its_module():
+    import cuspidal
+
+    assert cuspidal.__all__ == sorted(name for names in _PUBLIC.values() for name in names)
+    for module, names in _PUBLIC.items():
+        for name in names:
+            defining = importlib.import_module(f"cuspidal.{module}")
+            assert getattr(cuspidal, name) is getattr(defining, name), name
+    assert {"__all__", *cuspidal.__all__} <= set(dir(cuspidal))
+    with pytest.raises(AttributeError, match="has no attribute 'nothing'"):
+        cuspidal.nothing
+
+
 _REFERENCE_ONLY = ["fractions", "decimal", "cuspidal.reference", "cuspidal.dedekind"]
 
 
@@ -1249,14 +1289,15 @@ _REFERENCE_ONLY = ["fractions", "decimal", "cuspidal.reference", "cuspidal.dedek
         (["enumerate", "--a", "6", "--b", "6", "--max-cusps", "3", "--json"], 0),
         (["check", "--a", "6", "--b", "6", "--cusp", "6:11"], 0),
         (["check", "--a", "6", "--b", "6", "--cusp", "2:51"], 2),
+        (["dinv", "--a", "6", "--b", "6", "--cusp", "6:11", "--all-m", "--json"], 0),
     ],
-    ids=["import", "enumerate", "check-survivor", "check-obstructed"],
+    ids=["import", "enumerate", "check-survivor", "check-obstructed", "dinv"],
 )
 def test_filter_commands_load_no_reference_code_and_no_fractions(argv, code):
     # Without a bytecode cache every imported module is compiled, so a fresh
-    # `enumerate` or `check` (which writes its witnesses' x without a
-    # `Fraction`) compiles no reference command and imports no fractions or
-    # decimal.
+    # `enumerate`, `check` (which writes its witnesses' x without a
+    # `Fraction`) or `dinv` (which writes 4d times each correction term over
+    # 4d) compiles no reference command and imports no fractions or decimal.
     assert _fresh_modules(argv, _REFERENCE_ONLY) == (code, [])
 
 
@@ -1278,6 +1319,23 @@ def test_annotations_resolve_without_the_reference_imports():
 )
 def test_reference_commands_load_the_reference_module(argv):
     assert _fresh_modules(argv, _REFERENCE_ONLY) == (0, sorted(_REFERENCE_ONLY))
+
+
+def test_module_entry_point_loads_the_cli_once():
+    # A reference command imports `cuspidal.cli`, which the entry point has
+    # registered as itself, so no import of it shows under -X importtime.
+    src = Path(cli_module.__file__).resolve().parents[1]
+    result = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "cuspidal.cli", "dedekind", "s", "1", "3"],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert (result.returncode, result.stdout) == (0, "1/18\n")
+    imported = [line.rsplit("|", 1)[-1].strip() for line in result.stderr.splitlines()]
+    assert "cuspidal.reference" in imported
+    assert "cuspidal.cli" not in imported
 
 
 @pytest.mark.parametrize("unbuffered", ["", "1"])
@@ -1423,6 +1481,19 @@ def test_ci_gate_table_is_well_formed():
             parser, valued = cli_module._parser(tuple(argv[:k]))
             options = parser.parse_args(cli_module._joined(argv[k:], valued))
             assert getattr(options, "fmt", "text") == {"txt": "text"}.get(fmt, fmt), gate
+
+
+def test_ci_gate_runner_runs_only_the_chosen_rows_k_times(capsys, monkeypatch):
+    # As CI does, with no arguments, every row runs once; `--only` and
+    # `--repeat` pick rows and repeat their runs, with the same checks.
+    monkeypatch.setenv("PYTHONPATH", str(Path(cli_module.__file__).resolve().parents[1]))
+    gates = _gates()
+    assert gates.main(["--only", "dedekind s ", "--repeat", "2"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 3 and lines[-1] == "2 runs, 0 failed"
+    assert all(line.startswith("ok ") and "cuspidal dedekind s " in line for line in lines[:2])
+    with pytest.raises(SystemExit):
+        gates.main(["--only", "no such request"])
 
 
 def test_ci_canonical_check_takes_only_the_canonical_bytes():

@@ -387,6 +387,47 @@ def test_p_max_line_solves_only_its_lattice(monkeypatch):
     assert all((m + curve.g - 1) % curve.c == 0 for m in asked)
 
 
+def test_p_max_line_is_the_maximal_square_of_the_lattice_classes():
+    # The lattice reading of the module docstring, from intersection numbers
+    # alone: H2(X_e) = <E, F> with E^2 = -e, F^2 = 0, E.F = 1, C = bE + wF,
+    # K = -2E - (e + 2)F and the classes c = K + 2(xE + yF), here for x in
+    # [-40, 40].  c.C = d - 2m fixes y, an integer exactly when 2m is
+    # d - (2x - 2)a + (e + 2)b mod 2b (that number is even).  Along the
+    # classes of one m, c^2 is strictly concave in x (the step between them
+    # has negative square, as d > 0), so a largest c^2 with classes of this
+    # m on both sides of it in the window is the largest of all.
+    grid = curves(10, 10, 3)
+    total = 0
+    for curve in grid:
+        a, b, e, w, d, g = curve.a, curve.b, curve.e, curve.w, curve.d, curve.g
+        squares = {}  # m -> [(x, s1, s2, c^2)]
+        for x in range(-40, 41):
+            base = (d - (2 * x - 2) * a + (e + 2) * b) // 2
+            for m in range(-g - 2 + (base + g + 2) % b, g + 3, b):
+                y, rest = divmod(d - 2 * m - (2 * x - 2) * a + (e + 2) * b, 2 * b)
+                along_e, along_f = 2 * x - 2, 2 * y - e - 2  # c in the basis E, F
+                assert rest == 0 and along_e * a + along_f * b == d - 2 * m, (curve, m, x)
+                s2 = b - x  # the presentation of the class
+                s1, rest = divmod(m + g - 1 - s2 * w, b)
+                assert rest == 0, (curve, m, x)
+                square = 2 * along_e * along_f - e * along_e**2
+                assert square == 8 * (p_bound(s1, s2, e) - m), (curve, m, x)
+                squares.setdefault(m, []).append((x, s1, s2, square))
+        c = math.gcd(a, b)
+        assert sorted(squares) == [m for m in range(-g - 2, g + 3) if (m + g - 1) % c == 0]
+        line = tuple(_p_max_line(curve))
+        assert [m for m, *_ in line] == [m for m in sorted(squares) if -g <= m <= g]
+        for m, s1, s2, p in line:
+            classes = squares[m]
+            top = max(square for *_, square in classes)
+            assert top == 8 * (p - m), (curve, m)
+            assert (b - s2, s1, s2, top) in classes, (curve, m)
+            xs = [x for x, *_, square in classes if square == top]
+            assert classes[0][0] < min(xs) <= max(xs) < classes[-1][0], (curve, m)
+        total += sum(map(len, squares.values()))
+    assert (len(grid), total) == (430, 492894)
+
+
 GENUS_40_CURVES = [curve for curve in _curves_up_to_genus(40, 40) if curve.g >= 1]
 
 
