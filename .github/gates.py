@@ -5,10 +5,9 @@
 runs every request in a fresh interpreter through `peak_rss.py`, prints one
 line per run, ok or FAIL, with its wall time, peak RSS and request, and
 exits 1 if any run failed.  `--only TEXT` keeps the rows whose argv contains
-TEXT and `--repeat K` runs each of their requests K times, every check as
-strict, to time a few rows:
+TEXT, every check as strict, to rerun one failing row:
 
-    python3 .github/gates.py --only "enumerate --a 10 --b 10" --repeat 3
+    python3 .github/gates.py --only "enumerate --a 10 --b 10"
 """
 
 import argparse
@@ -207,11 +206,9 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description="Run CI's pinned CLI requests.")
     parser.add_argument("--only", default="", metavar="TEXT",
                         help="run only the rows whose argv contains TEXT")
-    parser.add_argument("--repeat", type=int, default=1, metavar="K",
-                        help="run each request K times")
     options = parser.parse_args(argv)
     runs = [(gate, fmt) for gate in GATES if options.only in gate.argv
-            for fmt in gate.runs for _ in range(options.repeat)]
+            for fmt in gate.runs]
     if not runs:
         parser.error("no run selected")
     failed = 0

@@ -2,9 +2,10 @@
 curves in Hirzebruch surfaces.
 
 `_EXPORTS` names each public symbol once, under the module that defines it,
-and `__all__` is read off it.  Every name loads its module on first use (PEP
-562) and then stays in the package namespace, so `import cuspidal` loads no
-submodule until a name is used.
+and `__all__` is read off it.  Every name, and each of those modules as
+`cuspidal.<module>`, loads its module on first use (PEP 562) and then stays in
+the package namespace, so `import cuspidal` loads no submodule until a name is
+used.
 """
 
 _EXPORTS = {
@@ -31,13 +32,15 @@ __version__ = "0.1.0"
 
 
 def __getattr__(name: str):
-    if name not in _HOME:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     from importlib import import_module
 
+    if name in _EXPORTS:  # the import binds the submodule here
+        return import_module(f".{name}", __name__)
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     value = globals()[name] = getattr(import_module(f".{_HOME[name]}", __name__), name)
     return value
 
 
 def __dir__():
-    return sorted({*globals(), *__all__})
+    return sorted({*globals(), *_EXPORTS, *__all__})

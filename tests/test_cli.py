@@ -1253,6 +1253,27 @@ def test_package_import_loads_no_submodule():
     assert result.stdout == "[]\n"
 
 
+def test_package_loads_each_exporting_module_on_first_use():
+    # As when `__init__` imported them: `cuspidal.hf` and the other
+    # exporting modules resolve after a bare `import cuspidal`.
+    src = Path(cli_module.__file__).resolve().parents[1]
+    code = (
+        "import sys, cuspidal\n"
+        "print(cuspidal.hf.p_bound(0, 0, 1))\n"
+        "for name in ['core', 'hf', 'spectra', 'enumeration', 'dedekind']:\n"
+        "    assert name in dir(cuspidal), name\n"
+        "    assert getattr(cuspidal, name) is sys.modules['cuspidal.' + name], name\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert result.stdout == "1\n"
+
+
 _PUBLIC = {
     "core": ["CurveType", "CuspConfiguration", "GenusMismatchError", "PuiseuxCusp"],
     "hf": ["HfReport", "HfWitness", "curve_elements", "d_invariant", "hf_check",
@@ -1483,15 +1504,15 @@ def test_ci_gate_table_is_well_formed():
             assert getattr(options, "fmt", "text") == {"txt": "text"}.get(fmt, fmt), gate
 
 
-def test_ci_gate_runner_runs_only_the_chosen_rows_k_times(capsys, monkeypatch):
-    # As CI does, with no arguments, every row runs once; `--only` and
-    # `--repeat` pick rows and repeat their runs, with the same checks.
+def test_ci_gate_runner_runs_only_the_chosen_rows(capsys, monkeypatch):
+    # As CI does, with no arguments, every row runs; `--only` picks rows and
+    # runs them with the same checks.
     monkeypatch.setenv("PYTHONPATH", str(Path(cli_module.__file__).resolve().parents[1]))
     gates = _gates()
-    assert gates.main(["--only", "dedekind s ", "--repeat", "2"]) == 0
+    assert gates.main(["--only", "dedekind s "]) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert len(lines) == 3 and lines[-1] == "2 runs, 0 failed"
-    assert all(line.startswith("ok ") and "cuspidal dedekind s " in line for line in lines[:2])
+    assert len(lines) == 2 and lines[-1] == "1 runs, 0 failed"
+    assert lines[0].startswith("ok ") and "cuspidal dedekind s " in lines[0]
     with pytest.raises(SystemExit):
         gates.main(["--only", "no such request"])
 
