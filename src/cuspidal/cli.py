@@ -32,21 +32,18 @@ import json
 import math
 import os
 import sys
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from itertools import chain, islice, repeat, tee
-from typing import (
-    Callable, Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple,
-)
 
-from . import hf, spectra
-from .core import CurveType, CuspConfiguration, PuiseuxCusp
+from .core import _VERDICTS, CurveType, CuspConfiguration, PuiseuxCusp
 from .enumeration import configurations, filter_verdicts
 from .hf import HfWitness, _d_invariant, curve_elements
 from .spectra import SemicontinuityWitness
+from . import hf, spectra  # after the lines above, so -X importtime logs both
 
 SCHEMA_VERSION = "1"
 DEFAULT_CANDIDATE_CAP = 10**6
 _CHUNK_ROWS = 1024
-_VERDICTS = ("obstructed", "passes")
 _WITNESSES = {"hf": HfWitness, "spectrum": SemicontinuityWitness}
 
 EXIT_OK = 0
@@ -60,7 +57,7 @@ def _ratio(n: int, d: int) -> str:
     return f"{n // g}/{d // g}"
 
 
-def _report(command: str, inputs: Dict, results: Dict, witnesses: Iterable[Dict]) -> Dict:
+def _report(command: str, inputs: dict, results: dict, witnesses: Iterable[dict]) -> dict:
     return {
         "schema_version": SCHEMA_VERSION,
         "command": command,
@@ -70,7 +67,7 @@ def _report(command: str, inputs: Dict, results: Dict, witnesses: Iterable[Dict]
     }
 
 
-def _encoded(chunk: List[Dict], inner: str) -> str:
+def _encoded(chunk: list[dict], inner: str) -> str:
     """Flat dict rows as the items of an `indent=2` list whose items sit at
     `inner`, by one C-encoder call: its fixed cost is under 1 % of encoding
     1,024 rows.  The encoder escapes every control character in strings, so
@@ -86,7 +83,7 @@ def _encoded(chunk: List[Dict], inner: str) -> str:
 
 
 def _dumps(
-    report: Dict, rows: Iterable, render: Callable[[List, str], str] = _encoded
+    report: dict, rows: Iterable, render: Callable[[list, str], str] = _encoded
 ) -> Iterator[str]:
     """`json.dumps(report, sort_keys=True, indent=2)` and a newline, byte for
     byte, in pieces, where `rows` (a list or an iterator) is the report's
@@ -118,11 +115,11 @@ def _dumps(
 
 def _emit(
     fmt: str,
-    report: Dict,
+    report: dict,
     lines: Iterable[str],
     rows: Iterable,
     header: Sequence[str] = (),
-    render: Callable[[List, str], str] = _encoded,
+    render: Callable[[list, str], str] = _encoded,
 ) -> None:
     """Print `report` as JSON, its rows rendered by `render` (see `_dumps`),
     `rows` as CSV under `header` (its columns a row lacks stay empty), or
@@ -155,8 +152,8 @@ def _parse_cusps(specs: Sequence[str]) -> CuspConfiguration:
 
 
 def _check_rows(
-    curve: CurveType, config: CuspConfiguration, only: Optional[str]
-) -> Tuple[Dict, Iterator[Dict]]:
+    curve: CurveType, config: CuspConfiguration, only: str | None
+) -> tuple[dict, Iterator[dict]]:
     """`check`'s verdicts and its witness rows, lazily, HF's by m and then the
     spectrum's by x; each filter checks the genus and finds its first witness
     here, before any output."""
@@ -166,7 +163,7 @@ def _check_rows(
     if only in (None, "spectrum"):
         scale, _, failures = spectra._witnesses(curve, config)
         scans["spectrum"] = (("spectrum", _ratio(x, scale), *c) for x, *c in failures)
-    verdicts: Dict = {}
+    verdicts: dict = {}
     found = []
     for kind, scan in scans.items():
         first = next(scan, None)
@@ -179,7 +176,7 @@ def _check_rows(
 
 def _dinv_rows(
     curve: CurveType, config: CuspConfiguration, ms: Sequence[int]
-) -> Iterator[Dict]:
+) -> Iterator[dict]:
     """The rows, streamed; the first m's range, the fold and the first row
     raise before any output, the range first, as the fold can take seconds."""
     hf._check_m(curve, ms[0])
@@ -226,7 +223,7 @@ def _check(a, b, e, cusps, only, fmt) -> int:
 _CANDIDATE_FIELDS = ("cusps", "genus_ok", "multiplicity_ok", "hf", "spectrum", "survives")
 
 
-def _candidate_rows(curve: CurveType, configs: Iterable[CuspConfiguration]) -> Iterator[Dict]:
+def _candidate_rows(curve: CurveType, configs: Iterable[CuspConfiguration]) -> Iterator[dict]:
     """One row of filter verdicts per configuration, from `filter_verdicts`,
     reading `configs` once."""
     configs, walk = tee(configs)
@@ -344,14 +341,14 @@ _COMMANDS = {
 
 
 @functools.lru_cache(maxsize=None)
-def _parser(path: Tuple[str, ...]) -> Tuple[_Parser, FrozenSet[str]]:
+def _parser(path: tuple[str, ...]) -> tuple[_Parser, frozenset[str]]:
     """The parser of the command at `path` in `_COMMANDS`, `()` for the group
     of every command, built once, and the options under it that take a value.
 
     It is the parser the group above it hands the rest of argv to: the same
     prog, description, help and errors.  A group holds its commands' parsers.
     """
-    valued: Set[str] = set()
+    valued: set[str] = set()
 
     def build(make, spec) -> _Parser:
         if isinstance(spec, dict):
@@ -383,10 +380,10 @@ def _parser(path: Tuple[str, ...]) -> Tuple[_Parser, FrozenSet[str]]:
     return parser, frozenset(valued)
 
 
-def _joined(argv: Sequence[str], valued: FrozenSet[str]) -> List[str]:
+def _joined(argv: Sequence[str], valued: frozenset[str]) -> list[str]:
     """argv with each option that takes a value joined to the token after it,
     as in `--tol=-1/1000`, so a value that begins with '-' is still a value."""
-    joined: List[str] = []
+    joined: list[str] = []
     tokens = iter(argv)
     for token in tokens:
         value = next(tokens, None) if token in valued else None
@@ -394,7 +391,7 @@ def _joined(argv: Sequence[str], valued: FrozenSet[str]) -> List[str]:
     return joined
 
 
-def main(argv: Optional[Sequence[str]] = None) -> None:
+def main(argv: Sequence[str] | None = None) -> None:
     """Entry point with the exit-code contract described in the module docstring."""
     argv = sys.argv[1:] if argv is None else argv
     node, k = _COMMANDS, 0  # down the command words, to a command or a group

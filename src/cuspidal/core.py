@@ -4,15 +4,33 @@ All fractional quantities in this package are exact: a `fractions.Fraction`,
 or int numerators over a stated denominator.  Nothing is ever represented in
 floating point.  Every type here is an immutable tuple of its defining
 integers (or cusps), with its derived invariants checked eagerly at
-construction; it compares, orders and hashes as that tuple.  `PuiseuxCusp`
-and `CurveType` subclass a `collections.namedtuple`; their `_make`, and so
-`_replace`, goes through the validating constructor.
+construction; it compares, orders and hashes as that tuple.  Every record
+of the package subclasses a `collections.namedtuple` with `__slots__ = ()`
+and states its fields' types in its docstring; the validating `__new__` of
+`PuiseuxCusp` and `CurveType` serves their `_make`, and so `_replace`.  Both
+filter reports take `obstructed` (a witness exists) and `verdict`, the word
+of `_VERDICTS` that the CLI's verdict columns read too, from `_Verdict`.
 """
 
 from __future__ import annotations
 
 import math
 from collections import namedtuple
+
+
+_VERDICTS = ("obstructed", "passes")  # indexed by whether the filter passes
+
+
+class _Verdict:
+    __slots__ = ()  # a mixin of records with `witnesses` (module docstring)
+
+    @property
+    def obstructed(self) -> bool:
+        return bool(self.witnesses)
+
+    @property
+    def verdict(self) -> str:
+        return _VERDICTS[not self.witnesses]
 
 
 class GenusMismatchError(ValueError):

@@ -29,8 +29,8 @@ rationals.  One Euclid loop does the work, O(log modulus) integer steps:
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from fractions import Fraction
-from typing import NamedTuple, Optional, Tuple
 
 
 def dedekind_sum(p: int, q: int) -> Fraction:
@@ -62,7 +62,7 @@ def rademacher_sum(p: int, q: int, r: int) -> Fraction:
     return h * dedekind_sum(p // h * pow(q // g, -1, modulus), modulus)
 
 
-def section_sums(b: int, w: int) -> Tuple[Fraction, Fraction, Fraction, Fraction]:
+def section_sums(b: int, w: int) -> tuple[Fraction, Fraction, Fraction, Fraction]:
     """The four sawtooth sums (a_w, b_w, c_w, d_w) for given b and w.
 
     a_w sums <p*b/w> over the upper half range p in [ceil(w/2), w-1];
@@ -84,35 +84,34 @@ def _in_proof_subsequence(b: int, w: int) -> bool:
     return math.gcd(b, w) == 2
 
 
-def limit_values(b: int) -> Tuple[Fraction, Fraction, Fraction]:
+def limit_values(b: int) -> tuple[Fraction, Fraction, Fraction]:
     """The proven limits of a_w/w, b_w/w, c_w/w for fixed b."""
     if b % 2 == 1:
         return Fraction(1, 8 * b), Fraction(1, 6 * b), Fraction(1, 24 * b)
     return Fraction(0), Fraction(1, 6 * b), Fraction(1, 6 * b)
 
 
-class LimitEntry(NamedTuple):
-    name: str
-    w: int
-    value: Fraction
-    limit: Fraction
+class LimitEntry(namedtuple("LimitEntry", "name w value limit")):
+    """One limit at one w: str name, int w, and `Fraction` value and limit."""
+
+    __slots__ = ()
 
     @property
     def deviation(self) -> Fraction:
         return abs(self.value - self.limit)
 
 
-class LimitReport(NamedTuple):
-    b: int
-    tol: Fraction
-    entries: Tuple[LimitEntry, ...]
+class LimitReport(namedtuple("LimitReport", "b tol entries")):
+    """The int b, the `Fraction` tolerance, and the tuple of `LimitEntry`."""
+
+    __slots__ = ()
 
     @property
     def all_within_tol(self) -> bool:
         return all(entry.deviation <= self.tol for entry in self.entries)
 
 
-def _snap_to_subsequence(b: int, target: int) -> Optional[int]:
+def _snap_to_subsequence(b: int, target: int) -> int | None:
     for w in range(target, 1, -1):
         if _in_proof_subsequence(b, w):
             return w

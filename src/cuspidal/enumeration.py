@@ -23,16 +23,16 @@ prefix shared with the configuration before, and reads each scan
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Iterator
 from itertools import accumulate, takewhile
 from operator import eq
-from typing import Dict, Iterable, Iterator, List, Tuple
 
 from .core import CurveType, CuspConfiguration, PuiseuxCusp
 from .hf import _fold, _p_max_line, _violations, multiplicity_bound_check
 from .spectra import _scan, _table_below_one
 
 
-def cusps_with_delta(delta: int) -> List[PuiseuxCusp]:
+def cusps_with_delta(delta: int) -> list[PuiseuxCusp]:
     """All one-pair cusps (r, s) with (r-1)(s-1) = 2*delta, sorted by r."""
     if delta < 1:
         return []
@@ -46,7 +46,7 @@ def cusps_with_delta(delta: int) -> List[PuiseuxCusp]:
     return cusps
 
 
-def enumerate_unicuspidal(curve: CurveType) -> List[PuiseuxCusp]:
+def enumerate_unicuspidal(curve: CurveType) -> list[PuiseuxCusp]:
     """All single cusps whose delta invariant equals the curve genus."""
     if curve.g < 1:
         raise ValueError(f"curve {curve} has genus {curve.g}; need g >= 1")
@@ -64,10 +64,10 @@ def configurations(g: int, max_cusps: int) -> Iterator[CuspConfiguration]:
     if max_cusps < 1:
         raise ValueError(f"max_cusps must be >= 1, got {max_cusps}")
     # The cusps that fit before the last slot so far, in (delta, r, s) order.
-    choices: List[Tuple[int, PuiseuxCusp]] = []
+    choices: list[tuple[int, PuiseuxCusp]] = []
     next_delta = 1
-    completions: Dict[int, List[PuiseuxCusp]] = {}
-    partial: List[PuiseuxCusp] = []
+    completions: dict[int, list[PuiseuxCusp]] = {}
+    partial: list[PuiseuxCusp] = []
     # Depth-first search without recursion, so a configuration may have more
     # cusps than Python has stack frames.  stack[k] holds, for the prefix
     # partial[:k], the next index into `choices` and the delta still missing.
@@ -99,7 +99,7 @@ def configurations(g: int, max_cusps: int) -> Iterator[CuspConfiguration]:
 
 def filter_verdicts(
     curve: CurveType, configs: Iterable[CuspConfiguration]
-) -> Iterator[Tuple[bool, bool, bool]]:
+) -> Iterator[tuple[bool, bool, bool]]:
     """For each configuration in turn, whether it passes (every cusp has
     r <= b, HF, the spectrum), the columns of `enumerate`; each scan stops at
     its first violation and builds no witness.  Reads `configs` once, so it

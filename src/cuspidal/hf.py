@@ -65,7 +65,8 @@ One scan, `_violations`, in increasing m.  `_witnesses` checks the genus,
 folds the configuration and hands back the scan over `_p_max_line`:
 `hf_check` collects every violated presentation as an `HfWitness`, and the
 CLI's `check` writes them as rows as they come.  `enumeration.filter_verdicts`
-scans each of its folds and stops at the first.
+scans each of its folds and stops at the first.  Both records are `core`'s
+idiom, and `HfReport` has `core`'s verdict rule, as `SemicontinuityReport` has.
 
 Two maps of the type keep every m, R(m + g) and maximal P.  (a + b, b, e - 2)
 has the same d, g and c and w - b for w, so (s1, s2) maps to (s1 + s2, s2),
@@ -80,16 +81,17 @@ holds it once per curve.  `max_p_over_presentations` reads one entry.
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections import namedtuple
+from collections.abc import Iterable, Iterator
 from functools import reduce
 from itertools import chain
 from numbers import Rational
 from operator import add
-from typing import Iterable, Iterator, NamedTuple, Optional, Tuple
 
-from .core import CurveType, CuspConfiguration, PuiseuxCusp
+from .core import CurveType, CuspConfiguration, PuiseuxCusp, _Verdict
 
 
-def _cusp_elements(cusp: PuiseuxCusp) -> Tuple[int, ...]:
+def _cusp_elements(cusp: PuiseuxCusp) -> tuple[int, ...]:
     """The delta + 1 elements of <r, s> in [0, 2*delta], in increasing order.
 
     They are the r progressions range(j*s, 2*delta + 1, r), j < r, merged:
@@ -99,7 +101,7 @@ def _cusp_elements(cusp: PuiseuxCusp) -> Tuple[int, ...]:
     return tuple(sorted(chain.from_iterable(range(j * s, top, r) for j in range(r))))
 
 
-def _max_plus(e1: Tuple[int, ...], e2: Tuple[int, ...]) -> Tuple[int, ...]:
+def _max_plus(e1: tuple[int, ...], e2: tuple[int, ...]) -> tuple[int, ...]:
     """v -> max_{p + q = v} e1[p] + e2[q] over the splits inside both lists."""
     if len(e1) < len(e2):  # for speed only: no slice is longer than e2
         e1, e2 = e2, e1
@@ -114,14 +116,14 @@ def _max_plus(e1: Tuple[int, ...], e2: Tuple[int, ...]) -> Tuple[int, ...]:
     ])
 
 
-def _fold(elements: Tuple[int, ...], cusp: PuiseuxCusp) -> Tuple[int, ...]:
+def _fold(elements: tuple[int, ...], cusp: PuiseuxCusp) -> tuple[int, ...]:
     """`elements` with `cusp` folded in: into (0,), the neutral element, the
     cusp's own list, so a cusp on its own costs no convolution."""
     own = _cusp_elements(cusp)
     return _max_plus(elements, own) if elements != (0,) else own
 
 
-def curve_elements(curve: CurveType, config: CuspConfiguration) -> Tuple[int, ...]:
+def curve_elements(curve: CurveType, config: CuspConfiguration) -> tuple[int, ...]:
     """The g + 1 elements, ending at 2g, whose counting function is R.
 
     R(t) is the number of elements below t for t <= 2g and t - g beyond.
@@ -130,26 +132,16 @@ def curve_elements(curve: CurveType, config: CuspConfiguration) -> Tuple[int, ..
     return reduce(_fold, config, (0,))
 
 
-class HfWitness(NamedTuple):
-    """A violated presentation: R(m + g) < P(s1, s2)."""
+class HfWitness(namedtuple("HfWitness", "m s1 s2 r_value p_value")):
+    """A violated presentation, five ints: R(m + g) = r_value < p_value = P(s1, s2)."""
 
-    m: int
-    s1: int
-    s2: int
-    r_value: int
-    p_value: int
+    __slots__ = ()
 
 
-class HfReport(NamedTuple):
-    witnesses: Tuple[HfWitness, ...]
+class HfReport(_Verdict, namedtuple("HfReport", "witnesses")):
+    """The tuple of every `HfWitness`, in increasing m."""
 
-    @property
-    def obstructed(self) -> bool:
-        return bool(self.witnesses)
-
-    @property
-    def verdict(self) -> str:
-        return "obstructed" if self.obstructed else "passes"
+    __slots__ = ()
 
 
 def p_bound(s1: int, s2: int, e: int) -> int:
@@ -157,7 +149,7 @@ def p_bound(s1: int, s2: int, e: int) -> int:
     return (s1 + 1) * (s2 + 1) + s2 * (s2 + 1) // 2 * e
 
 
-def _presentations(curve: CurveType, ms: Iterable[int]) -> Iterator[Tuple[int, int, int, int]]:
+def _presentations(curve: CurveType, ms: Iterable[int]) -> Iterator[tuple[int, int, int, int]]:
     """(m, s1, s2, P) of the maximal presentation of n = m + g - 1, c | n, for
     each m of `ms`, lazily, from the curve's constants solved once (module docstring)."""
     b, w, e, c, g = curve.b, curve.w, curve.e, curve.c, curve.g
@@ -171,13 +163,13 @@ def _presentations(curve: CurveType, ms: Iterable[int]) -> Iterator[Tuple[int, i
         yield m, s1, s2, p_bound(s1, s2, e)
 
 
-def max_p_over_presentations(curve: CurveType, n: int) -> Optional[Tuple[int, int, int]]:
+def max_p_over_presentations(curve: CurveType, n: int) -> tuple[int, int, int] | None:
     """The presentation s1*b + s2*w = n maximizing P, or None if c does not divide n:
     the one nearest the vertex of P, of two equally near the larger s1."""
     return None if n % curve.c else next(_presentations(curve, [n - curve.g + 1]))[1:]
 
 
-def _p_max_line(curve: CurveType) -> Iterator[Tuple[int, int, int, int]]:
+def _p_max_line(curve: CurveType) -> Iterator[tuple[int, int, int, int]]:
     """`_presentations` of every m in [-g, g] that has a presentation, the m
     with c | m + g - 1, in increasing m, lazily."""
     g = curve.g
@@ -185,8 +177,8 @@ def _p_max_line(curve: CurveType) -> Iterator[Tuple[int, int, int, int]]:
 
 
 def _violations(
-    line: Iterable[Tuple[int, int, int, int]], g: int, elements: Tuple[int, ...]
-) -> Iterator[Tuple[int, int, int, int, int]]:
+    line: Iterable[tuple[int, int, int, int]], g: int, elements: tuple[int, ...]
+) -> Iterator[tuple[int, int, int, int, int]]:
     """(m, s1, s2, R(m + g), P) of every violated entry of `_p_max_line`,
     given the configuration's fold, in increasing m, lazily."""
     for m, s1, s2, p in line:
@@ -197,7 +189,7 @@ def _violations(
 
 def _witnesses(
     curve: CurveType, config: CuspConfiguration
-) -> Iterator[Tuple[int, int, int, int, int]]:
+) -> Iterator[tuple[int, int, int, int, int]]:
     """The genus check and the fold, then `_violations` of the curve's
     `_p_max_line`, lazily."""
     elements = curve_elements(curve, config)
@@ -238,7 +230,7 @@ def _check_m(curve: CurveType, m: int) -> None:
         raise ValueError(f"m must lie in [-{d}/2, {d}/2), got {m}")
 
 
-def _d_invariant(curve: CurveType, elements: Tuple[int, ...], m: int) -> int:
+def _d_invariant(curve: CurveType, elements: tuple[int, ...], m: int) -> int:
     """`d_invariant` scaled by 4d, the integer 8d(R(m + g) - m) - (d - 2m)^2 + d,
     given the configuration's fold, for an m its caller checked."""
     d, g = curve.d, curve.g

@@ -11,7 +11,6 @@ import os
 import sys
 from fractions import Fraction
 from itertools import chain
-from typing import Dict, List, Tuple
 
 from .cli import (
     EXIT_ERROR, EXIT_MISMATCH, EXIT_OBSTRUCTED, EXIT_OK,
@@ -22,7 +21,7 @@ from .dedekind import dedekind_sum, rademacher_sum, verify_limits
 from .spectra import spectrum_at_infinity_derived, spectrum_at_infinity_table
 
 
-def _entry_rows(d: int, chunk: List[Tuple[int, int]], inner: str) -> str:
+def _entry_rows(d: int, chunk: list[tuple[int, int]], inner: str) -> str:
     """`_dumps`' render of spectrum entries: each (n, mult) pair over the
     denominator d as the row {"multiplicity": mult, "value": "n/d"} in
     lowest terms, written straight into one f-string."""
@@ -48,7 +47,7 @@ def _spectrum(a, b, e, method, fmt) -> int:
     rows = pairs if fmt != "csv" else (
         {"value": _ratio(n, d), "multiplicity": mult} for n, mult in pairs
     )
-    results: Dict = {"method": method, "total": total, "entries": rows}
+    results: dict = {"method": method, "total": total, "entries": rows}
     if method == "both":
         results["methods_agree"] = not mismatch
     report = _report("spectrum", {"a": a, "b": b, "e": e}, results, [])
@@ -117,13 +116,13 @@ def _dedekind_limits(b, max_w, tol, fmt) -> int:
     return EXIT_OK if report.all_within_tol else EXIT_OBSTRUCTED
 
 
-def _repro_scenarios() -> List[Tuple[str, Dict]]:
+def _repro_scenarios() -> list[tuple[str, dict]]:
     """The bundled reference scenarios, as (name, payload) pairs.
 
     Each payload holds the rows the matching command reports, every row as
     the list of its values.
     """
-    scenarios: List[Tuple[str, Dict]] = []
+    scenarios: list[tuple[str, dict]] = []
     checks = ((6, 6, 0, 2, 51), (6, 6, 0, 3, 26), (6, 6, 0, 6, 11), (4, 4, 2, 3, 22))
     for a, b, e, r, s in checks:
         config = CuspConfiguration((PuiseuxCusp(r, s),))

@@ -89,7 +89,8 @@ walks the codes up and then down, for `semicontinuity_check` and the CLI's
 it stops at the gap of the lowest failing y, at once if none failed.
 `enumeration.filter_verdicts` reads the first failing y from 1/2 down, where
 failures crowd (most obstructed configurations fail at one of the first
-three points), and builds no witness and no `Fraction`.
+three points), and builds no witness and no `Fraction`.  Both records are
+`core`'s idiom, and `SemicontinuityReport` has `core`'s verdict rule.
 
 Count.  The folded critical points hold each pair {x, 1 - x} once, so there
 are C = 2k - [1/2 is critical] critical points in (0, 1) for k folded ones.
@@ -106,12 +107,12 @@ here is memoised.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
+from collections.abc import Callable, Iterable, Iterator
 from itertools import groupby, pairwise, repeat, takewhile
-from numbers import Rational
 from operator import itemgetter, rshift
-from typing import Callable, Iterable, Iterator, List, NamedTuple, Tuple
 
-from .core import CurveType, CuspConfiguration
+from .core import CurveType, CuspConfiguration, _Verdict
 
 
 class InternalConsistencyError(RuntimeError):
@@ -119,10 +120,10 @@ class InternalConsistencyError(RuntimeError):
 
 
 # (D, the sorted (numerator over D, multiplicity) pairs): module docstring.
-Spectrum = Tuple[int, Tuple[Tuple[int, int], ...]]
+Spectrum = tuple[int, tuple[tuple[int, int], ...]]
 
 
-def signature_profile(curve: CurveType) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
+def signature_profile(curve: CurveType) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Equivariant signatures (sigma1, sigma2) of the two splice components of
     the link at infinity; sigma1[p - 1] is the value at p, sigma2[q - 1] at q:
 
@@ -144,7 +145,7 @@ def alexander_order(curve: CurveType, v: int) -> int:
     return (v == 1) + (b - 1) * (w % v == 0) + (curve.a - 1) * (b % v == 0)
 
 
-def _table_below_one(curve: CurveType) -> Tuple[int, List[Tuple[int, int]], int]:
+def _table_below_one(curve: CurveType) -> tuple[int, list[tuple[int, int]], int]:
     """(D, the table's sorted (numerator over D, multiplicity) pairs below 1,
     none of multiplicity 0, the multiplicity of 1, a + b - 1, which is 0
     only for (0, 1, e)).  The p-row starts at ceil(w/b): below it
@@ -186,8 +187,8 @@ def spectrum_at_infinity_derived(curve: CurveType) -> Spectrum:
     for n, sigma in zip(range(step, denominator, step), sigma2):
         order, other = below.get(n, (0, 0))  # x = p/w = q/b: the two add
         below[n] = (order + a - 1, other + sigma)
-    low: List[Tuple[int, int]] = []
-    high: List[Tuple[int, int]] = []
+    low: list[tuple[int, int]] = []
+    high: list[tuple[int, int]] = []
     for n, (order, sigma) in sorted(below.items()):
         mult, mirror = (order + sigma) // 2, (order - sigma) // 2
         if (order + sigma) % 2 or mult < 0 or mirror < 0:
@@ -206,32 +207,25 @@ def spectrum_at_infinity_derived(curve: CurveType) -> Spectrum:
     return denominator, (*low, *one, *high)
 
 
-class SemicontinuityWitness(NamedTuple):
-    """A point x where one of the two interval inequalities fails."""
+class SemicontinuityWitness(namedtuple(
+    "SemicontinuityWitness", "x cusp_inside infinity_inside cusp_outside infinity_outside"
+)):
+    """A failing point x, a `Fraction`, and the four int counts compared there."""
 
-    x: Rational
-    cusp_inside: int
-    infinity_inside: int
-    cusp_outside: int
-    infinity_outside: int
+    __slots__ = ()
 
 
-class SemicontinuityReport(NamedTuple):
-    witnesses: Tuple[SemicontinuityWitness, ...]
-    checked_points: int
+class SemicontinuityReport(
+    _Verdict, namedtuple("SemicontinuityReport", "witnesses checked_points")
+):
+    """The tuple of every `SemicontinuityWitness` in increasing x, and the int point count."""
 
-    @property
-    def obstructed(self) -> bool:
-        return bool(self.witnesses)
-
-    @property
-    def verdict(self) -> str:
-        return "obstructed" if self.obstructed else "passes"
+    __slots__ = ()
 
 
 def _scan(
-    infinity: Tuple[int, List[Tuple[int, int]], int], config: CuspConfiguration
-) -> Tuple[int, Callable[[], int], Iterator[Tuple[int, ...]], Iterator[Tuple[int, ...]]]:
+    infinity: tuple[int, list[tuple[int, int]], int], config: CuspConfiguration
+) -> tuple[int, Callable[[], int], Iterator[tuple[int, ...]], Iterator[tuple[int, ...]]]:
     """The folded scan (module docstring) of a configuration: L, a function
     that counts the scan points in (0, 1), and two lazy streams of failing
     points (numerator over L, cusp and infinity inside, cusp and infinity
@@ -259,7 +253,7 @@ def _scan(
     cusp_total, infinity_total = 2 * config.total_delta, 2 * below + mult_one
     top = 2 * above, infinity_total - 2 * cut  # the counts at 1/2
 
-    def sweep(walk: Iterable[int], cusp: int, inf: int, sign: int) -> Iterator[Tuple]:
+    def sweep(walk: Iterable[int], cusp: int, inf: int, sign: int) -> Iterator[tuple]:
         # Along `walk`: each point of a failing gap of unequal codes, its codes, the counts.
         for near, code in pairwise(walk):
             if (cusp > inf or cusp_total - cusp > infinity_total - inf) and near != code:
@@ -279,7 +273,7 @@ def _scan(
         critical = 2 * folded - (codes[-2] >> 2 == half)
         return 2 * critical + 1 - len(pairs)
 
-    def ordered() -> Iterator[Tuple[int, ...]]:
+    def ordered() -> Iterator[tuple[int, ...]]:
         lowest = codes[-1] + 1  # the walk down fails where the walk up did
         for y, low, _, *counts in sweep(codes, *bottom, 1):
             lowest = min(lowest, low)
@@ -294,7 +288,7 @@ def _scan(
 
 def _witnesses(
     curve: CurveType, config: CuspConfiguration
-) -> Tuple[int, Callable[[], int], Iterator[Tuple[int, ...]]]:
+) -> tuple[int, Callable[[], int], Iterator[tuple[int, ...]]]:
     """The genus check, then L, the count and the ordered failures of `_scan`."""
     config.require_genus_compatible(curve)
     return _scan(_table_below_one(curve), config)[:3]

@@ -48,7 +48,6 @@ import math
 import sys
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
-from typing import Dict
 
 from cuspidal import (
     CurveType,
@@ -268,7 +267,7 @@ def dict_table(curve):
     """The spectrum at infinity by the closed-form multiplicity table."""
     a, b, w = curve.a, curve.b, curve.w
     denominator = math.lcm(w, b)
-    entries: Dict[int, int] = {denominator: a + b - 1}
+    entries: dict[int, int] = {denominator: a + b - 1}
     step = denominator // w
     for n, p in zip(range(step, denominator, step), range(1, w)):
         entries[n] = p * b // w
@@ -299,7 +298,7 @@ def dict_derived(curve):
     step = denominator // b
     for n, sigma in zip(range(step, denominator, step), sigma2):
         sigmas[n] = sigmas.get(n, 0) + sigma  # x = p/w = q/b: the two add
-    entries: Dict[int, int] = {denominator: a + b - 1}
+    entries: dict[int, int] = {denominator: a + b - 1}
     for n, sigma in sigmas.items():
         # x = n/D reduces to a fraction with denominator D / gcd(n, D).
         order = alexander_order(curve, denominator // math.gcd(n, denominator))

@@ -29,6 +29,18 @@ from cuspidal.cli import main
 from oracles import group_dispatch
 
 
+_SRC = str(Path(cli_module.__file__).resolve().parents[1])
+
+
+def _python(*args, **kwargs):
+    """A fresh interpreter run on `args` with this checkout's `src` as its
+    PYTHONPATH and its output captured as text; `kwargs` go to `subprocess.run`."""
+    env = {**os.environ, "PYTHONPATH": _SRC}
+    return subprocess.run(
+        [sys.executable, *args], env=env, capture_output=True, text=True, **kwargs
+    )
+
+
 def run(argv):
     """main(argv) in-process: the exit code and stdout and stderr together."""
     output = io.StringIO()
@@ -1125,14 +1137,7 @@ def test_module_entry_point_matches_main(argv, monkeypatch):
     # Under `python -m cuspidal.cli` this file runs as `__main__`, which it
     # registers as `cuspidal.cli` for the reference commands to import.
     monkeypatch.setenv("COLUMNS", "80")
-    src = Path(cli_module.__file__).resolve().parents[1]
-    result = subprocess.run(
-        [sys.executable, "-m", "cuspidal.cli", *argv],
-        env={**os.environ, "PYTHONPATH": str(src)},
-        capture_output=True,
-        text=True,
-        timeout=60,
-    )
+    result = _python("-m", "cuspidal.cli", *argv, timeout=60)
     code, out, _ = _outcome(main, argv)
     assert (result.returncode, result.stdout, result.stderr) == (code, out, "")
 
@@ -1149,14 +1154,7 @@ def test_genus_zero_requests_on_huge_curves_finish_at_once(argv, expected):
     # A genus-0 curve has no cusp, its HF line has one entry and its spectrum
     # at infinity no value below 1, so however large a or b is, each
     # command does O(1) work.
-    src = Path(cli_module.__file__).resolve().parents[1]
-    result = subprocess.run(
-        [sys.executable, "-m", "cuspidal.cli", *argv],
-        env={**os.environ, "PYTHONPATH": str(src)},
-        capture_output=True,
-        text=True,
-        timeout=10,
-    )
+    result = _python("-m", "cuspidal.cli", *argv, timeout=10)
     assert result.returncode == 0
     assert expected in result.stdout
 
@@ -1202,7 +1200,6 @@ def _fresh_modules(argv, names):
     """Run `main(argv)`, or only `import cuspidal.cli` for an empty argv, in
     a fresh `python -S` (which keeps site-packages' own start-up imports out
     of the module set); return the exit code and which of `names` it loaded."""
-    src = Path(cli_module.__file__).resolve().parents[1]
     code = (
         "import json, sys, cuspidal.cli\n"
         "code = None\n"
@@ -1214,24 +1211,21 @@ def _fresh_modules(argv, names):
         f"loaded = sorted(set({names!r}) & set(sys.modules))\n"
         "print(json.dumps([code, loaded]), file=sys.stderr)\n"
     )
-    result = subprocess.run(
-        [sys.executable, "-S", "-c", code, *argv],
-        env={**os.environ, "PYTHONPATH": str(src)},
-        capture_output=True,
-        text=True,
-        check=True,
-    )
+    result = _python("-S", "-c", code, *argv, check=True)
     return tuple(json.loads(result.stderr))
 
 
 def test_cli_imports_neither_click_nor_dataclasses():
     # A fresh `import cuspidal.cli` pays for no third-party parser, for no
-    # dataclasses (which imports inspect), and for none of the modules only
-    # some commands use: the sawtooth sums, csv and importlib.resources.
+    # dataclasses (which imports inspect), for no typing (records subclass
+    # `collections.namedtuple`, annotations name builtins and
+    # `collections.abc`), and for none of the modules only some commands
+    # use: the sawtooth sums, csv and importlib.resources.
     absent = [
         "click",
         "dataclasses",
         "inspect",
+        "typing",
         "cuspidal.dedekind",
         "csv",
         "importlib.resources",
@@ -1239,24 +1233,26 @@ def test_cli_imports_neither_click_nor_dataclasses():
     assert _fresh_modules([], absent) == (None, [])
 
 
+def test_import_time_lists_each_module():
+    # -X importtime logs an import only when it goes through the import
+    # statement, not `importlib.import_module` (the package's `__getattr__`),
+    # so the CLI imports `hf` and `spectra` by name before it binds them.
+    result = _python("-S", "-X", "importtime", "-c", "import cuspidal.cli", check=True)
+    imported = {line.rsplit("|", 1)[-1].strip() for line in result.stderr.splitlines()}
+    modules = ["core", "hf", "spectra", "enumeration", "cli"]
+    assert {f"cuspidal.{module}" for module in modules} <= imported
+
+
 def test_package_import_loads_no_submodule():
     # Each public name loads its module on first use, not on `import cuspidal`.
-    src = Path(cli_module.__file__).resolve().parents[1]
     code = "import sys, cuspidal; print(sorted(m for m in sys.modules if 'cuspidal.' in m))"
-    result = subprocess.run(
-        [sys.executable, "-S", "-c", code],
-        env={**os.environ, "PYTHONPATH": str(src)},
-        capture_output=True,
-        text=True,
-        check=True,
-    )
+    result = _python("-S", "-c", code, check=True)
     assert result.stdout == "[]\n"
 
 
 def test_package_loads_each_exporting_module_on_first_use():
     # As when `__init__` imported them: `cuspidal.hf` and the other
     # exporting modules resolve after a bare `import cuspidal`.
-    src = Path(cli_module.__file__).resolve().parents[1]
     code = (
         "import sys, cuspidal\n"
         "print(cuspidal.hf.p_bound(0, 0, 1))\n"
@@ -1264,13 +1260,7 @@ def test_package_loads_each_exporting_module_on_first_use():
         "    assert name in dir(cuspidal), name\n"
         "    assert getattr(cuspidal, name) is sys.modules['cuspidal.' + name], name\n"
     )
-    result = subprocess.run(
-        [sys.executable, "-S", "-c", code],
-        env={**os.environ, "PYTHONPATH": str(src)},
-        capture_output=True,
-        text=True,
-        check=True,
-    )
+    result = _python("-S", "-c", code, check=True)
     assert result.stdout == "1\n"
 
 
@@ -1325,11 +1315,13 @@ def test_filter_commands_load_no_reference_code_and_no_fractions(argv, code):
 def test_annotations_resolve_without_the_reference_imports():
     # `get_type_hints` evaluates the string annotations in each module's
     # globals, so a name imported only inside a function (as `Fraction` is on
-    # the filter paths) must not appear in them.
+    # the filter paths) must not appear in them; on Python 3.10 it evaluates
+    # each `X | None` too.  The CLI's own functions are checked as well.
     import cuspidal
 
-    for name in cuspidal.__all__:
-        if callable(value := getattr(cuspidal, name)):
+    values = [*map(cuspidal.__getattr__, cuspidal.__all__), *vars(cli_module).values()]
+    for value in values:
+        if callable(value) and value.__module__.startswith("cuspidal."):
             typing.get_type_hints(value)
 
 
@@ -1345,14 +1337,8 @@ def test_reference_commands_load_the_reference_module(argv):
 def test_module_entry_point_loads_the_cli_once():
     # A reference command imports `cuspidal.cli`, which the entry point has
     # registered as itself, so no import of it shows under -X importtime.
-    src = Path(cli_module.__file__).resolve().parents[1]
-    result = subprocess.run(
-        [sys.executable, "-X", "importtime", "-m", "cuspidal.cli", "dedekind", "s", "1", "3"],
-        env={**os.environ, "PYTHONPATH": str(src)},
-        capture_output=True,
-        text=True,
-        timeout=60,
-    )
+    argv = ["dedekind", "s", "1", "3"]
+    result = _python("-X", "importtime", "-m", "cuspidal.cli", *argv, timeout=60)
     assert (result.returncode, result.stdout) == (0, "1/18\n")
     imported = [line.rsplit("|", 1)[-1].strip() for line in result.stderr.splitlines()]
     assert "cuspidal.reference" in imported
@@ -1362,8 +1348,7 @@ def test_module_entry_point_loads_the_cli_once():
 @pytest.mark.parametrize("unbuffered", ["", "1"])
 def test_closed_stdout_exits_one_quietly(unbuffered):
     # The reader is gone before the first write, as in `cuspidal ... | head -0`.
-    src = Path(cli_module.__file__).resolve().parents[1]
-    env = {**os.environ, "PYTHONPATH": str(src), "PYTHONUNBUFFERED": unbuffered}
+    env = {**os.environ, "PYTHONPATH": _SRC, "PYTHONUNBUFFERED": unbuffered}
     code = "from cuspidal.cli import main; main(['dedekind', 's', '1', '3'])"
     pipe = subprocess.PIPE
     child = subprocess.Popen(
@@ -1378,9 +1363,8 @@ def test_closed_stdout_exits_one_quietly(unbuffered):
 def test_reader_that_leaves_mid_report_exits_one_quietly(unbuffered):
     # The report of (8,8,0) <= 3 is larger than a pipe buffer, so the writer
     # still has rows to write when the reader goes.
-    src = Path(cli_module.__file__).resolve().parents[1]
     env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
-    env.update(PYTHONPATH=str(src), **({"PYTHONUNBUFFERED": "1"} if unbuffered else {}))
+    env.update(PYTHONPATH=_SRC, **({"PYTHONUNBUFFERED": "1"} if unbuffered else {}))
     argv = ["enumerate", "--a", "8", "--b", "8", "--max-cusps", "3", "--json"]
     code = f"from cuspidal.cli import main; main({argv!r})"
     pipe = subprocess.PIPE
@@ -1507,7 +1491,7 @@ def test_ci_gate_table_is_well_formed():
 def test_ci_gate_runner_runs_only_the_chosen_rows(capsys, monkeypatch):
     # As CI does, with no arguments, every row runs; `--only` picks rows and
     # runs them with the same checks.
-    monkeypatch.setenv("PYTHONPATH", str(Path(cli_module.__file__).resolve().parents[1]))
+    monkeypatch.setenv("PYTHONPATH", _SRC)
     gates = _gates()
     assert gates.main(["--only", "dedekind s "]) == 0
     lines = capsys.readouterr().out.splitlines()

@@ -10,6 +10,9 @@ from cuspidal import (
     CuspConfiguration,
     GenusMismatchError,
     PuiseuxCusp,
+    hf_check,
+    semicontinuity_check,
+    verify_limits,
 )
 
 
@@ -144,6 +147,50 @@ def test_values_are_immutable_ordered_hashable_tuples():
     assert (cusp._fields, curve._fields) == (("r", "s"), ("a", "b", "e"))
     assert curve._asdict() == {"a": 6, "b": 6, "e": 0}
     assert cusp == (2, 3) and curve == (6, 6, 0)
+
+
+def _result_records():
+    """One of each result record, from the two filters on a configuration of
+    (0, 5, 2) that both obstruct, and from the limit harness."""
+    curve = CurveType(0, 5, 2)
+    config = CuspConfiguration([PuiseuxCusp(2, 3), PuiseuxCusp(3, 4), PuiseuxCusp(4, 9)])
+    hf_report, spectrum_report = hf_check(curve, config), semicontinuity_check(curve, config)
+    limits = verify_limits(3, 100)
+    records = [
+        (hf_report.witnesses[0], ("m", "s1", "s2", "r_value", "p_value")),
+        (hf_report, ("witnesses",)),
+        (
+            spectrum_report.witnesses[0],
+            ("x", "cusp_inside", "infinity_inside", "cusp_outside", "infinity_outside"),
+        ),
+        (spectrum_report, ("witnesses", "checked_points")),
+        (limits.entries[0], ("name", "w", "value", "limit")),
+        (limits, ("b", "tol", "entries")),
+    ]
+    return [pytest.param(*pair, id=type(pair[0]).__name__) for pair in records]
+
+
+@pytest.mark.parametrize("record, fields", _result_records())
+def test_result_records_are_slotted_namedtuples(record, fields):
+    # Each result record subclasses a `collections.namedtuple` with
+    # `__slots__ = ()`, as `core`'s values do; without it a subclass
+    # silently grows a `__dict__`.
+    cls = type(record)
+    assert not hasattr(record, "__dict__")
+    with pytest.raises(AttributeError):
+        record.extra = 0
+    for copied in (pickle.loads(pickle.dumps(record)), copy.copy(record), copy.deepcopy(record)):
+        assert type(copied) is cls and copied == record
+    assert cls._fields == fields and record._asdict() == dict(zip(fields, record))
+    assert type(cls._make(record)) is cls and cls._make(record) == record
+    assert record._replace(**record._asdict()) == record
+    values = ", ".join(f"{field}={value!r}" for field, value in zip(fields, record))
+    assert repr(record) == f"{cls.__name__}({values})"
+    assert record == tuple(record) and hash(record) == hash(tuple(record))
+    if "witnesses" in fields:  # both filter reports share one verdict rule
+        assert (record.obstructed, record.verdict) == (True, "obstructed")
+        passing = record._replace(witnesses=())
+        assert (passing.obstructed, passing.verdict) == (False, "passes")
 
 
 @pytest.mark.parametrize(

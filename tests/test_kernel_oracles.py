@@ -8,7 +8,8 @@ semicontinuity scan over `Fraction` values with interval counts on each
 spectrum (its cusp spectra built from i/r + j/s, not read off the
 semigroup as `cusp_spectrum` does), the unfolded integer scan over every
 scan point in (0, 1) that the folded scan replaced, the HF scan over that
-oracle R with a fresh maximal presentation for every m, the parabola-fit
+oracle R with each m's maximal presentation from the window walk
+`oracles.brute_max_p`, not the closed form it checks, the parabola-fit
 search for that presentation that its closed form replaced, the defining
 loops of the sawtooth sums (O(q) for s(p, q), O(r) for D(p, q, r), O(w) for
 the section sums), the Euclidean floor-sum route to the section sums that
@@ -36,6 +37,7 @@ rows of `oracles.spectrum_rows`.
 """
 import contextlib
 import fractions
+import functools
 import io
 import json
 import math
@@ -75,6 +77,7 @@ from cuspidal import (
 from cuspidal import cli, enumeration, hf, p_bound, spectra
 from cuspidal.hf import _cusp_elements, _max_plus
 from oracles import (
+    brute_max_p,
     count_open,
     curve_or_none,
     curves,
@@ -194,12 +197,17 @@ def _integer_scan(curve, config):
     return SemicontinuityReport(tuple(witnesses), len(points))
 
 
+# The HF oracle's maximal presentations come from the window walk, not from
+# the closed form that `hf_check` reads; a curve's are shared by its tests.
+_brute_max_p = functools.lru_cache(maxsize=None)(brute_max_p)
+
+
 def _brute_hf(curve, config):
     g = curve.g
     r_values = min_split_r(config, 2 * g)
     witnesses = []
     for m in range(-g, g + 1):
-        best = max_p_over_presentations(curve, m + g - 1)
+        best = _brute_max_p(curve, m + g - 1)
         if best is not None and r_values[m + g] < best[2]:
             witnesses.append(HfWitness(m, *best[:2], r_values[m + g], best[2]))
     return HfReport(tuple(witnesses))
